@@ -29,9 +29,6 @@ class ClassificationOutcome:
     metric_scores: np.ndarray  # Q metric distances
     agreement: bool            # scores ~ metric_scores componentwise
 
-    def to_row(self) -> list[float]:
-        return [self.winner, *self.scores.tolist()]
-
 
 def score(params: ShallowParams, x: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
     """Euclidean residual of the network output against every target column."""

@@ -30,7 +30,7 @@ from .cost import evaluate
 from .dataset import dataset_stats, load_dataset, save_json, synthesize
 from .errors import MissingArtifact, ShallowminError
 from .gd import GdConfig, compare as gd_compare, train_gd
-from .network import load_params, save_params
+from .network import load_params, params_to_dict
 from .truncation import sweep_fixed_point_region
 from .verify import SUITES, run_suite
 
@@ -100,24 +100,18 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     ds = _dataset_from_args(args)
-    stats, pack = dataset_stats(ds, sv_tolerance=args.sv_tol)
+    stats, pack = dataset_stats(ds)
     cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
     variant = Variant(args.variant)
     params = train(ds, stats, pack, variant, cfg)
     prov = provenance(variant, ds, stats, pack, cfg)
-    if args.out is None:
-        doc = {"w1": params.w1.tolist(), "b1": params.b1.tolist(),
-               "w2": params.w2.tolist(), "b2": params.b2.tolist(),
-               "provenance": prov}
-        _write_json(doc, None)
-    else:
-        save_params(params, args.out, provenance=prov)
+    _write_json({**params_to_dict(params), "provenance": prov}, args.out)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     ds = _dataset_from_args(args)
-    stats, pack = dataset_stats(ds, sv_tolerance=args.sv_tol)
+    stats, pack = dataset_stats(ds)
     params, _ = load_params(args.params)
     report = evaluate(params, ds, stats, pack, include_matrices=args.matrices)
     doc = report.to_dict(include_matrices=args.matrices)
@@ -153,7 +147,7 @@ def _read_input_rows(path: Path, has_header: bool) -> np.ndarray:
 
 def cmd_classify(args) -> int:
     ds = _dataset_from_args(args)
-    stats, pack = dataset_stats(ds, sv_tolerance=args.sv_tol)
+    stats, pack = dataset_stats(ds)
     params, _ = load_params(args.params)
     w2t = w2_tilde(ds, stats)
     inputs = _read_input_rows(args.inputs, args.inputs_header)
@@ -175,7 +169,7 @@ def cmd_truncation_sweep(args) -> int:
     with open(args.grid) as fh:
         raw = json.load(fh)
     grid = [(np.array(g["w1"], dtype=float), np.array(g["b1"], dtype=float)) for g in raw]
-    points = sweep_fixed_point_region(ds, grid, sv_tolerance=args.sv_tol)
+    points = sweep_fixed_point_region(ds, grid)
     lines = [json.dumps(pt.to_dict(include_matrices=args.matrices)) for pt in points]
     text = "\n".join(lines) + "\n"
     if args.out is None:
@@ -210,7 +204,7 @@ def cmd_compare(args) -> int:
             full_ds, args.holdout, seed=args.seed)
     else:
         ds = full_ds
-    stats, pack = dataset_stats(ds, sv_tolerance=args.sv_tol)
+    stats, pack = dataset_stats(ds)
     cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
     variant = Variant.EXACT if ds.m == ds.q else Variant.GENERAL
     constructive_params = train(ds, stats, pack, variant, cfg)
@@ -312,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--variant", choices=[v.value for v in Variant], default="general")
     p.add_argument("--beta1-margin", type=float, default=None)
-    p.add_argument("--sv-tol", type=float, default=1e-10)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate costs and bounds for saved parameters")
     _add_dataset_args(p)
     p.add_argument("--params", type=Path, required=True)
-    p.add_argument("--sv-tol", type=float, default=1e-10)
     p.add_argument("--matrices", action="store_true", help="include deviation matrices")
     p.add_argument("--format", choices=["json", "csv", "table"], default="json")
     p.add_argument("--out", type=Path, default=None)
@@ -330,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", type=Path, required=True)
     p.add_argument("--inputs", type=Path, required=True, help="CSV of test inputs, one per row")
     p.add_argument("--inputs-header", action="store_true")
-    p.add_argument("--sv-tol", type=float, default=1e-10)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_classify)
 
@@ -338,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--grid", type=Path, required=True,
                    help='JSON list of {"w1": [[...]], "b1": [...]}')
-    p.add_argument("--sv-tol", type=float, default=1e-10)
     p.add_argument("--matrices", action="store_true")
     p.add_argument("--out", type=Path, default=None, help="JSON-lines output")
     p.set_defaults(func=cmd_truncation_sweep)
@@ -356,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-scale", type=float, default=GdConfig.init_scale)
     p.add_argument("--record-every", type=int, default=GdConfig.record_every)
     p.add_argument("--beta1-margin", type=float, default=None)
-    p.add_argument("--sv-tol", type=float, default=1e-10)
     p.add_argument("--holdout", type=float, default=None,
                    help="train on a seeded per-class split and report held-out accuracy")
     p.add_argument("--trace-out", type=Path, default=None, help="CSV (step, cost)")

@@ -178,15 +178,13 @@ def in_region_perturbation(
     stats: DatasetStats,
     beta1: float,
     rng: np.random.Generator,
-    epsilon: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random (w1, b1) perturbation small enough to stay inside the fixed-point
     region: w1 -> w1 @ (I + A) with ||A||_op < eps, b1 -> b1 + v with |v| < eps,
-    eps defaulting to 1e-3 (beta1 - 2 rho + delta)."""
+    eps = 1e-3 (beta1 - 2 rho + delta)."""
     q = params.m
-    if epsilon is None:
-        epsilon = 1e-3 * (beta1 - 2.0 * stats.rho + stats.delta)
-        epsilon = max(epsilon, 1e-6 * (1.0 + beta1))  # zero-margin, zero-noise corner
+    epsilon = 1e-3 * (beta1 - 2.0 * stats.rho + stats.delta)
+    epsilon = max(epsilon, 1e-6 * (1.0 + beta1))  # zero-margin, zero-noise corner
     a = rng.standard_normal((q, q))
     a *= 0.9 * epsilon / max(np.linalg.norm(a, 2), 1e-300)
     v = rng.standard_normal(q)

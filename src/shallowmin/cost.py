@@ -55,12 +55,12 @@ def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
     return weighted_norm(x2 - y_ext(ds), ds.class_sizes)
 
 
-def data_gram(ds: ClassifiedDataset, sv_tolerance: float = SV_TOLERANCE) -> np.ndarray:
+def data_gram(ds: ClassifiedDataset) -> np.ndarray:
     """X0 N^-1 X0^T (Q x Q in the M = Q regime), checked for invertibility."""
     xw = ds.x0 * ds.inv_size_weights()[None, :]
     gram = xw @ ds.x0.T
     s = np.linalg.svd(gram, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= sv_tolerance * s[0]:
+    if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
         raise SingularGram(
             f"X0 N^-1 X0^T is numerically singular "
             f"(singular values {s[-1]:.3e}..{s[0]:.3e})"
@@ -83,7 +83,6 @@ class DataProjector:
 def data_projector(
     ds: ClassifiedDataset,
     stats: DatasetStats,
-    sv_tolerance: float = SV_TOLERANCE,
     max_n: int = MAX_PROJECTOR_N,
 ) -> DataProjector:
     """Materialize the data projector N^-1 X0^T (X0 N^-1 X0^T)^-1 X0.
@@ -98,14 +97,26 @@ def data_projector(
             f"refusing to materialize a {ds.n} x {ds.n} projector (max_n={max_n}); "
             "use exact_min_weighted's closed form"
         )
-    gram = data_gram(ds, sv_tolerance)
+    gram = data_gram(ds)
     xw = ds.x0 * ds.inv_size_weights()[None, :]
     p_script = xw.T @ np.linalg.solve(gram, ds.x0)
     return DataProjector(p_script=p_script, p_script_perp=np.eye(ds.n) - p_script)
 
 
+def relative_gram(
+    means: np.ndarray, dev: np.ndarray, inv_n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-normalized deviations means^-1 dev (Q x N) and their Gram
+    Delta1 diag(inv_n) Delta1^T (Q x Q PSD, explicitly symmetrized); means must
+    be square and invertible."""
+    d1 = np.linalg.solve(means, dev)
+    d2 = (d1 * inv_n[None, :]) @ d1.T
+    d2 = 0.5 * (d2 + d2.T)
+    return d1, d2
+
+
 def relative_deviations(
-    ds: ClassifiedDataset, stats: DatasetStats, sv_tolerance: float = SV_TOLERANCE
+    ds: ClassifiedDataset, stats: DatasetStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean-normalized deviations (Q x N) and their size-weighted Gram (Q x Q PSD).
 
@@ -114,12 +125,9 @@ def relative_deviations(
     if ds.m != ds.q:
         raise WrongRegime(f"relative deviations require M = Q, got M={ds.m}, Q={ds.q}")
     s = np.linalg.svd(stats.means, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= sv_tolerance * s[0]:
+    if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
         raise SingularMeans("reduced mean matrix is numerically singular")
-    d1 = np.linalg.solve(stats.means, stats.dev)
-    d2 = (d1 * ds.inv_size_weights()[None, :]) @ d1.T
-    d2 = 0.5 * (d2 + d2.T)
-    return d1, d2
+    return relative_gram(stats.means, stats.dev, ds.inv_size_weights())
 
 
 def _psd_eig(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,11 +140,28 @@ def _psd_eig(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(w, 0.0, None), v
 
 
-def exact_min_weighted(
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-    cross_check: bool = True,
-) -> float:
+def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
+    """||Y V diag(sqrt(l/(1+l)))||_F from the eigendecomposition (l, V) of a
+    relative deviation Gram d2: the weighted-cost minimum over the tied
+    output-layer family."""
+    w, v = _psd_eig(d2)
+    return frob((y @ v) * np.sqrt(w / (1.0 + w))[None, :])
+
+
+def _cross_checked_min(ds: ClassifiedDataset, stats: DatasetStats, d2: np.ndarray) -> float:
+    """closed_form_min of d2, checked against the projector route for N <= MAX_PROJECTOR_N."""
+    value = closed_form_min(ds.y, d2)
+    if ds.n <= MAX_PROJECTOR_N:
+        dp = data_projector(ds, stats)
+        ref = weighted_norm(y_ext(ds) @ dp.p_script_perp, ds.class_sizes)
+        if abs(value - ref) > CROSS_CHECK_RTOL * (1.0 + max(value, ref)):
+            raise ConsistencyError(
+                f"closed form {value!r} and projector route {ref!r} disagree"
+            )
+    return value
+
+
+def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
     """The weighted-cost value of the M = Q closed-form construction.
 
     Computed as ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
@@ -145,17 +170,7 @@ def exact_min_weighted(
     are evaluated and must agree to 1e-9 relative.
     """
     _, d2 = relative_deviations(ds, stats)
-    w, v = _psd_eig(d2)
-    core = (ds.y @ v) * np.sqrt(w / (1.0 + w))[None, :]
-    value = frob(core)
-    if cross_check and ds.n <= MAX_PROJECTOR_N:
-        dp = data_projector(ds, stats)
-        ref = weighted_norm(y_ext(ds) @ dp.p_script_perp, ds.class_sizes)
-        if abs(value - ref) > CROSS_CHECK_RTOL * (1.0 + max(value, ref)):
-            raise ConsistencyError(
-                f"closed form {value!r} and projector route {ref!r} disagree"
-            )
-    return value
+    return _cross_checked_min(ds, stats, d2)
 
 
 def weighted_norm_y_delta1(ds: ClassifiedDataset, stats: DatasetStats) -> float:
@@ -285,7 +300,7 @@ def evaluate(
     )
     if ds.m == ds.q:
         d1, d2 = relative_deviations(ds, stats)
-        report.exact_min_weighted = exact_min_weighted(ds, stats)
+        report.exact_min_weighted = _cross_checked_min(ds, stats, d2)
         if include_matrices:
             report.delta1_rel = d1
             report.delta2_rel = d2

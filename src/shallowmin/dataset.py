@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateMeans, DimensionError, RankDeficient
-from .linalg import SV_TOLERANCE, ProjectorPack, as_matrix, numerical_rank, projector_pack
+from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,13 @@ def y_ext(ds: ClassifiedDataset) -> np.ndarray:
     return np.repeat(ds.y, ds.class_sizes, axis=1)
 
 
-def compute_stats(ds: ClassifiedDataset, pack: ProjectorPack) -> DatasetStats:
-    """Compute all derived statistics; pack must be projector_pack(class_means(ds)).
+def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack) -> DatasetStats:
+    """Compute all derived statistics from the class means of ds and
+    pack = projector_pack(means).
 
     delta_p needs the pseudoinverse and projector of the means, hence the
     two-pass construction (means -> pack -> stats).
     """
-    means = class_means(ds)
-    if numerical_rank(means, pack.sv_tolerance) < ds.q:
-        raise DegenerateMeans("class means are not linearly independent")
     mean_ext = np.repeat(means, ds.class_sizes, axis=1)
     dev = ds.x0 - mean_ext
     delta = float(np.max(np.linalg.norm(dev, axis=0))) if ds.n else 0.0
@@ -130,15 +128,13 @@ def compute_stats(ds: ClassifiedDataset, pack: ProjectorPack) -> DatasetStats:
     )
 
 
-def dataset_stats(
-    ds: ClassifiedDataset, sv_tolerance: float = SV_TOLERANCE
-) -> tuple[DatasetStats, ProjectorPack]:
+def dataset_stats(ds: ClassifiedDataset) -> tuple[DatasetStats, ProjectorPack]:
     """Two-pass pipeline: class means, their projector pack, then the stats."""
     means = class_means(ds)
-    if numerical_rank(means, sv_tolerance) < ds.q:
+    if numerical_rank(means) < ds.q:
         raise DegenerateMeans("class means are not linearly independent")
-    pack = projector_pack(means, sv_tolerance)
-    return compute_stats(ds, pack), pack
+    pack = projector_pack(means)
+    return compute_stats(ds, means, pack), pack
 
 
 def synthesize(

@@ -41,10 +41,6 @@ class SingularW1(ShallowminError):
     """First-layer weight matrix must be invertible for truncation."""
 
 
-class SingularTruncatedMeans(ShallowminError):
-    """Truncated class means lost rank but evaluation was forced anyway."""
-
-
 class BetaTooSmall(ShallowminError):
     """First-layer bias is too small to keep pre-activations non-negative."""
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .cost import bound_general, cost_l2, cost_weighted, exact_min_weighted
 from .dataset import ClassifiedDataset, DatasetStats, y_ext
-from .errors import Diverged
+from .errors import Diverged, ShallowminError
 from .linalg import ProjectorPack
 from .network import ShallowParams
 from .truncation import truncate, FIXED_POINT_ATOL
@@ -94,7 +94,7 @@ def gd_in_fixed_point_region(params: ShallowParams, ds: ClassifiedDataset) -> bo
         return False
     try:
         tau = truncate(params.w1, params.b1, ds)
-    except Exception:
+    except ShallowminError:
         return False
     return bool(np.max(np.abs(tau - ds.x0)) <= FIXED_POINT_ATOL)
 

@@ -39,73 +39,67 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def numerical_rank(a, sv_tolerance: float = SV_TOLERANCE) -> int:
-    """Count of singular values above sv_tolerance x the largest; 0 for the zero matrix."""
-    a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > sv_tolerance * s[0]))
+def numerical_rank(a) -> int:
+    """Count of singular values above SV_TOLERANCE x the largest; 0 for the zero matrix."""
+    return rank_with_margin(a)[0]
 
 
-def rank_with_margin(a, sv_tolerance: float = SV_TOLERANCE) -> tuple[int, bool]:
+def rank_with_margin(a) -> tuple[int, bool]:
     """Numerical rank plus a flag set when any singular value sits within a
     factor of 2 of the cutoff, i.e. when the rank decision is marginal."""
     a = as_matrix(a)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0, False
-    thresh = sv_tolerance * s[0]
+    thresh = SV_TOLERANCE * s[0]
     rank = int(np.count_nonzero(s > thresh))
     marginal = bool(np.any((s > thresh / 2.0) & (s < thresh * 2.0)))
     return rank, marginal
 
 
-def penrose_inverse(a, sv_tolerance: float = SV_TOLERANCE) -> np.ndarray:
+def _full_rank_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of an M x Q matrix (M >= Q), checked for full column rank."""
+    a = as_matrix(a)
+    m, q = a.shape
+    if m < q:
+        raise DimensionError(f"need rows >= cols for full column rank, got {a.shape}")
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
+        raise RankDeficient(
+            f"column rank < {q}: smallest/largest singular value "
+            f"{s[-1]:.3e}/{s[0]:.3e} under tolerance {SV_TOLERANCE:g}"
+        )
+    return u, s, vt
+
+
+def _projectors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u u^T explicitly symmetrized, its complement) for orthonormal columns u."""
+    p = u @ u.T
+    p = 0.5 * (p + p.T)
+    return p, np.eye(u.shape[0]) - p
+
+
+def penrose_inverse(a) -> np.ndarray:
     """Left pseudoinverse of a full-column-rank M x Q matrix (M >= Q).
 
     The returned Q x M matrix equals ((a^T a)^-1 a^T); it is computed from the
     thin SVD so that result @ a = I_Q holds to near machine precision.
     """
-    a = as_matrix(a)
-    m, q = a.shape
-    if m < q:
-        raise DimensionError(f"need rows >= cols for a left inverse, got {a.shape}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= sv_tolerance * s[0]:
-        raise RankDeficient(
-            f"column rank < {q}: smallest/largest singular value "
-            f"{s[-1]:.3e}/{s[0]:.3e} under tolerance {sv_tolerance:g}"
-        )
+    u, s, vt = _full_rank_svd(a)
     return (vt.T / s) @ u.T
 
 
-def orthoprojector(a, sv_tolerance: float = SV_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+def orthoprojector(a) -> tuple[np.ndarray, np.ndarray]:
     """Orthoprojector onto the range of a full-column-rank matrix, and its complement.
 
     Returns (p, p_perp) with p = a @ penrose_inverse(a) in value, built from the
     left singular vectors and explicitly symmetrized.
     """
-    a = as_matrix(a)
-    m, q = a.shape
-    if m < q:
-        raise DimensionError(f"need rows >= cols, got {a.shape}")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= sv_tolerance * s[0]:
-        raise RankDeficient(
-            f"column rank < {q}: smallest/largest singular value "
-            f"{s[-1]:.3e}/{s[0]:.3e} under tolerance {sv_tolerance:g}"
-        )
-    p = u @ u.T
-    p = 0.5 * (p + p.T)
-    return p, np.eye(m) - p
+    u, _, _ = _full_rank_svd(a)
+    return _projectors(u)
 
 
-def diagonalizing_rotation(
-    p,
-    rank: int,
-    projector_tolerance: float = PROJECTOR_TOLERANCE,
-) -> np.ndarray:
+def diagonalizing_rotation(p, rank: int) -> np.ndarray:
     """Orthogonal R whose rows diagonalize a symmetric projector.
 
     R p R^T is diagonal with `rank` ones followed by zeros. The rotation is not
@@ -121,16 +115,16 @@ def diagonalizing_rotation(
         raise DimensionError(f"rank must be in (0, {m}], got {rank}")
     sym_err = np.max(np.abs(p - p.T))
     idem_err = np.max(np.abs(p @ p - p))
-    if sym_err > projector_tolerance or idem_err > projector_tolerance:
+    if sym_err > PROJECTOR_TOLERANCE or idem_err > PROJECTOR_TOLERANCE:
         raise NotAProjector(
             f"symmetry error {sym_err:.3e}, idempotence error {idem_err:.3e} "
-            f"exceed tolerance {projector_tolerance:g}"
+            f"exceed tolerance {PROJECTOR_TOLERANCE:g}"
         )
     w, v = np.linalg.eigh(p)
     order = np.argsort(-w, kind="stable")
     w, v = w[order], v[:, order]
-    if np.max(np.abs(w[:rank] - 1.0)) > projector_tolerance or (
-        rank < m and np.max(np.abs(w[rank:])) > projector_tolerance
+    if np.max(np.abs(w[:rank] - 1.0)) > PROJECTOR_TOLERANCE or (
+        rank < m and np.max(np.abs(w[rank:])) > PROJECTOR_TOLERANCE
     ):
         raise NotAProjector(
             f"eigenvalues {w} are not {rank} ones followed by zeros"
@@ -151,7 +145,6 @@ class ProjectorPack:
     p_perp: M x M complement projector
     r:      M x M orthogonal rotation, r @ p @ r.T = diag(1,...,1,0,...,0)
     rank:   number of leading ones on that diagonal (= Q)
-    sv_tolerance: relative singular-value cutoff the pack was built with
     """
 
     pen: np.ndarray
@@ -159,13 +152,12 @@ class ProjectorPack:
     p_perp: np.ndarray
     r: np.ndarray
     rank: int
-    sv_tolerance: float
 
 
-def projector_pack(a, sv_tolerance: float = SV_TOLERANCE) -> ProjectorPack:
-    """Build the ProjectorPack of a full-column-rank M x Q matrix."""
-    a = as_matrix(a)
-    pen = penrose_inverse(a, sv_tolerance)
-    p, p_perp = orthoprojector(a, sv_tolerance)
-    r = diagonalizing_rotation(p, a.shape[1])
-    return ProjectorPack(pen=pen, p=p, p_perp=p_perp, r=r, rank=a.shape[1], sv_tolerance=sv_tolerance)
+def projector_pack(a) -> ProjectorPack:
+    """Build the ProjectorPack of a full-column-rank M x Q matrix from one thin SVD."""
+    u, s, vt = _full_rank_svd(a)
+    p, p_perp = _projectors(u)
+    return ProjectorPack(
+        pen=(vt.T / s) @ u.T, p=p, p_perp=p_perp, r=diagonalizing_rotation(p, s.size), rank=s.size
+    )

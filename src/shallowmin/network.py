@@ -71,11 +71,6 @@ def forward(p: ShallowParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-def predict(p: ShallowParams, x: np.ndarray) -> np.ndarray:
-    """Output layer only."""
-    return forward(p, x)[1]
-
-
 def params_to_dict(p: ShallowParams) -> dict:
     return {
         "w1": p.w1.tolist(),

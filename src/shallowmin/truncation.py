@@ -14,21 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import (
-    _psd_eig,
-    frob,
-    lstsq_output_layer,
-    weighted_norm,
-)
+from .cost import closed_form_min, lstsq_output_layer, relative_gram, weighted_norm
 from .dataset import ClassifiedDataset, block_means, y_ext
-from .errors import (
-    ConsistencyError,
-    ShallowminError,
-    SingularTruncatedMeans,
-    SingularW1,
-    WrongRegime,
-)
-from .linalg import SV_TOLERANCE, numerical_rank, rank_with_margin
+from .errors import ConsistencyError, ShallowminError, SingularW1, WrongRegime
+from .linalg import numerical_rank, rank_with_margin
 from .network import relu
 
 # Entrywise tolerance for tau(X0) == X0 (fixed-point membership).
@@ -105,26 +94,17 @@ def _truncated_means(tau: np.ndarray, ds: ClassifiedDataset) -> tuple[np.ndarray
     return means, dev
 
 
-def is_rank_preserving(
-    tau_x0: np.ndarray, ds: ClassifiedDataset, sv_tolerance: float = SV_TOLERANCE
-) -> tuple[bool, bool]:
+def is_rank_preserving(tau_x0: np.ndarray, ds: ClassifiedDataset) -> tuple[bool, bool]:
     """(rank(tau(X0)) == rank(X0), rank(truncated means) == rank(means))."""
     means_tau, _ = _truncated_means(tau_x0, ds)
     means = block_means(ds.x0, ds.class_sizes)
     return (
-        numerical_rank(tau_x0, sv_tolerance) == numerical_rank(ds.x0, sv_tolerance),
-        numerical_rank(means_tau, sv_tolerance) == numerical_rank(means, sv_tolerance),
+        numerical_rank(tau_x0) == numerical_rank(ds.x0),
+        numerical_rank(means_tau) == numerical_rank(means),
     )
 
 
-def min_over_output_layer(
-    w1: np.ndarray,
-    b1: np.ndarray,
-    ds: ClassifiedDataset,
-    sv_tolerance: float = SV_TOLERANCE,
-    cross_check: bool = True,
-    force: bool = False,
-) -> TruncationResult:
+def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> TruncationResult:
     """Minimum of the weighted cost over the tied output-layer family at a
     fixed (w1, b1), via the truncated statistics.
 
@@ -132,16 +112,15 @@ def min_over_output_layer(
     ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition of the
     truncated relative-deviation Gram. It is cross-checked against an explicit
     least-squares solve over the output layer on the truncated data. If the
-    truncation is rank reducing the minimum is absent (unless force=True, which
-    raises if the truncated means are singular anyway).
+    truncation is rank reducing the minimum is absent.
     """
     tau = truncate(w1, b1, ds)
     w1 = np.asarray(w1, dtype=float)
     b1 = np.asarray(b1, dtype=float).reshape(-1)
-    rank_x0, rank_means = is_rank_preserving(tau, ds, sv_tolerance)
-    _, marginal_tau = rank_with_margin(tau, sv_tolerance)
+    rank_x0, rank_means = is_rank_preserving(tau, ds)
+    _, marginal_tau = rank_with_margin(tau)
     means_tau, dev_tau = _truncated_means(tau, ds)
-    _, marginal_means = rank_with_margin(means_tau, sv_tolerance)
+    _, marginal_means = rank_with_margin(means_tau)
     in_region = bool(np.max(np.abs(tau - ds.x0)) <= FIXED_POINT_ATOL)
     result = TruncationResult(
         tau_x0=tau,
@@ -151,30 +130,19 @@ def min_over_output_layer(
         in_fixed_point_region=in_region,
     )
     if not (rank_x0 and rank_means):
-        if not force:
-            return result
-        s = np.linalg.svd(means_tau, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= sv_tolerance * s[0]:
-            raise SingularTruncatedMeans(
-                "truncated means are singular; cannot evaluate the closed form"
-            )
-    d1_tr = np.linalg.solve(means_tau, dev_tau)
-    inv_n = ds.inv_size_weights()
-    d2_tr = (d1_tr * inv_n[None, :]) @ d1_tr.T
-    d2_tr = 0.5 * (d2_tr + d2_tr.T)
-    w, v = _psd_eig(d2_tr)
-    value = frob((ds.y @ v) * np.sqrt(w / (1.0 + w))[None, :])
+        return result
+    d1_tr, d2_tr = relative_gram(means_tau, dev_tau, ds.inv_size_weights())
+    value = closed_form_min(ds.y, d2_tr)
     result.min_cost_weighted = value
     result.delta_p_tr = float(np.max(np.linalg.norm(d1_tr, axis=0)))
     result.delta1_rel_tr = d1_tr
     result.delta2_rel_tr = d2_tr
-    if cross_check:
-        hidden = relu(w1 @ ds.x0 + b1[:, None])
-        _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=b1)
-        if abs(value - oracle) > ORACLE_RTOL * (1.0 + max(value, oracle)):
-            raise ConsistencyError(
-                f"closed-form minimum {value!r} disagrees with least squares {oracle!r}"
-            )
+    hidden = relu(w1 @ ds.x0 + b1[:, None])
+    _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=b1)
+    if abs(value - oracle) > ORACLE_RTOL * (1.0 + max(value, oracle)):
+        raise ConsistencyError(
+            f"closed-form minimum {value!r} disagrees with least squares {oracle!r}"
+        )
     return result
 
 
@@ -193,11 +161,7 @@ class SweepPoint:
         return {"index": self.index, **self.result.to_dict(include_matrices)}
 
 
-def sweep_fixed_point_region(
-    ds: ClassifiedDataset,
-    grid,
-    sv_tolerance: float = SV_TOLERANCE,
-) -> list[SweepPoint]:
+def sweep_fixed_point_region(ds: ClassifiedDataset, grid) -> list[SweepPoint]:
     """Evaluate min_over_output_layer on every (w1, b1) grid point.
 
     Per-point errors are recorded and the sweep continues; result order matches
@@ -207,7 +171,7 @@ def sweep_fixed_point_region(
     points: list[SweepPoint] = []
     for i, (w1, b1) in enumerate(grid):
         try:
-            res = min_over_output_layer(w1, b1, ds, sv_tolerance=sv_tolerance)
+            res = min_over_output_layer(w1, b1, ds)
             points.append(SweepPoint(index=i, result=res))
         except ShallowminError as exc:
             points.append(SweepPoint(index=i, error=f"{type(exc).__name__}: {exc}"))

@@ -94,10 +94,20 @@ def random_ball(m: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     return v * radius * rng.uniform() ** (1.0 / m)
 
 
-def suite_bounds(ds: ClassifiedDataset, cfg: ConstructiveConfig = ConstructiveConfig()) -> list[PropertyCheck]:
+def _scale_invariance_slack(ds: ClassifiedDataset, delta_p: float, b_l2: float) -> float:
+    """Worst relative change of bound_l2 and delta_p under X0 -> lambda X0, lambda in {0.1, 10}."""
+    worst = 0.0
+    for lam in (0.1, 10.0):
+        stats_l, pack_l = dataset_stats(_scaled(ds, lam))
+        b_l2_l, _ = bound_general(_scaled(ds, lam), stats_l, pack_l)
+        worst = max(worst, _rel(b_l2_l, b_l2), _rel(stats_l.delta_p, delta_p))
+    return worst
+
+
+def suite_bounds(ds: ClassifiedDataset) -> list[PropertyCheck]:
     """Upper-bound chain of the general construction plus its invariances."""
     stats, pack = dataset_stats(ds)
-    params = train_general(ds, stats, pack, cfg)
+    params = train_general(ds, stats, pack)
     b_l2, b_dp = bound_general(ds, stats, pack)
     achieved = cost_l2(params, ds)
     checks = [
@@ -108,22 +118,17 @@ def suite_bounds(ds: ClassifiedDataset, cfg: ConstructiveConfig = ConstructiveCo
     ]
     if stats.delta == 0.0:
         checks.append(_check("bounds.zero-noise-cost", achieved, 1e-10))
+    checks.append(_check("bounds.scale-invariance",
+                         _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9))
 
-    worst_scale = 0.0
-    for lam in (0.1, 10.0):
-        stats_l, pack_l = dataset_stats(_scaled(ds, lam))
-        b_l2_l, _ = bound_general(_scaled(ds, lam), stats_l, pack_l)
-        worst_scale = max(worst_scale, _rel(b_l2_l, b_l2), _rel(stats_l.delta_p, stats.delta_p))
-    checks.append(_check("bounds.scale-invariance", worst_scale, 1e-9))
-
-    margin = (0.5 * stats.rho if cfg.beta1_margin is None else cfg.beta1_margin) + 1.7 * (stats.rho + 1.0)
+    margin = 0.5 * stats.rho + 1.7 * (stats.rho + 1.0)
     params_big = train_general(ds, stats, pack, ConstructiveConfig(beta1_margin=margin))
     checks.append(_check("bounds.beta-margin-invariance",
                          abs(cost_l2(params_big, ds) - achieved), 1e-10))
 
     hidden, _ = forward(params, ds.x0)
     signal = pack.r @ (pack.p @ ds.x0)
-    signal[: ds.q, :] += cfg.beta1(stats.rho)
+    signal[: ds.q, :] += ConstructiveConfig().beta1(stats.rho)
     checks.append(_check("bounds.hidden-layer-identity",
                          float(np.max(np.abs(hidden - signal))), 1e-12))
     checks.append(_check("bounds.means-to-targets",
@@ -131,13 +136,13 @@ def suite_bounds(ds: ClassifiedDataset, cfg: ConstructiveConfig = ConstructiveCo
     return checks
 
 
-def suite_exact_min(ds: ClassifiedDataset, cfg: ConstructiveConfig = ConstructiveConfig()) -> list[PropertyCheck]:
+def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
     """M = Q exact-value identities, the least-squares oracle, and the
     quadratic-in-delta_p trends of the W2 gap and the minimum's deficit."""
     if ds.m != ds.q:
         raise WrongRegime("exact-min suite requires M = Q")
     stats, pack = dataset_stats(ds)
-    params = train_exact_meq(ds, stats, cfg)
+    params = train_exact_meq(ds, stats)
     cw = cost_weighted(params, ds)
     em = exact_min_weighted(ds, stats)
     lam_lo, lam_hi = spectral_range_d2(ds, stats)
@@ -188,22 +193,18 @@ def quadratic_trend_checks(ds: ClassifiedDataset, octaves: int = 4) -> list[Prop
     ]
 
 
-def suite_degeneracy(
-    ds: ClassifiedDataset,
-    n_perturbations: int = 50,
-    seed: int = 0,
-    cfg: ConstructiveConfig = ConstructiveConfig(),
-) -> list[PropertyCheck]:
+def suite_degeneracy(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
     """Random in-region (w1, b1) perturbations followed by the tied output-layer
     re-solve must reproduce the exact minimum."""
     if ds.m != ds.q:
         raise WrongRegime("degeneracy suite requires M = Q")
     stats, _ = dataset_stats(ds)
-    params = train_exact_meq(ds, stats, cfg)
+    params = train_exact_meq(ds, stats)
     em = exact_min_weighted(ds, stats)
-    beta1 = cfg.beta1(stats.rho)
+    beta1 = ConstructiveConfig().beta1(stats.rho)
     rng = np.random.default_rng(seed)
     worst = 0.0
+    n_perturbations = 50
     for _ in range(n_perturbations):
         w1p, b1p = in_region_perturbation(params, stats, beta1, rng)
         w2p, b2p = resolve_output_layer(w1p, b1p, ds, stats)
@@ -213,17 +214,12 @@ def suite_degeneracy(
                    detail=f"{n_perturbations} perturbations, exact={em:.9e}")]
 
 
-def suite_invariance(ds: ClassifiedDataset, n_k: int = 20, seed: int = 0) -> list[PropertyCheck]:
+def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
     """Scaling invariance of the bound quantities; GL(Q) reparametrization
     invariance of the data projector, relative deviations and exact minimum."""
     stats, pack = dataset_stats(ds)
     b_l2, _ = bound_general(ds, stats, pack)
-    worst_scale = 0.0
-    for lam in (0.1, 10.0):
-        stats_l, pack_l = dataset_stats(_scaled(ds, lam))
-        b_l2_l, _ = bound_general(_scaled(ds, lam), stats_l, pack_l)
-        worst_scale = max(worst_scale, _rel(b_l2_l, b_l2), _rel(stats_l.delta_p, stats.delta_p))
-    checks = [_check("invariance.scaling", worst_scale, 1e-9)]
+    checks = [_check("invariance.scaling", _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9)]
     if ds.m != ds.q:
         return checks
 
@@ -232,6 +228,7 @@ def suite_invariance(ds: ClassifiedDataset, n_k: int = 20, seed: int = 0) -> lis
     p_script = data_projector(ds, stats).p_script
     rng = np.random.default_rng(seed)
     worst_p = worst_d1 = worst_em = 0.0
+    n_k = 20
     for _ in range(n_k):
         k = random_gl(ds.q, rng)
         ds_k = replace(ds, x0=k @ ds.x0)
@@ -247,12 +244,7 @@ def suite_invariance(ds: ClassifiedDataset, n_k: int = 20, seed: int = 0) -> lis
     return checks
 
 
-def suite_metric(
-    ds: ClassifiedDataset,
-    n_points: int = 1000,
-    seed: int = 0,
-    cfg: ConstructiveConfig = ConstructiveConfig(),
-) -> list[PropertyCheck]:
+def suite_metric(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
     """Network-score vs metric-score equality for the general construction,
     insensitivity to components the network cuts off, and the metric axioms.
 
@@ -260,13 +252,14 @@ def suite_metric(
     the first layer of the construction provably stays linear.
     """
     stats, pack = dataset_stats(ds)
-    params = train_general(ds, stats, pack, cfg)
+    params = train_general(ds, stats, pack)
     w2t = w2_tilde(ds, stats)
     rng = np.random.default_rng(seed)
     radius = 2.0 * stats.rho
     worst_agree = 0.0
     worst_perp = 0.0
     all_agree = True
+    n_points = 1000
     for _ in range(n_points):
         x = random_ball(ds.m, radius, rng)
         out = classify_point(params, w2t, pack.p, ds, x)
@@ -297,9 +290,9 @@ def suite_metric(
     return checks
 
 
-def default_truncation_grid(ds: ClassifiedDataset, seed: int = 0, n_points: int = 30) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mixed grid: in-region bias sweeps, near-identity in-region rotations,
-    partial clippings, and one full truncation."""
+def default_truncation_grid(ds: ClassifiedDataset, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mixed 30-point grid: in-region bias sweeps, near-identity in-region
+    rotations, partial clippings, and one full truncation."""
     stats, _ = dataset_stats(ds)
     rho = stats.rho
     q = ds.q
@@ -311,7 +304,7 @@ def default_truncation_grid(ds: ClassifiedDataset, seed: int = 0, n_points: int 
         a = rng.standard_normal((q, q))
         a *= 0.01 / np.linalg.norm(a, 2)
         grid.append((np.eye(q) + a, 3.0 * rho * np.ones(q)))
-    while len(grid) < n_points - 1:
+    while len(grid) < 29:  # the full truncation below is point 30
         b = rng.uniform(-0.4 * rho, 1.2 * rho, size=q)
         grid.append((np.eye(q), b))
     grid.append((np.eye(q), -10.0 * rho * np.ones(q)))  # full truncation

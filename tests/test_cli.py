@@ -46,6 +46,16 @@ class TestTrainEval:
         # the exact trainer achieves the exact minimum
         assert rep["cost_weighted"] == pytest.approx(rep["exact_min_weighted"], rel=1e-9)
 
+    @pytest.mark.parametrize("variant", ["general", "exact"])
+    def test_train_stdout_matches_out_file(self, tmp_path, capsys, variant):
+        ds_path = tmp_path / "ds.json"
+        params_path = tmp_path / "params.json"
+        run(["gen", "--m", 3, "--q", 3, "--seed", 4, "--out", ds_path])
+        assert run(["train", "--data", ds_path, "--variant", variant, "--out", params_path]) == 0
+        capsys.readouterr()
+        assert run(["train", "--data", ds_path, "--variant", variant]) == 0
+        assert capsys.readouterr().out == params_path.read_text()
+
     def test_eval_deterministic_bytes(self, tmp_path):
         ds_path = tmp_path / "ds.json"
         params_path = tmp_path / "params.json"

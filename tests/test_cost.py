@@ -17,7 +17,7 @@ from shallowmin import (
     synthesize,
     y_ext,
 )
-from shallowmin.cost import lstsq_output_layer, weighted_norm, weighted_norm_y_delta1
+from shallowmin.cost import closed_form_min, lstsq_output_layer, weighted_norm, weighted_norm_y_delta1
 from shallowmin.errors import SingularGram, WrongRegime
 from shallowmin.verify import random_gl
 from tests.conftest import weighted_lstsq_oracle
@@ -241,6 +241,31 @@ def test_weighted_norm_block_formula():
     a = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 1.0]])
     # blocks of sizes (1, 2): 1/1 * 1 + 1/2 * (4 + 4 + 1) = 5.5
     assert weighted_norm(a, (1, 2)) == pytest.approx(np.sqrt(5.5), rel=1e-15)
+
+
+class TestSharedKernel:
+    """The exact minimum, the truncated minimum and the report all go through
+    relative_gram / closed_form_min, so their values agree bit for bit."""
+
+    def test_exact_min_is_closed_form_of_relative_gram(self):
+        ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
+        stats, _ = dataset_stats(ds)
+        _, d2 = relative_deviations(ds, stats)
+        assert exact_min_weighted(ds, stats) == closed_form_min(ds.y, d2)
+
+    def test_truncated_min_is_closed_form_of_truncated_gram(self, delta01_dataset):
+        from shallowmin import min_over_output_layer
+        res = min_over_output_layer(np.eye(2), np.array([-0.5, 0.0]), delta01_dataset)
+        assert res.rank_x0_preserved and res.rank_means_preserved
+        assert res.min_cost_weighted == closed_form_min(delta01_dataset.y, res.delta2_rel_tr)
+
+    def test_evaluate_matrices_are_relative_deviations(self):
+        ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
+        stats, pack = dataset_stats(ds)
+        d1, d2 = relative_deviations(ds, stats)
+        report = evaluate(linear_params(np.eye(3)), ds, stats, pack, include_matrices=True)
+        assert np.array_equal(report.delta1_rel, d1)
+        assert np.array_equal(report.delta2_rel, d2)
 
 
 def test_evaluate_report(delta01_dataset):
