@@ -55,9 +55,10 @@ from .truncation import (
     sweep_fixed_point_region,
     truncate,
 )
-from .classify import ClassificationOutcome, classify, metric, score
+from .classify import BatchOutcome, ClassificationOutcome, classify, classify_batch, metric, score
 
 __all__ = [
+    "BatchOutcome",
     "ClassificationOutcome",
     "ClassifiedDataset",
     "ConstructiveConfig",
@@ -73,6 +74,7 @@ __all__ = [
     "bound_general",
     "class_means",
     "classify",
+    "classify_batch",
     "compute_stats",
     "cost_l2",
     "cost_weighted",

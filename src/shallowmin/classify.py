@@ -7,6 +7,10 @@ to the corresponding class mean under the metric |w2_tilde P (x - y)|. The
 network simply cuts off components orthogonal to the span of the class means.
 The equality holds on the ball |x| <= beta1, where the first layer stays in its
 linear regime.
+
+All classification runs through classify_batch over an M x K block of inputs;
+the class means are passed in once, so a block costs one forward pass and Q
+linear maps, never a pass over the training data per input.
 """
 
 from __future__ import annotations
@@ -30,13 +34,49 @@ class ClassificationOutcome:
     agreement: bool            # scores ~ metric_scores componentwise
 
 
-def score(params: ShallowParams, x: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
-    """Euclidean residual of the network output against every target column."""
+@dataclass
+class BatchOutcome:
+    """classify_batch results, one row per input column."""
+
+    scores: np.ndarray         # K x Q network residuals
+    winners: np.ndarray        # (K,) argmin per row, lowest index on ties
+    metric_scores: np.ndarray  # K x Q metric distances
+    agreement: np.ndarray      # (K,) bool, scores ~ metric_scores componentwise
+
+
+def _input_block(params: ShallowParams, x) -> np.ndarray:
+    """x as an M x K float block; wrong heights and non-finite columns raise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != params.m:
+        raise DimensionError(f"input block shape {x.shape} != ({params.m}, K)")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if bad.size:
+        raise DimensionError(f"input column {bad[0]} contains non-finite entries")
+    return x
+
+
+def _input_column(params: ShallowParams, x) -> np.ndarray:
+    """A single input as an M x 1 block."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != params.m:
         raise DimensionError(f"input length {x.shape[0]} != M={params.m}")
-    _, out = forward(params, x[:, None])
-    return np.linalg.norm(out - ds.y, axis=0)
+    return x[:, None]
+
+
+def score_batch(params: ShallowParams, y: np.ndarray, x) -> np.ndarray:
+    """K x Q Euclidean residuals of the network outputs on the M x K block x
+    against every target column of y, by direct differences."""
+    x = _input_block(params, x)
+    if y.shape != (params.q, params.q):
+        raise DimensionError(f"targets shape {y.shape} != ({params.q}, {params.q})")
+    _, out = forward(params, x)
+    return np.stack(
+        [np.linalg.norm(out - y[:, j:j + 1], axis=0) for j in range(y.shape[1])], axis=1)
+
+
+def score(params: ShallowParams, x: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
+    """Euclidean residual of the network output against every target column."""
+    return score_batch(params, ds.y, _input_column(params, x))[0]
 
 
 def metric(w2_tilde: np.ndarray, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -50,6 +90,39 @@ def metric(w2_tilde: np.ndarray, p: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     return float(np.linalg.norm(w2_tilde @ (p @ (x - y))))
 
 
+def classify_batch(
+    params: ShallowParams,
+    w2_tilde: np.ndarray,
+    p: np.ndarray,
+    means: np.ndarray,
+    y: np.ndarray,
+    x,
+) -> BatchOutcome:
+    """Score every column of the M x K block x against every class through the
+    network and through the metric.
+
+    means are the M x Q class means (stats.means) and y the Q x Q targets.
+    winners are the row-wise argmin of the network scores with lowest-index
+    tie breaking; agreement records per input whether both score vectors
+    coincide to 1e-9 relative (guaranteed for parameters from the general
+    construction and |x| <= beta1). Non-finite inputs raise DimensionError.
+    """
+    if means.shape != (params.m, params.q):
+        raise DimensionError(f"means shape {means.shape} != ({params.m}, {params.q})")
+    x = _input_block(params, x)
+    s = score_batch(params, y, x)
+    px = p @ x
+    ms = np.stack(
+        [np.linalg.norm(w2_tilde @ (p @ (px - means[:, j:j + 1])), axis=0)
+         for j in range(params.q)], axis=1)
+    return BatchOutcome(
+        scores=s,
+        winners=np.argmin(s, axis=1),
+        metric_scores=ms,
+        agreement=np.all(np.abs(s - ms) <= AGREEMENT_RTOL * (1.0 + s), axis=1),
+    )
+
+
 def classify(
     params: ShallowParams,
     w2_tilde: np.ndarray,
@@ -57,20 +130,15 @@ def classify(
     ds: ClassifiedDataset,
     x: np.ndarray,
 ) -> ClassificationOutcome:
-    """Score x against every class through the network and through the metric.
+    """classify_batch of the single input x; see there.
 
-    winner is the argmin of the network scores with lowest-index tie breaking;
-    agreement records whether both score vectors coincide to 1e-9 relative
-    (guaranteed for parameters from the general construction and |x| <= beta1).
+    Computes the class means of ds on every call: use classify_batch with
+    stats.means for more than one input.
     """
-    s = score(params, x, ds)
-    means = class_means(ds)
-    px = p @ np.asarray(x, dtype=float).reshape(-1)
-    ms = np.array([metric(w2_tilde, p, px, means[:, j]) for j in range(ds.q)])
-    agreement = bool(np.all(np.abs(s - ms) <= AGREEMENT_RTOL * (1.0 + s)))
+    out = classify_batch(params, w2_tilde, p, class_means(ds), ds.y, _input_column(params, x))
     return ClassificationOutcome(
-        scores=s,
-        winner=int(np.argmin(s)),
-        metric_scores=ms,
-        agreement=agreement,
+        scores=out.scores[0],
+        winner=int(out.winners[0]),
+        metric_scores=out.metric_scores[0],
+        agreement=bool(out.agreement[0]),
     )

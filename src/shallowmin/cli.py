@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import classify as classify_point
+from .classify import classify_batch
 from . import dataset as dataset_mod
 from .constructive import (
     ConstructiveConfig,
@@ -28,7 +28,7 @@ from .constructive import (
 )
 from .cost import evaluate
 from .dataset import dataset_stats, load_dataset, save_json, synthesize
-from .errors import MissingArtifact, ShallowminError
+from .errors import DimensionError, MissingArtifact, ShallowminError
 from .gd import GdConfig, compare as gd_compare, train_gd
 from .network import load_params, params_to_dict
 from .truncation import sweep_fixed_point_region
@@ -134,15 +134,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_input_rows(path: Path, has_header: bool) -> np.ndarray:
+def _read_input_block(path: Path, has_header: bool, m: int) -> np.ndarray:
+    """K x M block of the non-empty data rows of a CSV file; a row whose width
+    is not M raises DimensionError naming it by its output index."""
     rows = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if i == 0 and has_header:
                 continue
             if row:
+                if len(row) != m:
+                    raise DimensionError(
+                        f"input row {len(rows)} (line {i + 1}) has {len(row)} values, "
+                        f"expected M={m}")
                 rows.append([float(v) for v in row])
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float).reshape(len(rows), m)
 
 
 def cmd_classify(args) -> int:
@@ -150,14 +156,16 @@ def cmd_classify(args) -> int:
     stats, pack = dataset_stats(ds)
     params, _ = load_params(args.params)
     w2t = w2_tilde(ds, stats)
-    inputs = _read_input_rows(args.inputs, args.inputs_header)
+    inputs = _read_input_block(args.inputs, args.inputs_header, params.m)
+    # metric scores and agreement are computed but not written
+    outcome = classify_batch(params, w2t, pack.p, stats.means, ds.y, inputs.T)
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fh)
         writer.writerow(["index", "winner"] + [f"score_{j}" for j in range(ds.q)])
-        for i, row in enumerate(inputs):
-            outcome = classify_point(params, w2t, pack.p, ds, row)
-            writer.writerow([i, outcome.winner] + [repr(s) for s in outcome.scores.tolist()])
+        for i, (winner, scores) in enumerate(zip(outcome.winners.tolist(),
+                                                 outcome.scores.tolist())):
+            writer.writerow([i, winner] + [repr(s) for s in scores])
     finally:
         if args.out:
             out_fh.close()
@@ -216,11 +224,8 @@ def cmd_compare(args) -> int:
     if held_x is not None and held_x.shape[1]:
         w2t = w2_tilde(ds, stats)
         for key, params in (("gd", gd_params), ("constructive", constructive_params)):
-            winners = [
-                classify_point(params, w2t, pack.p, ds, held_x[:, i]).winner
-                for i in range(held_x.shape[1])
-            ]
-            hits = sum(w == l for w, l in zip(winners, held_labels))
+            winners = classify_batch(params, w2t, pack.p, stats.means, ds.y, held_x).winners
+            hits = int(np.count_nonzero(winners == np.asarray(held_labels)))
             doc[key]["holdout_accuracy"] = hits / len(held_labels)
     if args.trace_out is not None:
         with open(args.trace_out, "w", newline="") as fh:

@@ -94,14 +94,18 @@ def _truncated_means(tau: np.ndarray, ds: ClassifiedDataset) -> tuple[np.ndarray
     return means, dev
 
 
+def _rank_flags(rank_tau: int, rank_means_tau: int, ds: ClassifiedDataset) -> tuple[bool, bool]:
+    """Compare the ranks of tau(X0) and of its class means with those of ds."""
+    return (
+        rank_tau == numerical_rank(ds.x0),
+        rank_means_tau == numerical_rank(block_means(ds.x0, ds.class_sizes)),
+    )
+
+
 def is_rank_preserving(tau_x0: np.ndarray, ds: ClassifiedDataset) -> tuple[bool, bool]:
     """(rank(tau(X0)) == rank(X0), rank(truncated means) == rank(means))."""
     means_tau, _ = _truncated_means(tau_x0, ds)
-    means = block_means(ds.x0, ds.class_sizes)
-    return (
-        numerical_rank(tau_x0) == numerical_rank(ds.x0),
-        numerical_rank(means_tau) == numerical_rank(means),
-    )
+    return _rank_flags(numerical_rank(tau_x0), numerical_rank(means_tau), ds)
 
 
 def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> TruncationResult:
@@ -117,10 +121,10 @@ def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset)
     tau = truncate(w1, b1, ds)
     w1 = np.asarray(w1, dtype=float)
     b1 = np.asarray(b1, dtype=float).reshape(-1)
-    rank_x0, rank_means = is_rank_preserving(tau, ds)
-    _, marginal_tau = rank_with_margin(tau)
+    rank_tau, marginal_tau = rank_with_margin(tau)
     means_tau, dev_tau = _truncated_means(tau, ds)
-    _, marginal_means = rank_with_margin(means_tau)
+    rank_means_tau, marginal_means = rank_with_margin(means_tau)
+    rank_x0, rank_means = _rank_flags(rank_tau, rank_means_tau, ds)
     in_region = bool(np.max(np.abs(tau - ds.x0)) <= FIXED_POINT_ATOL)
     result = TruncationResult(
         tau_x0=tau,

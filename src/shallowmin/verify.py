@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import classify as classify_point, metric as metric_distance, score as score_point
+from .classify import classify_batch, metric as metric_distance, score_batch
 from .constructive import (
     ConstructiveConfig,
     exact_w2,
@@ -256,19 +256,17 @@ def suite_metric(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
     w2t = w2_tilde(ds, stats)
     rng = np.random.default_rng(seed)
     radius = 2.0 * stats.rho
-    worst_agree = 0.0
-    worst_perp = 0.0
-    all_agree = True
     n_points = 1000
+    xs, vs = [], []
     for _ in range(n_points):
-        x = random_ball(ds.m, radius, rng)
-        out = classify_point(params, w2t, pack.p, ds, x)
-        all_agree = all_agree and out.agreement
-        worst_agree = max(worst_agree, float(np.max(
-            np.abs(out.scores - out.metric_scores) / (1.0 + out.scores))))
-        v = pack.p_perp @ rng.standard_normal(ds.m)
-        shifted = score_point(params, x + v, ds)
-        worst_perp = max(worst_perp, float(np.max(np.abs(shifted - out.scores))))
+        xs.append(random_ball(ds.m, radius, rng))
+        vs.append(pack.p_perp @ rng.standard_normal(ds.m))
+    x = np.stack(xs, axis=1)
+    out = classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
+    all_agree = bool(np.all(out.agreement))
+    worst_agree = float(np.max(np.abs(out.scores - out.metric_scores) / (1.0 + out.scores)))
+    shifted = score_batch(params, ds.y, x + np.stack(vs, axis=1))
+    worst_perp = float(np.max(np.abs(shifted - out.scores)))
     checks = [
         _check("metric.network-eq-metric", worst_agree, 1e-9,
                detail=f"{n_points} points, all agreement flags set: {all_agree}"),

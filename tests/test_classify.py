@@ -4,6 +4,7 @@ import pytest
 from shallowmin import (
     ShallowParams,
     classify,
+    classify_batch,
     dataset_stats,
     metric,
     score,
@@ -132,3 +133,64 @@ class TestClassify:
             b = classify(params, w2t, pack.p, ds, x + v)
             assert a.winner == b.winner
             assert np.allclose(a.scores, b.scores, atol=1e-10)
+
+
+class TestClassifyBatch:
+    @pytest.fixture
+    def general(self):
+        ds = synthesize(5, 3, [6, 6, 6], noise=0.05, seed=6)
+        stats, pack = dataset_stats(ds)
+        params = train_general(ds, stats, pack)
+        return ds, stats, pack, params, w2_tilde(ds, stats)
+
+    def test_matches_per_point_loop(self, general):
+        ds, stats, pack, params, w2t = general
+        rng = np.random.default_rng(7)
+        x = np.stack([random_ball(ds.m, 2.0 * stats.rho, rng) for _ in range(100)], axis=1)
+        batch = classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
+        loop = [classify(params, w2t, pack.p, ds, x[:, k]) for k in range(x.shape[1])]
+        assert batch.winners.tolist() == [o.winner for o in loop]
+        assert batch.agreement.tolist() == [o.agreement for o in loop]
+        np.testing.assert_allclose(batch.scores, [o.scores for o in loop], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch.metric_scores, [o.metric_scores for o in loop],
+                                   rtol=1e-12, atol=0)
+
+    def test_tie_breaks_to_lower_index_per_column(self, zero_noise_dataset):
+        ds = zero_noise_dataset
+        stats, pack = dataset_stats(ds)
+        params = train_general(ds, stats, pack)
+        w2t = w2_tilde(ds, stats)
+        x = np.array([[0.5, 0.0, 0.5],
+                      [0.5, 1.0, 0.5]])  # symmetric point, mean of class 1, symmetric point
+        out = classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
+        assert out.scores[0, 0] == out.scores[0, 1]
+        assert out.winners.tolist() == [0, 1, 0]
+
+    def test_empty_block(self, general):
+        ds, stats, pack, params, w2t = general
+        out = classify_batch(params, w2t, pack.p, stats.means, ds.y, np.zeros((ds.m, 0)))
+        assert out.scores.shape == out.metric_scores.shape == (0, ds.q)
+        assert out.winners.shape == out.agreement.shape == (0,)
+
+    def test_single_column_equals_classify(self, general):
+        ds, stats, pack, params, w2t = general
+        x = stats.means[:, 1] + 0.01
+        out = classify_batch(params, w2t, pack.p, stats.means, ds.y, x[:, None])
+        ref = classify(params, w2t, pack.p, ds, x)
+        assert out.winners.tolist() == [ref.winner]
+        assert out.agreement.tolist() == [ref.agreement]
+        assert out.scores[0].tolist() == ref.scores.tolist()
+        assert out.metric_scores[0].tolist() == ref.metric_scores.tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_columns(self, general, bad):
+        ds, stats, pack, params, w2t = general
+        x = np.tile(stats.means[:, :1], (1, 4))
+        x[2, 3] = bad
+        with pytest.raises(DimensionError, match="column 3"):
+            classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
+
+    def test_rejects_wrong_height(self, general):
+        ds, stats, pack, params, w2t = general
+        with pytest.raises(DimensionError):
+            classify_batch(params, w2t, pack.p, stats.means, ds.y, np.zeros((ds.m + 1, 2)))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -115,6 +116,64 @@ class TestClassify:
         assert got[0] == ["index", "winner", "score_0", "score_1"]
         assert [r[1] for r in got[1:]] == ["0", "1"]
         assert len(got) == 3
+
+
+    @pytest.fixture
+    def trained_files(self, tmp_path):
+        ds_path = tmp_path / "ds.json"
+        params_path = tmp_path / "params.json"
+        run(["gen", "--m", 3, "--q", 2, "--noise", "0.02", "--seed", 4, "--out", ds_path])
+        run(["train", "--data", ds_path, "--variant", "general", "--out", params_path])
+        return ds_path, params_path
+
+    def test_class_means_computed_once(self, tmp_path, trained_files, monkeypatch):
+        from shallowmin import dataset
+        ds_path, params_path = trained_files
+        calls = []
+        original = dataset.block_means
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "block_means", counting)
+        inputs = tmp_path / "inputs.csv"
+        with open(inputs, "w", newline="") as fh:
+            csv.writer(fh).writerows([[0.1 * i, 1.0, -0.5] for i in range(50)])
+        out = tmp_path / "scored.csv"
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 51
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", [
+        "0.1,0.2,0.3\n0.1,0.2\n",         # wrong width
+        "0.1,0.2,0.3\n0.1,0.2,0.3,0.4\n",  # ragged
+        "0.1,0.2,0.3\n0.1,nan,0.3\n",      # non-finite
+    ], ids=["wrong-width", "ragged", "nan"])
+    def test_bad_rows_exit_3_without_output(self, tmp_path, trained_files, capsys, text):
+        ds_path, params_path = trained_files
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text(text)
+        out = tmp_path / "scored.csv"
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs, "--out", out]) == 3
+        assert not out.exists()
+        capsys.readouterr()
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"DimensionError: input (row|column) 1\b", captured.err)
+
+    def test_empty_inputs_write_header_only(self, tmp_path, trained_files):
+        ds_path, params_path = trained_files
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("")
+        out = tmp_path / "scored.csv"
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs, "--out", out]) == 0
+        assert out.read_text().splitlines() == ["index,winner,score_0,score_1"]
 
 
 class TestTruncationSweep:
