@@ -136,7 +136,8 @@ def cmd_eval(args) -> int:
 
 def _read_input_block(path: Path, has_header: bool, m: int) -> np.ndarray:
     """K x M block of the non-empty data rows of a CSV file; a row whose width
-    is not M raises DimensionError naming it by its output index."""
+    is not M or with a non-numeric cell raises DimensionError naming it by its
+    output index."""
     rows = []
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh)):
@@ -147,7 +148,11 @@ def _read_input_block(path: Path, has_header: bool, m: int) -> np.ndarray:
                     raise DimensionError(
                         f"input row {len(rows)} (line {i + 1}) has {len(row)} values, "
                         f"expected M={m}")
-                rows.append([float(v) for v in row])
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise DimensionError(
+                        f"input row {len(rows)} (line {i + 1}): {exc}") from exc
     return np.array(rows, dtype=float).reshape(len(rows), m)
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cost import bound_general, cost_l2, cost_weighted, data_gram, exact_min_weighted
+from .cost import bound_general, cost_l2, cost_weighted, exact_min_weighted, normal_w2
 from .dataset import ClassifiedDataset, DatasetStats
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, penrose_inverse
@@ -105,8 +105,7 @@ def train_general(
 def exact_w2(ds: ClassifiedDataset, stats: DatasetStats) -> np.ndarray:
     """Normal-equation output weights of the M = Q construction:
     Y means^T (X0 N^-1 X0^T)^-1."""
-    gram = data_gram(ds)
-    return np.linalg.solve(gram, stats.means @ ds.y.T).T
+    return normal_w2(ds, ds.x0, stats.means)
 
 
 def train_exact_meq(

@@ -5,8 +5,10 @@ Two costs are exposed everywhere: the plain L2 cost (1/sqrt(N)) ||X2 - Yext||_F
 and the size-weighted cost sqrt(sum_j ||residual_j||_F^2 / N_j), which removes
 the dependence of each class's contribution on its sample count. The closed
 forms of the M = Q regime are functions of the relative deviation Gram matrix
-alone and are cross-checked at runtime against the N x N data projector route
-whenever that projector is small enough to materialize.
+alone and are cross-checked at runtime, at every N, against the data projector
+route ||Yext Pperp||. That route is evaluated matrix-free through the normal
+equations (projector_route); only data_projector forms the N x N projector,
+and it refuses N > MAX_PROJECTOR_N.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .errors import (
 from .linalg import SV_TOLERANCE, ProjectorPack, op_norm
 from .network import ShallowParams, forward
 
-# Largest N for which the N x N data projector is materialized; above this the
-# algebraically equal closed form must be used on its own.
+# Largest N for which data_projector materializes the N x N projector. The
+# runtime cross-check never needs it: projector_route is matrix-free.
 MAX_PROJECTOR_N = 5000
 
 CROSS_CHECK_RTOL = 1e-9
@@ -55,10 +57,9 @@ def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
     return weighted_norm(x2 - y_ext(ds), ds.class_sizes)
 
 
-def data_gram(ds: ClassifiedDataset) -> np.ndarray:
-    """X0 N^-1 X0^T (Q x Q in the M = Q regime), checked for invertibility."""
-    xw = ds.x0 * ds.inv_size_weights()[None, :]
-    gram = xw @ ds.x0.T
+def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
+    """x N^-1 x^T, checked for invertibility."""
+    gram = (x * inv_n[None, :]) @ x.T
     s = np.linalg.svd(gram, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
         raise SingularGram(
@@ -66,6 +67,27 @@ def data_gram(ds: ClassifiedDataset) -> np.ndarray:
             f"(singular values {s[-1]:.3e}..{s[0]:.3e})"
         )
     return gram
+
+
+def data_gram(ds: ClassifiedDataset) -> np.ndarray:
+    """X0 N^-1 X0^T (Q x Q in the M = Q regime), checked for invertibility."""
+    return _gram(ds.x0, ds.inv_size_weights())
+
+
+def normal_w2(ds: ClassifiedDataset, x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Normal-equation output weights W2 = Y means^T (x N^-1 x^T)^-1 for inputs
+    x (M x N, columns grouped like ds) with class means `means`.
+
+    Since Yext N^-1 x^T = Y means^T, W2 x = Yext P(x) with P(x) the data
+    projector N^-1 x^T (x N^-1 x^T)^-1 x.
+    """
+    return np.linalg.solve(_gram(x, ds.inv_size_weights()), means @ ds.y.T).T
+
+
+def projector_route(ds: ClassifiedDataset, x: np.ndarray, means: np.ndarray) -> float:
+    """||Yext Pperp(x)|| in the weighted norm, as the Q x N residual
+    normal_w2 x - Yext; never forms the N x N projector."""
+    return weighted_norm(normal_w2(ds, x, means) @ x - y_ext(ds), ds.class_sizes)
 
 
 @dataclass(frozen=True)
@@ -77,7 +99,11 @@ class DataProjector:
     """
 
     p_script: np.ndarray
-    p_script_perp: np.ndarray
+
+    @property
+    def p_script_perp(self) -> np.ndarray:
+        """I - p_script, formed on each access."""
+        return np.eye(self.p_script.shape[0]) - self.p_script
 
 
 def data_projector(
@@ -87,8 +113,8 @@ def data_projector(
 ) -> DataProjector:
     """Materialize the data projector N^-1 X0^T (X0 N^-1 X0^T)^-1 X0.
 
-    Refuses datasets with N > max_n; use the closed forms instead, which are
-    algebraically equal and never form an N x N matrix.
+    Refuses datasets with N > max_n; exact_min_weighted and projector_route
+    are algebraically equal and never form an N x N matrix.
     """
     if ds.m != ds.q:
         raise WrongRegime(f"data projector requires M = Q, got M={ds.m}, Q={ds.q}")
@@ -99,8 +125,7 @@ def data_projector(
         )
     gram = data_gram(ds)
     xw = ds.x0 * ds.inv_size_weights()[None, :]
-    p_script = xw.T @ np.linalg.solve(gram, ds.x0)
-    return DataProjector(p_script=p_script, p_script_perp=np.eye(ds.n) - p_script)
+    return DataProjector(p_script=xw.T @ np.linalg.solve(gram, ds.x0))
 
 
 def relative_gram(
@@ -149,15 +174,13 @@ def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
 
 
 def _cross_checked_min(ds: ClassifiedDataset, stats: DatasetStats, d2: np.ndarray) -> float:
-    """closed_form_min of d2, checked against the projector route for N <= MAX_PROJECTOR_N."""
+    """closed_form_min of d2, checked against the projector route."""
     value = closed_form_min(ds.y, d2)
-    if ds.n <= MAX_PROJECTOR_N:
-        dp = data_projector(ds, stats)
-        ref = weighted_norm(y_ext(ds) @ dp.p_script_perp, ds.class_sizes)
-        if abs(value - ref) > CROSS_CHECK_RTOL * (1.0 + max(value, ref)):
-            raise ConsistencyError(
-                f"closed form {value!r} and projector route {ref!r} disagree"
-            )
+    ref = projector_route(ds, ds.x0, stats.means)
+    if abs(value - ref) > CROSS_CHECK_RTOL * (1.0 + max(value, ref)):
+        raise ConsistencyError(
+            f"closed form {value!r} and projector route {ref!r} disagree"
+        )
     return value
 
 
@@ -166,8 +189,8 @@ def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
 
     Computed as ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
     (l, V) of the relative deviation Gram. Algebraically this equals
-    ||Yext Pperp|| in the weighted norm; for N <= MAX_PROJECTOR_N both routes
-    are evaluated and must agree to 1e-9 relative.
+    ||Yext Pperp|| in the weighted norm; at every N that route is also
+    evaluated, matrix-free (projector_route), and must agree to 1e-9 relative.
     """
     _, d2 = relative_deviations(ds, stats)
     return _cross_checked_min(ds, stats, d2)

@@ -200,7 +200,8 @@ def from_samples(samples, labels, y=None) -> ClassifiedDataset:
 
 def load_csv(path, has_header: bool = False) -> ClassifiedDataset:
     """Read a dataset from CSV: one sample per row, M feature columns then a
-    0-based integer class label."""
+    0-based integer class label. A non-numeric feature or a non-integer label
+    raises DimensionError naming the sample row and the file line."""
     rows = []
     labels = []
     with open(path, newline="") as fh:
@@ -210,8 +211,14 @@ def load_csv(path, has_header: bool = False) -> ClassifiedDataset:
                 continue
             if not row:
                 continue
-            rows.append([float(v) for v in row[:-1]])
-            labels.append(int(row[-1]))
+            try:
+                features = [float(v) for v in row[:-1]]
+                label = int(row[-1])
+            except ValueError as exc:
+                raise DimensionError(
+                    f"dataset row {len(rows)} (line {i + 1}) of {path}: {exc}") from exc
+            rows.append(features)
+            labels.append(label)
     if not rows:
         raise DimensionError(f"no samples found in {path}")
     return from_samples(np.array(rows), labels)

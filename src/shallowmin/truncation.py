@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import closed_form_min, lstsq_output_layer, relative_gram, weighted_norm
+from .cost import closed_form_min, lstsq_output_layer, projector_route, relative_gram
 from .dataset import ClassifiedDataset, block_means, y_ext
-from .errors import ConsistencyError, ShallowminError, SingularW1, WrongRegime
+from .errors import ConsistencyError, ShallowminError, SingularMeans, SingularW1, WrongRegime
 from .linalg import numerical_rank, rank_with_margin
 from .network import relu
 
@@ -116,7 +116,8 @@ def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset)
     ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition of the
     truncated relative-deviation Gram. It is cross-checked against an explicit
     least-squares solve over the output layer on the truncated data. If the
-    truncation is rank reducing the minimum is absent.
+    truncation is rank reducing the minimum is absent; if it preserves the rank
+    of class means that were already dependent, SingularMeans is raised.
     """
     tau = truncate(w1, b1, ds)
     w1 = np.asarray(w1, dtype=float)
@@ -135,6 +136,9 @@ def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset)
     )
     if not (rank_x0 and rank_means):
         return result
+    if rank_means_tau < ds.q:
+        raise SingularMeans(
+            f"truncated class means have rank {rank_means_tau} < Q={ds.q}")
     d1_tr, d2_tr = relative_gram(means_tau, dev_tau, ds.inv_size_weights())
     value = closed_form_min(ds.y, d2_tr)
     result.min_cost_weighted = value
@@ -198,10 +202,6 @@ def region_minima_spread(points: list[SweepPoint]) -> float:
 
 
 def weighted_cost_from_projector(ds: ClassifiedDataset, tau: np.ndarray) -> float:
-    """||Yext Pperp_tau|| in the weighted norm, materializing the projector;
-    small-N diagnostic route, algebraically equal to the closed form."""
-    inv_n = ds.inv_size_weights()
-    xw = tau * inv_n[None, :]
-    gram = xw @ tau.T
-    p_script = xw.T @ np.linalg.solve(gram, tau)
-    return weighted_norm(y_ext(ds) @ (np.eye(ds.n) - p_script), ds.class_sizes)
+    """||Yext Pperp_tau|| in the weighted norm (cost.projector_route on the
+    truncated inputs); algebraically equal to the closed form."""
+    return projector_route(ds, tau, block_means(tau, ds.class_sizes))

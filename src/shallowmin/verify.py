@@ -32,9 +32,9 @@ from .cost import (
     data_projector,
     exact_min_weighted,
     lstsq_output_layer,
+    projector_route,
     relative_deviations,
     spectral_range_d2,
-    weighted_norm,
     weighted_norm_y_delta1,
 )
 from .dataset import ClassifiedDataset, dataset_stats, y_ext
@@ -150,8 +150,7 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
         _check("exact.cost-eq-closed-form", _rel(cw, em), 1e-9,
                detail=f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam_lo:.3e},{lam_hi:.3e}]"),
     ]
-    dp = data_projector(ds, stats)
-    via_projector = weighted_norm(y_ext(ds) @ dp.p_script_perp, ds.class_sizes)
+    via_projector = projector_route(ds, ds.x0, stats.means)
     checks.append(_check("exact.projector-route", _rel(em, via_projector), 1e-9,
                          detail=f"projector route={via_projector:.9e}"))
     hidden = relu(params.w1 @ ds.x0 + params.b1[:, None])
@@ -216,7 +215,10 @@ def suite_degeneracy(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
 
 def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
     """Scaling invariance of the bound quantities; GL(Q) reparametrization
-    invariance of the data projector, relative deviations and exact minimum."""
+    invariance of the data projector, relative deviations and exact minimum.
+
+    The data-projector check compares N x N matrices, so in the M = Q regime
+    data_projector's WrongRegime refusal of N > MAX_PROJECTOR_N applies."""
     stats, pack = dataset_stats(ds)
     b_l2, _ = bound_general(ds, stats, pack)
     checks = [_check("invariance.scaling", _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9)]
@@ -226,6 +228,8 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     d1, _ = relative_deviations(ds, stats)
     em = exact_min_weighted(ds, stats)
     p_script = data_projector(ds, stats).p_script
+    p_scale = 1.0 + float(np.max(np.abs(p_script)))
+    d1_scale = 1.0 + float(np.max(np.abs(d1)))
     rng = np.random.default_rng(seed)
     worst_p = worst_d1 = worst_em = 0.0
     n_k = 20
@@ -235,8 +239,8 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         stats_k, _ = dataset_stats(ds_k)
         d1_k, _ = relative_deviations(ds_k, stats_k)
         worst_p = max(worst_p, float(np.max(np.abs(data_projector(ds_k, stats_k).p_script - p_script)))
-                      / (1.0 + float(np.max(np.abs(p_script)))))
-        worst_d1 = max(worst_d1, float(np.max(np.abs(d1_k - d1))) / (1.0 + float(np.max(np.abs(d1)))))
+                      / p_scale)
+        worst_d1 = max(worst_d1, float(np.max(np.abs(d1_k - d1))) / d1_scale)
         worst_em = max(worst_em, _rel(exact_min_weighted(ds_k, stats_k), em))
     checks.append(_check("invariance.gl-data-projector", worst_p, 1e-7, detail=f"{n_k} random K"))
     checks.append(_check("invariance.gl-delta1", worst_d1, 1e-7))

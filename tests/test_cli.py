@@ -90,6 +90,20 @@ class TestVerify:
         assert code == 3
         assert "requires M = Q" in capsys.readouterr().err
 
+    def test_exact_min_above_projector_limit(self, capsys):
+        # N = 6000 > MAX_PROJECTOR_N: the projector route is matrix-free
+        assert run(["verify", "exact-min", "--m", 3, "--q", 3,
+                    "--sizes", "2000,2000,2000"]) == 0
+        out = capsys.readouterr().out
+        assert "7/7 checks passed" in out
+        assert "[PASS] exact.projector-route" in out
+
+    def test_non_numeric_dataset_csv_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "ds.csv"
+        path.write_text("1.0,0.0,0\n0.0,1.0,1\n0.5,abc,1\n")
+        assert run(["train", "--data", path]) == 3
+        assert "DimensionError: dataset row 2 (line 3)" in capsys.readouterr().err
+
     def test_all_suite_summary(self, capsys):
         assert run(["verify", "all", "--seed", 1]) == 0
         out = capsys.readouterr().out
@@ -150,7 +164,8 @@ class TestClassify:
         "0.1,0.2,0.3\n0.1,0.2\n",         # wrong width
         "0.1,0.2,0.3\n0.1,0.2,0.3,0.4\n",  # ragged
         "0.1,0.2,0.3\n0.1,nan,0.3\n",      # non-finite
-    ], ids=["wrong-width", "ragged", "nan"])
+        "0.1,0.2,0.3\n0.1,abc,0.3\n",      # non-numeric
+    ], ids=["wrong-width", "ragged", "nan", "non-numeric"])
     def test_bad_rows_exit_3_without_output(self, tmp_path, trained_files, capsys, text):
         ds_path, params_path = trained_files
         inputs = tmp_path / "inputs.csv"
@@ -194,6 +209,22 @@ class TestTruncationSweep:
         assert len(lines) == 3
         assert lines[0]["in_fixed_point_region"] is True
         assert "error" in lines[2]  # singular w1 recorded, sweep continued
+
+    def test_dependent_means_recorded_per_point(self, tmp_path):
+        ds_path = tmp_path / "ds.csv"
+        grid_path = tmp_path / "grid.json"
+        out = tmp_path / "sweep.jsonl"
+        # third class mean is the sum of the first two
+        ds_path.write_text("1,0,0.1,0\n1,0,-0.1,0\n0,1,0.1,1\n0,1,-0.1,1\n"
+                           "1,1,0.1,2\n1,1,-0.1,2\n")
+        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        grid_path.write_text(json.dumps([{"w1": eye, "b1": [5.0] * 3},
+                                         {"w1": eye, "b1": [-10.0] * 3}]))
+        assert run(["truncation-sweep", "--data", ds_path, "--grid", grid_path,
+                    "--out", out]) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert lines[0]["error"].startswith("SingularMeans")
+        assert lines[1]["min_cost_weighted"] is None
 
 
 class TestCompare:

@@ -17,8 +17,17 @@ from shallowmin import (
     synthesize,
     y_ext,
 )
-from shallowmin.cost import closed_form_min, lstsq_output_layer, weighted_norm, weighted_norm_y_delta1
-from shallowmin.errors import SingularGram, WrongRegime
+from shallowmin import cost
+from shallowmin.cost import (
+    MAX_PROJECTOR_N,
+    closed_form_min,
+    lstsq_output_layer,
+    normal_w2,
+    projector_route,
+    weighted_norm,
+    weighted_norm_y_delta1,
+)
+from shallowmin.errors import ConsistencyError, SingularGram, WrongRegime
 from shallowmin.verify import random_gl
 from tests.conftest import weighted_lstsq_oracle
 
@@ -120,6 +129,48 @@ class TestDataProjector:
         stats, _ = dataset_stats(delta01_dataset)
         with pytest.raises(WrongRegime):
             data_projector(delta01_dataset, stats, max_n=3)
+
+
+class TestProjectorRoute:
+    """The matrix-free route against the materialized N x N projector."""
+
+    @pytest.fixture(params=["delta01", "zero_noise", "synthetic"])
+    def square(self, request, delta01_dataset, zero_noise_dataset):
+        return {
+            "delta01": delta01_dataset,
+            "zero_noise": zero_noise_dataset,
+            "synthetic": synthesize(3, 3, [5, 7, 6], noise=0.12, seed=1),
+        }[request.param]
+
+    def test_matches_materialized_projector(self, square):
+        stats, _ = dataset_stats(square)
+        oracle = weighted_norm(y_ext(square) @ data_projector(square, stats).p_script_perp,
+                               square.class_sizes)
+        value = projector_route(square, square.x0, stats.means)
+        assert abs(value - oracle) <= 1e-12 * (1.0 + max(value, oracle))
+
+    def test_normal_w2_reproduces_projected_targets(self, square):
+        stats, _ = dataset_stats(square)
+        p_script = data_projector(square, stats).p_script
+        w2 = normal_w2(square, square.x0, stats.means)
+        assert np.max(np.abs(w2 @ square.x0 - y_ext(square) @ p_script)) <= 1e-12
+
+    def test_singular_gram(self):
+        x0 = np.array([[1.0, 1.0 + 1e-9], [0.0, 1e-9]])
+        ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1), x0=x0, y=np.eye(2))
+        stats, _ = dataset_stats(ds)
+        with pytest.raises(SingularGram):
+            projector_route(ds, ds.x0, stats.means)
+
+    def test_cross_check_runs_above_projector_limit(self, monkeypatch):
+        ds = synthesize(3, 3, [2000, 2000, 2000], noise=0.05, seed=0)
+        assert ds.n > MAX_PROJECTOR_N
+        stats, _ = dataset_stats(ds)
+        exact_min_weighted(ds, stats)
+        original = cost.closed_form_min
+        monkeypatch.setattr(cost, "closed_form_min", lambda y, d2: original(y, d2) + 1e-6)
+        with pytest.raises(ConsistencyError, match="projector route"):
+            exact_min_weighted(ds, stats)
 
 
 class TestRelativeDeviations:

@@ -194,6 +194,17 @@ class TestIO:
         with pytest.raises(DimensionError):
             load_dataset(tmp_path / "d.parquet")
 
+    @pytest.mark.parametrize("text", [
+        "1.0,0.0,0\n0.0,abc,1\n",  # non-numeric feature
+        "1.0,0.0,0\n0.0,1.0,x\n",  # non-numeric label
+        "1.0,0.0,0\n0.0,1.0,1.5\n",  # non-integer label
+    ], ids=["feature", "label", "fractional-label"])
+    def test_csv_non_numeric_cell_names_row(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text("f0,f1,label\n" + text)
+        with pytest.raises(DimensionError, match=r"row 1 \(line 3\)"):
+            load_csv(path, has_header=True)
+
     def test_from_samples_requires_contiguous_labels(self):
         with pytest.raises(DimensionError):
             from_samples(np.eye(3), [0, 2, 2])

@@ -11,7 +11,8 @@ from shallowmin import (
     truncate,
     y_ext,
 )
-from shallowmin.errors import SingularW1, WrongRegime
+from shallowmin import ClassifiedDataset
+from shallowmin.errors import SingularMeans, SingularW1, WrongRegime
 from shallowmin.network import relu
 from shallowmin.truncation import region_minima_spread, weighted_cost_from_projector
 from tests.conftest import weighted_lstsq_oracle
@@ -171,3 +172,25 @@ def test_closed_form_vs_lstsq_over_random_clippings():
         _, _, oracle = weighted_lstsq_oracle(hidden, y_ext(ds), ds.class_sizes, b1)
         assert abs(res.min_cost_weighted - oracle) <= 1e-8 * (1.0 + oracle)
         n_checked += 1
+
+
+class TestDependentMeans:
+    """Third class mean = first + second; the samples still span R^3."""
+
+    @pytest.fixture
+    def dependent_ds(self):
+        x0 = np.array([[1.0, 1.0, 0.0, 0.0, 1.0, 1.0],
+                       [0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+                       [0.1, -0.1, 0.1, -0.1, 0.1, -0.1]])
+        return ClassifiedDataset(m=3, q=3, class_sizes=(2, 2, 2), x0=x0, y=np.eye(3))
+
+    def test_rank_preserving_point_raises_singular_means(self, dependent_ds):
+        with pytest.raises(SingularMeans):
+            min_over_output_layer(np.eye(3), np.full(3, 5.0), dependent_ds)
+
+    def test_sweep_records_error_and_continues(self, dependent_ds):
+        grid = [(np.eye(3), np.full(3, 5.0)), (np.eye(3), np.full(3, -10.0))]
+        points = sweep_fixed_point_region(dependent_ds, grid)
+        assert points[0].error is not None and "SingularMeans" in points[0].error
+        assert points[1].error is None
+        assert points[1].result.min_cost_weighted is None
