@@ -51,6 +51,33 @@ def w2_tilde(ds: ClassifiedDataset, stats: DatasetStats) -> np.ndarray:
     return ds.y @ penrose_inverse(stats.means)
 
 
+def _check_first_layer(
+    ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack, beta1: float
+) -> None:
+    """The activation must act as the identity on the signal block and delete
+    the noise block. One product [r p ; (r p_perp)[q:]] @ x0 serves all three
+    checks: its first q rows carry the rotated projected data (lifted by
+    beta1), rows q..m-1 are the trailing rows of r p x0, which vanish in exact
+    arithmetic and only need a round-off bound, and the last m-q rows are the
+    noise block, pushed down by delta. Rounding is monotone, so min(a) + beta1
+    and max(a) - delta equal the extremes of the shifted rows exactly."""
+    m, q = ds.m, ds.q
+    blocks = np.vstack([pack.r @ pack.p, (pack.r @ pack.p_perp)[q:]]) @ ds.x0
+    signal = float(blocks[:q].min()) + beta1
+    if signal < 0.0:
+        raise BetaTooSmall(
+            f"beta1={beta1!r} leaves signal pre-activation at {signal:.3e} < 0"
+        )
+    if m > q:
+        trailing = blocks[q:m]
+        junk = float(max(trailing.max(), -trailing.min()))
+        if junk > 1e-9 * (1.0 + stats.rho):
+            raise ConsistencyError(f"signal block leaks {junk:.3e} into noise rows")
+        leak = float(blocks[m:].max()) - stats.delta
+        if leak > 1e-9 * (1.0 + stats.rho):
+            raise ConsistencyError(f"noise block leaks {leak:.3e} above zero")
+
+
 def train_general(
     ds: ClassifiedDataset,
     stats: DatasetStats,
@@ -74,25 +101,7 @@ def train_general(
     b2 = -(w2 @ signal_bias)
     params = ShallowParams(w1=r, b1=b1, w2=w2, b2=b2)
 
-    # The activation must act as the identity on the signal block. The first q
-    # rows carry the rotated projected data plus beta1; the trailing rows of
-    # r p x0 vanish in exact arithmetic and only need a round-off bound.
-    rotated_signal = r @ (pack.p @ ds.x0)
-    top = rotated_signal[:q, :] + beta1
-    if top.min() < 0.0:
-        raise BetaTooSmall(
-            f"beta1={beta1!r} leaves signal pre-activation at {top.min():.3e} < 0"
-        )
-    if m > q:
-        junk = float(np.max(np.abs(rotated_signal[q:, :])))
-        if junk > 1e-9 * (1.0 + stats.rho):
-            raise ConsistencyError(f"signal block leaks {junk:.3e} into noise rows")
-        # ... and delete the noise block entirely.
-        noise_block = (r @ (pack.p_perp @ ds.x0))[q:, :] - stats.delta
-        leak = float(noise_block.max())
-        if leak > 1e-9 * (1.0 + stats.rho):
-            raise ConsistencyError(f"noise block leaks {leak:.3e} above zero")
-
+    _check_first_layer(ds, stats, pack, beta1)
     achieved = cost_l2(params, ds)
     bound_l2, _ = bound_general(ds, stats, pack)
     if achieved > bound_l2 + 1e-10 * (1.0 + bound_l2):

@@ -45,16 +45,30 @@ def weighted_norm(a: np.ndarray, class_sizes) -> float:
     return float(np.sqrt(np.sum(a * a * inv_n[None, :])))
 
 
+def _residual(p: ShallowParams, ds: ClassifiedDataset) -> np.ndarray:
+    """X2 - Yext (Q x N) from one forward pass. y_j is subtracted in place from
+    each class block of the output, so Yext is never formed and the hidden
+    layer is released before the caller takes its norms."""
+    x2 = forward(p, ds.x0)[1]
+    for sl, target in zip(ds.class_slices(), ds.y.T):
+        x2[:, sl] -= target[:, None]
+    return x2
+
+
 def cost_l2(p: ShallowParams, ds: ClassifiedDataset) -> float:
     """(1/sqrt(N)) ||X2 - Yext||_F."""
-    _, x2 = forward(p, ds.x0)
-    return float(frob(x2 - y_ext(ds)) / np.sqrt(ds.n))
+    return float(frob(_residual(p, ds)) / np.sqrt(ds.n))
 
 
 def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
     """Size-weighted cost; equals sqrt(Q) x cost_l2 for uniform class sizes."""
-    _, x2 = forward(p, ds.x0)
-    return weighted_norm(x2 - y_ext(ds), ds.class_sizes)
+    return weighted_norm(_residual(p, ds), ds.class_sizes)
+
+
+def costs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
+    """(cost_l2, cost_weighted) from one forward pass."""
+    resid = _residual(p, ds)
+    return float(frob(resid) / np.sqrt(ds.n)), weighted_norm(resid, ds.class_sizes)
 
 
 def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
@@ -215,11 +229,12 @@ def bound_general(
     """Closed-form cost bounds of the general Q <= M construction.
 
     Returns (bound_l2, bound_deltap) with
-    bound_l2 = (1/sqrt(N)) ||Y pen p dev||_F and bound_deltap = ||Y||_op delta_p;
+    bound_l2 = (1/sqrt(N)) ||Y pen dev||_F and bound_deltap = ||Y||_op delta_p;
     the first never exceeds the second (columnwise sup bound). Both are
-    invariant under X0 -> lambda X0.
+    invariant under X0 -> lambda X0. Y pen is only Q x M, so the deviations
+    are multiplied once.
     """
-    bound_l2 = float(frob(ds.y @ (pack.pen @ (pack.p @ stats.dev))) / np.sqrt(ds.n))
+    bound_l2 = float(frob((ds.y @ pack.pen) @ stats.dev) / np.sqrt(ds.n))
     bound_deltap = float(op_norm(ds.y) * stats.delta_p)
     if bound_l2 > bound_deltap + 1e-12 * (1.0 + bound_deltap):
         raise ConsistencyError(
@@ -312,9 +327,10 @@ def evaluate(
 ) -> CostReport:
     """Full cost report for one parameter set on one dataset."""
     b_l2, b_dp = bound_general(ds, stats, pack)
+    c_l2, c_w = costs(p, ds)
     report = CostReport(
-        cost_l2=cost_l2(p, ds),
-        cost_weighted=cost_weighted(p, ds),
+        cost_l2=c_l2,
+        cost_weighted=c_w,
         bound_l2=b_l2,
         bound_deltap=b_dp,
         delta=stats.delta,

@@ -64,21 +64,26 @@ class DatasetStats:
     """Derived statistics of a ClassifiedDataset.
 
     means:    M x Q class means (column j is the mean of class j)
-    mean_ext: M x N means repeated per class block
-    dev:      M x N per-sample deviations from the class mean
+    dev:      M x N per-sample deviations from the class mean, the only
+              retained M x N array
     delta:    max Euclidean norm over deviation columns
-    delta_p:  max Euclidean norm over columns of pen @ p @ dev (scale invariant)
+    delta_p:  max Euclidean norm over columns of pen @ dev (scale invariant)
     rho:      max Euclidean norm over sample columns
     n_weights: the class sizes defining the block-diagonal weight matrix
+    mean_ext: M x N means repeated per class block, computed on access
     """
 
     means: np.ndarray
-    mean_ext: np.ndarray
     dev: np.ndarray
     delta: float
     delta_p: float
     rho: float
     n_weights: tuple[int, ...]
+
+    @property
+    def mean_ext(self) -> np.ndarray:
+        """M x N means repeated per class block, formed on each access."""
+        return np.repeat(self.means, self.n_weights, axis=1)
 
 
 def block_means(x: np.ndarray, class_sizes) -> np.ndarray:
@@ -108,18 +113,22 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
     """Compute all derived statistics from the class means of ds and
     pack = projector_pack(means).
 
-    delta_p needs the pseudoinverse and projector of the means, hence the
-    two-pass construction (means -> pack -> stats).
+    delta_p needs the pseudoinverse of the means, hence the two-pass
+    construction (means -> pack -> stats). The stats pass visits each class
+    block once: it subtracts the block's own mean into dev (equal bit for bit
+    to x0 - mean_ext) and takes the block's column norms of dev, x0 and
+    pen @ dev (pen @ p = pen, so the projector is not applied), so no
+    temporary larger than one block is formed.
     """
-    mean_ext = np.repeat(means, ds.class_sizes, axis=1)
-    dev = ds.x0 - mean_ext
-    delta = float(np.max(np.linalg.norm(dev, axis=0))) if ds.n else 0.0
-    projected = pack.pen @ (pack.p @ dev)
-    delta_p = float(np.max(np.linalg.norm(projected, axis=0)))
-    rho = float(np.max(np.linalg.norm(ds.x0, axis=0)))
+    dev = np.empty(ds.x0.shape)
+    delta = delta_p = rho = 0.0
+    for sl, mean in zip(ds.class_slices(), means.T):
+        block = np.subtract(ds.x0[:, sl], mean[:, None], out=dev[:, sl])
+        delta = max(delta, float(np.max(np.linalg.norm(block, axis=0))))
+        delta_p = max(delta_p, float(np.max(np.linalg.norm(pack.pen @ block, axis=0))))
+        rho = max(rho, float(np.max(np.linalg.norm(ds.x0[:, sl], axis=0))))
     return DatasetStats(
         means=means,
-        mean_ext=mean_ext,
         dev=dev,
         delta=delta,
         delta_p=delta_p,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import bound_general, cost_l2, cost_weighted, exact_min_weighted
+from .cost import bound_general, costs, exact_min_weighted
 from .dataset import ClassifiedDataset, DatasetStats, y_ext
 from .errors import Diverged, ShallowminError
 from .linalg import ProjectorPack
@@ -109,15 +109,17 @@ def compare(
     """Side-by-side cost figures for a GD run and a constructive run on the
     same dataset, plus the applicable closed-form references."""
     b_l2, b_dp = bound_general(ds, stats, pack)
+    gd_l2, gd_w = costs(gd_params, ds)
+    c_l2, c_w = costs(constructive_params, ds)
     doc = {
         "gd": {
-            "cost_l2": cost_l2(gd_params, ds),
-            "cost_weighted": cost_weighted(gd_params, ds),
+            "cost_l2": gd_l2,
+            "cost_weighted": gd_w,
             "in_fixed_point_region": gd_in_fixed_point_region(gd_params, ds),
         },
         "constructive": {
-            "cost_l2": cost_l2(constructive_params, ds),
-            "cost_weighted": cost_weighted(constructive_params, ds),
+            "cost_l2": c_l2,
+            "cost_weighted": c_w,
         },
         "bound_l2": b_l2,
         "bound_deltap": b_dp,

@@ -59,15 +59,19 @@ def forward(p: ShallowParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the network on M x N inputs; returns (hidden, output).
 
     hidden = relu(w1 @ x + b1 1^T) is entrywise non-negative;
-    output = w2 @ hidden + b2 1^T.
+    output = w2 @ hidden + b2 1^T. The biases and the ramp are applied in
+    place on the two fresh products.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] != p.m:
         raise DimensionError(f"input rows {x.shape[0]} != M={p.m}")
-    x1 = relu(p.w1 @ x + p.b1[:, None])
-    x2 = p.w2 @ x1 + p.b2[:, None]
+    x1 = p.w1 @ x
+    x1 += p.b1[:, None]
+    np.maximum(x1, 0.0, out=x1)
+    x2 = p.w2 @ x1
+    x2 += p.b2[:, None]
     return x1, x2
 
 

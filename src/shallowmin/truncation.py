@@ -94,18 +94,17 @@ def _truncated_means(tau: np.ndarray, ds: ClassifiedDataset) -> tuple[np.ndarray
     return means, dev
 
 
-def _rank_flags(rank_tau: int, rank_means_tau: int, ds: ClassifiedDataset) -> tuple[bool, bool]:
-    """Compare the ranks of tau(X0) and of its class means with those of ds."""
-    return (
-        rank_tau == numerical_rank(ds.x0),
-        rank_means_tau == numerical_rank(block_means(ds.x0, ds.class_sizes)),
-    )
+def _data_ranks(ds: ClassifiedDataset) -> tuple[int, int]:
+    """(rank(X0), rank(class means)): they depend on the dataset alone, so a
+    sweep computes them once, not once per grid point."""
+    return numerical_rank(ds.x0), numerical_rank(block_means(ds.x0, ds.class_sizes))
 
 
 def is_rank_preserving(tau_x0: np.ndarray, ds: ClassifiedDataset) -> tuple[bool, bool]:
     """(rank(tau(X0)) == rank(X0), rank(truncated means) == rank(means))."""
     means_tau, _ = _truncated_means(tau_x0, ds)
-    return _rank_flags(numerical_rank(tau_x0), numerical_rank(means_tau), ds)
+    rank_x0, rank_means = _data_ranks(ds)
+    return numerical_rank(tau_x0) == rank_x0, numerical_rank(means_tau) == rank_means
 
 
 def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> TruncationResult:
@@ -119,13 +118,21 @@ def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset)
     truncation is rank reducing the minimum is absent; if it preserves the rank
     of class means that were already dependent, SingularMeans is raised.
     """
+    return _min_over_output_layer(w1, b1, ds, _data_ranks(ds))
+
+
+def _min_over_output_layer(
+    w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset, data_ranks: tuple[int, int]
+) -> TruncationResult:
+    """min_over_output_layer given data_ranks = _data_ranks(ds)."""
     tau = truncate(w1, b1, ds)
     w1 = np.asarray(w1, dtype=float)
     b1 = np.asarray(b1, dtype=float).reshape(-1)
     rank_tau, marginal_tau = rank_with_margin(tau)
     means_tau, dev_tau = _truncated_means(tau, ds)
     rank_means_tau, marginal_means = rank_with_margin(means_tau)
-    rank_x0, rank_means = _rank_flags(rank_tau, rank_means_tau, ds)
+    rank_x0 = rank_tau == data_ranks[0]
+    rank_means = rank_means_tau == data_ranks[1]
     in_region = bool(np.max(np.abs(tau - ds.x0)) <= FIXED_POINT_ATOL)
     result = TruncationResult(
         tau_x0=tau,
@@ -174,12 +181,14 @@ def sweep_fixed_point_region(ds: ClassifiedDataset, grid) -> list[SweepPoint]:
 
     Per-point errors are recorded and the sweep continues; result order matches
     grid order. All in-region points report the same minimum (the value does
-    not depend on (w1, b1) there).
+    not depend on (w1, b1) there). The ranks of X0 and of its class means are
+    computed once for the whole grid.
     """
+    data_ranks = _data_ranks(ds)
     points: list[SweepPoint] = []
     for i, (w1, b1) in enumerate(grid):
         try:
-            res = min_over_output_layer(w1, b1, ds)
+            res = _min_over_output_layer(w1, b1, ds, data_ranks)
             points.append(SweepPoint(index=i, result=res))
         except ShallowminError as exc:
             points.append(SweepPoint(index=i, error=f"{type(exc).__name__}: {exc}"))

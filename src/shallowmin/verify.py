@@ -356,7 +356,11 @@ def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         reapplied = w1 @ tau + b1[:, None]
         worst_reapply = max(worst_reapply, float(np.max(np.abs(relu(reapplied) - reapplied))))
     checks.append(_check("truncation.reapplication-identity", worst_reapply, 1e-10))
-    full = min_over_output_layer(grid[-1][0], grid[-1][1], ds)
+    # The sweep already evaluated the full truncation, the last grid point. If
+    # it recorded an error there, the point is rerun to raise that error.
+    full = points[-1].result
+    if full is None:
+        full = min_over_output_layer(grid[-1][0], grid[-1][1], ds)
     flagged = (not full.rank_x0_preserved) and (not full.rank_means_preserved) \
         and full.min_cost_weighted is None
     checks.append(_check("truncation.full-truncation-flagged", 0.0 if flagged else 1.0, 0.5,

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,22 @@ def weighted_lstsq_oracle(hidden, targets_ext, class_sizes, b1):
     b2 = -w2 @ b1
     resid = w2 @ hidden + b2[:, None] - targets_ext
     return w2, b2, float(np.sqrt(np.sum(resid * resid * (sqrt_w**2)[None, :])))
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Records one entry per network.forward call, whichever shallowmin module
+    makes it (each module holds its own reference to the function)."""
+    from shallowmin import network
+
+    calls = []
+    original = network.forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "shallowmin" and getattr(module, "forward", None) is original:
+            monkeypatch.setattr(module, "forward", counting)
+    return calls

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from shallowmin.constructive import (
     resolve_output_layer,
     sanity_forward_means,
 )
-from shallowmin.errors import BetaTooSmall, WrongRegime
+from shallowmin import constructive
+from shallowmin.errors import BetaTooSmall, ConsistencyError, WrongRegime
 from tests.conftest import weighted_lstsq_oracle
 
 
@@ -100,6 +103,46 @@ class TestTrainGeneral:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             ConstructiveConfig(beta1_margin=-0.1)
+
+
+class TestTrainGeneralSelfChecks:
+    """Each runtime self-check of train_general fires once its premise is
+    broken, and a passing run evaluates the network once."""
+
+    @pytest.fixture
+    def fitted(self):
+        ds = synthesize(5, 3, [6, 6, 6], noise=0.1, seed=2)
+        stats, pack = dataset_stats(ds)
+        return ds, stats, pack
+
+    def test_signal_leak_into_noise_rows(self, fitted):
+        ds, stats, pack = fitted
+        # p = I keeps the noise directions in r p x0, so its trailing rows
+        # no longer vanish.
+        with pytest.raises(ConsistencyError, match="signal block leaks"):
+            train_general(ds, stats, replace(pack, p=np.eye(ds.m)))
+
+    def test_noise_leak_above_zero(self, fitted):
+        ds, stats, pack = fitted
+        # A zero noise bias no longer pushes the noise block below zero.
+        with pytest.raises(ConsistencyError, match="noise block leaks"):
+            train_general(ds, replace(stats, delta=0.0), pack)
+
+    def test_cost_above_bound(self, fitted, monkeypatch):
+        ds, stats, pack = fitted
+        true_bound = constructive.bound_general
+
+        def halved(*args):
+            b_l2, b_dp = true_bound(*args)
+            return 0.5 * b_l2, b_dp
+
+        monkeypatch.setattr(constructive, "bound_general", halved)
+        with pytest.raises(ConsistencyError, match="exceeds its bound"):
+            train_general(ds, stats, pack)
+
+    def test_one_forward(self, fitted, forward_calls):
+        train_general(*fitted)
+        assert len(forward_calls) == 1
 
 
 class TestTrainExactMeq:

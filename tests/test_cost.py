@@ -13,6 +13,7 @@ from shallowmin import (
     dataset_stats,
     evaluate,
     exact_min_weighted,
+    forward,
     relative_deviations,
     synthesize,
     y_ext,
@@ -78,6 +79,31 @@ class TestCostWeighted:
         cw = cost_weighted(p, ds)
         cl = cost_l2(p, ds)
         assert abs(cw - np.sqrt(3) * cl) <= 1e-12 * cw
+
+
+class TestOneForward:
+    """evaluate and costs take both costs from one forward pass, equal to the
+    standalone cost_l2 and cost_weighted."""
+
+    @pytest.mark.parametrize("m,q", [(5, 3), (3, 3)])
+    def test_evaluate_runs_forward_once(self, m, q, forward_calls):
+        ds = synthesize(m, q, [5, 7, 9], noise=0.1, seed=4)
+        stats, pack = dataset_stats(ds)
+        rng = np.random.default_rng(1)
+        p = ShallowParams(w1=rng.standard_normal((m, m)), b1=rng.standard_normal(m),
+                          w2=rng.standard_normal((q, m)), b2=rng.standard_normal(q))
+        report = evaluate(p, ds, stats, pack)
+        assert len(forward_calls) == 1
+        assert report.cost_l2 == cost_l2(p, ds)
+        assert report.cost_weighted == cost_weighted(p, ds)
+        assert cost.costs(p, ds) == (cost_l2(p, ds), cost_weighted(p, ds))
+
+    def test_residual_matches_materialized_targets(self):
+        ds = synthesize(4, 3, [2, 5, 3], noise=0.2, seed=9)
+        rng = np.random.default_rng(2)
+        p = ShallowParams(w1=rng.standard_normal((4, 4)), b1=rng.standard_normal(4),
+                          w2=rng.standard_normal((3, 4)), b2=rng.standard_normal(3))
+        assert np.array_equal(cost._residual(p, ds), forward(p, ds.x0)[1] - y_ext(ds))
 
 
 class TestDataProjector:

@@ -51,6 +51,20 @@ class TestStats:
         stats, _ = dataset_stats(ds)
         assert np.array_equal(ds.x0, stats.mean_ext + stats.dev)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_block_stats_match_full_array_bitwise(self, order):
+        # dev, delta and rho are built class block by class block; they equal
+        # the full-array formulas bit for bit in either memory layout. M > 8
+        # puts the F-layout column sums on numpy's pairwise path.
+        base = synthesize(20, 3, [4, 9, 6], noise=0.3, seed=8)
+        ds = ClassifiedDataset(m=20, q=3, class_sizes=base.class_sizes,
+                               x0=np.asarray(base.x0, order=order), y=base.y)
+        stats, _ = dataset_stats(ds)
+        dev = ds.x0 - np.repeat(stats.means, ds.class_sizes, axis=1)
+        assert np.array_equal(stats.dev, dev)
+        assert stats.delta == float(np.max(np.linalg.norm(dev, axis=0)))
+        assert stats.rho == float(np.max(np.linalg.norm(ds.x0, axis=0)))
+
     def test_delta_p_scaling_invariance(self):
         from dataclasses import replace
         ds = synthesize(4, 3, [6, 6, 6], noise=0.1, seed=3)

@@ -122,3 +122,15 @@ class TestCompare:
         params = ShallowParams(w1=np.eye(2), b1=np.full(2, 3.0), w2=np.eye(2), b2=np.zeros(2))
         with pytest.raises(RuntimeError, match="not a ShallowminError"):
             gd_in_fixed_point_region(params, delta01_dataset)
+
+    def test_one_forward_per_parameter_set(self, delta01_dataset, forward_calls):
+        from shallowmin import cost_weighted
+        stats, pack = dataset_stats(delta01_dataset)
+        gd_params, _ = train_gd(delta01_dataset, GdConfig(steps=50))
+        cons = train_exact_meq(delta01_dataset, stats)
+        forward_calls.clear()
+        doc = compare(delta01_dataset, stats, pack, gd_params, cons)
+        assert len(forward_calls) == 2
+        for key, params in (("gd", gd_params), ("constructive", cons)):
+            assert doc[key]["cost_l2"] == cost_l2(params, delta01_dataset)
+            assert doc[key]["cost_weighted"] == cost_weighted(params, delta01_dataset)

@@ -11,7 +11,7 @@ from shallowmin import (
     truncate,
     y_ext,
 )
-from shallowmin import ClassifiedDataset
+from shallowmin import ClassifiedDataset, truncation, verify
 from shallowmin.errors import SingularMeans, SingularW1, WrongRegime
 from shallowmin.network import relu
 from shallowmin.truncation import region_minima_spread, weighted_cost_from_projector
@@ -156,6 +156,35 @@ class TestSweep:
         assert points[0].result.min_cost_weighted is not None
         assert points[1].result.min_cost_weighted is None
         assert region_minima_spread(points) == 0.0
+
+
+class TestDataRanksOnce:
+    """rank(X0), an SVD of the M x N data, is taken once per sweep, not once per
+    grid point."""
+
+    @pytest.fixture
+    def x0_rank_calls(self, monkeypatch):
+        calls = []
+        original = truncation.numerical_rank
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(truncation, "numerical_rank", counting)
+        return calls
+
+    def test_sweep(self, delta01_dataset, x0_rank_calls):
+        grid = [(np.eye(2), t * np.ones(2)) for t in (-0.5, 0.05, 2.5, 3.0)]
+        points = sweep_fixed_point_region(delta01_dataset, grid)
+        assert all(p.error is None for p in points)
+        assert sum(a is delta01_dataset.x0 for a in x0_rank_calls) == 1
+
+    def test_suite_truncation(self, x0_rank_calls):
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        checks = verify.suite_truncation(ds)
+        assert all(c.passed for c in checks)
+        assert sum(a is ds.x0 for a in x0_rank_calls) == 1
 
 
 def test_closed_form_vs_lstsq_over_random_clippings():
