@@ -17,7 +17,6 @@ from .constructive import (
 )
 from .cost import (
     CostReport,
-    DataProjector,
     bound_general,
     cost_l2,
     cost_weighted,
@@ -63,7 +62,6 @@ __all__ = [
     "ClassifiedDataset",
     "ConstructiveConfig",
     "CostReport",
-    "DataProjector",
     "DatasetStats",
     "GdConfig",
     "ProjectorPack",

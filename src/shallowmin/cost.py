@@ -6,9 +6,11 @@ and the size-weighted cost sqrt(sum_j ||residual_j||_F^2 / N_j), which removes
 the dependence of each class's contribution on its sample count. The closed
 forms of the M = Q regime are functions of the relative deviation Gram matrix
 alone and are cross-checked at runtime, at every N, against the data projector
-route ||Yext Pperp||. That route is evaluated matrix-free through the normal
-equations (projector_route); only data_projector forms the N x N projector,
-and it refuses N > MAX_PROJECTOR_N.
+route ||Yext Pperp||. The data projector P = N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 is
+applied through the normal equations without being formed: projector_route
+takes the residual norm and projector_action the image of an N x k block.
+Only data_projector forms the N x N matrix, as projector_action on the
+identity, for tests that compare against it; it refuses N > MAX_PROJECTOR_N.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (
 from .linalg import SV_TOLERANCE, ProjectorPack, op_norm
 from .network import ShallowParams, forward
 
-# Largest N for which data_projector materializes the N x N projector. The
-# runtime cross-check never needs it: projector_route is matrix-free.
+# Largest N for which data_projector materializes the N x N projector. No
+# runtime check needs it: projector_route and projector_action are matrix-free.
 MAX_PROJECTOR_N = 5000
 
 CROSS_CHECK_RTOL = 1e-9
@@ -83,11 +85,6 @@ def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
     return gram
 
 
-def data_gram(ds: ClassifiedDataset) -> np.ndarray:
-    """X0 N^-1 X0^T (Q x Q in the M = Q regime), checked for invertibility."""
-    return _gram(ds.x0, ds.inv_size_weights())
-
-
 def normal_w2(ds: ClassifiedDataset, x: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Normal-equation output weights W2 = Y means^T (x N^-1 x^T)^-1 for inputs
     x (M x N, columns grouped like ds) with class means `means`.
@@ -104,42 +101,31 @@ def projector_route(ds: ClassifiedDataset, x: np.ndarray, means: np.ndarray) -> 
     return weighted_norm(normal_w2(ds, x, means) @ x - y_ext(ds), ds.class_sizes)
 
 
-@dataclass(frozen=True)
-class DataProjector:
-    """The N x N rank-Q projector onto the row space of X0 and its complement.
-
-    p_script is orthogonal with respect to the class-size inner product:
-    p_script^T N = N p_script.
-    """
-
-    p_script: np.ndarray
-
-    @property
-    def p_script_perp(self) -> np.ndarray:
-        """I - p_script, formed on each access."""
-        return np.eye(self.p_script.shape[0]) - self.p_script
+def projector_action(ds: ClassifiedDataset, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """N^-1 x^T (x N^-1 x^T)^-1 (x z): the data projector P(x) of inputs x
+    (M x N, columns grouped like ds) applied to the N x k block z. Forms no
+    N x N matrix unless z is one."""
+    inv_n = ds.inv_size_weights()
+    out = x.T @ np.linalg.solve(_gram(x, inv_n), x @ z)
+    out *= inv_n[:, None]
+    return out
 
 
-def data_projector(
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-    max_n: int = MAX_PROJECTOR_N,
-) -> DataProjector:
-    """Materialize the data projector N^-1 X0^T (X0 N^-1 X0^T)^-1 X0.
+def data_projector(ds: ClassifiedDataset) -> np.ndarray:
+    """The N x N data projector N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 in the M = Q
+    regime, orthogonal with respect to the class-size inner product.
 
-    Refuses datasets with N > max_n; exact_min_weighted and projector_route
-    are algebraically equal and never form an N x N matrix.
+    Refuses datasets with N > MAX_PROJECTOR_N before allocating anything;
+    projector_action and projector_route never form an N x N matrix.
     """
     if ds.m != ds.q:
         raise WrongRegime(f"data projector requires M = Q, got M={ds.m}, Q={ds.q}")
-    if ds.n > max_n:
+    if ds.n > MAX_PROJECTOR_N:
         raise WrongRegime(
-            f"refusing to materialize a {ds.n} x {ds.n} projector (max_n={max_n}); "
-            "use exact_min_weighted's closed form"
+            f"refusing to materialize a {ds.n} x {ds.n} projector "
+            f"(MAX_PROJECTOR_N={MAX_PROJECTOR_N}); use projector_action"
         )
-    gram = data_gram(ds)
-    xw = ds.x0 * ds.inv_size_weights()[None, :]
-    return DataProjector(p_script=xw.T @ np.linalg.solve(gram, ds.x0))
+    return projector_action(ds, ds.x0, np.eye(ds.n))
 
 
 def relative_gram(

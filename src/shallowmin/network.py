@@ -93,16 +93,6 @@ def params_from_dict(d: dict) -> ShallowParams:
     )
 
 
-def save_params(p: ShallowParams, path, provenance: dict | None = None) -> None:
-    """Write params as JSON; floats use repr (full round-trip double precision)."""
-    doc = params_to_dict(p)
-    if provenance is not None:
-        doc["provenance"] = provenance
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
 def load_params(path) -> tuple[ShallowParams, dict | None]:
     with open(path) as fh:
         doc = json.load(fh)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import closed_form_min, lstsq_output_layer, projector_route, relative_gram
+from .cost import closed_form_min, lstsq_output_layer, relative_gram
 from .dataset import ClassifiedDataset, block_means, y_ext
 from .errors import ConsistencyError, ShallowminError, SingularMeans, SingularW1, WrongRegime
 from .linalg import numerical_rank, rank_with_margin
@@ -209,8 +209,3 @@ def region_minima_spread(points: list[SweepPoint]) -> float:
     lo, hi = min(vals), max(vals)
     return (hi - lo) / (1.0 + hi)
 
-
-def weighted_cost_from_projector(ds: ClassifiedDataset, tau: np.ndarray) -> float:
-    """||Yext Pperp_tau|| in the weighted norm (cost.projector_route on the
-    truncated inputs); algebraically equal to the closed form."""
-    return projector_route(ds, tau, block_means(tau, ds.class_sizes))

@@ -29,9 +29,9 @@ from .cost import (
     bound_general,
     cost_l2,
     cost_weighted,
-    data_projector,
     exact_min_weighted,
     lstsq_output_layer,
+    projector_action,
     projector_route,
     relative_deviations,
     spectral_range_d2,
@@ -217,8 +217,10 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     """Scaling invariance of the bound quantities; GL(Q) reparametrization
     invariance of the data projector, relative deviations and exact minimum.
 
-    The data-projector check compares N x N matrices, so in the M = Q regime
-    data_projector's WrongRegime refusal of N > MAX_PROJECTOR_N applies."""
+    The data projector is compared through its action P Z on a seeded N x 4
+    probe block Z, a randomized identity test in the style of Freivalds, so
+    no N x N matrix is formed at any N. The probes come from their own
+    generator; the sequence of K depends on the seed alone."""
     stats, pack = dataset_stats(ds)
     b_l2, _ = bound_general(ds, stats, pack)
     checks = [_check("invariance.scaling", _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9)]
@@ -227,8 +229,10 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
 
     d1, _ = relative_deviations(ds, stats)
     em = exact_min_weighted(ds, stats)
-    p_script = data_projector(ds, stats).p_script
-    p_scale = 1.0 + float(np.max(np.abs(p_script)))
+    probe_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    z = probe_rng.standard_normal((ds.n, 4))
+    pz = projector_action(ds, ds.x0, z)
+    pz_scale = 1.0 + float(np.max(np.abs(pz)))
     d1_scale = 1.0 + float(np.max(np.abs(d1)))
     rng = np.random.default_rng(seed)
     worst_p = worst_d1 = worst_em = 0.0
@@ -238,8 +242,8 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         ds_k = replace(ds, x0=k @ ds.x0)
         stats_k, _ = dataset_stats(ds_k)
         d1_k, _ = relative_deviations(ds_k, stats_k)
-        worst_p = max(worst_p, float(np.max(np.abs(data_projector(ds_k, stats_k).p_script - p_script)))
-                      / p_scale)
+        worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, ds_k.x0, z) - pz)))
+                      / pz_scale)
         worst_d1 = max(worst_d1, float(np.max(np.abs(d1_k - d1))) / d1_scale)
         worst_em = max(worst_em, _rel(exact_min_weighted(ds_k, stats_k), em))
     checks.append(_check("invariance.gl-data-projector", worst_p, 1e-7, detail=f"{n_k} random K"))
@@ -348,11 +352,13 @@ def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         worst_vs_exact = max(_rel(v, em) for v in region_vals)
         checks.append(_check("truncation.region-matches-exact", worst_vs_exact, 1e-8,
                              detail=f"exact={em:.9e}"))
+    # The sweep kept tau(X0) of every point it finished. A point that recorded
+    # an error is truncated again, so an error of truncate itself surfaces.
     worst_reapply = 0.0
-    for w1, b1 in grid:
+    for (w1, b1), pt in zip(grid, points):
         w1 = np.asarray(w1, dtype=float)
         b1 = np.asarray(b1, dtype=float).reshape(-1)
-        tau = truncate(w1, b1, ds)
+        tau = truncate(w1, b1, ds) if pt.result is None else pt.result.tau_x0
         reapplied = w1 @ tau + b1[:, None]
         worst_reapply = max(worst_reapply, float(np.max(np.abs(relu(reapplied) - reapplied))))
     checks.append(_check("truncation.reapplication-identity", worst_reapply, 1e-10))

@@ -97,8 +97,8 @@ def test_criterion_2_exact_minimum():
         params_q = train_exact_meq(dsq, stats_q)
         cwq = cost_weighted(params_q, dsq)
         closed = exact_min_weighted(dsq, stats_q)  # internally cross-checked
-        dp = data_projector(dsq, stats_q)
-        via_projector = weighted_norm(y_ext(dsq) @ dp.p_script_perp, dsq.class_sizes)
+        p_perp = np.eye(dsq.n) - data_projector(dsq)
+        via_projector = weighted_norm(y_ext(dsq) @ p_perp, dsq.class_sizes)
         hidden = relu(params_q.w1 @ dsq.x0 + params_q.b1[:, None])
         _, _, oracle = weighted_lstsq_oracle(hidden, y_ext(dsq), dsq.class_sizes,
                                              params_q.b1)
@@ -144,7 +144,7 @@ def test_criterion_4_invariances():
         if abs(stats_l.delta_p - stats.delta_p) > 1e-9 * (1.0 + stats.delta_p):
             failures.append(f"delta_p changed under lambda={lam}")
 
-    p_script = data_projector(ds, stats).p_script
+    p_script = data_projector(ds)
     d1, _ = relative_deviations(ds, stats)
     em = exact_min_weighted(ds, stats)
     rng = np.random.default_rng(44)
@@ -155,7 +155,7 @@ def test_criterion_4_invariances():
             continue
         ds_k = replace(ds, x0=k @ ds.x0)
         stats_k, _ = dataset_stats(ds_k)
-        p_k = data_projector(ds_k, stats_k).p_script
+        p_k = data_projector(ds_k)
         d1_k, _ = relative_deviations(ds_k, stats_k)
         em_k = exact_min_weighted(ds_k, stats_k)
         scale_p = 1.0 + float(np.max(np.abs(p_script)))

@@ -14,7 +14,7 @@ from shallowmin import (
     y_ext,
 )
 from shallowmin.constructive import exact_w2, w2_tilde
-from shallowmin.cost import data_gram, weighted_norm
+from shallowmin.cost import _gram, weighted_norm
 
 
 @pytest.fixture(params=[0, 1, 2])
@@ -30,7 +30,7 @@ def test_gram_decomposes_into_means_plus_deviations(square_ds):
     inv_n = ds.inv_size_weights()
     d2_raw = (stats.dev * inv_n[None, :]) @ stats.dev.T
     decomposed = stats.means @ stats.means.T + d2_raw
-    assert np.allclose(data_gram(ds), decomposed, atol=1e-12)
+    assert np.allclose(_gram(ds.x0, inv_n), decomposed, atol=1e-12)
 
 
 def test_residual_equals_correction_form(square_ds):
@@ -38,8 +38,8 @@ def test_residual_equals_correction_form(square_ds):
     ds = square_ds
     stats, _ = dataset_stats(ds)
     d1, d2 = relative_deviations(ds, stats)
-    dp = data_projector(ds, stats)
-    lhs = -(y_ext(ds) @ dp.p_script_perp)
+    p_perp = np.eye(ds.n) - data_projector(ds)
+    lhs = -(y_ext(ds) @ p_perp)
     correction = ds.y @ d2 @ np.linalg.solve(
         np.eye(ds.q) + d2, np.linalg.solve(stats.means, ds.x0))
     rhs = ds.y @ d1 - correction
@@ -64,8 +64,8 @@ def test_weighted_residual_trace_form(square_ds):
     ds = square_ds
     stats, _ = dataset_stats(ds)
     _, d2 = relative_deviations(ds, stats)
-    dp = data_projector(ds, stats)
-    direct = weighted_norm(y_ext(ds) @ dp.p_script_perp, ds.class_sizes) ** 2
+    p_perp = np.eye(ds.n) - data_projector(ds)
+    direct = weighted_norm(y_ext(ds) @ p_perp, ds.class_sizes) ** 2
     trace = float(np.trace(ds.y @ d2 @ np.linalg.solve(np.eye(ds.q) + d2, ds.y.T)))
     assert direct == pytest.approx(trace, rel=1e-10)
     assert exact_min_weighted(ds, stats) ** 2 == pytest.approx(trace, rel=1e-10)
@@ -74,6 +74,5 @@ def test_weighted_residual_trace_form(square_ds):
 def test_data_projector_transpose_is_row_space_projector(square_ds):
     # P^T fixes every row of X0 and annihilates nothing in its row space
     ds = square_ds
-    stats, _ = dataset_stats(ds)
-    p = data_projector(ds, stats).p_script
+    p = data_projector(ds)
     assert np.max(np.abs(ds.x0 @ p - ds.x0)) < 1e-10

@@ -98,6 +98,14 @@ class TestVerify:
         assert "7/7 checks passed" in out
         assert "[PASS] exact.projector-route" in out
 
+    def test_invariance_above_projector_limit(self, capsys):
+        # N = 6000 > MAX_PROJECTOR_N: the data projector is compared on probes
+        assert run(["verify", "invariance", "--m", 3, "--q", 3,
+                    "--sizes", "2000,2000,2000"]) == 0
+        out = capsys.readouterr().out
+        assert "4/4 checks passed" in out
+        assert "[PASS] invariance.gl-data-projector" in out
+
     def test_non_numeric_dataset_csv_exit_3(self, tmp_path, capsys):
         path = tmp_path / "ds.csv"
         path.write_text("1.0,0.0,0\n0.0,1.0,1\n0.5,abc,1\n")

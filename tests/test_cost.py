@@ -24,6 +24,7 @@ from shallowmin.cost import (
     closed_form_min,
     lstsq_output_layer,
     normal_w2,
+    projector_action,
     projector_route,
     weighted_norm,
     weighted_norm_y_delta1,
@@ -106,17 +107,23 @@ class TestOneForward:
         assert np.array_equal(cost._residual(p, ds), forward(p, ds.x0)[1] - y_ext(ds))
 
 
+def probes(n):
+    return np.random.default_rng(0).standard_normal((n, 4))
+
+
 class TestDataProjector:
+    """data_projector is the N x N reference; projector_action on a probe
+    block must reproduce its product with the block."""
+
     def test_square_invertible_inputs(self):
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1), x0=np.eye(2), y=np.eye(2))
-        stats, _ = dataset_stats(ds)
-        dp = data_projector(ds, stats)
-        assert np.allclose(dp.p_script, np.eye(2), atol=1e-12)
+        p = data_projector(ds)
+        assert np.allclose(p, np.eye(2), atol=1e-12)
+        z = probes(ds.n)
+        assert np.max(np.abs(projector_action(ds, ds.x0, z) - p @ z)) <= 1e-12
 
     def test_delta01_projector_invariants(self, delta01_dataset):
-        stats, _ = dataset_stats(delta01_dataset)
-        dp = data_projector(delta01_dataset, stats)
-        p = dp.p_script
+        p = data_projector(delta01_dataset)
         n_mat = np.diag(np.repeat([2.0, 2.0], [2, 2]))
         assert np.max(np.abs(p @ p - p)) < 1e-10
         assert np.max(np.abs(p.T @ n_mat - n_mat @ p)) < 1e-8
@@ -126,35 +133,51 @@ class TestDataProjector:
         x0 = delta01_dataset.x0
         expected = inv_n @ x0.T @ np.linalg.inv(x0 @ inv_n @ x0.T) @ x0
         assert np.allclose(p, expected, atol=1e-12)
+        z = probes(delta01_dataset.n)
+        assert np.max(np.abs(projector_action(delta01_dataset, x0, z) - p @ z)) <= 1e-12
 
     def test_gl_invariance(self, delta01_dataset):
-        stats, _ = dataset_stats(delta01_dataset)
-        p = data_projector(delta01_dataset, stats).p_script
+        p = data_projector(delta01_dataset)
         rng = np.random.default_rng(11)
         for _ in range(5):
             k = random_gl(2, rng)
             ds_k = replace(delta01_dataset, x0=k @ delta01_dataset.x0)
-            stats_k, _ = dataset_stats(ds_k)
-            p_k = data_projector(ds_k, stats_k).p_script
+            p_k = data_projector(ds_k)
             assert np.max(np.abs(p_k - p)) < 1e-8
+            z = probes(ds_k.n)
+            assert np.max(np.abs(projector_action(ds_k, ds_k.x0, z) - p_k @ z)) <= 1e-12
+
+    def test_probe_measure_detects_row_space_change(self):
+        # A generic perturbation of X0 moves its row space, so the projector's
+        # action on the probes moves too: the probe measure of
+        # invariance.gl-data-projector is not vacuous.
+        ds = synthesize(3, 3, [5, 7, 6], noise=0.12, seed=1)
+        rng = np.random.default_rng(3)
+        ds_e = replace(ds, x0=ds.x0 + 1e-3 * rng.standard_normal(ds.x0.shape))
+        z = probes(ds.n)
+        pz = projector_action(ds, ds.x0, z)
+        moved = np.max(np.abs(projector_action(ds_e, ds_e.x0, z) - pz))
+        assert moved / (1.0 + np.max(np.abs(pz))) > 1e-7
+        p = data_projector(ds)
+        assert np.max(np.abs(pz - p @ z)) <= 1e-12
 
     def test_wrong_regime(self, e3_noise_dataset):
-        stats, _ = dataset_stats(e3_noise_dataset)
         with pytest.raises(WrongRegime):
-            data_projector(e3_noise_dataset, stats)
+            data_projector(e3_noise_dataset)
 
     def test_singular_gram(self):
         # means pass the rank gate but the Gram of the squared scales does not
         x0 = np.array([[1.0, 1.0 + 1e-9], [0.0, 1e-9]])
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1), x0=x0, y=np.eye(2))
-        stats, _ = dataset_stats(ds)
         with pytest.raises(SingularGram):
-            data_projector(ds, stats)
+            data_projector(ds)
 
-    def test_refuses_large_n(self, delta01_dataset):
-        stats, _ = dataset_stats(delta01_dataset)
-        with pytest.raises(WrongRegime):
-            data_projector(delta01_dataset, stats, max_n=3)
+    def test_refuses_large_n(self):
+        half = (MAX_PROJECTOR_N + 1) // 2
+        ds = synthesize(2, 2, [half, MAX_PROJECTOR_N + 1 - half], noise=0.1, seed=0)
+        assert ds.n == MAX_PROJECTOR_N + 1
+        with pytest.raises(WrongRegime, match="refusing to materialize"):
+            data_projector(ds)
 
 
 class TestProjectorRoute:
@@ -170,14 +193,14 @@ class TestProjectorRoute:
 
     def test_matches_materialized_projector(self, square):
         stats, _ = dataset_stats(square)
-        oracle = weighted_norm(y_ext(square) @ data_projector(square, stats).p_script_perp,
-                               square.class_sizes)
+        p_perp = np.eye(square.n) - data_projector(square)
+        oracle = weighted_norm(y_ext(square) @ p_perp, square.class_sizes)
         value = projector_route(square, square.x0, stats.means)
         assert abs(value - oracle) <= 1e-12 * (1.0 + max(value, oracle))
 
     def test_normal_w2_reproduces_projected_targets(self, square):
         stats, _ = dataset_stats(square)
-        p_script = data_projector(square, stats).p_script
+        p_script = data_projector(square)
         w2 = normal_w2(square, square.x0, stats.means)
         assert np.max(np.abs(w2 @ square.x0 - y_ext(square) @ p_script)) <= 1e-12
 

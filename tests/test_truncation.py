@@ -14,7 +14,9 @@ from shallowmin import (
 from shallowmin import ClassifiedDataset, truncation, verify
 from shallowmin.errors import SingularMeans, SingularW1, WrongRegime
 from shallowmin.network import relu
-from shallowmin.truncation import region_minima_spread, weighted_cost_from_projector
+from shallowmin.cost import projector_route
+from shallowmin.dataset import block_means
+from shallowmin.truncation import region_minima_spread
 from tests.conftest import weighted_lstsq_oracle
 
 
@@ -111,7 +113,8 @@ class TestMinOverOutputLayer:
         res = min_over_output_layer(w1, b1, delta01_dataset)
         tau = truncate(w1, b1, delta01_dataset)
         assert res.min_cost_weighted == pytest.approx(
-            weighted_cost_from_projector(delta01_dataset, tau), rel=1e-9)
+            projector_route(delta01_dataset, tau, block_means(tau, delta01_dataset.class_sizes)),
+            rel=1e-9)
 
 
 class TestSweep:
@@ -185,6 +188,47 @@ class TestDataRanksOnce:
         checks = verify.suite_truncation(ds)
         assert all(c.passed for c in checks)
         assert sum(a is ds.x0 for a in x0_rank_calls) == 1
+
+
+class TestSuiteReusesSweep:
+    """suite_truncation reads tau(X0) from the sweep for the reapplication
+    identity and truncates again only where the sweep recorded an error."""
+
+    @pytest.fixture
+    def truncate_calls(self, monkeypatch):
+        calls = []
+        original = truncation.truncate
+
+        def counting(w1, b1, ds):
+            calls.append(b1)
+            return original(w1, b1, ds)
+
+        monkeypatch.setattr(truncation, "truncate", counting)
+        monkeypatch.setattr(verify, "truncate", counting)
+        return calls
+
+    def test_one_truncation_per_grid_point(self, truncate_calls):
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        checks = verify.suite_truncation(ds)
+        assert all(c.passed for c in checks)
+        assert len(truncate_calls) == len(verify.default_truncation_grid(ds))
+
+    def test_error_point_truncated_again(self, monkeypatch, truncate_calls):
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        clean = {c.name: c.measured for c in verify.suite_truncation(ds)}
+        original = verify.sweep_fixed_point_region
+
+        def first_point_failed(ds, grid):
+            points = original(ds, grid)
+            points[0] = truncation.SweepPoint(index=0, error="SingularW1: injected")
+            return points
+
+        monkeypatch.setattr(verify, "sweep_fixed_point_region", first_point_failed)
+        truncate_calls.clear()
+        checks = {c.name: c.measured for c in verify.suite_truncation(ds)}
+        assert len(truncate_calls) == len(verify.default_truncation_grid(ds)) + 1
+        assert checks["truncation.reapplication-identity"] \
+            == clean["truncation.reapplication-identity"]
 
 
 def test_closed_form_vs_lstsq_over_random_clippings():
