@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .cost import bound_general, cost_l2, cost_weighted, exact_min_weighted, normal_w2
-from .dataset import ClassifiedDataset, DatasetStats
+from .dataset import ClassifiedDataset, DatasetStats, column_chunks
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, penrose_inverse
 from .network import ShallowParams, forward
@@ -59,21 +59,36 @@ def _check_first_layer(
     checks: its first q rows carry the rotated projected data (lifted by
     beta1), rows q..m-1 are the trailing rows of r p x0, which vanish in exact
     arithmetic and only need a round-off bound, and the last m-q rows are the
-    noise block, pushed down by delta. Rounding is monotone, so min(a) + beta1
-    and max(a) - delta equal the extremes of the shifted rows exactly."""
+    noise block, pushed down by delta. The product is formed column chunk by
+    column chunk in one reused buffer, keeping only the signal minimum, the
+    trailing extremes and the noise maximum. Rounding is monotone, so
+    min(a) + beta1 and max(a) - delta equal the extremes of the shifted rows
+    exactly."""
     m, q = ds.m, ds.q
-    blocks = np.vstack([pack.r @ pack.p, (pack.r @ pack.p_perp)[q:]]) @ ds.x0
-    signal = float(blocks[:q].min()) + beta1
+    stacked = np.vstack([pack.r @ pack.p, (pack.r @ pack.p_perp)[q:]])
+    n_rows = stacked.shape[0]
+    chunks = list(column_chunks(slice(0, ds.n)))
+    buf = np.empty(n_rows * chunks[0].stop)  # the first chunk is the widest
+    signal_min = trailing_min = np.inf
+    trailing_max = noise_max = -np.inf
+    for chunk in chunks:
+        width = chunk.stop - chunk.start
+        rows = np.matmul(stacked, ds.x0[:, chunk], out=buf[:n_rows * width].reshape(n_rows, width))
+        signal_min = min(signal_min, float(rows[:q].min()))
+        if m > q:
+            trailing_min = min(trailing_min, float(rows[q:m].min()))
+            trailing_max = max(trailing_max, float(rows[q:m].max()))
+            noise_max = max(noise_max, float(rows[m:].max()))
+    signal = signal_min + beta1
     if signal < 0.0:
         raise BetaTooSmall(
             f"beta1={beta1!r} leaves signal pre-activation at {signal:.3e} < 0"
         )
     if m > q:
-        trailing = blocks[q:m]
-        junk = float(max(trailing.max(), -trailing.min()))
+        junk = max(trailing_max, -trailing_min)
         if junk > 1e-9 * (1.0 + stats.rho):
             raise ConsistencyError(f"signal block leaks {junk:.3e} into noise rows")
-        leak = float(blocks[m:].max()) - stats.delta
+        leak = noise_max - stats.delta
         if leak > 1e-9 * (1.0 + stats.rho):
             raise ConsistencyError(f"noise block leaks {leak:.3e} above zero")
 

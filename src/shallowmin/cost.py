@@ -3,7 +3,12 @@ closed-form bound / minimum expressions.
 
 Two costs are exposed everywhere: the plain L2 cost (1/sqrt(N)) ||X2 - Yext||_F
 and the size-weighted cost sqrt(sum_j ||residual_j||_F^2 / N_j), which removes
-the dependence of each class's contribution on its sample count. The closed
+the dependence of each class's contribution on its sample count. Both come from
+one blocked residual kernel: it runs the network on each class block in column
+chunks, subtracts y_j in place and sums squares chunk by chunk, so neither the
+M x N hidden layer nor the Q x N residual is formed. The general bound
+(1/sqrt(N)) ||Y pen dev||_F is read from the statistics, whose pass over the
+data already sums ||Y pen dev||_F^2, so bound_general costs O(Q^2). The closed
 forms of the M = Q regime are functions of the relative deviation Gram matrix
 alone and are cross-checked at runtime, at every N, against the data projector
 route ||Yext Pperp||. The data projector P = N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 is
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ClassifiedDataset, DatasetStats, y_ext
+from .dataset import ClassifiedDataset, DatasetStats, block_slices, column_chunks, y_ext
 from .errors import (
     ConsistencyError,
     NotPositiveSemidefinite,
@@ -27,7 +32,7 @@ from .errors import (
     SingularMeans,
     WrongRegime,
 )
-from .linalg import SV_TOLERANCE, ProjectorPack, op_norm
+from .linalg import SV_TOLERANCE, ProjectorPack, op_norm, sum_squares
 from .network import ShallowParams, forward
 
 # Largest N for which data_projector materializes the N x N projector. No
@@ -42,35 +47,44 @@ def frob(a) -> float:
 
 
 def weighted_norm(a: np.ndarray, class_sizes) -> float:
-    """sqrt(Tr(A N^-1 A^T)): Frobenius norm with columns weighted by 1/N_j per class."""
-    inv_n = np.repeat([1.0 / s for s in class_sizes], class_sizes)
-    return float(np.sqrt(np.sum(a * a * inv_n[None, :])))
+    """sqrt(Tr(A N^-1 A^T)): Frobenius norm with columns weighted by 1/N_j per
+    class, summed class block by class block with no temporary."""
+    return float(np.sqrt(sum(sum_squares(a[:, sl]) / nj
+                             for sl, nj in zip(block_slices(class_sizes), class_sizes))))
 
 
-def _residual(p: ShallowParams, ds: ClassifiedDataset) -> np.ndarray:
-    """X2 - Yext (Q x N) from one forward pass. y_j is subtracted in place from
-    each class block of the output, so Yext is never formed and the hidden
-    layer is released before the caller takes its norms."""
-    x2 = forward(p, ds.x0)[1]
-    for sl, target in zip(ds.class_slices(), ds.y.T):
-        x2[:, sl] -= target[:, None]
-    return x2
+def _residual_sums(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
+    """(sum ||r||^2, sum_j ||r_j||^2 / N_j) of the residual r = X2 - Yext.
+
+    The network runs on each class block in column chunks; y_j is subtracted
+    in place from each chunk's output, whose squares are summed before the
+    next chunk, so no M x N hidden layer and no Q x N residual is formed."""
+    total = weighted = 0.0
+    for sl, target, nj in zip(ds.class_slices(), ds.y.T, ds.class_sizes):
+        block = 0.0
+        for chunk in column_chunks(sl):
+            resid = forward(p, ds.x0[:, chunk])[1]
+            resid -= target[:, None]
+            block += sum_squares(resid)
+        total += block
+        weighted += block / nj
+    return total, weighted
 
 
 def cost_l2(p: ShallowParams, ds: ClassifiedDataset) -> float:
     """(1/sqrt(N)) ||X2 - Yext||_F."""
-    return float(frob(_residual(p, ds)) / np.sqrt(ds.n))
+    return costs(p, ds)[0]
 
 
 def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
     """Size-weighted cost; equals sqrt(Q) x cost_l2 for uniform class sizes."""
-    return weighted_norm(_residual(p, ds), ds.class_sizes)
+    return costs(p, ds)[1]
 
 
 def costs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
-    """(cost_l2, cost_weighted) from one forward pass."""
-    resid = _residual(p, ds)
-    return float(frob(resid) / np.sqrt(ds.n)), weighted_norm(resid, ds.class_sizes)
+    """(cost_l2, cost_weighted) from one pass of the network over the data."""
+    total, weighted = _residual_sums(p, ds)
+    return float(np.sqrt(total) / np.sqrt(ds.n)), float(np.sqrt(weighted))
 
 
 def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
@@ -216,11 +230,12 @@ def bound_general(
 
     Returns (bound_l2, bound_deltap) with
     bound_l2 = (1/sqrt(N)) ||Y pen dev||_F and bound_deltap = ||Y||_op delta_p;
-    the first never exceeds the second (columnwise sup bound). Both are
-    invariant under X0 -> lambda X0. Y pen is only Q x M, so the deviations
-    are multiplied once.
+    the first never exceeds the second (columnwise sup bound), which is
+    checked here. Both are invariant under X0 -> lambda X0. ||Y pen dev||_F^2
+    is summed by compute_stats in its one pass over the data (with the pen of
+    pack), so this costs one Q x Q singular value decomposition.
     """
-    bound_l2 = float(frob((ds.y @ pack.pen) @ stats.dev) / np.sqrt(ds.n))
+    bound_l2 = float(np.sqrt(stats.y_pen_dev_sq) / np.sqrt(ds.n))
     bound_deltap = float(op_norm(ds.y) * stats.delta_p)
     if bound_l2 > bound_deltap + 1e-12 * (1.0 + bound_deltap):
         raise ConsistencyError(

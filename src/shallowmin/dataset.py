@@ -3,8 +3,9 @@
 A dataset holds Q classes of M-dimensional samples stored column-wise,
 grouped class by class, together with a Q x Q matrix of linearly independent
 target columns. Statistics (class means, deviations, the noise scales delta
-and delta_p, the sample-norm scale rho) are computed in two passes: means
-first, then the projector pack of the means, then the projected quantities.
+and delta_p, the sample-norm scale rho, and ||Y pen dev||_F^2, the square of
+the general cost bound's numerator) are computed in two passes: means first,
+then the projector pack of the means, then the projected quantities.
 """
 
 from __future__ import annotations
@@ -17,7 +18,24 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateMeans, DimensionError, RankDeficient
-from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack
+from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, sum_squares
+
+# Widest column block that the blocked passes over the data (the residual of
+# the cost functionals, the first-layer check of the general construction)
+# hand to one product; it bounds their reusable buffers.
+_CHUNK_COLUMNS = 2048
+
+
+def block_slices(class_sizes) -> list[slice]:
+    """Column slice of each class block, in class order."""
+    edges = np.concatenate([[0], np.cumsum(class_sizes)])
+    return [slice(int(edges[j]), int(edges[j + 1])) for j in range(len(class_sizes))]
+
+
+def column_chunks(sl: slice):
+    """Consecutive sub-slices of sl, each at most _CHUNK_COLUMNS wide."""
+    for start in range(sl.start, sl.stop, _CHUNK_COLUMNS):
+        yield slice(start, min(start + _CHUNK_COLUMNS, sl.stop))
 
 
 @dataclass(frozen=True)
@@ -51,8 +69,7 @@ class ClassifiedDataset:
 
     def class_slices(self) -> list[slice]:
         """Column slice of x0 for each class, in class order."""
-        edges = np.concatenate([[0], np.cumsum(self.class_sizes)])
-        return [slice(int(edges[j]), int(edges[j + 1])) for j in range(self.q)]
+        return block_slices(self.class_sizes)
 
     def inv_size_weights(self) -> np.ndarray:
         """Per-column weights 1/N_j, the diagonal of the inverse class-size matrix."""
@@ -70,6 +87,9 @@ class DatasetStats:
     delta_p:  max Euclidean norm over columns of pen @ dev (scale invariant)
     rho:      max Euclidean norm over sample columns
     n_weights: the class sizes defining the block-diagonal weight matrix
+    y_pen_dev_sq: ||Y pen dev||_F^2, summed class block by class block; the
+              general bound is bound_l2 = sqrt(y_pen_dev_sq / N), so it is
+              carried here as one float rather than recomputed from dev
     mean_ext: M x N means repeated per class block, computed on access
     """
 
@@ -79,6 +99,7 @@ class DatasetStats:
     delta_p: float
     rho: float
     n_weights: tuple[int, ...]
+    y_pen_dev_sq: float
 
     @property
     def mean_ext(self) -> np.ndarray:
@@ -90,10 +111,9 @@ def block_means(x: np.ndarray, class_sizes) -> np.ndarray:
     """Per-class-block column averages of an M x N matrix, anchored at each
     block's first column so that a block of identical columns averages to that
     column exactly (zero noise gives exactly zero deviations)."""
-    edges = np.concatenate([[0], np.cumsum(class_sizes)])
     cols = []
-    for j in range(len(class_sizes)):
-        block = x[:, int(edges[j]):int(edges[j + 1])]
+    for sl in block_slices(class_sizes):
+        block = x[:, sl]
         anchor = block[:, 0]
         cols.append(anchor + (block - anchor[:, None]).mean(axis=1))
     return np.stack(cols, axis=1)
@@ -109,6 +129,17 @@ def y_ext(ds: ClassifiedDataset) -> np.ndarray:
     return np.repeat(ds.y, ds.class_sizes, axis=1)
 
 
+def _max_column_norm(a: np.ndarray, buf: np.ndarray) -> float:
+    """max over columns of ||a[:, i]||, equal bit for bit to
+    np.max(np.linalg.norm(a, axis=0)): the squares go into a view of the flat
+    buffer buf laid out as numpy lays out a * a (a sum along the contiguous
+    axis is pairwise, along the other sequential), add.reduce sums them over
+    axis 0, and sqrt, being monotone and correctly rounded, commutes with max."""
+    f_order = min(a.shape) > 1 and abs(a.strides[0]) < abs(a.strides[1])
+    sq = np.square(a, out=buf[:a.size].reshape(a.shape, order="F" if f_order else "C"))
+    return float(np.sqrt(np.max(np.add.reduce(sq, axis=0))))
+
+
 def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack) -> DatasetStats:
     """Compute all derived statistics from the class means of ds and
     pack = projector_pack(means).
@@ -116,17 +147,27 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
     delta_p needs the pseudoinverse of the means, hence the two-pass
     construction (means -> pack -> stats). The stats pass visits each class
     block once: it subtracts the block's own mean into dev (equal bit for bit
-    to x0 - mean_ext) and takes the block's column norms of dev, x0 and
-    pen @ dev (pen @ p = pen, so the projector is not applied), so no
-    temporary larger than one block is formed.
+    to x0 - mean_ext), takes the block's column norms of dev, x0 and pen @ dev
+    (pen @ p = pen, so the projector is not applied), and adds
+    ||Y (pen @ dev block)||_F^2 to y_pen_dev_sq, the general bound's
+    numerator. Besides dev, the pass allocates one flat work buffer of
+    (M + Q) x max_j N_j floats, reused by every block.
     """
+    m, q = ds.m, ds.q
+    width = max(ds.class_sizes)
+    work = np.empty((m + q) * width)
+    pen_out = work[m * width:]
     dev = np.empty(ds.x0.shape)
-    delta = delta_p = rho = 0.0
+    delta = delta_p = rho = y_pen_dev_sq = 0.0
     for sl, mean in zip(ds.class_slices(), means.T):
-        block = np.subtract(ds.x0[:, sl], mean[:, None], out=dev[:, sl])
-        delta = max(delta, float(np.max(np.linalg.norm(block, axis=0))))
-        delta_p = max(delta_p, float(np.max(np.linalg.norm(pack.pen @ block, axis=0))))
-        rho = max(rho, float(np.max(np.linalg.norm(ds.x0[:, sl], axis=0))))
+        x_block = ds.x0[:, sl]
+        nj = x_block.shape[1]
+        block = np.subtract(x_block, mean[:, None], out=dev[:, sl])
+        delta = max(delta, _max_column_norm(block, work))
+        rho = max(rho, _max_column_norm(x_block, work))
+        pen_block = np.matmul(pack.pen, block, out=pen_out[:q * nj].reshape(q, nj))
+        delta_p = max(delta_p, _max_column_norm(pen_block, work))
+        y_pen_dev_sq += sum_squares(np.matmul(ds.y, pen_block, out=work[:q * nj].reshape(q, nj)))
     return DatasetStats(
         means=means,
         dev=dev,
@@ -134,6 +175,7 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
         delta_p=delta_p,
         rho=rho,
         n_weights=ds.class_sizes,
+        y_pen_dev_sq=y_pen_dev_sq,
     )
 
 

@@ -39,6 +39,15 @@ def op_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def sum_squares(a: np.ndarray) -> float:
+    """Sum of the squared entries of a 2-D array, forming no temporary: one
+    BLAS dot when a is C-contiguous, an einsum over the strided view otherwise."""
+    if a.flags.c_contiguous:
+        flat = a.reshape(-1)
+        return float(flat @ flat)
+    return float(np.einsum("ij,ij->", a, a))
+
+
 def numerical_rank(a) -> int:
     """Count of singular values above SV_TOLERANCE x the largest; 0 for the zero matrix."""
     return rank_with_margin(a)[0]

@@ -61,16 +61,19 @@ def weighted_lstsq_oracle(hidden, targets_ext, class_sizes, b1):
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """Records one entry per network.forward call, whichever shallowmin module
-    makes it (each module holds its own reference to the function)."""
+    """Records the column count of each network.forward call, whichever
+    shallowmin module makes it (each module holds its own reference to the
+    function). A blocked pass calls forward once per column chunk, so one
+    pass over the data shows as entries summing to N."""
     from shallowmin import network
 
     calls = []
     original = network.forward
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(p, x):
+        x = np.asarray(x)
+        calls.append(x.shape[1] if x.ndim == 2 else 1)
+        return original(p, x)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "shallowmin" and getattr(module, "forward", None) is original:

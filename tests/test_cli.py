@@ -118,6 +118,18 @@ class TestVerify:
         assert "checks passed" in out
         assert "[FAIL]" not in out
 
+    def test_all_on_rectangular_runs_general_suites(self, capsys):
+        assert run(["verify", "all", "--m", 6, "--q", 3]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        checks = [line for line in lines if line.startswith("[")]
+        assert checks and all(line.startswith("[PASS]") for line in checks)
+        assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
+        for prefix in ("bounds.", "invariance.", "metric."):
+            assert any(f"] {prefix}" in line for line in checks)
+        assert captured.err == ("verify all: M=6 != Q=3, not run (M = Q only): "
+                                "exact-min, degeneracy, truncation\n")
+
 
 class TestClassify:
     def test_csv_output(self, tmp_path):

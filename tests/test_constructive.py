@@ -142,7 +142,7 @@ class TestTrainGeneralSelfChecks:
 
     def test_one_forward(self, fitted, forward_calls):
         train_general(*fitted)
-        assert len(forward_calls) == 1
+        assert sum(forward_calls) == fitted[0].n
 
 
 class TestTrainExactMeq:

@@ -19,6 +19,7 @@ from shallowmin import (
     y_ext,
 )
 from shallowmin import cost
+from shallowmin import dataset as dataset_mod
 from shallowmin.cost import (
     MAX_PROJECTOR_N,
     closed_form_min,
@@ -94,17 +95,57 @@ class TestOneForward:
         p = ShallowParams(w1=rng.standard_normal((m, m)), b1=rng.standard_normal(m),
                           w2=rng.standard_normal((q, m)), b2=rng.standard_normal(q))
         report = evaluate(p, ds, stats, pack)
-        assert len(forward_calls) == 1
+        assert sum(forward_calls) == ds.n
         assert report.cost_l2 == cost_l2(p, ds)
         assert report.cost_weighted == cost_weighted(p, ds)
         assert cost.costs(p, ds) == (cost_l2(p, ds), cost_weighted(p, ds))
 
-    def test_residual_matches_materialized_targets(self):
-        ds = synthesize(4, 3, [2, 5, 3], noise=0.2, seed=9)
+
+
+WIDE = dataset_mod._CHUNK_COLUMNS + 37  # one class spans two column chunks
+
+
+class TestBlockedResidual:
+    """The blocked residual kernel against the materialized Q x N residual
+    forward(p, x0)[1] - y_ext(ds) and its plain and weighted norms."""
+
+    @pytest.mark.parametrize("m,q,sizes", [
+        pytest.param(4, 3, [2, 5, 3], id="uneven"),
+        pytest.param(5, 2, [WIDE, 3], id="wide-class"),
+        pytest.param(3, 3, [1, 4, 2], id="one-sample-class"),
+        pytest.param(3, 1, [6], id="q1"),
+        pytest.param(2, 1, [1], id="q1-one-sample"),
+    ])
+    def test_costs_match_materialized_residual(self, m, q, sizes):
+        ds = synthesize(m, q, sizes, noise=0.2, seed=9)
         rng = np.random.default_rng(2)
-        p = ShallowParams(w1=rng.standard_normal((4, 4)), b1=rng.standard_normal(4),
-                          w2=rng.standard_normal((3, 4)), b2=rng.standard_normal(3))
-        assert np.array_equal(cost._residual(p, ds), forward(p, ds.x0)[1] - y_ext(ds))
+        p = ShallowParams(w1=rng.standard_normal((m, m)), b1=rng.standard_normal(m),
+                          w2=rng.standard_normal((q, m)), b2=rng.standard_normal(q))
+        resid = forward(p, ds.x0)[1] - y_ext(ds)
+        ref_l2 = np.linalg.norm(resid) / np.sqrt(ds.n)
+        ref_w = np.sqrt(np.sum(resid * resid * ds.inv_size_weights()[None, :]))
+        c_l2, c_w = cost.costs(p, ds)
+        assert c_l2 == pytest.approx(ref_l2, rel=1e-13)
+        assert c_w == pytest.approx(ref_w, rel=1e-13)
+        assert (cost_l2(p, ds), cost_weighted(p, ds)) == (c_l2, c_w)
+        assert weighted_norm(resid, ds.class_sizes) == pytest.approx(ref_w, rel=1e-13)
+
+    def test_wide_class_is_forwarded_in_chunks(self, forward_calls):
+        ds = synthesize(5, 2, [WIDE, 3], noise=0.2, seed=9)
+        cost.costs(linear_params(np.eye(2, 5)), ds)
+        assert forward_calls == [dataset_mod._CHUNK_COLUMNS, 37, 3]
+
+
+def test_bound_general_matches_materialized_product():
+    base = synthesize(7, 3, [40, 25, 31], noise=0.1, seed=6)
+    y = np.array([[2.0, 0.5, -1.0], [0.3, 1.0, 0.0], [-0.7, 0.2, 3.0]])
+    assert not np.allclose(y.T @ y, np.diag(np.diag(y.T @ y)))  # not orthogonal
+    ds = replace(base, y=y)
+    stats, pack = dataset_stats(ds)
+    b_l2, b_dp = bound_general(ds, stats, pack)
+    ref = np.linalg.norm((y @ pack.pen) @ stats.dev) / np.sqrt(ds.n)
+    assert b_l2 == pytest.approx(ref, rel=1e-13)
+    assert b_dp == np.linalg.svd(y, compute_uv=False)[0] * stats.delta_p
 
 
 def probes(n):

@@ -1,11 +1,13 @@
 """Memory guards for the general-regime pipeline: the statistics retain one
-M x N array, and a cost report stays under three M x N arrays of transient
-memory."""
+M x N array, training keeps under one M x N array of transient memory, and a
+cost report under half of one (it forwards column chunks and reads the bound
+from the statistics)."""
 
 import dataclasses
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from shallowmin import dataset_stats, evaluate, synthesize, train_general
 
@@ -18,14 +20,33 @@ def test_stats_retain_one_m_by_n_array():
     assert retained == 8 * (ds.m * ds.n + ds.m * ds.q)
 
 
-def test_evaluate_peak_under_three_m_by_n_arrays():
+@pytest.fixture(scope="module")
+def fitted():
     ds = synthesize(40, 20, [1000] * 20, noise=0.05, seed=3)
     stats, pack = dataset_stats(ds)
-    params = train_general(ds, stats, pack)
+    return ds, stats, pack, train_general(ds, stats, pack)
+
+
+def traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
-        evaluate(params, ds, stats, pack)
+        fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * ds.x0.nbytes
+    return peak
+
+
+def test_evaluate_peak_under_three_m_by_n_arrays(fitted):
+    ds, stats, pack, params = fitted
+    assert traced_peak(evaluate, params, ds, stats, pack) < 3 * ds.x0.nbytes
+
+
+def test_evaluate_peak_under_half_an_m_by_n_array(fitted):
+    ds, stats, pack, params = fitted
+    assert traced_peak(evaluate, params, ds, stats, pack) < 0.5 * ds.x0.nbytes
+
+
+def test_train_general_peak_under_one_m_by_n_array(fitted):
+    ds, stats, pack, _ = fitted
+    assert traced_peak(train_general, ds, stats, pack) < 1.0 * ds.x0.nbytes
