@@ -42,10 +42,6 @@ MAX_PROJECTOR_N = 5000
 CROSS_CHECK_RTOL = 1e-9
 
 
-def frob(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
 def weighted_norm(a: np.ndarray, class_sizes) -> float:
     """sqrt(Tr(A N^-1 A^T)): Frobenius norm with columns weighted by 1/N_j per
     class, summed class block by class block with no temporary."""
@@ -184,7 +180,7 @@ def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
     relative deviation Gram d2: the weighted-cost minimum over the tied
     output-layer family."""
     w, v = _psd_eig(d2)
-    return frob((y @ v) * np.sqrt(w / (1.0 + w))[None, :])
+    return float(np.linalg.norm((y @ v) * np.sqrt(w / (1.0 + w))[None, :]))
 
 
 def _cross_checked_min(ds: ClassifiedDataset, stats: DatasetStats, d2: np.ndarray) -> float:
