@@ -16,10 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-from .cost import bound_general, cost_l2, cost_weighted, exact_min_weighted, normal_w2
-from .dataset import ClassifiedDataset, DatasetStats, column_chunks
+from .cost import _residual_sums, bound_general, cost_weighted, exact_min_weighted, normal_w2
+from .dataset import ClassifiedDataset, DatasetStats
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
-from .linalg import ProjectorPack, penrose_inverse
+from .linalg import ProjectorPack, op_norm, penrose_inverse
 from .network import ShallowParams, forward
 
 
@@ -51,48 +51,6 @@ def w2_tilde(ds: ClassifiedDataset, stats: DatasetStats) -> np.ndarray:
     return ds.y @ penrose_inverse(stats.means)
 
 
-def _check_first_layer(
-    ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack, beta1: float
-) -> None:
-    """The activation must act as the identity on the signal block and delete
-    the noise block. One product [r p ; (r p_perp)[q:]] @ x0 serves all three
-    checks: its first q rows carry the rotated projected data (lifted by
-    beta1), rows q..m-1 are the trailing rows of r p x0, which vanish in exact
-    arithmetic and only need a round-off bound, and the last m-q rows are the
-    noise block, pushed down by delta. The product is formed column chunk by
-    column chunk in one reused buffer, keeping only the signal minimum, the
-    trailing extremes and the noise maximum. Rounding is monotone, so
-    min(a) + beta1 and max(a) - delta equal the extremes of the shifted rows
-    exactly."""
-    m, q = ds.m, ds.q
-    stacked = np.vstack([pack.r @ pack.p, (pack.r @ pack.p_perp)[q:]])
-    n_rows = stacked.shape[0]
-    chunks = list(column_chunks(slice(0, ds.n)))
-    buf = np.empty(n_rows * chunks[0].stop)  # the first chunk is the widest
-    signal_min = trailing_min = np.inf
-    trailing_max = noise_max = -np.inf
-    for chunk in chunks:
-        width = chunk.stop - chunk.start
-        rows = np.matmul(stacked, ds.x0[:, chunk], out=buf[:n_rows * width].reshape(n_rows, width))
-        signal_min = min(signal_min, float(rows[:q].min()))
-        if m > q:
-            trailing_min = min(trailing_min, float(rows[q:m].min()))
-            trailing_max = max(trailing_max, float(rows[q:m].max()))
-            noise_max = max(noise_max, float(rows[m:].max()))
-    signal = signal_min + beta1
-    if signal < 0.0:
-        raise BetaTooSmall(
-            f"beta1={beta1!r} leaves signal pre-activation at {signal:.3e} < 0"
-        )
-    if m > q:
-        junk = max(trailing_max, -trailing_min)
-        if junk > 1e-9 * (1.0 + stats.rho):
-            raise ConsistencyError(f"signal block leaks {junk:.3e} into noise rows")
-        leak = noise_max - stats.delta
-        if leak > 1e-9 * (1.0 + stats.rho):
-            raise ConsistencyError(f"noise block leaks {leak:.3e} above zero")
-
-
 def train_general(
     ds: ClassifiedDataset,
     stats: DatasetStats,
@@ -106,6 +64,17 @@ def train_general(
     rotated class means to targets in the least-squares sense; b2 reverts the
     signal-block translation. The resulting L2 cost equals the closed-form
     bound up to round-off.
+
+    One blocked pass of the network over the data yields the cost and, from
+    each chunk's hidden layer, the three first-layer checks, all run before
+    the cost is compared with the bound:
+    - the activation keeps the signal block: the hidden signal rows
+      relu(r x + beta1) stay above 0 (BetaTooSmall otherwise);
+    - the signal block does not leak into the noise rows: the rows q.. of
+      r p x, zero in exact arithmetic, are bounded without the data by
+      op_norm((r p)[q:]) rho, never below their largest entry;
+    - the activation deletes the noise block: the hidden noise rows
+      relu((r x)[q:] - delta) stay at 0 up to round-off.
     """
     m, q = ds.m, ds.q
     beta1 = cfg.beta1(stats.rho)
@@ -116,8 +85,27 @@ def train_general(
     b2 = -(w2 @ signal_bias)
     params = ShallowParams(w1=r, b1=b1, w2=w2, b2=b2)
 
-    _check_first_layer(ds, stats, pack, beta1)
-    achieved = cost_l2(params, ds)
+    signal_min, noise_max = np.inf, 0.0
+
+    def track(hidden):
+        nonlocal signal_min, noise_max
+        signal_min = min(signal_min, float(hidden[:q].min()))
+        if m > q:
+            noise_max = max(noise_max, float(hidden[q:].max()))
+
+    total, _ = _residual_sums(params, ds, track)
+    if not signal_min > 0.0:
+        raise BetaTooSmall(
+            f"beta1={beta1!r} leaves signal pre-activation at or below 0"
+        )
+    tol = 1e-9 * (1.0 + stats.rho)
+    if m > q:
+        junk = op_norm((r @ pack.p)[q:]) * stats.rho
+        if junk > tol:
+            raise ConsistencyError(f"signal block leaks up to {junk:.3e} into noise rows")
+        if noise_max > tol:
+            raise ConsistencyError(f"noise block leaks {noise_max:.3e} above zero")
+    achieved = float(np.sqrt(total) / np.sqrt(ds.n))
     bound_l2, _ = bound_general(ds, stats, pack)
     if achieved > bound_l2 + 1e-10 * (1.0 + bound_l2):
         raise ConsistencyError(

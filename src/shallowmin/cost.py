@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ClassifiedDataset, DatasetStats, block_slices, column_chunks, y_ext
+from .dataset import ClassifiedDataset, DatasetStats, block_slices, column_chunks, deviations, y_ext
 from .errors import (
     ConsistencyError,
     NotPositiveSemidefinite,
@@ -49,17 +49,22 @@ def weighted_norm(a: np.ndarray, class_sizes) -> float:
                              for sl, nj in zip(block_slices(class_sizes), class_sizes))))
 
 
-def _residual_sums(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
+def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> tuple[float, float]:
     """(sum ||r||^2, sum_j ||r_j||^2 / N_j) of the residual r = X2 - Yext.
 
     The network runs on each class block in column chunks; y_j is subtracted
     in place from each chunk's output, whose squares are summed before the
-    next chunk, so no M x N hidden layer and no Q x N residual is formed."""
+    next chunk, so no M x N hidden layer and no Q x N residual is formed.
+    on_hidden, if given, is called with each chunk's hidden layer, so a
+    caller can check the hidden layer within this same pass."""
     total = weighted = 0.0
     for sl, target, nj in zip(ds.class_slices(), ds.y.T, ds.class_sizes):
         block = 0.0
         for chunk in column_chunks(sl):
-            resid = forward(p, ds.x0[:, chunk])[1]
+            hidden, resid = forward(p, ds.x0[:, chunk])
+            if on_hidden is not None:
+                on_hidden(hidden)
+            del hidden  # freed before the next chunk's hidden layer is formed
             resid -= target[:, None]
             block += sum_squares(resid)
         total += block
@@ -162,7 +167,7 @@ def relative_deviations(
     s = np.linalg.svd(stats.means, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
         raise SingularMeans("reduced mean matrix is numerically singular")
-    return relative_gram(stats.means, stats.dev, ds.inv_size_weights())
+    return relative_gram(stats.means, deviations(ds, stats.means), ds.inv_size_weights())
 
 
 def _psd_eig(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,13 +279,13 @@ def lstsq_output_layer(
     theta = theta_t.T
     if free_intercept:
         w2, b2 = theta[:, :-1], theta[:, -1]
-        resid = w2 @ hidden + b2[:, None] - targets_ext
     else:
         w2 = theta
         b2 = -w2 @ np.asarray(b1, dtype=float).reshape(-1)
-        resid = w2 @ hidden + b2[:, None] - targets_ext
-    value = float(np.sqrt(np.sum(resid * resid * (sqrt_w**2)[None, :])))
-    return w2, b2, value
+    resid = w2 @ hidden
+    resid += b2[:, None]
+    resid -= targets_ext
+    return w2, b2, weighted_norm(resid, class_sizes)
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 A dataset holds Q classes of M-dimensional samples stored column-wise,
 grouped class by class, together with a Q x Q matrix of linearly independent
-target columns. Statistics (class means, deviations, the noise scales delta
-and delta_p, the sample-norm scale rho, and ||Y pen dev||_F^2, the square of
-the general cost bound's numerator) are computed in two passes: means first,
-then the projector pack of the means, then the projected quantities.
+target columns. Statistics (class means, the noise scales delta and delta_p,
+the sample-norm scale rho, and ||Y pen dev||_F^2, the square of the general
+cost bound's numerator) are computed in two passes: means first, then the
+projector pack of the means, then the projected quantities. The deviations
+dev = X0 - mean_ext are not retained; deviations() forms them on demand.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 from .errors import DegenerateMeans, DimensionError, RankDeficient
 from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, sum_squares
 
-# Widest column block that the blocked passes over the data (the residual of
-# the cost functionals, the first-layer check of the general construction)
-# hand to one product; it bounds their reusable buffers.
+# Widest column block that the blocked pass over the data (the residual of the
+# cost functionals, which also carries the first-layer checks of the general
+# construction) hands to one product; it bounds the pass's per-chunk arrays.
 _CHUNK_COLUMNS = 2048
 
 
@@ -81,8 +82,6 @@ class DatasetStats:
     """Derived statistics of a ClassifiedDataset.
 
     means:    M x Q class means (column j is the mean of class j)
-    dev:      M x N per-sample deviations from the class mean, the only
-              retained M x N array
     delta:    max Euclidean norm over deviation columns
     delta_p:  max Euclidean norm over columns of pen @ dev (scale invariant)
     rho:      max Euclidean norm over sample columns
@@ -91,10 +90,11 @@ class DatasetStats:
               general bound is bound_l2 = sqrt(y_pen_dev_sq / N), so it is
               carried here as one float rather than recomputed from dev
     mean_ext: M x N means repeated per class block, computed on access
+
+    No M x N array is retained; deviations(ds, means) forms dev on demand.
     """
 
     means: np.ndarray
-    dev: np.ndarray
     delta: float
     delta_p: float
     rho: float
@@ -129,6 +129,15 @@ def y_ext(ds: ClassifiedDataset) -> np.ndarray:
     return np.repeat(ds.y, ds.class_sizes, axis=1)
 
 
+def deviations(ds: ClassifiedDataset, means: np.ndarray) -> np.ndarray:
+    """M x N per-sample deviations dev = x0 - mean_ext from the class means,
+    formed on each call as a C-ordered array, block by block."""
+    dev = np.empty(ds.x0.shape)
+    for sl, mean in zip(ds.class_slices(), means.T):
+        np.subtract(ds.x0[:, sl], mean[:, None], out=dev[:, sl])
+    return dev
+
+
 def _max_column_norm(a: np.ndarray, buf: np.ndarray) -> float:
     """max over columns of ||a[:, i]||, equal bit for bit to
     np.max(np.linalg.norm(a, axis=0)): the squares go into a view of the flat
@@ -146,23 +155,25 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
 
     delta_p needs the pseudoinverse of the means, hence the two-pass
     construction (means -> pack -> stats). The stats pass visits each class
-    block once: it subtracts the block's own mean into dev (equal bit for bit
-    to x0 - mean_ext), takes the block's column norms of dev, x0 and pen @ dev
-    (pen @ p = pen, so the projector is not applied), and adds
-    ||Y (pen @ dev block)||_F^2 to y_pen_dev_sq, the general bound's
-    numerator. Besides dev, the pass allocates one flat work buffer of
-    (M + Q) x max_j N_j floats, reused by every block.
+    block once: it subtracts the block's own mean into a reused M x max_j N_j
+    row-major buffer (a strided view like a column block of the C-ordered
+    deviations(ds, means), and equal to it bit for bit), takes the block's
+    column norms of dev, x0 and pen @ dev (pen @ p = pen, so the projector is
+    not applied), and adds ||Y (pen @ dev block)||_F^2 to y_pen_dev_sq, the
+    general bound's numerator. Besides that deviation buffer, the pass
+    allocates one flat work buffer of (M + Q) x max_j N_j floats, reused by
+    every block, and retains no M x N array.
     """
     m, q = ds.m, ds.q
     width = max(ds.class_sizes)
     work = np.empty((m + q) * width)
     pen_out = work[m * width:]
-    dev = np.empty(ds.x0.shape)
+    dev_buf = np.empty((m, width))
     delta = delta_p = rho = y_pen_dev_sq = 0.0
     for sl, mean in zip(ds.class_slices(), means.T):
         x_block = ds.x0[:, sl]
         nj = x_block.shape[1]
-        block = np.subtract(x_block, mean[:, None], out=dev[:, sl])
+        block = np.subtract(x_block, mean[:, None], out=dev_buf[:, :nj])
         delta = max(delta, _max_column_norm(block, work))
         rho = max(rho, _max_column_norm(x_block, work))
         pen_block = np.matmul(pack.pen, block, out=pen_out[:q * nj].reshape(q, nj))
@@ -170,7 +181,6 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
         y_pen_dev_sq += sum_squares(np.matmul(ds.y, pen_block, out=work[:q * nj].reshape(q, nj)))
     return DatasetStats(
         means=means,
-        dev=dev,
         delta=delta,
         delta_p=delta_p,
         rho=rho,

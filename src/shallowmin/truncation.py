@@ -33,7 +33,8 @@ class TruncationResult:
 
     min_cost_weighted is present iff the truncation preserved both ranks; the
     relative-deviation matrices and delta_p_tr are the truncated analogues of
-    the dataset statistics.
+    the dataset statistics. lstsq_oracle is the least-squares value that
+    min_cost_weighted was checked against; to_dict leaves it out.
     """
 
     tau_x0: np.ndarray = field(repr=False)
@@ -45,6 +46,7 @@ class TruncationResult:
     delta_p_tr: float | None = None
     delta1_rel_tr: np.ndarray | None = field(default=None, repr=False)
     delta2_rel_tr: np.ndarray | None = field(default=None, repr=False)
+    lstsq_oracle: float | None = field(default=None, repr=False)
 
     def to_dict(self, include_matrices: bool = False) -> dict:
         doc = {
@@ -154,6 +156,7 @@ def _min_over_output_layer(
     result.delta2_rel_tr = d2_tr
     hidden = relu(w1 @ ds.x0 + b1[:, None])
     _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=b1)
+    result.lstsq_oracle = oracle
     if abs(value - oracle) > ORACLE_RTOL * (1.0 + max(value, oracle)):
         raise ConsistencyError(
             f"closed-form minimum {value!r} disagrees with least squares {oracle!r}"

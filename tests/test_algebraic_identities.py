@@ -15,6 +15,7 @@ from shallowmin import (
 )
 from shallowmin.constructive import exact_w2, w2_tilde
 from shallowmin.cost import _gram, weighted_norm
+from shallowmin.dataset import deviations
 
 
 @pytest.fixture(params=[0, 1, 2])
@@ -28,7 +29,8 @@ def test_gram_decomposes_into_means_plus_deviations(square_ds):
     ds = square_ds
     stats, _ = dataset_stats(ds)
     inv_n = ds.inv_size_weights()
-    d2_raw = (stats.dev * inv_n[None, :]) @ stats.dev.T
+    dev = deviations(ds, stats.means)
+    d2_raw = (dev * inv_n[None, :]) @ dev.T
     decomposed = stats.means @ stats.means.T + d2_raw
     assert np.allclose(_gram(ds.x0, inv_n), decomposed, atol=1e-12)
 

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallowmin import (
     ConstructiveConfig,
@@ -26,6 +28,7 @@ from shallowmin.constructive import (
 )
 from shallowmin import constructive
 from shallowmin.errors import BetaTooSmall, ConsistencyError, WrongRegime
+from shallowmin.linalg import op_norm
 from tests.conftest import weighted_lstsq_oracle
 
 
@@ -143,6 +146,31 @@ class TestTrainGeneralSelfChecks:
     def test_one_forward(self, fitted, forward_calls):
         train_general(*fitted)
         assert sum(forward_calls) == fitted[0].n
+
+    def test_signal_positivity_guard_fires_for_tiny_beta(self, fitted):
+        ds, stats, pack = fitted
+        # Bypass the config floor so that beta1 = 0.05 < rho; some signal
+        # coordinate of r x0 lies below -beta1 (about -2.49 here).
+        cfg = ConstructiveConfig(beta1_margin=0.0)
+        object.__setattr__(cfg, "beta1_margin", 0.05 - 2.0 * stats.rho)
+        with pytest.raises(BetaTooSmall, match="leaves signal pre-activation"):
+            train_general(ds, stats, pack, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 7), data=st.data())
+    def test_trailing_row_bound_covers_the_data(self, m, data):
+        # The signal-leak check bounds the trailing rows of r p x0 by
+        # op_norm((r p)[q:]) rho without reading the data; that bound is
+        # never below the largest entry it stands for.
+        q = data.draw(st.integers(1, m - 1), label="q")
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=q, max_size=q), label="sizes")
+        scale = data.draw(st.floats(1e-3, 1e3), label="mean_scale")
+        noise = data.draw(st.floats(0.0, 0.5), label="noise") * scale
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        ds = synthesize(m, q, sizes, mean_scale=scale, noise=noise, seed=seed)
+        stats, pack = dataset_stats(ds)
+        trailing = (pack.r @ pack.p)[q:]
+        assert op_norm(trailing) * stats.rho >= np.max(np.abs(trailing @ ds.x0))
 
 
 class TestTrainExactMeq:

@@ -143,7 +143,7 @@ def test_bound_general_matches_materialized_product():
     ds = replace(base, y=y)
     stats, pack = dataset_stats(ds)
     b_l2, b_dp = bound_general(ds, stats, pack)
-    ref = np.linalg.norm((y @ pack.pen) @ stats.dev) / np.sqrt(ds.n)
+    ref = np.linalg.norm((y @ pack.pen) @ dataset_mod.deviations(ds, stats.means)) / np.sqrt(ds.n)
     assert b_l2 == pytest.approx(ref, rel=1e-13)
     assert b_dp == np.linalg.svd(y, compute_uv=False)[0] * stats.delta_p
 
@@ -268,7 +268,8 @@ class TestRelativeDeviations:
         stats, _ = dataset_stats(delta01_dataset)
         d1, d2 = relative_deviations(delta01_dataset, stats)
         assert np.allclose(d2, 0.01 * np.eye(2), atol=1e-15)
-        assert np.allclose(d1, stats.dev, atol=1e-15)  # means = I here
+        dev = dataset_mod.deviations(delta01_dataset, stats.means)
+        assert np.allclose(d1, dev, atol=1e-15)  # means = I here
 
     def test_zero_noise(self, zero_noise_dataset):
         stats, _ = dataset_stats(zero_noise_dataset)

@@ -5,6 +5,7 @@ import pytest
 
 from shallowmin import ClassifiedDataset, class_means, dataset_stats, synthesize, y_ext
 from shallowmin.dataset import (
+    deviations,
     from_samples,
     load_csv,
     load_dataset,
@@ -18,7 +19,7 @@ class TestStats:
     def test_zero_noise(self, zero_noise_dataset):
         stats, _ = dataset_stats(zero_noise_dataset)
         assert np.allclose(stats.means, np.eye(2))
-        assert np.all(stats.dev == 0.0)
+        assert np.all(deviations(zero_noise_dataset, stats.means) == 0.0)
         assert stats.delta == 0.0
         assert stats.delta_p == 0.0
 
@@ -34,22 +35,23 @@ class TestStats:
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1),
                                x0=np.array([[2.0, 0.0], [0.0, 3.0]]), y=np.eye(2))
         stats, _ = dataset_stats(ds)
-        assert np.all(stats.dev == 0.0)
+        assert np.all(deviations(ds, stats.means) == 0.0)
         assert stats.delta_p == 0.0
 
     def test_per_class_deviation_sums_vanish(self):
         ds = synthesize(4, 3, [5, 9, 3], noise=0.2, seed=11)
         stats, _ = dataset_stats(ds)
+        dev = deviations(ds, stats.means)
         start = 0
         for nj in ds.class_sizes:
-            block_sum = stats.dev[:, start:start + nj].sum(axis=1)
+            block_sum = dev[:, start:start + nj].sum(axis=1)
             assert np.linalg.norm(block_sum) <= 1e-9 * nj * stats.rho
             start += nj
 
     def test_reconstruction_bitwise(self):
         ds = synthesize(3, 2, [4, 4], noise=0.3, seed=5)
         stats, _ = dataset_stats(ds)
-        assert np.array_equal(ds.x0, stats.mean_ext + stats.dev)
+        assert np.array_equal(ds.x0, stats.mean_ext + deviations(ds, stats.means))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_block_stats_match_full_array_bitwise(self, order):
@@ -61,7 +63,7 @@ class TestStats:
                                x0=np.asarray(base.x0, order=order), y=base.y)
         stats, _ = dataset_stats(ds)
         dev = ds.x0 - np.repeat(stats.means, ds.class_sizes, axis=1)
-        assert np.array_equal(stats.dev, dev)
+        assert np.array_equal(deviations(ds, stats.means), dev)
         assert stats.delta == float(np.max(np.linalg.norm(dev, axis=0)))
         assert stats.rho == float(np.max(np.linalg.norm(ds.x0, axis=0)))
 
@@ -119,7 +121,8 @@ class TestSynthesize:
         b = synthesize(3, 2, [4, 4], noise=0.04, seed=21)
         sa, _ = dataset_stats(a)
         sb, _ = dataset_stats(b)
-        assert np.allclose(sa.dev, 2.0 * sb.dev, rtol=0, atol=1e-15)
+        assert np.allclose(deviations(a, sa.means), 2.0 * deviations(b, sb.means),
+                           rtol=0, atol=1e-15)
 
     def test_q_greater_than_m_rejected(self):
         with pytest.raises(DimensionError):

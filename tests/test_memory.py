@@ -1,7 +1,8 @@
-"""Memory guards for the general-regime pipeline: the statistics retain one
-M x N array, training keeps under one M x N array of transient memory, and a
-cost report under half of one (it forwards column chunks and reads the bound
-from the statistics)."""
+"""Memory guards for the general-regime pipeline: the statistics retain no
+M x N array and their pass keeps under a quarter of one (it works in
+class-block buffers), training keeps under one M x N array of transient
+memory, and a cost report under half of one (it forwards column chunks and
+reads the bound from the statistics)."""
 
 import dataclasses
 import tracemalloc
@@ -17,7 +18,7 @@ def test_stats_retain_one_m_by_n_array():
     stats, _ = dataset_stats(ds)
     arrays = [getattr(stats, f.name) for f in dataclasses.fields(stats)]
     retained = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    assert retained == 8 * (ds.m * ds.n + ds.m * ds.q)
+    assert retained == 8 * ds.m * ds.q
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,11 @@ def traced_peak(fn, *args) -> int:
     finally:
         tracemalloc.stop()
     return peak
+
+
+def test_dataset_stats_peak_under_a_quarter_m_by_n_array(fitted):
+    ds = fitted[0]
+    assert traced_peak(dataset_stats, ds) < 0.25 * ds.x0.nbytes
 
 
 def test_evaluate_peak_under_three_m_by_n_arrays(fitted):

@@ -230,6 +230,29 @@ class TestSuiteReusesSweep:
         assert checks["truncation.reapplication-identity"] \
             == clean["truncation.reapplication-identity"]
 
+    def test_oracle_read_from_the_sweep(self, monkeypatch):
+        # The closed-vs-lstsq check reads the oracle value the sweep already
+        # compared: one least-squares solve per rank-preserving point.
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        calls = []
+        original = truncation.lstsq_output_layer
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(truncation, "lstsq_output_layer", counting)
+        monkeypatch.setattr(verify, "lstsq_output_layer", counting)
+        points = verify.sweep_fixed_point_region(ds, verify.default_truncation_grid(ds))
+        n_preserving = sum(p.result is not None and p.result.min_cost_weighted is not None
+                           for p in points)
+        assert n_preserving > 0 and len(calls) == n_preserving
+        assert all("lstsq_oracle" not in p.to_dict(include_matrices=True) for p in points)
+        calls.clear()
+        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        assert len(calls) == n_preserving
+        assert checks["truncation.closed-vs-lstsq"].passed
+
 
 def test_closed_form_vs_lstsq_over_random_clippings():
     ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=20)
