@@ -6,7 +6,8 @@ and the size-weighted cost sqrt(sum_j ||residual_j||_F^2 / N_j), which removes
 the dependence of each class's contribution on its sample count. Both come from
 one blocked residual kernel: it runs the network on each class block in column
 chunks, subtracts y_j in place and sums squares chunk by chunk, so neither the
-M x N hidden layer nor the Q x N residual is formed. The general bound
+M x N hidden layer nor the Q x N residual is formed; train_general reads its
+first-layer checks off the same pass's hidden layers. The general bound
 (1/sqrt(N)) ||Y pen dev||_F is read from the statistics, whose pass over the
 data already sums ||Y pen dev||_F^2, so bound_general costs O(Q^2). The closed
 forms of the M = Q regime are functions of the relative deviation Gram matrix
