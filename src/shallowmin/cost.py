@@ -7,7 +7,14 @@ the dependence of each class's contribution on its sample count. Both come from
 one blocked residual kernel: it runs the network on each class block in column
 chunks, subtracts y_j in place and sums squares chunk by chunk, so neither the
 M x N hidden layer nor the Q x N residual is formed; train_general reads its
-first-layer checks off the same pass's hidden layers. The general bound
+first-layer checks off the same pass's hidden layers. Every full pass records
+its two sums on the ShallowParams it ran, with a weak reference to the
+dataset, and a later cost query (costs, cost_l2, cost_weighted, evaluate) on
+the same params and the same dataset object reads that record instead of
+running the network again; so evaluate after train_general costs no pass. A
+call that checks hidden layers (train_general's) never reads a record. Both
+objects keep read-only views of their arrays, so a record cannot go stale
+through them. The general bound
 (1/sqrt(N)) ||Y pen dev||_F is read from the statistics, whose pass over the
 data already sums ||Y pen dev||_F^2, so bound_general costs O(Q^2). The closed
 forms of the M = Q regime are functions of the relative deviation Gram matrix
@@ -21,6 +28,7 @@ identity, for tests that compare against it; it refuses N > MAX_PROJECTOR_N.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +65,15 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
     in place from each chunk's output, whose squares are summed before the
     next chunk, so no M x N hidden layer and no Q x N residual is formed.
     on_hidden, if given, is called with each chunk's hidden layer, so a
-    caller can check the hidden layer within this same pass."""
+    caller can check the hidden layer within this same pass.
+
+    Each full pass records its sums on p (p._residual_record) with a weak
+    reference to ds. Without on_hidden, a record of this same dataset object
+    is returned as it stands and the network does not run; with on_hidden
+    the pass always runs, so a check reads only values it produced."""
+    record = p._residual_record
+    if on_hidden is None and record is not None and record[0]() is ds:
+        return record[1], record[2]
     total = weighted = 0.0
     for sl, target, nj in zip(ds.class_slices(), ds.y.T, ds.class_sizes):
         block = 0.0
@@ -70,6 +86,7 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
             block += sum_squares(resid)
         total += block
         weighted += block / nj
+    object.__setattr__(p, "_residual_record", (weakref.ref(ds), total, weighted))
     return total, weighted
 
 
@@ -84,7 +101,8 @@ def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
 
 
 def costs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
-    """(cost_l2, cost_weighted) from one pass of the network over the data."""
+    """(cost_l2, cost_weighted) from one pass of the network over the data,
+    or from the sums a previous pass recorded for p on this dataset object."""
     total, weighted = _residual_sums(p, ds)
     return float(np.sqrt(total) / np.sqrt(ds.n)), float(np.sqrt(weighted))
 
@@ -328,7 +346,8 @@ def evaluate(
     pack: ProjectorPack,
     include_matrices: bool = False,
 ) -> CostReport:
-    """Full cost report for one parameter set on one dataset."""
+    """Full cost report for one parameter set on one dataset. The costs are
+    read from the record of a trainer's pass over ds when p carries one."""
     b_l2, b_dp = bound_general(ds, stats, pack)
     c_l2, c_w = costs(p, ds)
     report = CostReport(

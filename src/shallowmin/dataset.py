@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateMeans, DimensionError, RankDeficient
-from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, sum_squares
+from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, read_only, sum_squares
 
 # Widest column block that the blocked pass over the data (the residual of the
 # cost functionals, which also carries the first-layer checks of the general
@@ -41,6 +41,11 @@ def column_chunks(sl: slice):
 
 @dataclass(frozen=True)
 class ClassifiedDataset:
+    """x0 and y are kept as read-only views, so a write through ds.x0 raises
+    ValueError; the arrays they were built from stay writable and must not be
+    written while the dataset is in use (costs recorded on a ShallowParams are
+    reused for the same dataset object)."""
+
     m: int
     q: int
     class_sizes: tuple[int, ...]
@@ -50,8 +55,8 @@ class ClassifiedDataset:
     def __post_init__(self):
         x0 = as_matrix(self.x0, "x0")
         y = as_matrix(self.y, "y")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x0", read_only(x0))
+        object.__setattr__(self, "y", read_only(y))
         object.__setattr__(self, "class_sizes", tuple(int(s) for s in self.class_sizes))
         if self.q > self.m:
             raise DimensionError(f"need Q <= M, got Q={self.q}, M={self.m}")

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import json
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from shallowmin import (
     forward,
     relative_deviations,
     synthesize,
+    train_exact_meq,
+    train_general,
     y_ext,
 )
 from shallowmin import cost
@@ -31,6 +35,7 @@ from shallowmin.cost import (
     weighted_norm_y_delta1,
 )
 from shallowmin.errors import ConsistencyError, SingularGram, WrongRegime
+from shallowmin.network import params_from_dict, params_to_dict
 from shallowmin.verify import random_gl
 from tests.conftest import weighted_lstsq_oracle
 
@@ -100,6 +105,93 @@ class TestOneForward:
         assert report.cost_weighted == cost_weighted(p, ds)
         assert cost.costs(p, ds) == (cost_l2(p, ds), cost_weighted(p, ds))
 
+
+
+class TestResidualRecord:
+    """A full residual pass records its sums on the params it ran; a cost
+    query on the same params and the same dataset object reads the record,
+    and a pass that checks hidden layers (a trainer's) never does."""
+
+    @pytest.fixture
+    def general(self):
+        ds = synthesize(6, 3, [40, 25, 31], noise=0.1, seed=6)
+        stats, pack = dataset_stats(ds)
+        return ds, stats, pack
+
+    def test_evaluate_after_training_runs_no_pass(self, general, forward_calls):
+        ds, stats, pack = general
+        params = train_general(ds, stats, pack)
+        report = evaluate(params, ds, stats, pack)
+        assert sum(forward_calls) == ds.n
+        fresh = params_from_dict(params_to_dict(params))
+        assert report.to_dict() == evaluate(fresh, ds, stats, pack).to_dict()
+        assert sum(forward_calls) == 2 * ds.n
+
+    def test_other_dataset_objects_run_their_own_pass(self, general, forward_calls):
+        ds, stats, pack = general
+        params = train_general(ds, stats, pack)
+        own = evaluate(params, ds, stats, pack).to_dict()
+        twin = ClassifiedDataset(m=ds.m, q=ds.q, class_sizes=ds.class_sizes,
+                                 x0=ds.x0.copy(), y=ds.y.copy())
+        scaled = replace(ds, x0=3.0 * ds.x0)
+        for other in (twin, scaled, ds):
+            stats_o, pack_o = dataset_stats(other)
+            forward_calls.clear()
+            report = evaluate(params, other, stats_o, pack_o).to_dict()
+            assert sum(forward_calls) == other.n
+            fresh = params_from_dict(params_to_dict(params))
+            assert report == evaluate(fresh, other, stats_o, pack_o).to_dict()
+            assert (report == own) == (other is not scaled)
+
+    def test_trainers_never_read_a_record(self, general, forward_calls):
+        ds, stats, pack = general
+        params = train_general(ds, stats, pack)
+        train_general(ds, stats, pack)
+        assert sum(forward_calls) == 2 * ds.n
+        hidden_columns = []
+        cost._residual_sums(params, ds, lambda h: hidden_columns.append(h.shape[1]))
+        assert sum(forward_calls) == 3 * ds.n and sum(hidden_columns) == ds.n
+        square = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
+        stats_sq, _ = dataset_stats(square)
+        forward_calls.clear()
+        train_exact_meq(square, stats_sq)
+        train_exact_meq(square, stats_sq)
+        assert sum(forward_calls) == 2 * square.n
+
+    def test_arrays_are_read_only_views(self):
+        w2 = np.eye(3, 6)
+        x0 = synthesize(6, 3, [4, 4, 4], noise=0.1, seed=1).x0.copy()
+        p = ShallowParams(w1=np.eye(6), b1=np.zeros(6), w2=w2, b2=np.zeros(3))
+        ds = ClassifiedDataset(m=6, q=3, class_sizes=(4, 4, 4), x0=x0, y=np.eye(3))
+        with pytest.raises(ValueError):
+            p.w2[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.x0[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            np.add(p.b1, 1.0, out=p.b1)
+        assert w2.flags.writeable and x0.flags.writeable
+        w2[0, 0] = 2.0
+        x0[0, 0] = 2.0
+
+    def test_identity_and_serialization_unchanged(self):
+        p = ShallowParams(w1=[[1.0, 0.5], [0.0, 2.0]], b1=[2.0, 3.0], w2=[[3.0, -1.0]], b2=[4.0])
+        ds = synthesize(2, 1, [5], noise=0.1, seed=1)
+        cost_l2(p, ds)
+        assert p._residual_record is not None
+        assert repr(p) == ("ShallowParams(w1=array([[1. , 0.5],\n       [0. , 2. ]]), "
+                           "b1=array([2., 3.]), w2=array([[ 3., -1.]]), b2=array([4.]))")
+        assert json.dumps(params_to_dict(p)) == (
+            '{"w1": [[1.0, 0.5], [0.0, 2.0]], "b1": [2.0, 3.0], "w2": [[3.0, -1.0]], "b2": [4.0]}')
+        assert [f.name for f in fields(p) if f.compare] == ["w1", "b1", "w2", "b2"]
+        assert p == p
+
+    def test_pickled_params_are_read_only_and_carry_no_record(self, general):
+        ds, stats, pack = general
+        params = train_general(ds, stats, pack)
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy._residual_record is None
+        assert not copy.w1.flags.writeable
+        assert cost.costs(copy, ds) == cost.costs(params, ds)
 
 
 WIDE = dataset_mod._CHUNK_COLUMNS + 37  # one class spans two column chunks

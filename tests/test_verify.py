@@ -28,6 +28,14 @@ def test_bounds_suite_on_rectangular_dataset():
     assert all(c.passed for c in suite_bounds(ds))
 
 
+def test_bounds_suite_forwards_three_passes_and_the_means(forward_calls):
+    """Two training passes, one full forward for the hidden-layer identity and
+    the Q class means; the two costs read the training passes' records."""
+    ds = synthesize(6, 3, [5, 5, 5], noise=0.1, seed=2)
+    suite_bounds(ds)
+    assert sum(forward_calls) == 3 * ds.n + ds.q
+
+
 def test_exact_min_suite_rejects_rectangular():
     ds = synthesize(5, 3, [4, 4, 4], noise=0.05, seed=0)
     with pytest.raises(WrongRegime):
