@@ -347,7 +347,7 @@ def evaluate(
     include_matrices: bool = False,
 ) -> CostReport:
     """Full cost report for one parameter set on one dataset. The costs are
-    read from the record of a trainer's pass over ds when p carries one."""
+    read from the record of an earlier pass of p over ds when there is one."""
     b_l2, b_dp = bound_general(ds, stats, pack)
     c_l2, c_w = costs(p, ds)
     report = CostReport(

@@ -170,8 +170,6 @@ class TestResidualRecord:
         with pytest.raises(ValueError):
             np.add(p.b1, 1.0, out=p.b1)
         assert w2.flags.writeable and x0.flags.writeable
-        w2[0, 0] = 2.0
-        x0[0, 0] = 2.0
 
     def test_identity_and_serialization_unchanged(self):
         p = ShallowParams(w1=[[1.0, 0.5], [0.0, 2.0]], b1=[2.0, 3.0], w2=[[3.0, -1.0]], b2=[4.0])

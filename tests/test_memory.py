@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from shallowmin import dataset_stats, evaluate, synthesize, train_general
+from shallowmin.network import params_from_dict, params_to_dict
 
 
 def test_stats_retain_one_m_by_n_array():
@@ -43,14 +44,19 @@ def test_dataset_stats_peak_under_a_quarter_m_by_n_array(fitted):
     assert traced_peak(dataset_stats, ds) < 0.25 * ds.x0.nbytes
 
 
+def unrecorded(params):
+    """A copy that carries no record of a cost pass, so evaluate runs its own."""
+    return params_from_dict(params_to_dict(params))
+
+
 def test_evaluate_peak_under_three_m_by_n_arrays(fitted):
     ds, stats, pack, params = fitted
-    assert traced_peak(evaluate, params, ds, stats, pack) < 3 * ds.x0.nbytes
+    assert traced_peak(evaluate, unrecorded(params), ds, stats, pack) < 3 * ds.x0.nbytes
 
 
 def test_evaluate_peak_under_half_an_m_by_n_array(fitted):
     ds, stats, pack, params = fitted
-    assert traced_peak(evaluate, params, ds, stats, pack) < 0.5 * ds.x0.nbytes
+    assert traced_peak(evaluate, unrecorded(params), ds, stats, pack) < 0.5 * ds.x0.nbytes
 
 
 def test_train_general_peak_under_one_m_by_n_array(fitted):
