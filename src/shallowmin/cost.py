@@ -7,14 +7,14 @@ the dependence of each class's contribution on its sample count. Both come from
 one blocked residual kernel: it runs the network on each class block in column
 chunks, subtracts y_j in place and sums squares chunk by chunk, so neither the
 M x N hidden layer nor the Q x N residual is formed; train_general reads its
-first-layer checks off the same pass's hidden layers. Every full pass records
-its two sums on the ShallowParams it ran, with a weak reference to the
-dataset, and a later cost query (costs, cost_l2, cost_weighted, evaluate) on
-the same params and the same dataset object reads that record instead of
-running the network again; so evaluate after train_general costs no pass. A
-call that checks hidden layers (train_general's) never reads a record. Both
-objects keep read-only views of their arrays, so a record cannot go stale
-through them. The general bound
+first-layer checks off the same pass's hidden layers. A full pass over a
+dataset whose X0 no one can write (read-only, as the library's own
+constructors leave it) records its two sums for that params object, and a
+later cost query (costs, cost_l2, cost_weighted, evaluate) on the same params
+and the same dataset object reads the record instead of running the network
+again, so evaluate after train_general costs no pass. The record keeps copies
+of w1, b1, w2, b2 and Y and is read only while they still match; a call that
+checks hidden layers (train_general's) never reads one. The general bound
 (1/sqrt(N)) ||Y pen dev||_F is read from the statistics, whose pass over the
 data already sums ||Y pen dev||_F^2, so bound_general costs O(Q^2). The closed
 forms of the M = Q regime are functions of the relative deviation Gram matrix
@@ -58,6 +58,28 @@ def weighted_norm(a: np.ndarray, class_sizes) -> float:
                              for sl, nj in zip(block_slices(class_sizes), class_sizes))))
 
 
+# Sums of the last recorded residual pass per live ShallowParams, keyed by
+# id(p) and dropped when p is collected: (weak reference to the dataset, copies
+# of w1, b1, w2, b2 and Y, sum ||r||^2, sum_j ||r_j||^2 / N_j).
+_records: dict[int, tuple] = {}
+
+
+def _inputs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[np.ndarray, ...]:
+    return p.w1, p.b1, p.w2, p.b2, ds.y
+
+
+def _read_only(a: np.ndarray) -> bool:
+    """True when no writable array shares a's memory: a and every array it is
+    a view of are read-only, down to one that owns its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
 def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> tuple[float, float]:
     """(sum ||r||^2, sum_j ||r_j||^2 / N_j) of the residual r = X2 - Yext.
 
@@ -67,13 +89,16 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
     on_hidden, if given, is called with each chunk's hidden layer, so a
     caller can check the hidden layer within this same pass.
 
-    Each full pass records its sums on p (p._residual_record) with a weak
-    reference to ds. Without on_hidden, a record of this same dataset object
-    is returned as it stands and the network does not run; with on_hidden
-    the pass always runs, so a check reads only values it produced."""
-    record = p._residual_record
-    if on_hidden is None and record is not None and record[0]() is ds:
-        return record[1], record[2]
+    When ds.x0 is read-only (_read_only), each full pass records its sums for
+    p. Without on_hidden, the record is returned and the network does not run
+    if it was made on this same dataset object and w1, b1, w2, b2 and ds.y
+    still equal its copies; with on_hidden the pass always runs, so a check
+    reads only values it produced."""
+    sealed = _read_only(ds.x0)
+    record = _records.get(id(p)) if sealed and on_hidden is None else None
+    if (record is not None and record[0]() is ds
+            and all(map(np.array_equal, record[1], _inputs(p, ds)))):
+        return record[2], record[3]
     total = weighted = 0.0
     for sl, target, nj in zip(ds.class_slices(), ds.y.T, ds.class_sizes):
         block = 0.0
@@ -86,7 +111,11 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
             block += sum_squares(resid)
         total += block
         weighted += block / nj
-    object.__setattr__(p, "_residual_record", (weakref.ref(ds), total, weighted))
+    if sealed:
+        if id(p) not in _records:
+            weakref.finalize(p, _records.pop, id(p), None)
+        copies = tuple(np.array(a) for a in _inputs(p, ds))
+        _records[id(p)] = (weakref.ref(ds), copies, total, weighted)
     return total, weighted
 
 
@@ -102,7 +131,7 @@ def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
 
 def costs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
     """(cost_l2, cost_weighted) from one pass of the network over the data,
-    or from the sums a previous pass recorded for p on this dataset object."""
+    or from the sums an earlier pass recorded for p on this dataset object."""
     total, weighted = _residual_sums(p, ds)
     return float(np.sqrt(total) / np.sqrt(ds.n)), float(np.sqrt(weighted))
 

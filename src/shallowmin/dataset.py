@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateMeans, DimensionError, RankDeficient
-from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, read_only, sum_squares
+from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, sum_squares
 
 # Widest column block that the blocked pass over the data (the residual of the
 # cost functionals, which also carries the first-layer checks of the general
@@ -41,10 +41,11 @@ def column_chunks(sl: slice):
 
 @dataclass(frozen=True)
 class ClassifiedDataset:
-    """x0 and y are kept as read-only views, so a write through ds.x0 raises
-    ValueError; the arrays they were built from stay writable and must not be
-    written while the dataset is in use (costs recorded on a ShallowParams are
-    reused for the same dataset object)."""
+    """x0 is kept as given. The builders in this module (synthesize,
+    from_samples and the loaders built on it, from_json_dict, holdout_split)
+    make x0 themselves and leave it read-only, so no caller can change a
+    dataset they built; the cost kernel reuses a measured cost only for a
+    dataset whose x0 is read-only in this way."""
 
     m: int
     q: int
@@ -55,8 +56,8 @@ class ClassifiedDataset:
     def __post_init__(self):
         x0 = as_matrix(self.x0, "x0")
         y = as_matrix(self.y, "y")
-        object.__setattr__(self, "x0", read_only(x0))
-        object.__setattr__(self, "y", read_only(y))
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "class_sizes", tuple(int(s) for s in self.class_sizes))
         if self.q > self.m:
             raise DimensionError(f"need Q <= M, got Q={self.q}, M={self.m}")
@@ -234,6 +235,7 @@ def synthesize(
     n = sum(class_sizes)
     unit = rng.uniform(-1.0, 1.0, size=(m, n))
     x0 = np.repeat(means, class_sizes, axis=1) + noise * unit
+    x0.flags.writeable = False
     return ClassifiedDataset(m=m, q=q, class_sizes=class_sizes, x0=x0, y=np.eye(q))
 
 
@@ -259,6 +261,7 @@ def from_samples(samples, labels, y=None) -> ClassifiedDataset:
     if any(not g for g in groups):
         raise DimensionError("every class between 0 and max(label) needs at least one sample")
     x0 = np.stack([row for g in groups for row in g], axis=1)
+    x0.flags.writeable = False
     sizes = tuple(len(g) for g in groups)
     y = np.eye(q) if y is None else np.asarray(y, dtype=float)
     return ClassifiedDataset(m=m, q=q, class_sizes=sizes, x0=x0, y=y)
@@ -309,7 +312,9 @@ def from_json_dict(d: dict) -> ClassifiedDataset:
             if len(vec) != m:
                 raise DimensionError(f"sample length {len(vec)} != m={m}")
             cols.append(vec)
-    x0 = np.array(cols, dtype=float).T
+    rows = np.array(cols, dtype=float)
+    rows.flags.writeable = False
+    x0 = rows.T
     y = np.array(d["y"], dtype=float) if "y" in d and d["y"] is not None else np.eye(q)
     return ClassifiedDataset(m=m, q=q, class_sizes=tuple(sizes), x0=x0, y=y)
 
@@ -358,9 +363,10 @@ def holdout_split(
             held.append(block[:, i])
             held_labels.append(j)
         train_sizes.append(nj - n_hold)
+    train_x0 = np.stack(train_cols, axis=1)
+    train_x0.flags.writeable = False
     train_ds = ClassifiedDataset(
-        m=ds.m, q=ds.q, class_sizes=tuple(train_sizes),
-        x0=np.stack(train_cols, axis=1), y=ds.y,
+        m=ds.m, q=ds.q, class_sizes=tuple(train_sizes), x0=train_x0, y=ds.y,
     )
     held_x = np.stack(held, axis=1) if held else np.zeros((ds.m, 0))
     return train_ds, held_x, held_labels

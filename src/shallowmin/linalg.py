@@ -31,13 +31,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only view of a; a itself keeps its flags."""
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
 def op_norm(a) -> float:
     """Largest singular value."""
     a = np.asarray(a, dtype=float)

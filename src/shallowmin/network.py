@@ -3,32 +3,23 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import as_matrix, read_only
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
 class ShallowParams:
     """The four trainable objects. Biases are kept as vectors; the rank-1
-    broadcasts b1 u^T and b2 u^T are applied on the fly, never materialized.
-
-    The arrays are kept as read-only views, so a write through params.w1
-    raises ValueError; the arrays they were built from stay writable and must
-    not be written while the params are in use. _residual_record holds
-    (weak reference to a dataset, sum ||r||^2, sum_j ||r_j||^2 / N_j) from the
-    last full residual pass of the cost kernel over these params; it takes no
-    part in equality, repr or serialization.
-    """
+    broadcasts b1 u^T and b2 u^T are applied on the fly, never materialized."""
 
     w1: np.ndarray  # M x M
     b1: np.ndarray  # (M,)
     w2: np.ndarray  # Q x M
     b2: np.ndarray  # (Q,)
-    _residual_record: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w1 = as_matrix(self.w1, "w1")
@@ -45,15 +36,10 @@ class ShallowParams:
             raise DimensionError(f"bias shapes {b1.shape}, {b2.shape} != ({m},), ({q},)")
         if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
             raise DimensionError("biases contain non-finite entries")
-        object.__setattr__(self, "w1", read_only(w1))
-        object.__setattr__(self, "b1", read_only(b1))
-        object.__setattr__(self, "w2", read_only(w2))
-        object.__setattr__(self, "b2", read_only(b2))
-
-    def __reduce__(self):
-        # Rebuilt through __init__: read-only views again, and no record (a
-        # weak reference cannot be pickled).
-        return ShallowParams, (self.w1, self.b1, self.w2, self.b2)
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "b2", b2)
 
     @property
     def m(self) -> int:

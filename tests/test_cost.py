@@ -1,3 +1,4 @@
+import gc
 import json
 import pickle
 from dataclasses import fields, replace
@@ -108,15 +109,22 @@ class TestOneForward:
 
 
 class TestResidualRecord:
-    """A full residual pass records its sums on the params it ran; a cost
-    query on the same params and the same dataset object reads the record,
-    and a pass that checks hidden layers (a trainer's) never does."""
+    """A full residual pass over a dataset with a read-only x0 records its
+    sums for the params it ran; a cost query on the same params and the same
+    dataset object reads the record while w1, b1, w2, b2 and y still match,
+    and a pass that checks hidden layers (a trainer's) never reads it."""
 
     @pytest.fixture
     def general(self):
         ds = synthesize(6, 3, [40, 25, 31], noise=0.1, seed=6)
         stats, pack = dataset_stats(ds)
         return ds, stats, pack
+
+    @staticmethod
+    def read_only_copy(a):
+        a = np.array(a)
+        a.flags.writeable = False
+        return a
 
     def test_evaluate_after_training_runs_no_pass(self, general, forward_calls):
         ds, stats, pack = general
@@ -131,9 +139,8 @@ class TestResidualRecord:
         ds, stats, pack = general
         params = train_general(ds, stats, pack)
         own = evaluate(params, ds, stats, pack).to_dict()
-        twin = ClassifiedDataset(m=ds.m, q=ds.q, class_sizes=ds.class_sizes,
-                                 x0=ds.x0.copy(), y=ds.y.copy())
-        scaled = replace(ds, x0=3.0 * ds.x0)
+        twin = replace(ds, x0=self.read_only_copy(ds.x0))
+        scaled = replace(ds, x0=self.read_only_copy(3.0 * ds.x0))
         for other in (twin, scaled, ds):
             stats_o, pack_o = dataset_stats(other)
             forward_calls.clear()
@@ -158,38 +165,71 @@ class TestResidualRecord:
         train_exact_meq(square, stats_sq)
         assert sum(forward_calls) == 2 * square.n
 
-    def test_arrays_are_read_only_views(self):
-        w2 = np.eye(3, 6)
-        x0 = synthesize(6, 3, [4, 4, 4], noise=0.1, seed=1).x0.copy()
-        p = ShallowParams(w1=np.eye(6), b1=np.zeros(6), w2=w2, b2=np.zeros(3))
-        ds = ClassifiedDataset(m=6, q=3, class_sizes=(4, 4, 4), x0=x0, y=np.eye(3))
-        with pytest.raises(ValueError):
-            p.w2[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            ds.x0[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            np.add(p.b1, 1.0, out=p.b1)
-        assert w2.flags.writeable and x0.flags.writeable
+    def test_writes_to_the_callers_params_arrays_are_seen(self, general, forward_calls):
+        ds, _, _ = general
+        w1, b1, w2, b2 = np.eye(6), np.full(6, 0.5), np.eye(3, 6), np.zeros(3)
+        p = ShallowParams(w1=w1, b1=b1, w2=w2, b2=b2)
+        before = cost_l2(p, ds)
+        for a in (w1, b1, w2, b2):
+            a += 0.25
+            fresh = ShallowParams(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy())
+            assert cost_l2(p, ds) == cost_l2(fresh, ds) != before
+            before = cost_l2(p, ds)
+        assert sum(forward_calls) == 9 * ds.n
+
+    def test_writes_to_the_callers_dataset_arrays_are_seen(self, general, forward_calls):
+        ds, _, _ = general
+        p = ShallowParams(w1=np.eye(6), b1=np.full(6, 0.5), w2=np.eye(3, 6), b2=np.zeros(3))
+        x0 = np.array(ds.x0)
+        own = ClassifiedDataset(m=6, q=3, class_sizes=ds.class_sizes, x0=x0, y=ds.y)
+        before = cost_l2(p, own)
+        x0 *= 3.0
+        scaled = replace(ds, x0=self.read_only_copy(3.0 * ds.x0))
+        assert cost_l2(p, own) == cost_l2(p, scaled) != before
+        y = np.array(ds.y)
+        targets = replace(ds, y=y)
+        before = cost_l2(p, targets)
+        y *= 2.0
+        assert cost_l2(p, targets) == cost_l2(p, replace(ds, y=2.0 * ds.y)) != before
+        assert sum(forward_calls) == 6 * ds.n
+
+    def test_library_built_datasets_are_read_only(self, general, tmp_path):
+        ds, _, _ = general
+        path = tmp_path / "ds.json"
+        dataset_mod.save_json(ds, path)
+        labels = np.repeat(np.arange(ds.q), ds.class_sizes)
+        built = (ds, dataset_mod.load_json(path), dataset_mod.from_samples(ds.x0.T, labels),
+                 dataset_mod.holdout_split(ds, 0.25, seed=1)[0])
+        for other in built:
+            assert cost._read_only(other.x0)
+            with pytest.raises(ValueError):
+                other.x0[0, 0] = 1.0
+        samples = np.array(ds.x0.T)
+        dataset_mod.from_samples(samples, labels)
+        assert samples.flags.writeable
 
     def test_identity_and_serialization_unchanged(self):
         p = ShallowParams(w1=[[1.0, 0.5], [0.0, 2.0]], b1=[2.0, 3.0], w2=[[3.0, -1.0]], b2=[4.0])
         ds = synthesize(2, 1, [5], noise=0.1, seed=1)
         cost_l2(p, ds)
-        assert p._residual_record is not None
+        assert id(p) in cost._records
         assert repr(p) == ("ShallowParams(w1=array([[1. , 0.5],\n       [0. , 2. ]]), "
                            "b1=array([2., 3.]), w2=array([[ 3., -1.]]), b2=array([4.]))")
         assert json.dumps(params_to_dict(p)) == (
             '{"w1": [[1.0, 0.5], [0.0, 2.0]], "b1": [2.0, 3.0], "w2": [[3.0, -1.0]], "b2": [4.0]}')
-        assert [f.name for f in fields(p) if f.compare] == ["w1", "b1", "w2", "b2"]
+        assert [f.name for f in fields(p)] == ["w1", "b1", "w2", "b2"]
         assert p == p
 
-    def test_pickled_params_are_read_only_and_carry_no_record(self, general):
+    def test_a_record_lives_as_long_as_its_params(self, general, forward_calls):
         ds, stats, pack = general
         params = train_general(ds, stats, pack)
         copy = pickle.loads(pickle.dumps(params))
-        assert copy._residual_record is None
-        assert not copy.w1.flags.writeable
         assert cost.costs(copy, ds) == cost.costs(params, ds)
+        assert sum(forward_calls) == 2 * ds.n
+        key = id(params)
+        del params
+        gc.collect()
+        assert key not in cost._records
 
 
 WIDE = dataset_mod._CHUNK_COLUMNS + 37  # one class spans two column chunks

@@ -127,8 +127,8 @@ class TestCompare:
         from shallowmin import cost_weighted
         stats, pack = dataset_stats(delta01_dataset)
         gd_params, _ = train_gd(delta01_dataset, GdConfig(steps=50))
-        forward_calls.clear()
         cons = train_exact_meq(delta01_dataset, stats)
+        forward_calls.clear()
         doc = compare(delta01_dataset, stats, pack, gd_params, cons)
         assert sum(forward_calls) == 2 * delta01_dataset.n
         for key, params in (("gd", gd_params), ("constructive", cons)):
