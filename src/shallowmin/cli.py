@@ -27,7 +27,7 @@ from .constructive import (
     w2_tilde,
 )
 from .cost import evaluate
-from .dataset import dataset_stats, load_dataset, save_json, synthesize
+from .dataset import csv_rows, dataset_stats, json_field, load_dataset, synthesize
 from .errors import DimensionError, MissingArtifact, ShallowminError
 from .gd import GdConfig, compare as gd_compare, train_gd
 from .network import load_params, params_to_dict
@@ -90,11 +90,7 @@ def _fmt(v) -> str:
 
 
 def cmd_gen(args) -> int:
-    ds = _dataset_from_args(args)
-    if args.out is None:
-        _write_json(dataset_mod.to_json_dict(ds), None)
-    else:
-        save_json(ds, args.out)
+    _write_json(dataset_mod.to_json_dict(_dataset_from_args(args)), args.out)
     return EXIT_OK
 
 
@@ -134,34 +130,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_input_block(path: Path, has_header: bool, m: int) -> np.ndarray:
-    """K x M block of the non-empty data rows of a CSV file; a row whose width
-    is not M or with a non-numeric cell raises DimensionError naming it by its
-    output index."""
-    rows = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if i == 0 and has_header:
-                continue
-            if row:
-                if len(row) != m:
-                    raise DimensionError(
-                        f"input row {len(rows)} (line {i + 1}) has {len(row)} values, "
-                        f"expected M={m}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise DimensionError(
-                        f"input row {len(rows)} (line {i + 1}): {exc}") from exc
-    return np.array(rows, dtype=float).reshape(len(rows), m)
-
-
 def cmd_classify(args) -> int:
     ds = _dataset_from_args(args)
     stats, pack = dataset_stats(ds)
     params, _ = load_params(args.params)
     w2t = w2_tilde(ds, stats)
-    inputs = _read_input_block(args.inputs, args.inputs_header, params.m)
+    inputs, _ = csv_rows(args.inputs, args.inputs_header,
+                         lambda k, line: f"input row {k} (line {line})", params.m)
     # metric scores and agreement are computed but not written
     outcome = classify_batch(params, w2t, pack.p, stats.means, ds.y, inputs.T)
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -179,9 +154,11 @@ def cmd_classify(args) -> int:
 
 def cmd_truncation_sweep(args) -> int:
     ds = _dataset_from_args(args)
-    with open(args.grid) as fh:
-        raw = json.load(fh)
-    grid = [(np.array(g["w1"], dtype=float), np.array(g["b1"], dtype=float)) for g in raw]
+    raw = json.loads(args.grid.read_text())
+    if not isinstance(raw, list):
+        raise DimensionError(f"truncation grid must be a JSON list, got {type(raw).__name__}")
+    grid = [tuple(json_field(g, key, f"truncation grid entry {i}") for key in ("w1", "b1"))
+            for i, g in enumerate(raw)]
     points = sweep_fixed_point_region(ds, grid)
     lines = [json.dumps(pt.to_dict(include_matrices=args.matrices)) for pt in points]
     text = "\n".join(lines) + "\n"

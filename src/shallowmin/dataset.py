@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +42,9 @@ def column_chunks(sl: slice):
 
 @dataclass(frozen=True)
 class ClassifiedDataset:
-    """x0 is kept as given. The builders in this module (synthesize,
-    from_samples and the loaders built on it, from_json_dict, holdout_split)
-    make x0 themselves and leave it read-only, so no caller can change a
-    dataset they built; the cost kernel reuses a measured cost only for a
+    """x0 is kept as given. Every builder in this module makes its datasets
+    through _built, which leaves x0 read-only, so no caller can change a
+    dataset built here; the cost kernel reuses a measured cost only for a
     dataset whose x0 is read-only in this way."""
 
     m: int
@@ -204,6 +204,17 @@ def dataset_stats(ds: ClassifiedDataset) -> tuple[DatasetStats, ProjectorPack]:
     return compute_stats(ds, means, pack), pack
 
 
+def _built(x0: np.ndarray, class_sizes, y) -> ClassifiedDataset:
+    """The dataset of the M x N columns x0, grouped class by class, with
+    targets y. x0 and every array it is a view of are made read-only first."""
+    base = x0
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
+    return ClassifiedDataset(m=x0.shape[0], q=len(class_sizes), class_sizes=class_sizes,
+                             x0=x0, y=y)
+
+
 def synthesize(
     m: int,
     q: int,
@@ -235,62 +246,83 @@ def synthesize(
     n = sum(class_sizes)
     unit = rng.uniform(-1.0, 1.0, size=(m, n))
     x0 = np.repeat(means, class_sizes, axis=1) + noise * unit
-    x0.flags.writeable = False
-    return ClassifiedDataset(m=m, q=q, class_sizes=class_sizes, x0=x0, y=np.eye(q))
+    return _built(x0, class_sizes, np.eye(q))
 
 
-def from_samples(samples, labels, y=None) -> ClassifiedDataset:
-    """Build a dataset from per-row samples and 0-based integer labels.
-
-    Rows are regrouped class by class; within a class the original row order
-    is kept. Targets default to the identity.
-    """
+def from_samples(samples, labels) -> ClassifiedDataset:
+    """Build a dataset with identity targets from per-row samples and 0-based
+    integer labels. Rows are regrouped class by class by a stable sort of the
+    labels, so within a class the original row order is kept."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise DimensionError(f"samples must be 2-D, got shape {samples.shape}")
-    labels = [int(l) for l in labels]
-    if len(labels) != samples.shape[0]:
+    try:
+        labels = np.asarray(labels, dtype=np.intp)
+    except OverflowError as exc:
+        raise DimensionError(f"labels must be machine integers: {exc}") from exc
+    if labels.shape != samples.shape[:1]:
         raise DimensionError("one label per sample row required")
-    q = max(labels) + 1
-    m = samples.shape[1]
-    groups: list[list[np.ndarray]] = [[] for _ in range(q)]
-    for row, lab in zip(samples, labels):
-        if lab < 0:
-            raise DimensionError(f"labels must be 0-based non-negative, got {lab}")
-        groups[lab].append(row)
-    if any(not g for g in groups):
+    negative = labels[labels < 0]
+    if negative.size:
+        raise DimensionError(f"labels must be 0-based non-negative, got {negative[0]}")
+    # Every class up to max(label) needs a sample, so max(label) < N; that is
+    # checked first, as bincount allocates max(label) + 1 counts.
+    sizes = np.bincount(labels) if labels.max(initial=0) < labels.size else [0]
+    if not np.all(sizes):
         raise DimensionError("every class between 0 and max(label) needs at least one sample")
-    x0 = np.stack([row for g in groups for row in g], axis=1)
-    x0.flags.writeable = False
-    sizes = tuple(len(g) for g in groups)
-    y = np.eye(q) if y is None else np.asarray(y, dtype=float)
-    return ClassifiedDataset(m=m, q=q, class_sizes=sizes, x0=x0, y=y)
+    x0 = np.take(samples.T, np.argsort(labels, kind="stable"), axis=1)  # C-ordered
+    return _built(x0, sizes, np.eye(sizes.size))
+
+
+def csv_rows(path, has_header: bool, name, m: int | None = None, labelled: bool = False):
+    """(K x M float array, K labels) of the K non-blank data rows of a CSV
+    file, after its header if has_header; when labelled, each row ends in an
+    integer label. M defaults to the first data row's. A row of another width
+    or with a cell that does not parse raises DimensionError naming it
+    name(k, line), the data row k counted from 0 and the file line from 1."""
+    rows, labels = [], []
+    with open(path, newline="") as fh:
+        for i, row in enumerate(csv.reader(fh)):
+            if not row or (i == 0 and has_header):
+                continue
+            m = len(row) - labelled if m is None else m
+            if len(row) != m + labelled:
+                raise DimensionError(f"{name(len(rows), i + 1)} has {len(row)} values, "
+                                     f"expected M={m}" + (" and a label" if labelled else ""))
+            try:
+                values = [float(v) for v in row[:m]]
+                if labelled:
+                    labels.append(int(row[m]))
+            except ValueError as exc:
+                raise DimensionError(f"{name(len(rows), i + 1)}: {exc}") from exc
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), m or 0), labels
 
 
 def load_csv(path, has_header: bool = False) -> ClassifiedDataset:
     """Read a dataset from CSV: one sample per row, M feature columns then a
-    0-based integer class label. A non-numeric feature or a non-integer label
-    raises DimensionError naming the sample row and the file line."""
-    rows = []
-    labels = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if i == 0 and has_header:
-                continue
-            if not row:
-                continue
-            try:
-                features = [float(v) for v in row[:-1]]
-                label = int(row[-1])
-            except ValueError as exc:
-                raise DimensionError(
-                    f"dataset row {len(rows)} (line {i + 1}) of {path}: {exc}") from exc
-            rows.append(features)
-            labels.append(label)
-    if not rows:
+    0-based integer class label. A row whose width differs from the first's,
+    a non-numeric feature or a non-integer label raises DimensionError
+    naming the sample row and the file line."""
+    rows, labels = csv_rows(path, has_header, labelled=True,
+                            name=lambda k, line: f"dataset row {k} (line {line}) of {path}")
+    if not labels:
         raise DimensionError(f"no samples found in {path}")
-    return from_samples(np.array(rows), labels)
+    return from_samples(rows, labels)
+
+
+def json_field(doc, key: str, where: str, convert=None):
+    """convert(doc[key]), by default a float array, from a decoded JSON object.
+    A doc that is not an object, a missing key, or a value that convert
+    rejects (ragged or non-numeric) raises DimensionError naming where and key."""
+    if not isinstance(doc, dict):
+        raise DimensionError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise DimensionError(f"{where} has no field {key!r}")
+    try:
+        return np.array(doc[key], dtype=float) if convert is None else convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionError(f"{where} field {key!r}: {exc}") from exc
 
 
 def to_json_dict(ds: ClassifiedDataset) -> dict:
@@ -299,24 +331,25 @@ def to_json_dict(ds: ClassifiedDataset) -> dict:
 
 
 def from_json_dict(d: dict) -> ClassifiedDataset:
-    m = int(d["m"])
-    q = int(d["q"])
-    classes = d["classes"]
-    if len(classes) != q:
-        raise DimensionError(f"expected {q} classes, got {len(classes)}")
-    cols = []
-    sizes = []
-    for group in classes:
-        sizes.append(len(group))
-        for vec in group:
-            if len(vec) != m:
-                raise DimensionError(f"sample length {len(vec)} != m={m}")
-            cols.append(vec)
-    rows = np.array(cols, dtype=float)
-    rows.flags.writeable = False
-    x0 = rows.T
-    y = np.array(d["y"], dtype=float) if "y" in d and d["y"] is not None else np.eye(q)
-    return ClassifiedDataset(m=m, q=q, class_sizes=tuple(sizes), x0=x0, y=y)
+    """Dataset from its JSON document (see to_json_dict; a missing or null "y"
+    gives identity targets). A missing, ragged or non-numeric field raises
+    DimensionError naming it."""
+    m = json_field(d, "m", "dataset document", int)
+    q = json_field(d, "q", "dataset document", int)
+
+    def rows(classes) -> tuple[np.ndarray, list[int]]:
+        if len(classes) != q:
+            raise DimensionError(f"expected {q} classes, got {len(classes)}")
+        samples = list(chain.from_iterable(classes))
+        lengths = np.fromiter(map(len, samples), dtype=np.intp, count=len(samples))
+        wrong = lengths[lengths != m]
+        if wrong.size:
+            raise DimensionError(f"sample length {wrong[0]} != m={m}")
+        return np.array(samples, dtype=float), [len(c) for c in classes]
+
+    x, sizes = json_field(d, "classes", "dataset document", rows)
+    y = json_field(d, "y", "dataset document") if d.get("y") is not None else np.eye(q)
+    return _built(x.T, sizes, y)
 
 
 def save_json(ds: ClassifiedDataset, path) -> None:
@@ -344,29 +377,20 @@ def holdout_split(
     ds: ClassifiedDataset, fraction: float, seed: int = 0
 ) -> tuple[ClassifiedDataset, np.ndarray, list[int]]:
     """Seeded per-class holdout: returns (training dataset, held-out samples
-    M x K, their labels). Every class keeps at least one training sample."""
+    M x K, their labels). Every class keeps at least one training sample;
+    both parts keep each class's columns in their original order."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
-    train_cols: list[np.ndarray] = []
-    train_sizes: list[int] = []
-    held: list[np.ndarray] = []
-    held_labels: list[int] = []
-    for j, sl in enumerate(ds.class_slices()):
-        block = ds.x0[:, sl]
-        nj = block.shape[1]
+    kept, held = [], []
+    for sl in ds.class_slices():
+        nj = sl.stop - sl.start
         n_hold = min(int(round(fraction * nj)), nj - 1)
-        idx = rng.permutation(nj)
-        for i in sorted(idx[n_hold:]):
-            train_cols.append(block[:, i])
-        for i in sorted(idx[:n_hold]):
-            held.append(block[:, i])
-            held_labels.append(j)
-        train_sizes.append(nj - n_hold)
-    train_x0 = np.stack(train_cols, axis=1)
-    train_x0.flags.writeable = False
-    train_ds = ClassifiedDataset(
-        m=ds.m, q=ds.q, class_sizes=tuple(train_sizes), x0=train_x0, y=ds.y,
-    )
-    held_x = np.stack(held, axis=1) if held else np.zeros((ds.m, 0))
-    return train_ds, held_x, held_labels
+        idx = sl.start + rng.permutation(nj)
+        kept.append(np.sort(idx[n_hold:]))
+        held.append(np.sort(idx[:n_hold]))
+    # np.take gathers into a new C-ordered array whatever the order of x0.
+    train_x0 = np.take(ds.x0, np.concatenate(kept), axis=1)
+    held_x = np.take(ds.x0, np.concatenate(held), axis=1)
+    held_labels = np.repeat(np.arange(ds.q), [h.size for h in held]).tolist()
+    return _built(train_x0, [k.size for k in kept], ds.y), held_x, held_labels

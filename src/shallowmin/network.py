@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import json_field
 from .errors import DimensionError
 from .linalg import as_matrix
 
@@ -85,12 +86,9 @@ def params_to_dict(p: ShallowParams) -> dict:
 
 
 def params_from_dict(d: dict) -> ShallowParams:
-    return ShallowParams(
-        w1=np.array(d["w1"], dtype=float),
-        b1=np.array(d["b1"], dtype=float),
-        w2=np.array(d["w2"], dtype=float),
-        b2=np.array(d["b2"], dtype=float),
-    )
+    """Parameters from their JSON document; a bad entry raises DimensionError."""
+    return ShallowParams(**{k: json_field(d, k, "params document")
+                            for k in ("w1", "b1", "w2", "b2")})
 
 
 def load_params(path) -> tuple[ShallowParams, dict | None]:

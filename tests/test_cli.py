@@ -106,11 +106,15 @@ class TestVerify:
         assert "4/4 checks passed" in out
         assert "[PASS] invariance.gl-data-projector" in out
 
-    def test_non_numeric_dataset_csv_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, row", [
+        ("1.0,0.0,0\n0.0,1.0,1\n0.5,abc,1\n", "dataset row 2 (line 3)"),
+        ("1.0,2.0,0\n1.5,0\n", "dataset row 1 (line 2)"),
+    ], ids=["non-numeric", "ragged"])
+    def test_non_numeric_dataset_csv_exit_3(self, tmp_path, capsys, text, row):
         path = tmp_path / "ds.csv"
-        path.write_text("1.0,0.0,0\n0.0,1.0,1\n0.5,abc,1\n")
+        path.write_text(text)
         assert run(["train", "--data", path]) == 3
-        assert "DimensionError: dataset row 2 (line 3)" in capsys.readouterr().err
+        assert f"DimensionError: {row}" in capsys.readouterr().err
 
     def test_all_suite_summary(self, capsys):
         assert run(["verify", "all", "--seed", 1]) == 0
@@ -332,6 +336,42 @@ class TestReport:
         doc = json.loads(merged.read_text())
         assert doc["artifacts"][0]["kind"] == "truncation"
         assert doc["artifacts"][0]["in_fixed_point_region"] is True
+
+
+_TWO_SAMPLES = [[[1.0, 0.0]], [[0.0, 1.0]]]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("train", {"q": 2, "classes": []}, "dataset document has no field 'm'"),
+    ("train", [], "dataset document must be a JSON object, got list"),
+    ("train", {"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0, "x"]]]},
+     "dataset document field 'classes': could not convert"),
+    ("train", {"m": 2, "q": 2, "classes": _TWO_SAMPLES, "y": [[1, 0], [0, "x"]]},
+     "dataset document field 'y': could not convert"),
+    ("train", {"m": 2, "q": 2, "classes": _TWO_SAMPLES, "y": [[1, 0], [0]]},
+     "dataset document field 'y': "),
+    ("eval", {"b1": [0.0], "w2": [[1.0]], "b2": [0.0]}, "params document has no field 'w1'"),
+    ("eval", {"w1": [[1.0, 0.0], [0.0, "x"]], "b1": [0.0, 0.0], "w2": [[1.0, 0.0]],
+              "b2": [0.0]}, "params document field 'w1': could not convert"),
+    ("truncation-sweep", [{"w1": [[1.0, 0.0], [0.0, 1.0]]}],
+     "truncation grid entry 0 has no field 'b1'"),
+], ids=["dataset-no-m", "dataset-list", "non-numeric-sample", "non-numeric-y", "ragged-y",
+        "params-no-w1", "non-numeric-params", "grid-no-b1"])
+def test_malformed_json_document_exit_3(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    synthetic = ["--m", 2, "--q", 2]
+    args = {"train": ["--data", path], "eval": [*synthetic, "--params", path],
+            "truncation-sweep": [*synthetic, "--grid", path]}[command]
+    assert run([command, *args]) == 3
+    assert f"error: DimensionError: {message}" in capsys.readouterr().err
+
+
+def test_unparsable_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text("{not json")
+    assert run(["train", "--data", path]) == 2
+    assert "DimensionError" not in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

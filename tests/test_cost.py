@@ -208,6 +208,45 @@ class TestResidualRecord:
         dataset_mod.from_samples(samples, labels)
         assert samples.flags.writeable
 
+        # Each builder's x0 equals a reference built column by column and keeps
+        # its memory order (C, or F for the transpose of JSON rows): BLAS
+        # results, and so the CLI's output bytes, can depend on it.
+        def check(x0, columns, order):
+            assert np.array_equal(x0, np.stack(list(columns), axis=1))
+            assert x0.dtype == np.float64
+            assert x0.flags.c_contiguous == (order == "C") != x0.flags.f_contiguous
+
+        rng = np.random.default_rng(6)
+        means, unit = rng.standard_normal((6, 3)), rng.uniform(-1.0, 1.0, size=(6, ds.n))
+        check(ds.x0, (means[:, j] + 0.1 * unit[:, i] for i, j in enumerate(labels)), "C")
+        loaded = built[1]
+        doc = json.loads(path.read_text())
+        check(loaded.x0, (np.array(v) for group in doc["classes"] for v in group), "F")
+        assert cost._read_only(loaded.x0.T)
+        order = np.random.default_rng(3).permutation(ds.n)
+        csv_path = tmp_path / "shuffled.csv"
+        csv_path.write_text("".join(",".join(map(repr, ds.x0[:, i].tolist())) + f",{labels[i]}\n"
+                                    for i in order))
+        grouped = [ds.x0[:, i] for j in range(ds.q) for i in order if labels[i] == j]
+        for shuffled in (dataset_mod.from_samples(ds.x0.T[order], labels[order]),
+                         dataset_mod.load_csv(csv_path)):
+            assert shuffled.class_sizes == ds.class_sizes and cost._read_only(shuffled.x0)
+            check(shuffled.x0, grouped, "C")
+        for source in (ds, loaded):
+            train, held_x, held_labels = dataset_mod.holdout_split(source, 0.25, seed=1)
+            ref_rng = np.random.default_rng(1)
+            kept, held, ref_labels = [], [], []
+            for j, sl in enumerate(source.class_slices()):
+                nj = sl.stop - sl.start
+                n_hold = min(int(round(0.25 * nj)), nj - 1)
+                idx = ref_rng.permutation(nj)
+                kept += [source.x0[:, sl.start + i] for i in sorted(idx[n_hold:])]
+                held += [source.x0[:, sl.start + i] for i in sorted(idx[:n_hold])]
+                ref_labels += [j] * n_hold
+            assert cost._read_only(train.x0) and held_labels == ref_labels
+            check(train.x0, kept, "C")
+            check(held_x, held, "C")
+
     def test_identity_and_serialization_unchanged(self):
         p = ShallowParams(w1=[[1.0, 0.5], [0.0, 2.0]], b1=[2.0, 3.0], w2=[[3.0, -1.0]], b2=[4.0])
         ds = synthesize(2, 1, [5], noise=0.1, seed=1)

@@ -225,6 +225,8 @@ class TestIO:
     def test_from_samples_requires_contiguous_labels(self):
         with pytest.raises(DimensionError):
             from_samples(np.eye(3), [0, 2, 2])
+        with pytest.raises(DimensionError, match="needs at least one sample"):
+            from_samples(np.eye(3), [0, 1, 10**12])
 
 
 def test_class_means_shape():

@@ -28,6 +28,12 @@ def test_bounds_suite_on_rectangular_dataset():
     assert all(c.passed for c in suite_bounds(ds))
 
 
+def test_bounds_suite_at_zero_noise_checks_the_zero_cost():
+    checks = suite_bounds(synthesize(4, 2, [8, 8], noise=0.0, seed=1))
+    assert len(checks) == 7 and all(c.passed for c in checks)
+    assert "bounds.zero-noise-cost" in {c.name for c in checks}
+
+
 def test_bounds_suite_forwards_three_passes_and_the_means(forward_calls):
     """Two training passes, one full forward for the hidden-layer identity and
     the Q class means; the two costs read the training passes' records."""
