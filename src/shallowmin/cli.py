@@ -90,7 +90,8 @@ def _fmt(v) -> str:
 
 
 def cmd_gen(args) -> int:
-    _write_json(dataset_mod.to_json_dict(_dataset_from_args(args)), args.out)
+    dataset_mod.save_json(_dataset_from_args(args),
+                          sys.stdout if args.out is None else args.out)
     return EXIT_OK
 
 
@@ -238,14 +239,25 @@ def _load_artifact(path: Path) -> list[dict]:
         raise MissingArtifact(f"empty artifact: {path}")
     if path.suffix == ".jsonl" or "\n" in text and text.lstrip().startswith("{"):
         try:
-            return [json.loads(line) for line in text.splitlines() if line.strip()]
+            return _objects([json.loads(line) for line in text.splitlines() if line.strip()],
+                            path)
         except json.JSONDecodeError:
             pass
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MissingArtifact(f"not a JSON artifact: {path}: {exc}") from exc
-    return doc if isinstance(doc, list) else [doc]
+    return _objects(doc if isinstance(doc, list) else [doc], path)
+
+
+def _objects(docs: list, path: Path) -> list[dict]:
+    """docs, after checking that each entry is a JSON object (DimensionError
+    naming the first that is not)."""
+    for i, doc in enumerate(docs):
+        if not isinstance(doc, dict):
+            raise DimensionError(f"artifact {path} entry {i} must be a JSON object, "
+                                 f"got {type(doc).__name__}")
+    return docs
 
 
 def cmd_report(args) -> int:

@@ -174,12 +174,17 @@ def resolve_output_layer(
     the original ones conjugated by the affine map: w2 = V w1^-1 with V the
     M = Q normal-equation solution, and b2 = -w2 b1.
     """
+    return _tied_output_layer(w1, b1, ds, exact_w2(ds, stats))
+
+
+def _tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray):
+    """resolve_output_layer with V = exact_w2(ds, stats) given, so that a caller
+    re-solving for many first layers on one dataset computes V once."""
     w1 = np.asarray(w1, dtype=float)
     b1 = np.asarray(b1, dtype=float).reshape(-1)
     preact = w1 @ ds.x0 + b1[:, None]
     if preact.min() < 0.0:
         raise BetaTooSmall("first layer leaves the identity region")
-    v = exact_w2(ds, stats)
     w2 = np.linalg.solve(w1.T, v.T).T
     return w2, -(w2 @ b1)
 

@@ -26,6 +26,8 @@ from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, su
 # cost functionals, which also carries the first-layer checks of the general
 # construction) hands to one product; it bounds the pass's per-chunk arrays.
 _CHUNK_COLUMNS = 2048
+# Most sample values that save_json turns into Python objects and text at once.
+_JSON_CHUNK_VALUES = 1024
 
 
 def block_slices(class_sizes) -> list[slice]:
@@ -34,10 +36,10 @@ def block_slices(class_sizes) -> list[slice]:
     return [slice(int(edges[j]), int(edges[j + 1])) for j in range(len(class_sizes))]
 
 
-def column_chunks(sl: slice):
-    """Consecutive sub-slices of sl, each at most _CHUNK_COLUMNS wide."""
-    for start in range(sl.start, sl.stop, _CHUNK_COLUMNS):
-        yield slice(start, min(start + _CHUNK_COLUMNS, sl.stop))
+def column_chunks(sl: slice, width: int = _CHUNK_COLUMNS):
+    """Consecutive sub-slices of sl, each at most width columns wide."""
+    for start in range(sl.start, sl.stop, width):
+        yield slice(start, min(start + width, sl.stop))
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,10 @@ def synthesize(
     (default_rng), so outputs are stable across runs for a fixed seed, and the
     noise draws do not depend on the noise amplitude: rescaling `noise` rescales
     the deviations exactly.
+
+    X0 is built in place in the one M x N array the draws land in: scaled by
+    noise, then each class block shifted by its mean. IEEE addition and
+    multiplication commute, so this equals mean_ext + noise * u bit for bit.
     """
     if q > m:
         raise DimensionError(f"need q <= m, got q={q}, m={m}")
@@ -243,9 +249,10 @@ def synthesize(
         means = mean_scale * rng.standard_normal((m, q))
         if numerical_rank(means) == q:
             break
-    n = sum(class_sizes)
-    unit = rng.uniform(-1.0, 1.0, size=(m, n))
-    x0 = np.repeat(means, class_sizes, axis=1) + noise * unit
+    x0 = rng.uniform(-1.0, 1.0, size=(m, sum(class_sizes)))
+    x0 *= noise
+    for sl, mean in zip(block_slices(class_sizes), means.T):
+        x0[:, sl] += mean[:, None]
     return _built(x0, class_sizes, np.eye(q))
 
 
@@ -325,13 +332,8 @@ def json_field(doc, key: str, where: str, convert=None):
         raise DimensionError(f"{where} field {key!r}: {exc}") from exc
 
 
-def to_json_dict(ds: ClassifiedDataset) -> dict:
-    classes = [ds.x0[:, sl].T.tolist() for sl in ds.class_slices()]
-    return {"m": ds.m, "q": ds.q, "classes": classes, "y": ds.y.tolist()}
-
-
 def from_json_dict(d: dict) -> ClassifiedDataset:
-    """Dataset from its JSON document (see to_json_dict; a missing or null "y"
+    """Dataset from its JSON document (see save_json; a missing or null "y"
     gives identity targets). A missing, ragged or non-numeric field raises
     DimensionError naming it."""
     m = json_field(d, "m", "dataset document", int)
@@ -352,10 +354,25 @@ def from_json_dict(d: dict) -> ClassifiedDataset:
     return _built(x.T, sizes, y)
 
 
-def save_json(ds: ClassifiedDataset, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(ds), fh)
-        fh.write("\n")
+def save_json(ds: ClassifiedDataset, out) -> None:
+    """Write ds as one line of JSON, {"m", "q", "classes", "y"}, with each
+    class a list of its sample rows, to out, a path or an open text stream.
+    The samples go out through json.dumps a chunk of whole samples (at most
+    _JSON_CHUNK_VALUES values) at a time, so the text equals json.dumps of the
+    whole document plus a newline while only one chunk is ever held as
+    Python objects."""
+    if not hasattr(out, "write"):
+        with open(out, "w") as fh:
+            save_json(ds, fh)
+        return
+    out.write(f'{{"m": {ds.m}, "q": {ds.q}, "classes": [')
+    for j, sl in enumerate(ds.class_slices()):
+        out.write(", [" if j else "[")
+        for k, chunk in enumerate(column_chunks(sl, max(1, _JSON_CHUNK_VALUES // ds.m))):
+            # strip the brackets of the chunk's own list of rows
+            out.write((", " if k else "") + json.dumps(ds.x0[:, chunk].T.tolist())[1:-1])
+        out.write("]")
+    out.write(f'], "y": {json.dumps(ds.y.tolist())}}}\n')
 
 
 def load_json(path) -> ClassifiedDataset:

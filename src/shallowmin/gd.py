@@ -1,6 +1,11 @@
 """Plain full-batch gradient descent on the squared L2 cost, used only as an
 empirical comparator against the constructive bounds. The ReLU subgradient at
-zero is taken to be zero."""
+zero is taken to be zero.
+
+A run allocates its arrays once, in a private workspace: the M x N
+pre-activations, mask, hidden layer and back-propagated residual, the Q x N
+residual and its square, and the four gradients. Each step writes into them
+and updates the weights in place, so a step allocates no array."""
 
 from __future__ import annotations
 
@@ -31,19 +36,49 @@ class GdConfig:
             raise ValueError("record_every must be positive")
 
 
-def _gradients(w1, b1, w2, b2, x0, targets, n):
-    pre = w1 @ x0 + b1[:, None]
-    mask = pre > 0.0
-    hidden = np.where(mask, pre, 0.0)
-    resid = w2 @ hidden + b2[:, None] - targets
-    scale = 2.0 / n
-    g_w2 = scale * (resid @ hidden.T)
-    g_b2 = scale * resid.sum(axis=1)
-    back = (w2.T @ resid) * mask
-    g_w1 = scale * (back @ x0.T)
-    g_b1 = scale * back.sum(axis=1)
-    cost_sq = float(np.sum(resid * resid)) / n
-    return g_w1, g_b1, g_w2, g_b2, cost_sq
+class _Workspace:
+    """The arrays of one full-batch step on data x0 (M x N) with targets
+    (Q x N), allocated once per run: the pre-activations, their ReLU mask,
+    the hidden layer, the residual and its square, the back-propagated
+    residual, and grads = (g_w1, g_b1, g_w2, g_b2)."""
+
+    def __init__(self, x0: np.ndarray, targets: np.ndarray):
+        (m, n), q = x0.shape, targets.shape[0]
+        self.x0, self.targets, self.n = x0, targets, n
+        self.pre, self.hidden, self.back = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
+        self.mask = np.empty((m, n), dtype=bool)
+        self.resid, self.resid_sq = np.empty((q, n)), np.empty((q, n))
+        self.grads = (np.empty((m, m)), np.empty(m), np.empty((q, m)), np.empty(q))
+
+    def gradients(self, w1, b1, w2, b2) -> float:
+        """Write the gradients of the squared cost at (w1, b1, w2, b2) into
+        grads and return that cost. The floating-point operations are those
+        of hidden = relu(w1 x0 + b1), resid = w2 hidden + b2 - targets and
+        their chain rule, in the same order as the allocating formulas, so
+        the results are the same bit for bit."""
+        x0, pre, mask, hidden, resid, back = (self.x0, self.pre, self.mask, self.hidden,
+                                              self.resid, self.back)
+        g_w1, g_b1, g_w2, g_b2 = self.grads
+        scale = 2.0 / self.n
+        np.matmul(w1, x0, out=pre)
+        pre += b1[:, None]
+        np.greater(pre, 0.0, out=mask)
+        hidden.fill(0.0)
+        np.copyto(hidden, pre, where=mask)
+        np.matmul(w2, hidden, out=resid)
+        resid += b2[:, None]
+        resid -= self.targets
+        np.matmul(resid, hidden.T, out=g_w2)
+        g_w2 *= scale
+        resid.sum(axis=1, out=g_b2)
+        g_b2 *= scale
+        np.matmul(w2.T, resid, out=back)
+        back *= mask
+        np.matmul(back, x0.T, out=g_w1)
+        g_w1 *= scale
+        back.sum(axis=1, out=g_b1)
+        g_b1 *= scale
+        return float(np.multiply(resid, resid, out=self.resid_sq).sum()) / self.n
 
 
 def train_gd(
@@ -59,20 +94,18 @@ def train_gd(
     at the constant predictor; this is inherent to the baseline.
     """
     rng = np.random.default_rng(cfg.seed)
-    m, q, n = ds.m, ds.q, ds.n
+    m, q = ds.m, ds.q
     w1 = cfg.init_scale * rng.standard_normal((m, m))
     b1 = np.zeros(m)
     w2 = cfg.init_scale * rng.standard_normal((q, m))
     b2 = np.zeros(q)
-    targets = y_ext(ds)
-    x0 = ds.x0
+    work = _Workspace(ds.x0, y_ext(ds))
 
     trace: list[tuple[int, float]] = []
     initial_cost = None
     lr = cfg.learning_rate
     for step in range(cfg.steps + 1):
-        g_w1, g_b1, g_w2, g_b2, cost_sq = _gradients(w1, b1, w2, b2, x0, targets, n)
-        cost = float(np.sqrt(cost_sq))
+        cost = float(np.sqrt(work.gradients(w1, b1, w2, b2)))
         if initial_cost is None:
             initial_cost = cost
         if initial_cost > 0 and cost > 1e6 * initial_cost:
@@ -81,10 +114,9 @@ def train_gd(
             trace.append((step, cost))
         if step == cfg.steps:
             break
-        w1 = w1 - lr * g_w1
-        b1 = b1 - lr * g_b1
-        w2 = w2 - lr * g_w2
-        b2 = b2 - lr * g_b2
+        for w, g in zip((w1, b1, w2, b2), work.grads):
+            g *= lr
+            w -= g
     return ShallowParams(w1=w1, b1=b1, w2=w2, b2=b2), trace
 
 

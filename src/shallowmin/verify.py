@@ -17,10 +17,10 @@ import numpy as np
 
 from .classify import classify_batch, metric as metric_distance, score_batch
 from .constructive import (
+    _tied_output_layer,
     ConstructiveConfig,
     exact_w2,
     in_region_perturbation,
-    resolve_output_layer,
     sanity_forward_means,
     train_exact_meq,
     train_general,
@@ -206,12 +206,13 @@ def suite_degeneracy(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     params = train_exact_meq(ds, stats)
     em = exact_min_weighted(ds, stats)
     beta1 = ConstructiveConfig().beta1(stats.rho)
+    v = exact_w2(ds, stats)
     rng = np.random.default_rng(seed)
     worst = 0.0
     n_perturbations = 50
     for _ in range(n_perturbations):
         w1p, b1p = in_region_perturbation(params, stats, beta1, rng)
-        w2p, b2p = resolve_output_layer(w1p, b1p, ds, stats)
+        w2p, b2p = _tied_output_layer(w1p, b1p, ds, v)
         cw = cost_weighted(ShallowParams(w1=w1p, b1=b1p, w2=w2p, b2=b2p), ds)
         worst = max(worst, _rel(cw, em))
     return [_check("degeneracy.flat-value", worst, 1e-8,

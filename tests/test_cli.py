@@ -26,6 +26,14 @@ class TestGen:
         run(["gen", "--m", 4, "--q", 3, "--seed", 11, "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_equals_out_file(self, tmp_path, capsys):
+        out = tmp_path / "ds.json"
+        args = ["gen", "--m", 4, "--q", 3, "--sizes", "5,2500,3", "--seed", 11]
+        assert run(args + ["--out", out]) == 0
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().out == out.read_text()
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path):
@@ -322,6 +330,15 @@ class TestReport:
     def test_missing_artifact_exit_code(self, tmp_path, capsys):
         assert run(["report", "--inputs", tmp_path / "nope.json"]) == 2
         assert "no such artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '[{"cost_l2": 1.0}, "x"]', "3",
+                                      '{"cost_l2": 1.0}\n[1]\n'],
+                             ids=["ints", "mixed", "scalar", "jsonl"])
+    def test_non_object_artifact_exit_3(self, tmp_path, capsys, text):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
+        assert run(["report", "--inputs", path]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_truncation_lines_in_report(self, tmp_path):
         ds_path = tmp_path / "ds.json"

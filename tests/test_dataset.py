@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from shallowmin.dataset import (
     save_json,
 )
 from shallowmin.errors import DegenerateMeans, DimensionError, RankDeficient
+from shallowmin.linalg import numerical_rank
 
 
 class TestStats:
@@ -128,6 +130,29 @@ class TestSynthesize:
         with pytest.raises(DimensionError):
             synthesize(2, 3, [1, 1, 1])
 
+    @pytest.mark.parametrize("m, q, sizes, mean_scale, noise, seed", [
+        (3, 2, [4, 4], 1.0, 0.05, 0),
+        (5, 3, [7, 1, 9], 1.0, 0.0, 2),
+        (8, 8, [30] * 8, 1.0, 0.05, 1),
+        (4, 2, [10, 10], 1e8, 0.3, 3),
+        (4, 2, [10, 10], 1e-9, 0.3, 4),
+        (6, 3, [3, 5, 2], 1.0, 2.5, 7),
+    ])
+    def test_equals_repeated_means_plus_scaled_noise_bitwise(self, m, q, sizes, mean_scale,
+                                                             noise, seed):
+        # the reference draws from the same generator and forms the sum of
+        # full M x N arrays; the in-place build must give the same bits
+        rng = np.random.default_rng(seed)
+        while True:
+            means = mean_scale * rng.standard_normal((m, q))
+            if numerical_rank(means) == q:
+                break
+        unit = rng.uniform(-1.0, 1.0, size=(m, sum(sizes)))
+        expected = np.repeat(means, sizes, axis=1) + noise * unit
+        ds = synthesize(m, q, sizes, mean_scale=mean_scale, noise=noise, seed=seed)
+        assert np.array_equal(ds.x0, expected)
+        assert not ds.x0.flags.writeable
+
 
 class TestYExt:
     @pytest.mark.parametrize("y,sizes,expected", [
@@ -196,6 +221,21 @@ class TestIO:
         assert np.array_equal(ds.x0, delta01_dataset.x0)
         assert ds.class_sizes == delta01_dataset.class_sizes
         assert np.array_equal(ds.y, delta01_dataset.y)
+
+    @pytest.mark.parametrize("sizes", [[3, 2], [2500, 1, 4200]])
+    def test_json_text_equals_one_dumps_of_the_document(self, tmp_path, sizes):
+        # the writer streams column chunks; the text is still that of one
+        # json.dumps of the whole document, at one chunk and at several
+        ds = synthesize(3, len(sizes), sizes, noise=0.1, seed=6)
+        doc = {"m": ds.m, "q": ds.q,
+               "classes": [ds.x0[:, sl].T.tolist() for sl in ds.class_slices()],
+               "y": ds.y.tolist()}
+        path = tmp_path / "data.json"
+        save_json(ds, path)
+        assert path.read_text() == json.dumps(doc) + "\n"
+        stream = io.StringIO()
+        save_json(ds, stream)
+        assert stream.getvalue() == path.read_text()
 
     def test_json_default_identity_targets(self, tmp_path):
         path = tmp_path / "data.json"

@@ -3,9 +3,57 @@ import pytest
 
 from shallowmin import GdConfig, cost_l2, dataset_stats, synthesize, train_gd
 from shallowmin.errors import Diverged
-from shallowmin.gd import _gradients, compare, gd_in_fixed_point_region
+from shallowmin.gd import _Workspace, compare, gd_in_fixed_point_region
 from shallowmin.constructive import train_exact_meq
-from shallowmin.dataset import y_ext
+from shallowmin.dataset import from_samples, y_ext
+
+
+def reference_gradients(w1, b1, w2, b2, x0, targets, n):
+    """The allocating formulas of one gradient step, in plain numpy."""
+    pre = w1 @ x0 + b1[:, None]
+    mask = pre > 0.0
+    hidden = np.where(mask, pre, 0.0)
+    resid = w2 @ hidden + b2[:, None] - targets
+    scale = 2.0 / n
+    g_w2 = scale * (resid @ hidden.T)
+    g_b2 = scale * resid.sum(axis=1)
+    back = (w2.T @ resid) * mask
+    g_w1 = scale * (back @ x0.T)
+    g_b1 = scale * back.sum(axis=1)
+    cost_sq = float(np.sum(resid * resid)) / n
+    return g_w1, g_b1, g_w2, g_b2, cost_sq
+
+
+def reference_train_gd(ds, cfg):
+    """train_gd with fresh arrays at every step, without the divergence check."""
+    rng = np.random.default_rng(cfg.seed)
+    w1 = cfg.init_scale * rng.standard_normal((ds.m, ds.m))
+    b1 = np.zeros(ds.m)
+    w2 = cfg.init_scale * rng.standard_normal((ds.q, ds.m))
+    b2 = np.zeros(ds.q)
+    targets = y_ext(ds)
+    trace = []
+    for step in range(cfg.steps + 1):
+        g_w1, g_b1, g_w2, g_b2, cost_sq = reference_gradients(
+            w1, b1, w2, b2, ds.x0, targets, ds.n)
+        if step % cfg.record_every == 0 or step == cfg.steps:
+            trace.append((step, float(np.sqrt(cost_sq))))
+        if step == cfg.steps:
+            break
+        w1 = w1 - cfg.learning_rate * g_w1
+        b1 = b1 - cfg.learning_rate * g_b1
+        w2 = w2 - cfg.learning_rate * g_w2
+        b2 = b2 - cfg.learning_rate * g_b2
+    return (w1, b1, w2, b2), trace
+
+
+def ray_dataset():
+    """Samples close to the ray through (1, 1, 1, 1): every hidden unit whose
+    first-layer row sums below zero starts dead and stays dead."""
+    rng = np.random.default_rng(0)
+    t = rng.uniform(1.0, 2.0, 40)
+    samples = t[:, None] * np.ones(4) + 0.01 * rng.uniform(size=(40, 4))
+    return from_samples(samples, [0] * 20 + [1] * 20)
 
 
 class TestTrainGd:
@@ -39,6 +87,21 @@ class TestTrainGd:
         _, trace = train_gd(zero_noise_dataset, GdConfig(steps=250, record_every=100))
         assert [s for s, _ in trace] == [0, 100, 200, 250]
 
+    @pytest.mark.parametrize("make, cfg, has_dead_units", [
+        (lambda: synthesize(5, 3, [6, 9, 4], noise=0.2, seed=2),
+         GdConfig(steps=300, seed=1, learning_rate=0.05, record_every=7), False),
+        (ray_dataset, GdConfig(steps=250, seed=3, record_every=10), True),
+    ], ids=["noisy", "dead-units"])
+    def test_in_place_steps_match_allocating_reference_bitwise(self, make, cfg, has_dead_units):
+        ds = make()
+        params, trace = train_gd(ds, cfg)
+        ref_weights, ref_trace = reference_train_gd(ds, cfg)
+        for got, want in zip((params.w1, params.b1, params.w2, params.b2), ref_weights):
+            assert np.array_equal(got, want)
+        assert trace == ref_trace
+        pre = params.w1 @ ds.x0 + params.b1[:, None]
+        assert np.all(pre <= 0.0, axis=1).any() == has_dead_units
+
 
 class TestGradients:
     def test_matches_central_finite_differences(self):
@@ -56,7 +119,9 @@ class TestGradients:
             pre = w1 @ ds.x0 + b1[:, None]
             if np.min(np.abs(pre)) < 1e-3:
                 continue
-            g_w1, g_b1, g_w2, g_b2, _ = _gradients(w1, b1, w2, b2, ds.x0, targets, ds.n)
+            work = _Workspace(ds.x0, targets)
+            work.gradients(w1, b1, w2, b2)
+            g_w1, g_b1, g_w2, g_b2 = work.grads
 
             def cost_sq(w1=w1, b1=b1, w2=w2, b2=b2):
                 hid = np.maximum(w1 @ ds.x0 + b1[:, None], 0.0)

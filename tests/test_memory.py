@@ -2,7 +2,9 @@
 M x N array and their pass keeps under a quarter of one (it works in
 class-block buffers), training keeps under one M x N array of transient
 memory, and a cost report under half of one (it forwards column chunks and
-reads the bound from the statistics)."""
+reads the bound from the statistics). Synthesis holds one M x N array (it
+builds X0 in place), and the JSON writer less than one (it streams column
+chunks)."""
 
 import dataclasses
 import tracemalloc
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from shallowmin import dataset_stats, evaluate, synthesize, train_general
+from shallowmin.dataset import save_json
 from shallowmin.network import params_from_dict, params_to_dict
 
 
@@ -62,3 +65,14 @@ def test_evaluate_peak_under_half_an_m_by_n_array(fitted):
 def test_train_general_peak_under_one_m_by_n_array(fitted):
     ds, stats, pack, _ = fitted
     assert traced_peak(train_general, ds, stats, pack) < 1.0 * ds.x0.nbytes
+
+
+def test_synthesize_peak_one_m_by_n_array(fitted):
+    ds = fitted[0]
+    peak = traced_peak(synthesize, 40, 20, [1000] * 20, 1.0, 0.05, 3)
+    assert peak < 1.25 * ds.x0.nbytes
+
+
+def test_save_json_peak_under_one_m_by_n_array(tmp_path):
+    ds = synthesize(8, 4, [2500] * 4, noise=0.05, seed=3)
+    assert traced_peak(save_json, ds, tmp_path / "d.json") < 1.0 * ds.x0.nbytes
