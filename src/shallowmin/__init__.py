@@ -49,7 +49,6 @@ from .linalg import (
 from .network import ShallowParams, forward, relu
 from .truncation import (
     TruncationResult,
-    is_rank_preserving,
     min_over_output_layer,
     sweep_fixed_point_region,
     truncate,
@@ -82,7 +81,6 @@ __all__ = [
     "evaluate",
     "exact_min_weighted",
     "forward",
-    "is_rank_preserving",
     "load_dataset",
     "lstsq_output_layer",
     "metric",

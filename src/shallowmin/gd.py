@@ -18,7 +18,7 @@ from .dataset import ClassifiedDataset, DatasetStats, y_ext
 from .errors import Diverged, ShallowminError
 from .linalg import ProjectorPack
 from .network import ShallowParams
-from .truncation import truncate, FIXED_POINT_ATOL
+from .truncation import _truncation_pass
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,14 @@ def train_gd(
 
 
 def gd_in_fixed_point_region(params: ShallowParams, ds: ClassifiedDataset) -> bool:
-    """Whether the final first layer lies in the fixed-point region (M = Q only)."""
+    """Whether the final first layer lies in the fixed-point region (M = Q
+    only): w1 is invertible and no pre-activation w1 X0 + b1 1^T is negative."""
     if ds.m != ds.q:
         return False
     try:
-        tau = truncate(params.w1, params.b1, ds)
+        return _truncation_pass(params.w1, params.b1, ds)[2]
     except ShallowminError:
         return False
-    return bool(np.max(np.abs(tau - ds.x0)) <= FIXED_POINT_ATOL)
 
 
 def compare(

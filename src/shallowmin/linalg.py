@@ -26,7 +26,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # NaN propagates through min and max, and +-inf is one of them: no M x N bool temporary.
+    if not (a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max()))):
         raise DimensionError(f"{name} contains non-finite entries")
     return a
 

@@ -5,7 +5,8 @@ fixed first layer (M = Q regime).
 The truncation map conjugates the activation by the affine first-layer map:
 tau(X0) = w1^-1 (relu(w1 X0 + b1 1^T) - b1 1^T). Its fixed points are exactly
 the (w1, b1) for which the network is effectively linear on the data; on that
-region the output-layer minimum does not depend on (w1, b1) at all.
+region the output-layer minimum does not depend on (w1, b1) at all. A point is
+in the region iff no pre-activation w1 X0 + b1 1^T is negative (no tolerance).
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .errors import ConsistencyError, ShallowminError, SingularMeans, SingularW1
 from .linalg import numerical_rank, rank_with_margin
 from .network import relu
 
-# Entrywise tolerance for tau(X0) == X0 (fixed-point membership).
-FIXED_POINT_ATOL = 1e-12
-
 # Relative tolerance of the closed form vs the brute-force least squares.
 ORACLE_RTOL = 1e-8
 
@@ -33,8 +31,10 @@ class TruncationResult:
 
     min_cost_weighted is present iff the truncation preserved both ranks; the
     relative-deviation matrices and delta_p_tr are the truncated analogues of
-    the dataset statistics. lstsq_oracle is the least-squares value that
-    min_cost_weighted was checked against; to_dict leaves it out.
+    the dataset statistics. in_fixed_point_region: no pre-activation w1 X0 + b1
+    is negative (a sign test, no tolerance). to_dict leaves out lstsq_oracle,
+    the least-squares value min_cost_weighted was checked against, and
+    reapplication_leak, max|relu(r) - r| at r = w1 tau(X0) + b1.
     """
 
     tau_x0: np.ndarray = field(repr=False)
@@ -42,6 +42,7 @@ class TruncationResult:
     rank_means_preserved: bool
     rank_marginal: bool
     in_fixed_point_region: bool
+    reapplication_leak: float = field(repr=False)
     min_cost_weighted: float | None = None
     delta_p_tr: float | None = None
     delta1_rel_tr: np.ndarray | None = field(default=None, repr=False)
@@ -71,6 +72,13 @@ def truncate(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> np.ndarra
     Reapplying the affine map to the result lands in the image of the
     activation, so relu acts as the identity there (checked to 1e-10).
     """
+    return _truncation_pass(w1, b1, ds)[0]
+
+
+def _truncation_pass(w1: np.ndarray, b1: np.ndarray,
+                     ds: ClassifiedDataset) -> tuple[np.ndarray, np.ndarray, bool, float]:
+    """(tau(X0), hidden layer relu(w1 X0 + b1 1^T), fixed-point membership,
+    reapplication leak) of one first layer, from its one product w1 X0."""
     if ds.m != ds.q:
         raise WrongRegime(f"truncation requires M = Q, got M={ds.m}, Q={ds.q}")
     w1 = np.asarray(w1, dtype=float)
@@ -79,13 +87,15 @@ def truncate(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> np.ndarra
         raise WrongRegime(f"w1/b1 shapes {w1.shape}/{b1.shape} do not match Q={ds.q}")
     if numerical_rank(w1) < ds.q:
         raise SingularW1("w1 must be invertible")
-    hidden = relu(w1 @ ds.x0 + b1[:, None])
+    pre = w1 @ ds.x0 + b1[:, None]
+    in_region = bool(pre.min() >= 0.0)
+    hidden = relu(pre)
     tau = np.linalg.solve(w1, hidden - b1[:, None])
     reapplied = w1 @ tau + b1[:, None]
     leak = float(np.max(np.abs(relu(reapplied) - reapplied)))
     if leak > 1e-10 * (1.0 + float(np.max(np.abs(hidden)))):
         raise ConsistencyError(f"reapplication identity violated by {leak:.3e}")
-    return tau
+    return tau, hidden, in_region, leak
 
 
 def _truncated_means(tau: np.ndarray, ds: ClassifiedDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +110,6 @@ def _data_ranks(ds: ClassifiedDataset) -> tuple[int, int]:
     """(rank(X0), rank(class means)): they depend on the dataset alone, so a
     sweep computes them once, not once per grid point."""
     return numerical_rank(ds.x0), numerical_rank(block_means(ds.x0, ds.class_sizes))
-
-
-def is_rank_preserving(tau_x0: np.ndarray, ds: ClassifiedDataset) -> tuple[bool, bool]:
-    """(rank(tau(X0)) == rank(X0), rank(truncated means) == rank(means))."""
-    means_tau, _ = _truncated_means(tau_x0, ds)
-    rank_x0, rank_means = _data_ranks(ds)
-    return numerical_rank(tau_x0) == rank_x0, numerical_rank(means_tau) == rank_means
 
 
 def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> TruncationResult:
@@ -127,21 +130,19 @@ def _min_over_output_layer(
     w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset, data_ranks: tuple[int, int]
 ) -> TruncationResult:
     """min_over_output_layer given data_ranks = _data_ranks(ds)."""
-    tau = truncate(w1, b1, ds)
-    w1 = np.asarray(w1, dtype=float)
-    b1 = np.asarray(b1, dtype=float).reshape(-1)
+    tau, hidden, in_region, leak = _truncation_pass(w1, b1, ds)
     rank_tau, marginal_tau = rank_with_margin(tau)
     means_tau, dev_tau = _truncated_means(tau, ds)
     rank_means_tau, marginal_means = rank_with_margin(means_tau)
     rank_x0 = rank_tau == data_ranks[0]
     rank_means = rank_means_tau == data_ranks[1]
-    in_region = bool(np.max(np.abs(tau - ds.x0)) <= FIXED_POINT_ATOL)
     result = TruncationResult(
         tau_x0=tau,
         rank_x0_preserved=rank_x0,
         rank_means_preserved=rank_means,
         rank_marginal=marginal_tau or marginal_means,
         in_fixed_point_region=in_region,
+        reapplication_leak=leak,
     )
     if not (rank_x0 and rank_means):
         return result
@@ -154,7 +155,6 @@ def _min_over_output_layer(
     result.delta_p_tr = float(np.max(np.linalg.norm(d1_tr, axis=0)))
     result.delta1_rel_tr = d1_tr
     result.delta2_rel_tr = d2_tr
-    hidden = relu(w1 @ ds.x0 + b1[:, None])
     _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=b1)
     result.lstsq_oracle = oracle
     if abs(value - oracle) > ORACLE_RTOL * (1.0 + max(value, oracle)):

@@ -42,7 +42,7 @@ from .dataset import ClassifiedDataset, dataset_stats, deviations, y_ext
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward, relu
-from .truncation import min_over_output_layer, region_minima_spread, sweep_fixed_point_region, truncate
+from .truncation import _truncation_pass, min_over_output_layer, region_minima_spread, sweep_fixed_point_region
 
 SUITES = ("bounds", "exact-min", "degeneracy", "invariance", "metric", "truncation")
 
@@ -347,25 +347,23 @@ def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         if pt.result.in_fixed_point_region:
             region_vals.append(pt.result.min_cost_weighted)
 
+    # With no in-region point both region checks fail rather than pass on no data.
+    flat = region_minima_spread(points) if region_vals else float("inf")
+    vs_exact = max((_rel(v, em) for v in region_vals), default=float("inf"))
     checks = [
         _check("truncation.closed-vs-lstsq", worst_oracle, 1e-8,
                detail=f"{n_preserving} rank-preserving points"),
-        _check("truncation.region-flat", region_minima_spread(points), 1e-8,
+        _check("truncation.region-flat", flat, 1e-8,
                detail=f"{len(region_vals)} in-region points"),
+        _check("truncation.region-matches-exact", vs_exact, 1e-8,
+               detail=f"exact={em:.9e}" if region_vals else "0 in-region points"),
     ]
-    if region_vals:
-        worst_vs_exact = max(_rel(v, em) for v in region_vals)
-        checks.append(_check("truncation.region-matches-exact", worst_vs_exact, 1e-8,
-                             detail=f"exact={em:.9e}"))
-    # The sweep kept tau(X0) of every point it finished. A point that recorded
-    # an error is truncated again, so an error of truncate itself surfaces.
-    worst_reapply = 0.0
-    for (w1, b1), pt in zip(grid, points):
-        w1 = np.asarray(w1, dtype=float)
-        b1 = np.asarray(b1, dtype=float).reshape(-1)
-        tau = truncate(w1, b1, ds) if pt.result is None else pt.result.tau_x0
-        reapplied = w1 @ tau + b1[:, None]
-        worst_reapply = max(worst_reapply, float(np.max(np.abs(relu(reapplied) - reapplied))))
+    # The sweep measured the reapplication leak of every point it finished. A
+    # point that recorded an error is truncated again, so an error of the
+    # truncation itself surfaces.
+    worst_reapply = max(
+        _truncation_pass(w1, b1, ds)[3] if pt.result is None else pt.result.reapplication_leak
+        for (w1, b1), pt in zip(grid, points))
     checks.append(_check("truncation.reapplication-identity", worst_reapply, 1e-10))
     # The sweep already evaluated the full truncation, the last grid point. If
     # it recorded an error there, the point is rerun to raise that error.

@@ -180,10 +180,10 @@ class TestCompare:
     def test_region_check_propagates_non_library_errors(self, delta01_dataset, monkeypatch):
         from shallowmin import ShallowParams, gd
 
-        def broken_truncate(w1, b1, ds):
+        def broken_truncation_pass(w1, b1, ds):
             raise RuntimeError("not a ShallowminError")
 
-        monkeypatch.setattr(gd, "truncate", broken_truncate)
+        monkeypatch.setattr(gd, "_truncation_pass", broken_truncation_pass)
         params = ShallowParams(w1=np.eye(2), b1=np.full(2, 3.0), w2=np.eye(2), b2=np.zeros(2))
         with pytest.raises(RuntimeError, match="not a ShallowminError"):
             gd_in_fixed_point_region(params, delta01_dataset)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from shallowmin.errors import DimensionError, NotAProjector, RankDeficient
 from shallowmin.linalg import (
+    as_matrix,
     diagonalizing_rotation,
     numerical_rank,
     orthoprojector,
@@ -20,6 +23,39 @@ def random_full_rank(m, q, rng, smin=0.3, smax=3.0):
     v, _ = np.linalg.qr(rng.standard_normal((q, q)))
     s = rng.uniform(smin, smax, size=q)
     return u[:, :q] * s @ v.T
+
+
+class TestAsMatrix:
+    """as_matrix finds non-finite entries from the min and max of the array,
+    with no M x N boolean temporary."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided"])
+    def test_peak_memory_is_not_a_fraction_of_the_array(self, layout):
+        a = np.random.default_rng(0).standard_normal((1000, 1000))
+        a = {"C": a, "F": np.asfortranarray(a), "transposed": a.T, "strided": a[::2, ::3]}[layout]
+        tracemalloc.start()
+        try:
+            out = as_matrix(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out is a
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_at_every_position(self, bad):
+        for i in range(3):
+            for j in range(4):
+                a = np.arange(12.0).reshape(3, 4)
+                a[i, j] = bad
+                with pytest.raises(DimensionError, match="non-finite"):
+                    as_matrix(a)
+                with pytest.raises(DimensionError, match="non-finite"):
+                    as_matrix(a.T)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_accepted(self, shape):
+        assert as_matrix(np.empty(shape)).shape == shape
 
 
 class TestPenroseInverse:

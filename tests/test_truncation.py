@@ -4,14 +4,14 @@ import pytest
 from shallowmin import (
     dataset_stats,
     exact_min_weighted,
-    is_rank_preserving,
     min_over_output_layer,
     sweep_fixed_point_region,
     synthesize,
     truncate,
     y_ext,
 )
-from shallowmin import ClassifiedDataset, truncation, verify
+from shallowmin import ClassifiedDataset, ShallowParams, truncation, verify
+from shallowmin.gd import gd_in_fixed_point_region
 from shallowmin.errors import SingularMeans, SingularW1, WrongRegime
 from shallowmin.network import relu
 from shallowmin.cost import projector_route
@@ -63,23 +63,26 @@ class TestTruncate:
 
 
 class TestRankPreserving:
+    @staticmethod
+    def _flags(res):
+        return res.rank_x0_preserved, res.rank_means_preserved
+
     def test_identity_case(self, delta01_dataset):
-        tau = truncate(np.eye(2), np.full(2, 3.0), delta01_dataset)
-        assert is_rank_preserving(tau, delta01_dataset) == (True, True)
+        res = min_over_output_layer(np.eye(2), np.full(2, 3.0), delta01_dataset)
+        assert self._flags(res) == (True, True)
 
     def test_full_truncation_loses_rank(self):
         from shallowmin import ClassifiedDataset
         x0 = np.array([[-1.0, -2.0, -0.1, -0.2], [-0.5, -0.4, -2.0, -1.0]])
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(2, 2), x0=x0, y=np.eye(2))
-        tau = truncate(np.eye(2), np.zeros(2), ds)
-        assert is_rank_preserving(tau, ds) == (False, False)
+        res = min_over_output_layer(np.eye(2), np.zeros(2), ds)
+        assert self._flags(res) == (False, False)
 
     def test_partial_clip_flags_match_rank_oracle(self, delta01_dataset):
-        tau = truncate(np.eye(2), np.array([-0.5, 0.0]), delta01_dataset)
-        flags = is_rank_preserving(tau, delta01_dataset)
+        res = min_over_output_layer(np.eye(2), np.array([-0.5, 0.0]), delta01_dataset)
         # SVD oracle: truncated matrix and truncated means both keep rank 2
-        assert np.linalg.matrix_rank(tau) == 2
-        assert flags == (True, True)
+        assert np.linalg.matrix_rank(res.tau_x0) == 2
+        assert self._flags(res) == (True, True)
 
 
 class TestMinOverOutputLayer:
@@ -191,20 +194,20 @@ class TestDataRanksOnce:
 
 
 class TestSuiteReusesSweep:
-    """suite_truncation reads tau(X0) from the sweep for the reapplication
-    identity and truncates again only where the sweep recorded an error."""
+    """suite_truncation reads the reapplication leak from the sweep and
+    truncates again only where the sweep recorded an error."""
 
     @pytest.fixture
     def truncate_calls(self, monkeypatch):
         calls = []
-        original = truncation.truncate
+        original = truncation._truncation_pass
 
         def counting(w1, b1, ds):
             calls.append(b1)
             return original(w1, b1, ds)
 
-        monkeypatch.setattr(truncation, "truncate", counting)
-        monkeypatch.setattr(verify, "truncate", counting)
+        monkeypatch.setattr(truncation, "_truncation_pass", counting)
+        monkeypatch.setattr(verify, "_truncation_pass", counting)
         return calls
 
     def test_one_truncation_per_grid_point(self, truncate_calls):
@@ -290,3 +293,97 @@ class TestDependentMeans:
         assert points[0].error is not None and "SingularMeans" in points[0].error
         assert points[1].error is None
         assert points[1].result.min_cost_weighted is None
+
+
+class TestSignRule:
+    """A first layer is in the fixed-point region iff no pre-activation
+    w1 X0 + b1 is negative; the flag of min_over_output_layer and
+    gd_in_fixed_point_region both read that sign, with no tolerance."""
+
+    @staticmethod
+    def _scaled(s):
+        return synthesize(4, 4, [30] * 4, mean_scale=s, noise=0.05 * s, seed=1)
+
+    @pytest.mark.parametrize("s", [1e4, 2.0 ** 20, 1e8])
+    def test_region_found_at_large_scale(self, s):
+        ds = self._scaled(s)
+        points = sweep_fixed_point_region(ds, verify.default_truncation_grid(ds))
+        assert sum(p.result is not None and p.result.in_fixed_point_region for p in points) >= 1
+        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        assert checks["truncation.region-matches-exact"].passed
+
+    def test_shifted_identity_in_region_at_scale_1e4(self):
+        ds = self._scaled(1e4)
+        stats, _ = dataset_stats(ds)
+        b1 = 3.0 * stats.rho * np.ones(4)
+        assert min_over_output_layer(np.eye(4), b1, ds).in_fixed_point_region
+        params = ShallowParams(w1=np.eye(4), b1=b1, w2=np.eye(4), b2=np.zeros(4))
+        assert gd_in_fixed_point_region(params, ds)
+
+    @pytest.mark.parametrize("b1_first,inside", [
+        (-0.9, True),                           # the smallest pre-activation is exactly 0
+        (np.nextafter(-0.9, -1.0), False),      # one pre-activation is -1.1e-16
+    ])
+    def test_one_slightly_negative_pre_activation(self, delta01_dataset, b1_first, inside):
+        # Row 0 of w1 X0 is (1.1, 0.9, 2.2, 1.8): its minimum 0.9 is attained once.
+        w1, b1 = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([b1_first, 3.0])
+        pre = w1 @ delta01_dataset.x0 + b1[:, None]
+        assert np.sum(pre < 0) == (0 if inside else 1)
+        assert min_over_output_layer(w1, b1, delta01_dataset).in_fixed_point_region == inside
+        params = ShallowParams(w1=w1, b1=b1, w2=np.eye(2), b2=np.zeros(2))
+        assert gd_in_fixed_point_region(params, delta01_dataset) == inside
+
+    def test_one_first_layer_product_per_point(self, monkeypatch):
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        grid = verify.default_truncation_grid(ds)
+        data_ranks = truncation._data_ranks(ds)
+
+        class CountingX0(np.ndarray):
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and any(x is counted for x in inputs):
+                    CountingX0.products += 1
+                inputs = [np.asarray(x) if isinstance(x, CountingX0) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        counted = ds.x0.view(CountingX0)
+        object.__setattr__(ds, "x0", counted)
+        passes, oracle_hidden = [], []
+        original_pass, original_lstsq = truncation._truncation_pass, truncation.lstsq_output_layer
+
+        def recording_pass(w1, b1, ds):
+            out = original_pass(w1, b1, ds)
+            passes.append(out[1])
+            return out
+
+        def recording_lstsq(hidden, *args, **kwargs):
+            oracle_hidden.append(hidden)
+            return original_lstsq(hidden, *args, **kwargs)
+
+        monkeypatch.setattr(truncation, "_truncation_pass", recording_pass)
+        monkeypatch.setattr(truncation, "lstsq_output_layer", recording_lstsq)
+        for w1, b1 in grid:
+            before = CountingX0.products
+            res = truncation._min_over_output_layer(w1, b1, ds, data_ranks)
+            assert CountingX0.products - before == 1
+            if res.min_cost_weighted is not None:
+                assert oracle_hidden[-1] is passes[-1]
+        assert len(passes) == len(grid) and len(oracle_hidden) > 0
+
+    def test_region_checks_fail_without_in_region_points(self, monkeypatch):
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        original = verify.sweep_fixed_point_region
+
+        def no_region(ds, grid):
+            points = original(ds, grid)
+            for p in points:
+                if p.result is not None:
+                    p.result.in_fixed_point_region = False
+            return points
+
+        monkeypatch.setattr(verify, "sweep_fixed_point_region", no_region)
+        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        for name in ("truncation.region-flat", "truncation.region-matches-exact"):
+            assert not checks[name].passed
+            assert checks[name].detail == "0 in-region points"
