@@ -8,9 +8,11 @@ network simply cuts off components orthogonal to the span of the class means.
 The equality holds on the ball |x| <= beta1, where the first layer stays in its
 linear regime.
 
-All classification runs through classify_batch over an M x K block of inputs;
-the class means are passed in once, so a block costs one forward pass and Q
-linear maps, never a pass over the training data per input.
+Every winner is the row-wise argmin of score_batch over an M x K block of
+inputs, which needs only the parameters and the targets. classify_batch adds
+the metric scores and their agreement; the class means are passed in once, so
+a block costs one forward pass and Q linear maps, never a pass over the
+training data per input.
 """
 
 from __future__ import annotations

@@ -11,26 +11,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .classify import classify_batch
+from .classify import score_batch
 from . import dataset as dataset_mod
-from .constructive import (
-    ConstructiveConfig,
-    Variant,
-    provenance,
-    train,
-    w2_tilde,
-)
+from .constructive import ConstructiveConfig, Variant, provenance, train
 from .cost import evaluate
-from .dataset import csv_rows, dataset_stats, json_field, load_dataset, synthesize
+from .dataset import (
+    checked_targets,
+    csv_rows,
+    dataset_stats,
+    independent_means,
+    json_field,
+    load_dataset,
+    synthesize,
+)
 from .errors import DimensionError, MissingArtifact, ShallowminError
 from .gd import GdConfig, compare as gd_compare, train_gd
-from .network import load_params, params_to_dict
+from .network import ShallowParams, load_params, params_to_dict, provenance_of
 from .truncation import sweep_fixed_point_region
 from .verify import SUITES, run_suite
 
@@ -96,12 +99,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = _dataset_from_args(args)
+    """Params plus provenance. The provenance ends in the targets y and, for a
+    JSON --data file, the SHA-256 of the bytes parsed (else null), which lets
+    classify skip parsing that file again."""
+    sha256 = None
+    if args.data is not None and dataset_mod.reads_as_json(args.data):
+        sha256 = hashlib.sha256()
+        ds = dataset_mod.load_json(args.data, sha256)
+    else:
+        ds = _dataset_from_args(args)
     stats, pack = dataset_stats(ds)
     cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
     variant = Variant(args.variant)
     params = train(ds, stats, pack, variant, cfg)
-    prov = provenance(variant, ds, stats, pack, cfg)
+    prov = {**provenance(variant, ds, stats, pack, cfg), "y": ds.y.tolist(),
+            "data_sha256": None if sha256 is None else sha256.hexdigest()}
     _write_json({**params_to_dict(params), "provenance": prov}, args.out)
     return EXIT_OK
 
@@ -131,22 +143,46 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def _classify_model(args) -> tuple[ShallowParams, np.ndarray, tuple[int, int]]:
+    """The params of args.params, the Q x Q targets to score against, and the
+    (M, Q) of the data they were taken from.
+
+    When --data is a JSON file whose SHA-256 equals the data_sha256 that train
+    recorded in the params' provenance, the targets are the provenance y and
+    the file is not parsed. Otherwise the dataset is loaded as every command
+    loads it, its class means are checked for rank, and its y is used.
+    """
+    params = prov = None
+    if args.data is not None and dataset_mod.reads_as_json(args.data):
+        digest = dataset_mod.file_sha256(args.data)
+        try:
+            params, prov = load_params(args.params)
+        except Exception:
+            pass  # raised again below, after the dataset's own errors, as before
+        if prov is not None and prov.get("data_sha256") == digest:
+            y = checked_targets(json_field(prov, "y", "params provenance"), params.q)
+            return params, y, (params.m, params.q)
     ds = _dataset_from_args(args)
-    stats, pack = dataset_stats(ds)
-    params, _ = load_params(args.params)
-    w2t = w2_tilde(ds, stats)
+    independent_means(ds)
+    if params is None:
+        params, _ = load_params(args.params)
+    return params, ds.y, (ds.m, ds.q)
+
+
+def cmd_classify(args) -> int:
+    params, y, data_shape = _classify_model(args)
     inputs, _ = csv_rows(args.inputs, args.inputs_header,
                          lambda k, line: f"input row {k} (line {line})", params.m)
-    # metric scores and agreement are computed but not written
-    outcome = classify_batch(params, w2t, pack.p, stats.means, ds.y, inputs.T)
+    if data_shape != (params.m, params.q):
+        raise DimensionError(f"means shape {data_shape} != ({params.m}, {params.q})")
+    scores = score_batch(params, y, inputs.T)
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fh)
-        writer.writerow(["index", "winner"] + [f"score_{j}" for j in range(ds.q)])
-        for i, (winner, scores) in enumerate(zip(outcome.winners.tolist(),
-                                                 outcome.scores.tolist())):
-            writer.writerow([i, winner] + [repr(s) for s in scores])
+        writer.writerow(["index", "winner"] + [f"score_{j}" for j in range(params.q)])
+        for i, (winner, row) in enumerate(zip(np.argmin(scores, axis=1).tolist(),
+                                              scores.tolist())):
+            writer.writerow([i, winner] + [repr(s) for s in row])
     finally:
         if args.out:
             out_fh.close()
@@ -205,9 +241,8 @@ def cmd_compare(args) -> int:
     doc = gd_compare(ds, stats, pack, gd_params, constructive_params)
     doc["variant"] = variant.value
     if held_x is not None and held_x.shape[1]:
-        w2t = w2_tilde(ds, stats)
         for key, params in (("gd", gd_params), ("constructive", constructive_params)):
-            winners = classify_batch(params, w2t, pack.p, stats.means, ds.y, held_x).winners
+            winners = np.argmin(score_batch(params, ds.y, held_x), axis=1)
             hits = int(np.count_nonzero(winners == np.asarray(held_labels)))
             doc[key]["holdout_accuracy"] = hits / len(held_labels)
     if args.trace_out is not None:
@@ -265,7 +300,8 @@ def cmd_report(args) -> int:
     for path in args.inputs:
         for doc in _load_artifact(Path(path)):
             if "provenance" in doc:
-                rows.append({"kind": "train", "source": str(path), **doc["provenance"]})
+                prov = provenance_of(doc, f"artifact {path}") or {}
+                rows.append({"kind": "train", "source": str(path), **prov})
             elif "cost_l2" in doc:
                 rows.append({"kind": "eval", "source": str(path), **doc})
             elif "min_cost_weighted" in doc or "error" in doc:

@@ -12,6 +12,8 @@ dev = X0 - mean_ext are not retained; deviations() forms them on demand.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -28,6 +30,8 @@ from .linalg import ProjectorPack, as_matrix, numerical_rank, projector_pack, su
 _CHUNK_COLUMNS = 2048
 # Most sample values that save_json turns into Python objects and text at once.
 _JSON_CHUNK_VALUES = 1024
+# Bytes that file_sha256 reads and hashes at once.
+_HASH_CHUNK_BYTES = 1 << 20
 
 
 def block_slices(class_sizes) -> list[slice]:
@@ -40,6 +44,17 @@ def column_chunks(sl: slice, width: int = _CHUNK_COLUMNS):
     """Consecutive sub-slices of sl, each at most width columns wide."""
     for start in range(sl.start, sl.stop, width):
         yield slice(start, min(start + width, sl.stop))
+
+
+def checked_targets(y, q: int) -> np.ndarray:
+    """y as a finite 2-D float array, checked to be Q x Q of full rank:
+    DimensionError or RankDeficient otherwise."""
+    y = as_matrix(y, "y")
+    if y.shape != (q, q):
+        raise DimensionError(f"y shape {y.shape} != ({q}, {q})")
+    if numerical_rank(y) < q:
+        raise RankDeficient("target columns are not linearly independent")
+    return y
 
 
 @dataclass(frozen=True)
@@ -67,10 +82,7 @@ class ClassifiedDataset:
             raise DimensionError(f"need {self.q} positive class sizes, got {self.class_sizes}")
         if x0.shape != (self.m, sum(self.class_sizes)):
             raise DimensionError(f"x0 shape {x0.shape} != ({self.m}, {sum(self.class_sizes)})")
-        if y.shape != (self.q, self.q):
-            raise DimensionError(f"y shape {y.shape} != ({self.q}, {self.q})")
-        if numerical_rank(y) < self.q:
-            raise RankDeficient("target columns are not linearly independent")
+        checked_targets(y, self.q)
 
     @property
     def n(self) -> int:
@@ -197,11 +209,17 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
     )
 
 
-def dataset_stats(ds: ClassifiedDataset) -> tuple[DatasetStats, ProjectorPack]:
-    """Two-pass pipeline: class means, their projector pack, then the stats."""
+def independent_means(ds: ClassifiedDataset) -> np.ndarray:
+    """The class means of ds; DegenerateMeans unless they are linearly independent."""
     means = class_means(ds)
     if numerical_rank(means) < ds.q:
         raise DegenerateMeans("class means are not linearly independent")
+    return means
+
+
+def dataset_stats(ds: ClassifiedDataset) -> tuple[DatasetStats, ProjectorPack]:
+    """Two-pass pipeline: class means, their projector pack, then the stats."""
+    means = independent_means(ds)
     pack = projector_pack(means)
     return compute_stats(ds, means, pack), pack
 
@@ -375,18 +393,40 @@ def save_json(ds: ClassifiedDataset, out) -> None:
     out.write(f'], "y": {json.dumps(ds.y.tolist())}}}\n')
 
 
-def load_json(path) -> ClassifiedDataset:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))
+def load_json(path, sha256=None) -> ClassifiedDataset:
+    """Dataset from a JSON file (see from_json_dict). The file is read once as
+    bytes and decoded as open(path) in text mode decodes it; sha256, a hashlib
+    object if given, is fed exactly those bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if sha256 is not None:
+        sha256.update(raw)
+    text = io.TextIOWrapper(io.BytesIO(raw)).read()
+    del raw  # only the text is held while it is parsed
+    return from_json_dict(json.loads(text))
+
+
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read _HASH_CHUNK_BYTES at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def reads_as_json(path) -> bool:
+    """Whether load_dataset reads path as JSON (by its suffix, in any case)."""
+    return Path(path).suffix.lower() == ".json"
 
 
 def load_dataset(path, has_header: bool = False) -> ClassifiedDataset:
     """Dispatch on file suffix: .csv or .json."""
+    if reads_as_json(path):
+        return load_json(path)
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return load_csv(path, has_header=has_header)
-    if suffix == ".json":
-        return load_json(path)
     raise DimensionError(f"unknown dataset format {suffix!r} (want .csv or .json)")
 
 

@@ -91,7 +91,18 @@ def params_from_dict(d: dict) -> ShallowParams:
                             for k in ("w1", "b1", "w2", "b2")})
 
 
+def provenance_of(doc: dict, where: str) -> dict | None:
+    """The "provenance" object of a decoded JSON document, or None when it is
+    absent or null; any other value raises DimensionError naming where."""
+    prov = doc.get("provenance")
+    if prov is not None and not isinstance(prov, dict):
+        raise DimensionError(f"{where} field 'provenance' must be a JSON object or null, "
+                             f"got {type(prov).__name__}")
+    return prov
+
+
 def load_params(path) -> tuple[ShallowParams, dict | None]:
+    """Parameters and provenance (None if absent or null) from a params file."""
     with open(path) as fh:
         doc = json.load(fh)
-    return params_from_dict(doc), doc.get("provenance")
+    return params_from_dict(doc), provenance_of(doc, "params document")

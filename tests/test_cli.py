@@ -2,9 +2,14 @@ import csv
 import json
 import re
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from shallowmin.classify import score_batch
 from shallowmin.cli import main
+from shallowmin.network import load_params
 
 
 def run(args):
@@ -64,6 +69,30 @@ class TestTrainEval:
         capsys.readouterr()
         assert run(["train", "--data", ds_path, "--variant", variant]) == 0
         assert capsys.readouterr().out == params_path.read_text()
+
+    @pytest.mark.parametrize("source", ["json", "csv", "synthesized"])
+    def test_provenance_records_targets_and_data_digest(self, tmp_path, capsys, source):
+        data = {"json": tmp_path / "ds.json", "csv": tmp_path / "ds.csv"}.get(source)
+        if source == "json":
+            data.write_text(json.dumps({"m": 2, "q": 2, "y": [[2.0, 0.0], [1.0, 1.0]],
+                                        "classes": [[[1.0, 0.1], [1.1, 0.0]],
+                                                    [[0.0, 1.0], [0.1, 0.9]]]}))
+        elif source == "csv":
+            data.write_text("1.0,0.1,0\n0.0,1.0,1\n1.1,0.0,0\n0.1,0.9,1\n")
+        args = ["train", *(["--data", data] if data else ["--m", 3, "--q", 2, "--seed", 4])]
+        params_path = tmp_path / "params.json"
+        assert run(args + ["--out", params_path]) == 0
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().out == params_path.read_text()
+        prov = json.loads(params_path.read_text())["provenance"]
+        assert list(prov)[-2:] == ["y", "data_sha256"]
+        if source == "json":
+            assert prov["y"] == [[2.0, 0.0], [1.0, 1.0]]
+            assert prov["data_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+        else:
+            assert prov["y"] == np.eye(2).tolist()
+            assert prov["data_sha256"] is None
 
     def test_eval_deterministic_bytes(self, tmp_path):
         ds_path = tmp_path / "ds.json"
@@ -172,17 +201,40 @@ class TestClassify:
         run(["train", "--data", ds_path, "--variant", "general", "--out", params_path])
         return ds_path, params_path
 
-    def test_class_means_computed_once(self, tmp_path, trained_files, monkeypatch):
-        from shallowmin import dataset
-        ds_path, params_path = trained_files
+    @staticmethod
+    def _count_calls(monkeypatch, module, name) -> list:
         calls = []
-        original = dataset.block_means
+        original = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(dataset, "block_means", counting)
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_class_means_computed_once(self, tmp_path, trained_files, monkeypatch):
+        from shallowmin import dataset
+        ds_path, params_path = trained_files
+        # a byte-different copy of the training data takes the loading path
+        copy = tmp_path / "copy.json"
+        copy.write_text(json.dumps(json.loads(ds_path.read_text()), indent=1))
+        calls = self._count_calls(monkeypatch, dataset, "block_means")
+        inputs = tmp_path / "inputs.csv"
+        with open(inputs, "w", newline="") as fh:
+            csv.writer(fh).writerows([[0.1 * i, 1.0, -0.5] for i in range(50)])
+        out = tmp_path / "scored.csv"
+        assert run(["classify", "--data", copy, "--params", params_path,
+                    "--inputs", inputs, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 51
+        assert len(calls) == 1
+
+    def test_trained_file_is_not_parsed(self, tmp_path, trained_files, monkeypatch):
+        from shallowmin import cli, dataset
+        ds_path, params_path = trained_files
+        means_calls = self._count_calls(monkeypatch, dataset, "block_means")
+        load_calls = self._count_calls(monkeypatch, cli, "load_dataset")
+        json_calls = self._count_calls(monkeypatch, dataset, "load_json")
         inputs = tmp_path / "inputs.csv"
         with open(inputs, "w", newline="") as fh:
             csv.writer(fh).writerows([[0.1 * i, 1.0, -0.5] for i in range(50)])
@@ -190,7 +242,131 @@ class TestClassify:
         assert run(["classify", "--data", ds_path, "--params", params_path,
                     "--inputs", inputs, "--out", out]) == 0
         assert len(out.read_text().splitlines()) == 51
-        assert len(calls) == 1
+        assert (means_calls, load_calls, json_calls) == ([], [], [])
+
+    @staticmethod
+    def _skewed_dataset(path, y) -> list:
+        """Write a noisy M=4, Q=3 dataset with targets y to path; returns
+        points to classify, some far outside the training data."""
+        rng = np.random.default_rng(3)
+        means = rng.standard_normal((3, 4))
+        classes = [(mu + 0.05 * rng.uniform(-1, 1, (6, 4))).tolist() for mu in means]
+        path.write_text(json.dumps({"m": 4, "q": 3, "classes": classes, "y": y}))
+        return (np.concatenate([means, 3.0 * rng.standard_normal((5, 4))])).tolist()
+
+    def _classify(self, tmp_path, data, params, points, name) -> bytes:
+        inputs, out = tmp_path / f"{name}.in.csv", tmp_path / f"{name}.csv"
+        with open(inputs, "w", newline="") as fh:
+            csv.writer(fh).writerows([[repr(v) for v in p] for p in points])
+        assert run(["classify", "--data", data, "--params", params,
+                    "--inputs", inputs, "--out", out]) == 0
+        return out.read_bytes()
+
+    def test_digest_path_and_loading_path_write_the_same_bytes(self, tmp_path, monkeypatch):
+        from shallowmin import cli
+        ds_path, params_path = tmp_path / "ds.json", tmp_path / "params.json"
+        y = [[2.0, 0.5, 0.0], [0.0, 1.0, -1.0], [0.3, 0.0, 1.5]]
+        points = self._skewed_dataset(ds_path, y)
+        assert run(["train", "--data", ds_path, "--out", params_path]) == 0
+        copy = tmp_path / "copy.json"
+        copy.write_text(json.dumps(json.loads(ds_path.read_text()), indent=1))
+        load_calls = self._count_calls(monkeypatch, cli, "load_dataset")
+        direct = self._classify(tmp_path, ds_path, params_path, points, "direct")
+        assert load_calls == []
+        loaded = self._classify(tmp_path, copy, params_path, points, "loaded")
+        assert load_calls == [1]
+        assert direct == loaded
+        # the scores are residuals against the non-identity y
+        params, _ = load_params(params_path)
+        expected = score_batch(params, np.array(y), np.array(points).T)
+        rows = list(csv.reader(direct.decode().splitlines()))[1:]
+        assert [[float(v) for v in r[2:]] for r in rows] == expected.tolist()
+
+    def test_y_changed_after_train_uses_the_file_y(self, tmp_path):
+        ds_path, params_path = tmp_path / "ds.json", tmp_path / "params.json"
+        points = self._skewed_dataset(ds_path, np.eye(3).tolist())
+        assert run(["train", "--data", ds_path, "--out", params_path]) == 0
+        new_y = [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 3.0, -1.0]]
+        doc = json.loads(ds_path.read_text())
+        ds_path.write_text(json.dumps({**doc, "y": new_y}))
+        got = self._classify(tmp_path, ds_path, params_path, points, "changed")
+        params, _ = load_params(params_path)
+        expected = score_batch(params, np.array(new_y), np.array(points).T)
+        rows = list(csv.reader(got.decode().splitlines()))[1:]
+        assert [[float(v) for v in r[2:]] for r in rows] == expected.tolist()
+        assert [int(r[1]) for r in rows] == np.argmin(expected, axis=1).tolist()
+
+    @pytest.mark.parametrize("strip", ["new-keys", "provenance", "null-provenance"])
+    def test_params_without_recorded_targets_classify(self, tmp_path, strip):
+        ds_path, params_path = tmp_path / "ds.json", tmp_path / "params.json"
+        points = self._skewed_dataset(ds_path, [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                                                [0.0, 0.0, 2.0]])
+        assert run(["train", "--data", ds_path, "--out", params_path]) == 0
+        want = self._classify(tmp_path, ds_path, params_path, points, "full")
+        doc = json.loads(params_path.read_text())
+        if strip == "new-keys":
+            del doc["provenance"]["y"], doc["provenance"]["data_sha256"]
+        elif strip == "provenance":
+            del doc["provenance"]
+        else:
+            doc["provenance"] = None
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert self._classify(tmp_path, ds_path, old, points, "old") == want
+
+    @pytest.mark.parametrize("y, error", [
+        ("[[1.0, 0.0], [0.0]]", "DimensionError: params provenance field 'y'"),
+        ("[[1.0, 0.0], [0.0, NaN]]", "DimensionError: y contains non-finite entries"),
+        ("[[1.0, 0.0], [0.0, 1e999]]", "DimensionError: y contains non-finite entries"),
+        ("[1.0, 1.0]", "DimensionError: y must be 2-D"),
+        ("[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]",
+         "DimensionError: y shape (3, 3) != (2, 2)"),
+        ("[[1.0, 2.0], [2.0, 4.0]]", "RankDeficient: target columns"),
+        ("null", "DimensionError: y must be 2-D"),
+    ], ids=["ragged", "nan", "inf", "1-d", "wrong-q", "rank-deficient", "null"])
+    def test_bad_recorded_targets_exit_3(self, tmp_path, trained_files, capsys, y, error):
+        ds_path, params_path = trained_files
+        doc = json.loads(params_path.read_text())
+        doc["provenance"]["y"] = "Y"
+        params_path.write_text(json.dumps(doc).replace('"Y"', y))
+        inputs, out = tmp_path / "inputs.csv", tmp_path / "scored.csv"
+        inputs.write_text("0.1,0.2,0.3\n")
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs, "--out", out]) == 3
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_params_of_other_dimensions_exit_3(self, tmp_path, trained_files, capsys):
+        ds_path, params_path = trained_files
+        other = tmp_path / "other.json"
+        run(["gen", "--m", 4, "--q", 2, "--seed", 4, "--out", other])
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("0.1,0.2,0.3\n")
+        assert run(["classify", "--data", other, "--params", params_path,
+                    "--inputs", inputs]) == 3
+        assert "error: DimensionError: means shape (4, 2) != (3, 2)" in capsys.readouterr().err
+
+    def test_dataset_errors_come_before_params_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0]]]}')
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("0.1,0.2\n")
+        assert run(["classify", "--data", bad, "--params", tmp_path / "missing.json",
+                    "--inputs", inputs]) == 3
+        assert "error: DimensionError: sample length 1 != m=2" in capsys.readouterr().err
+
+    def test_non_object_provenance_exit_3(self, tmp_path, trained_files, capsys):
+        ds_path, params_path = trained_files
+        doc = json.loads(params_path.read_text())
+        params_path.write_text(json.dumps({**doc, "provenance": 5}))
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("0.1,0.2,0.3\n")
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: DimensionError: params document field 'provenance' must be a JSON "
+                "object or null, got int") in captured.err
 
     @pytest.mark.parametrize("text", [
         "0.1,0.2,0.3\n0.1,0.2\n",         # wrong width
@@ -327,13 +503,20 @@ class TestReport:
         out = capsys.readouterr().out
         assert "train" in out and "eval" in out
 
+    def test_null_provenance_is_a_train_row(self, tmp_path, capsys):
+        path, merged = tmp_path / "a.json", tmp_path / "merged.json"
+        path.write_text('{"provenance": null}')
+        assert run(["report", "--inputs", path, "--out", merged]) == 0
+        assert json.loads(merged.read_text()) == {
+            "artifacts": [{"kind": "train", "source": str(path)}]}
+
     def test_missing_artifact_exit_code(self, tmp_path, capsys):
         assert run(["report", "--inputs", tmp_path / "nope.json"]) == 2
         assert "no such artifact" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[1, 2]", '[{"cost_l2": 1.0}, "x"]', "3",
-                                      '{"cost_l2": 1.0}\n[1]\n'],
-                             ids=["ints", "mixed", "scalar", "jsonl"])
+                                      '{"cost_l2": 1.0}\n[1]\n', '{"provenance": 5}'],
+                             ids=["ints", "mixed", "scalar", "jsonl", "provenance"])
     def test_non_object_artifact_exit_3(self, tmp_path, capsys, text):
         path = tmp_path / "rep.json"
         path.write_text(text)
@@ -370,10 +553,13 @@ _TWO_SAMPLES = [[[1.0, 0.0]], [[0.0, 1.0]]]
     ("eval", {"b1": [0.0], "w2": [[1.0]], "b2": [0.0]}, "params document has no field 'w1'"),
     ("eval", {"w1": [[1.0, 0.0], [0.0, "x"]], "b1": [0.0, 0.0], "w2": [[1.0, 0.0]],
               "b2": [0.0]}, "params document field 'w1': could not convert"),
+    ("eval", {"w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0], "w2": [[1.0, 0.0], [0.0, 1.0]],
+              "b2": [0.0, 0.0], "provenance": [1]},
+     "params document field 'provenance' must be a JSON object or null, got list"),
     ("truncation-sweep", [{"w1": [[1.0, 0.0], [0.0, 1.0]]}],
      "truncation grid entry 0 has no field 'b1'"),
 ], ids=["dataset-no-m", "dataset-list", "non-numeric-sample", "non-numeric-y", "ragged-y",
-        "params-no-w1", "non-numeric-params", "grid-no-b1"])
+        "params-no-w1", "non-numeric-params", "params-list-provenance", "grid-no-b1"])
 def test_malformed_json_document_exit_3(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

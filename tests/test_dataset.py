@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -5,12 +6,16 @@ import numpy as np
 import pytest
 
 from shallowmin import ClassifiedDataset, class_means, dataset_stats, synthesize, y_ext
+from shallowmin import dataset
 from shallowmin.dataset import (
     deviations,
+    file_sha256,
+    from_json_dict,
     from_samples,
     load_csv,
     load_dataset,
     load_json,
+    reads_as_json,
     save_json,
 )
 from shallowmin.errors import DegenerateMeans, DimensionError, RankDeficient
@@ -250,6 +255,47 @@ class TestIO:
         assert load_dataset(path).n == 4
         with pytest.raises(DimensionError):
             load_dataset(tmp_path / "d.parquet")
+
+    @pytest.mark.parametrize("raw", [
+        b'{"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0, 1.0]]]}',
+        b'{"m": 2,\r\n "q": 2,\r "classes": [[[1.0, 0.0]], [[0.0, 1.0]]]}\r\n',
+        b'{"m": 2,\r\n "q": 2, "classes": [[[1.0, 0.0]], [[0.0, 1e999]]]}',
+        b'\xef\xbb\xbf{"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0, 1.0]]]}',
+        b'{"m": 2,\r\n\r\n "q": 2, "classes": [[[1.0, 0.0]],, [[0.0, 1.0]]]}',
+        b'{"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0, 1.0]]], "y": "\xff"}',
+    ], ids=["lf", "crlf", "crlf-inf", "bom", "crlf-syntax-error", "invalid-utf8"])
+    def test_json_reads_like_text_mode_and_hashes_the_bytes(self, tmp_path, raw):
+        # the reader parses the bytes it hashes, decoded as open(path) decodes
+        # them: same datasets, same errors and messages
+        path = tmp_path / "data.json"
+        path.write_bytes(raw)
+
+        def outcome(read):
+            try:
+                ds = read()
+            except Exception as exc:  # compared by type and message
+                return type(exc), str(exc)
+            return ds.x0.tolist(), ds.y.tolist()
+
+        sha256 = hashlib.sha256()
+        got = outcome(lambda: load_json(path, sha256))
+        with open(path) as fh:
+            assert got == outcome(lambda: from_json_dict(json.load(fh)))
+        assert sha256.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+    @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_file_sha256_over_chunks(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(dataset, "_HASH_CHUNK_BYTES", 4096)
+        path = tmp_path / "blob.json"
+        raw = np.random.default_rng(size).bytes(size)
+        path.write_bytes(raw)
+        assert file_sha256(path) == hashlib.sha256(raw).hexdigest()
+
+    def test_reads_as_json_follows_the_dispatch(self, tmp_path):
+        assert reads_as_json(tmp_path / "d.json") and reads_as_json(tmp_path / "d.JSON")
+        assert not reads_as_json(tmp_path / "d.csv")
+        assert not reads_as_json(tmp_path / "d.json.csv")
+        assert not reads_as_json(tmp_path / "json")
 
     @pytest.mark.parametrize("text", [
         "1.0,0.0,0\n0.0,abc,1\n",  # non-numeric feature

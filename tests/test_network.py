@@ -122,6 +122,25 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert set(doc) == {"w1", "b1", "w2", "b2", "provenance"}
 
+    @pytest.mark.parametrize("prov", [None, "absent"])
+    def test_missing_provenance_is_none(self, tmp_path, prov):
+        doc = params_to_dict(ShallowParams(w1=np.eye(2), b1=np.zeros(2),
+                                           w2=np.eye(2), b2=np.zeros(2)))
+        if prov is None:
+            doc["provenance"] = None
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        assert load_params(path)[1] is None
+
+    @pytest.mark.parametrize("prov", [5, "x", [1, 2], True])
+    def test_non_object_provenance_rejected(self, tmp_path, prov):
+        doc = params_to_dict(ShallowParams(w1=np.eye(2), b1=np.zeros(2),
+                                           w2=np.eye(2), b2=np.zeros(2)))
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**doc, "provenance": prov}))
+        with pytest.raises(DimensionError, match="'provenance' must be a JSON object or null"):
+            load_params(path)
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(DimensionError):
             ShallowParams(w1=np.eye(3), b1=np.zeros(2),
