@@ -401,9 +401,13 @@ def load_json(path, sha256=None) -> ClassifiedDataset:
         raw = fh.read()
     if sha256 is not None:
         sha256.update(raw)
+    # Each form is dropped once the next exists, as json.load on a text-mode
+    # file drops them: the bytes before the parse, the text before the build.
     text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    del raw  # only the text is held while it is parsed
-    return from_json_dict(json.loads(text))
+    del raw
+    doc = json.loads(text)
+    del text
+    return from_json_dict(doc)
 
 
 def file_sha256(path) -> str:
