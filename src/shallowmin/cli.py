@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -104,6 +103,8 @@ def cmd_train(args) -> int:
     classify skip parsing that file again."""
     sha256 = None
     if args.data is not None and dataset_mod.reads_as_json(args.data):
+        import hashlib  # loads OpenSSL (~4 MB of RSS), so only where a digest is taken
+
         sha256 = hashlib.sha256()
         ds = dataset_mod.load_json(args.data, sha256)
     else:

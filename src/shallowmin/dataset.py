@@ -12,7 +12,6 @@ dev = X0 - mean_ext are not retained; deviations() forms them on demand.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import dataclass
@@ -412,6 +411,8 @@ def load_json(path, sha256=None) -> ClassifiedDataset:
 
 def file_sha256(path) -> str:
     """Hex SHA-256 of a file's bytes, read _HASH_CHUNK_BYTES at a time."""
+    import hashlib  # loads OpenSSL (~4 MB of RSS), so only where a digest is taken
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(_HASH_CHUNK_BYTES), b""):

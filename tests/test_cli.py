@@ -94,6 +94,26 @@ class TestTrainEval:
             assert prov["y"] == np.eye(2).tolist()
             assert prov["data_sha256"] is None
 
+    def test_only_train_and_classify_take_digests(self, tmp_path, monkeypatch):
+        ds_path, params_path = tmp_path / "ds.json", tmp_path / "params.json"
+        run(["gen", "--m", 3, "--q", 2, "--seed", 4, "--out", ds_path])
+        calls = []
+        original = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(1) or original(*a))
+        assert run(["train", "--data", ds_path, "--out", params_path]) == 0
+        assert len(calls) == 1
+        inputs = tmp_path / "inputs.csv"
+        inputs.write_text("0.1,0.2,0.3\n")
+        for args in (["eval", "--data", ds_path, "--params", params_path],
+                     ["verify", "bounds", "--data", ds_path],
+                     ["compare", "--data", ds_path, "--steps", 10, "--holdout", 0.25],
+                     ["gen", "--m", 3, "--q", 2, "--seed", 4]):
+            assert run(args) == 0
+        assert len(calls) == 1
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs]) == 0
+        assert len(calls) == 2
+
     def test_eval_deterministic_bytes(self, tmp_path):
         ds_path = tmp_path / "ds.json"
         params_path = tmp_path / "params.json"
