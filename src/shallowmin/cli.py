@@ -10,6 +10,7 @@ so reruns are byte-identical. Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -63,12 +64,16 @@ def _dataset_from_args(args) -> dataset_mod.ClassifiedDataset:
                       noise=args.noise, seed=args.seed)
 
 
+def _output(out: Path | None):
+    """Stdout or the file out (newline="", as csv wants), as a context manager.
+    Compute the output before calling this, so that a failure leaves no file."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+
+
 def _write_json(doc, out: Path | None) -> None:
     text = json.dumps(doc) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _render_table(rows: list[dict], keys: list[str]) -> str:
@@ -92,8 +97,9 @@ def _fmt(v) -> str:
 
 
 def cmd_gen(args) -> int:
-    dataset_mod.save_json(_dataset_from_args(args),
-                          sys.stdout if args.out is None else args.out)
+    ds = _dataset_from_args(args)
+    with _output(args.out) as fh:
+        dataset_mod.save_json(ds, fh)
     return EXIT_OK
 
 
@@ -131,14 +137,10 @@ def cmd_eval(args) -> int:
         if args.out is not None:
             _write_json(doc, args.out)
     elif args.format == "csv":
-        out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            writer = csv.writer(out_fh)
+        with _output(args.out) as fh:
+            writer = csv.writer(fh)
             writer.writerow(scalar_keys)
             writer.writerow(["" if doc[k] is None else repr(doc[k]) for k in scalar_keys])
-        finally:
-            if args.out:
-                out_fh.close()
     else:
         _write_json(doc, args.out)
     return EXIT_OK
@@ -150,23 +152,24 @@ def _classify_model(args) -> tuple[ShallowParams, np.ndarray, tuple[int, int]]:
 
     When --data is a JSON file whose SHA-256 equals the data_sha256 that train
     recorded in the params' provenance, the targets are the provenance y and
-    the file is not parsed. Otherwise the dataset is loaded as every command
-    loads it, its class means are checked for rank, and its y is used.
+    the file is not parsed (nor hashed when no digest is recorded). Otherwise
+    the dataset is loaded as every command loads it, its class means are
+    checked for rank, and its y is used.
     """
-    params = prov = None
-    if args.data is not None and dataset_mod.reads_as_json(args.data):
-        digest = dataset_mod.file_sha256(args.data)
-        try:
-            params, prov = load_params(args.params)
-        except Exception:
-            pass  # raised again below, after the dataset's own errors, as before
-        if prov is not None and prov.get("data_sha256") == digest:
-            y = checked_targets(json_field(prov, "y", "params provenance"), params.q)
-            return params, y, (params.m, params.q)
+    params = prov = load_error = None
+    try:
+        params, prov = load_params(args.params)
+    except (OSError, ValueError, ShallowminError) as exc:
+        load_error = exc  # raised below, after the dataset's own errors
+    recorded = (prov or {}).get("data_sha256")
+    json_data = args.data is not None and dataset_mod.reads_as_json(args.data)
+    if recorded is not None and json_data and recorded == dataset_mod.file_sha256(args.data):
+        y = checked_targets(json_field(prov, "y", "params provenance"), params.q)
+        return params, y, (params.m, params.q)
     ds = _dataset_from_args(args)
     independent_means(ds)
-    if params is None:
-        params, _ = load_params(args.params)
+    if load_error is not None:
+        raise load_error
     return params, ds.y, (ds.m, ds.q)
 
 
@@ -177,16 +180,12 @@ def cmd_classify(args) -> int:
     if data_shape != (params.m, params.q):
         raise DimensionError(f"means shape {data_shape} != ({params.m}, {params.q})")
     scores = score_batch(params, y, inputs.T)
-    out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out_fh)
+    with _output(args.out) as fh:
+        writer = csv.writer(fh)
         writer.writerow(["index", "winner"] + [f"score_{j}" for j in range(params.q)])
         for i, (winner, row) in enumerate(zip(np.argmin(scores, axis=1).tolist(),
                                               scores.tolist())):
             writer.writerow([i, winner] + [repr(s) for s in row])
-    finally:
-        if args.out:
-            out_fh.close()
     return EXIT_OK
 
 
@@ -200,10 +199,8 @@ def cmd_truncation_sweep(args) -> int:
     points = sweep_fixed_point_region(ds, grid)
     lines = [json.dumps(pt.to_dict(include_matrices=args.matrices)) for pt in points]
     text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
+    with _output(args.out) as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -225,13 +222,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    full_ds = _dataset_from_args(args)
+    ds = _dataset_from_args(args)
     held_x = None
     if args.holdout is not None:
-        ds, held_x, held_labels = dataset_mod.holdout_split(
-            full_ds, args.holdout, seed=args.seed)
-    else:
-        ds = full_ds
+        ds, held_x, held_labels = dataset_mod.holdout_split(ds, args.holdout, seed=args.seed)
     stats, pack = dataset_stats(ds)
     cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
     variant = Variant.EXACT if ds.m == ds.q else Variant.GENERAL
@@ -247,7 +241,7 @@ def cmd_compare(args) -> int:
             hits = int(np.count_nonzero(winners == np.asarray(held_labels)))
             doc[key]["holdout_accuracy"] = hits / len(held_labels)
     if args.trace_out is not None:
-        with open(args.trace_out, "w", newline="") as fh:
+        with _output(args.trace_out) as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "cost_l2"])
             for step, cost in trace:
@@ -402,10 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MissingArtifact as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (MissingArtifact, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ShallowminError as exc:

@@ -6,7 +6,8 @@ signal block (bias beta1 >= 2 rho lifts every projected sample into the
 positive orthant) while the general variant simultaneously pushes the noise
 block below zero so the activation deletes it. The output layer then solves a
 least-squares matching of class means to targets, and the second bias reverts
-the first-layer translation.
+the first-layer translation. Each trainer reads its first-layer checks and its
+cost off one pass of the network over the data.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .cost import _residual_sums, bound_general, cost_weighted, exact_min_weighted, normal_w2
+from .cost import _residual_sums, bound_general, exact_min_weighted, normal_w2
 from .dataset import ClassifiedDataset, DatasetStats
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, op_norm, penrose_inverse
 from .network import ShallowParams, forward
+from .truncation import _region_preactivation
 
 
 class Variant(str, Enum):
@@ -39,6 +41,8 @@ class ConstructiveConfig:
     def __post_init__(self):
         if self.beta1_margin is not None and self.beta1_margin < 0:
             raise ValueError(f"beta1_margin must be >= 0, got {self.beta1_margin}")
+        if self.beta1_margin is not None and not np.isfinite(self.beta1_margin):
+            raise ValueError(f"beta1_margin must be finite, got {self.beta1_margin}")
 
     def beta1(self, rho: float) -> float:
         margin = 0.5 * rho if self.beta1_margin is None else self.beta1_margin
@@ -127,20 +131,20 @@ def train_exact_meq(
 ) -> ShallowParams:
     """The M = Q construction: identity first layer, bias beta1 on every
     coordinate, output layer from the normal equations, second bias tied to
-    revert the translation. Its weighted cost equals exact_min_weighted."""
+    revert the translation. Its weighted cost equals exact_min_weighted; one
+    pass yields it and checks that relu(X0 + beta1) stays above 0."""
     if ds.m != ds.q:
         raise WrongRegime(f"requires M = Q, got M={ds.m}, Q={ds.q}")
     q = ds.q
     beta1 = cfg.beta1(stats.rho)
     b1 = np.full(q, beta1)
-    preact = ds.x0 + b1[:, None]
-    if preact.min() < 0.0:
-        raise BetaTooSmall(
-            f"beta1={beta1!r} leaves pre-activation at {preact.min():.3e} < 0"
-        )
     w2 = exact_w2(ds, stats)
     params = ShallowParams(w1=np.eye(q), b1=b1, w2=w2, b2=-(w2 @ b1))
-    achieved = cost_weighted(params, ds)
+    hidden_mins = []
+    _, weighted = _residual_sums(params, ds, lambda hidden: hidden_mins.append(hidden.min()))
+    if not min(hidden_mins) > 0.0:
+        raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
+    achieved = float(np.sqrt(weighted))
     target = exact_min_weighted(ds, stats)
     if abs(achieved - target) > 1e-9 * (1.0 + max(achieved, target)):
         raise ConsistencyError(
@@ -172,7 +176,8 @@ def resolve_output_layer(
     For (w1, b1) inside the fixed-point region the hidden layer is the affine
     image w1 X0 + b1 1^T, so the normal equations on that hidden data reduce to
     the original ones conjugated by the affine map: w2 = V w1^-1 with V the
-    M = Q normal-equation solution, and b2 = -w2 b1.
+    M = Q normal-equation solution, and b2 = -w2 b1. Raises what truncation's
+    first-layer rule raises (WrongRegime, SingularW1), BetaTooSmall outside the region.
     """
     return _tied_output_layer(w1, b1, ds, exact_w2(ds, stats))
 
@@ -180,13 +185,10 @@ def resolve_output_layer(
 def _tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray):
     """resolve_output_layer with V = exact_w2(ds, stats) given, so that a caller
     re-solving for many first layers on one dataset computes V once."""
-    w1 = np.asarray(w1, dtype=float)
-    b1 = np.asarray(b1, dtype=float).reshape(-1)
-    preact = w1 @ ds.x0 + b1[:, None]
-    if preact.min() < 0.0:
+    if not _region_preactivation(w1, b1, ds)[1]:
         raise BetaTooSmall("first layer leaves the identity region")
-    w2 = np.linalg.solve(w1.T, v.T).T
-    return w2, -(w2 @ b1)
+    w2 = np.linalg.solve(np.transpose(w1), v.T).T
+    return w2, -(w2 @ np.ravel(b1))
 
 
 def in_region_perturbation(

@@ -41,7 +41,7 @@ from .errors import (
     SingularMeans,
     WrongRegime,
 )
-from .linalg import SV_TOLERANCE, ProjectorPack, op_norm, sum_squares
+from .linalg import SV_TOLERANCE, ProjectorPack, numerical_rank, op_norm, sum_squares
 from .network import ShallowParams, forward
 
 # Largest N for which data_projector materializes the N x N projector. No
@@ -212,8 +212,7 @@ def relative_deviations(
     """
     if ds.m != ds.q:
         raise WrongRegime(f"relative deviations require M = Q, got M={ds.m}, Q={ds.q}")
-    s = np.linalg.svd(stats.means, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
+    if numerical_rank(stats.means) < ds.q:
         raise SingularMeans("reduced mean matrix is numerically singular")
     return relative_gram(stats.means, deviations(ds, stats.means), ds.inv_size_weights())
 
@@ -236,17 +235,6 @@ def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
     return float(np.linalg.norm((y @ v) * np.sqrt(w / (1.0 + w))[None, :]))
 
 
-def _cross_checked_min(ds: ClassifiedDataset, stats: DatasetStats, d2: np.ndarray) -> float:
-    """closed_form_min of d2, checked against the projector route."""
-    value = closed_form_min(ds.y, d2)
-    ref = projector_route(ds, ds.x0, stats.means)
-    if abs(value - ref) > CROSS_CHECK_RTOL * (1.0 + max(value, ref)):
-        raise ConsistencyError(
-            f"closed form {value!r} and projector route {ref!r} disagree"
-        )
-    return value
-
-
 def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
     """The weighted-cost value of the M = Q closed-form construction.
 
@@ -256,7 +244,11 @@ def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
     evaluated, matrix-free (projector_route), and must agree to 1e-9 relative.
     """
     _, d2 = relative_deviations(ds, stats)
-    return _cross_checked_min(ds, stats, d2)
+    value = closed_form_min(ds.y, d2)
+    ref = projector_route(ds, ds.x0, stats.means)
+    if abs(value - ref) > CROSS_CHECK_RTOL * (1.0 + max(value, ref)):
+        raise ConsistencyError(f"closed form {value!r} and projector route {ref!r} disagree")
+    return value
 
 
 def weighted_norm_y_delta1(ds: ClassifiedDataset, stats: DatasetStats) -> float:
@@ -389,9 +381,7 @@ def evaluate(
         rho=stats.rho,
     )
     if ds.m == ds.q:
-        d1, d2 = relative_deviations(ds, stats)
-        report.exact_min_weighted = _cross_checked_min(ds, stats, d2)
+        report.exact_min_weighted = exact_min_weighted(ds, stats)
         if include_matrices:
-            report.delta1_rel = d1
-            report.delta2_rel = d2
+            report.delta1_rel, report.delta2_rel = relative_deviations(ds, stats)
     return report

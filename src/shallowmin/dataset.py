@@ -258,6 +258,8 @@ def synthesize(
         raise DimensionError(f"need q <= m, got q={q}, m={m}")
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
+    if not np.isfinite([mean_scale, noise]).all():
+        raise ValueError(f"mean_scale and noise must be finite, got {mean_scale}, {noise}")
     class_sizes = tuple(int(s) for s in class_sizes)
     if len(class_sizes) != q:
         raise DimensionError(f"need {q} class sizes, got {len(class_sizes)}")

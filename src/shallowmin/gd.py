@@ -18,7 +18,7 @@ from .dataset import ClassifiedDataset, DatasetStats, y_ext
 from .errors import Diverged, ShallowminError
 from .linalg import ProjectorPack
 from .network import ShallowParams
-from .truncation import _truncation_pass
+from .truncation import _region_preactivation
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class GdConfig:
     def __post_init__(self):
         if self.learning_rate < 0 or self.steps < 0 or self.init_scale < 0:
             raise ValueError("learning_rate, steps and init_scale must be >= 0")
+        if not np.isfinite([self.learning_rate, self.init_scale]).all():
+            raise ValueError("learning_rate and init_scale must be finite")
         if self.record_every <= 0:
             raise ValueError("record_every must be positive")
 
@@ -88,10 +90,11 @@ def train_gd(
 
     Weights start Gaussian with std init_scale, biases at zero; the run is
     bit-reproducible per seed. The trace records (step, cost_l2) every
-    record_every steps plus the initial and final points. Raises Diverged if
-    the cost exceeds 1e6 x its initial value. With zero biases and entirely
-    negative inputs the whole hidden layer can start dead and the run stalls
-    at the constant predictor; this is inherent to the baseline.
+    record_every steps plus the initial and final points. Raises Diverged, and
+    no numpy warning, if the cost exceeds 1e6 x its initial value or is not
+    finite. With zero biases and entirely negative inputs the whole hidden
+    layer can start dead and the run stalls at the constant predictor; this is
+    inherent to the baseline.
     """
     rng = np.random.default_rng(cfg.seed)
     m, q = ds.m, ds.q
@@ -104,29 +107,30 @@ def train_gd(
     trace: list[tuple[int, float]] = []
     initial_cost = None
     lr = cfg.learning_rate
-    for step in range(cfg.steps + 1):
-        cost = float(np.sqrt(work.gradients(w1, b1, w2, b2)))
-        if initial_cost is None:
-            initial_cost = cost
-        if initial_cost > 0 and cost > 1e6 * initial_cost:
-            raise Diverged(f"cost {cost:.3e} exceeds 1e6 x initial {initial_cost:.3e}")
-        if step % cfg.record_every == 0 or step == cfg.steps:
-            trace.append((step, cost))
-        if step == cfg.steps:
-            break
-        for w, g in zip((w1, b1, w2, b2), work.grads):
-            g *= lr
-            w -= g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps + 1):
+            cost = float(np.sqrt(work.gradients(w1, b1, w2, b2)))
+            if initial_cost is None:
+                initial_cost = cost
+            if initial_cost > 0 and cost > 1e6 * initial_cost:
+                raise Diverged(f"cost {cost:.3e} exceeds 1e6 x initial {initial_cost:.3e}")
+            if not np.isfinite(cost):
+                raise Diverged(f"cost {cost} is not finite")
+            if step % cfg.record_every == 0 or step == cfg.steps:
+                trace.append((step, cost))
+            if step == cfg.steps:
+                break
+            for w, g in zip((w1, b1, w2, b2), work.grads):
+                g *= lr
+                w -= g
     return ShallowParams(w1=w1, b1=b1, w2=w2, b2=b2), trace
 
 
 def gd_in_fixed_point_region(params: ShallowParams, ds: ClassifiedDataset) -> bool:
     """Whether the final first layer lies in the fixed-point region (M = Q
-    only): w1 is invertible and no pre-activation w1 X0 + b1 1^T is negative."""
-    if ds.m != ds.q:
-        return False
+    only), by truncation's one first-layer rule."""
     try:
-        return _truncation_pass(params.w1, params.b1, ds)[2]
+        return _region_preactivation(params.w1, params.b1, ds)[1]
     except ShallowminError:
         return False
 

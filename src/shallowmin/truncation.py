@@ -6,7 +6,8 @@ The truncation map conjugates the activation by the affine first-layer map:
 tau(X0) = w1^-1 (relu(w1 X0 + b1 1^T) - b1 1^T). Its fixed points are exactly
 the (w1, b1) for which the network is effectively linear on the data; on that
 region the output-layer minimum does not depend on (w1, b1) at all. A point is
-in the region iff no pre-activation w1 X0 + b1 1^T is negative (no tolerance).
+in the region iff no pre-activation w1 X0 + b1 1^T is negative (no tolerance);
+_region_preactivation is that rule, and invertibility of w1, for every caller.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def truncate(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> np.ndarra
     return _truncation_pass(w1, b1, ds)[0]
 
 
-def _truncation_pass(w1: np.ndarray, b1: np.ndarray,
-                     ds: ClassifiedDataset) -> tuple[np.ndarray, np.ndarray, bool, float]:
-    """(tau(X0), hidden layer relu(w1 X0 + b1 1^T), fixed-point membership,
-    reapplication leak) of one first layer, from its one product w1 X0."""
+def _region_preactivation(w1, b1, ds: ClassifiedDataset) -> tuple[np.ndarray, bool]:
+    """(w1 X0 + b1 1^T, whether its minimum is >= 0) of a first layer: the
+    product and the fixed-point-region flag. WrongRegime unless M = Q and the
+    shapes match, SingularW1 unless w1 is invertible."""
     if ds.m != ds.q:
         raise WrongRegime(f"truncation requires M = Q, got M={ds.m}, Q={ds.q}")
     w1 = np.asarray(w1, dtype=float)
@@ -88,10 +89,19 @@ def _truncation_pass(w1: np.ndarray, b1: np.ndarray,
     if numerical_rank(w1) < ds.q:
         raise SingularW1("w1 must be invertible")
     pre = w1 @ ds.x0 + b1[:, None]
-    in_region = bool(pre.min() >= 0.0)
+    return pre, bool(pre.min() >= 0.0)
+
+
+def _truncation_pass(w1: np.ndarray, b1: np.ndarray,
+                     ds: ClassifiedDataset) -> tuple[np.ndarray, np.ndarray, bool, float]:
+    """(tau(X0), hidden layer relu(w1 X0 + b1 1^T), fixed-point membership,
+    reapplication leak) of one first layer, from its one product w1 X0."""
+    pre, in_region = _region_preactivation(w1, b1, ds)
+    w1 = np.asarray(w1, dtype=float)
+    bias = np.asarray(b1, dtype=float).reshape(-1, 1)
     hidden = relu(pre)
-    tau = np.linalg.solve(w1, hidden - b1[:, None])
-    reapplied = w1 @ tau + b1[:, None]
+    tau = np.linalg.solve(w1, hidden - bias)
+    reapplied = w1 @ tau + bias
     leak = float(np.max(np.abs(relu(reapplied) - reapplied)))
     if leak > 1e-10 * (1.0 + float(np.max(np.abs(hidden)))):
         raise ConsistencyError(f"reapplication identity violated by {leak:.3e}")

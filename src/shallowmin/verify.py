@@ -41,7 +41,7 @@ from .cost import (
 from .dataset import ClassifiedDataset, dataset_stats, deviations, y_ext
 from .errors import WrongRegime
 from .linalg import op_norm
-from .network import ShallowParams, forward, relu
+from .network import ShallowParams, forward
 from .truncation import _truncation_pass, min_over_output_layer, region_minima_spread, sweep_fixed_point_region
 
 SUITES = ("bounds", "exact-min", "degeneracy", "invariance", "metric", "truncation")
@@ -158,7 +158,7 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
     via_projector = projector_route(ds, ds.x0, stats.means)
     checks.append(_check("exact.projector-route", _rel(em, via_projector), 1e-9,
                          detail=f"projector route={via_projector:.9e}"))
-    hidden = relu(params.w1 @ ds.x0 + params.b1[:, None])
+    hidden, _ = forward(params, ds.x0)
     _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=params.b1)
     checks.append(_check("exact.lstsq-oracle", _rel(em, oracle), 1e-8,
                          detail=f"lstsq oracle={oracle:.9e}"))

@@ -39,6 +39,16 @@ class TestGen:
         assert run(args) == 0
         assert capsys.readouterr().out == out.read_text()
 
+    @pytest.mark.parametrize("args, code", [
+        (["--m", 2, "--q", 3], 3),            # DimensionError: q > m
+        (["--m", 3, "--q", 3, "--noise", "nan"], 2),
+    ])
+    def test_failed_gen_leaves_no_file(self, tmp_path, capsys, args, code):
+        out = tmp_path / "ds.json"
+        assert run(["gen", *args, "--out", out]) == code
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path):
@@ -595,6 +605,32 @@ def test_unparsable_json_exit_2(tmp_path, capsys):
     path.write_text("{not json")
     assert run(["train", "--data", path]) == 2
     assert "DimensionError" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--m", 3, "--q", 2, "--beta1-margin", "nan"],
+    ["train", "--m", 3, "--q", 2, "--beta1-margin", "inf"],
+    ["gen", "--noise", "nan"],
+    ["gen", "--noise", "inf"],
+    ["gen", "--mean-scale", "inf"],
+    ["gen", "--mean-scale", "nan"],
+    ["compare", "--steps", 5, "--lr", "nan"],
+    ["compare", "--steps", 5, "--lr", "inf"],
+    ["compare", "--steps", 5, "--init-scale", "inf"],
+    ["compare", "--steps", 5, "--init-scale", "nan"],
+])
+def test_non_finite_settings_exit_2(capsys, args):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
+def test_gd_overflow_exit_3_without_warnings(capsys):
+    # pyproject's filterwarnings turns a RuntimeWarning into an exception,
+    # which main does not catch.
+    assert run(["compare", "--m", 3, "--q", 3, "--steps", 5, "--lr", "1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Diverged: ") and "RuntimeWarning" not in err
 
 
 def test_usage_error_exit_code():

@@ -27,7 +27,7 @@ from shallowmin.constructive import (
     sanity_forward_means,
 )
 from shallowmin import constructive
-from shallowmin.errors import BetaTooSmall, ConsistencyError, WrongRegime
+from shallowmin.errors import BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
 from shallowmin.linalg import op_norm
 from tests.conftest import weighted_lstsq_oracle
 
@@ -106,6 +106,11 @@ class TestTrainGeneral:
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             ConstructiveConfig(beta1_margin=-0.1)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="beta1_margin must be"):
+            ConstructiveConfig(beta1_margin=margin)
 
 
 class TestTrainGeneralSelfChecks:
@@ -196,6 +201,24 @@ class TestTrainExactMeq:
         with pytest.raises(WrongRegime):
             train_exact_meq(e3_noise_dataset, stats)
 
+    def test_bias_added_to_x0_only_inside_the_cost_pass(self):
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        stats, _ = dataset_stats(ds)
+
+        class CountingX0(np.ndarray):
+            adds = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.add and any(isinstance(x, CountingX0) for x in inputs):
+                    CountingX0.adds += 1
+                inputs = [np.asarray(x) if isinstance(x, CountingX0) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        object.__setattr__(ds, "x0", ds.x0.view(CountingX0))
+        params = train_exact_meq(ds, stats)
+        assert CountingX0.adds == 0
+        assert cost_weighted(params, ds) == pytest.approx(exact_min_weighted(ds, stats), rel=1e-9)
+
     def test_w2_gap_quarters_when_noise_halves(self):
         g = []
         for noise in (0.2, 0.1):
@@ -254,6 +277,17 @@ class TestDegeneracy:
         stats, _ = dataset_stats(delta01_dataset)
         with pytest.raises(BetaTooSmall):
             resolve_output_layer(np.eye(2), np.array([-5.0, 0.0]), delta01_dataset, stats)
+
+    def test_resolve_rejects_singular_w1(self, delta01_dataset):
+        stats, _ = dataset_stats(delta01_dataset)
+        with pytest.raises(SingularW1):
+            resolve_output_layer(np.zeros((2, 2)), np.full(2, 5.0), delta01_dataset, stats)
+
+    def test_resolve_requires_square_data(self, e3_noise_dataset):
+        stats, _ = dataset_stats(e3_noise_dataset)
+        m = e3_noise_dataset.m
+        with pytest.raises(WrongRegime):
+            resolve_output_layer(np.eye(m), np.full(m, 5.0), e3_noise_dataset, stats)
 
 
 def test_positivity_guard_fires_for_tiny_beta():

@@ -131,6 +131,14 @@ class TestSynthesize:
         assert np.allclose(deviations(a, sa.means), 2.0 * deviations(b, sb.means),
                            rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"noise": np.nan}, {"noise": np.inf}, {"noise": -np.inf},
+        {"mean_scale": np.nan}, {"mean_scale": np.inf}, {"mean_scale": -np.inf},
+    ])
+    def test_non_finite_amplitudes_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            synthesize(3, 3, [4, 4, 4], **kwargs)
+
     def test_q_greater_than_m_rejected(self):
         with pytest.raises(DimensionError):
             synthesize(2, 3, [1, 1, 1])

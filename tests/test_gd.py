@@ -83,6 +83,22 @@ class TestTrainGd:
         with pytest.raises(Diverged):
             train_gd(delta01_dataset, GdConfig(learning_rate=50.0, steps=5000))
 
+    @pytest.mark.parametrize("cfg, message", [
+        (GdConfig(learning_rate=1e300, steps=5), "exceeds 1e6 x initial"),
+        (GdConfig(init_scale=1e300, steps=5), "is not finite"),
+    ])
+    def test_overflow_is_diverged_without_warnings(self, delta01_dataset, cfg, message):
+        # pyproject's filterwarnings turns every RuntimeWarning into an error,
+        # so a numpy overflow warning escaping the steps would fail this test.
+        with pytest.raises(Diverged, match=message):
+            train_gd(delta01_dataset, cfg)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "init_scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be"):
+            GdConfig(**{field: value})
+
     def test_trace_steps(self, zero_noise_dataset):
         _, trace = train_gd(zero_noise_dataset, GdConfig(steps=250, record_every=100))
         assert [s for s, _ in trace] == [0, 100, 200, 250]
@@ -180,13 +196,24 @@ class TestCompare:
     def test_region_check_propagates_non_library_errors(self, delta01_dataset, monkeypatch):
         from shallowmin import ShallowParams, gd
 
-        def broken_truncation_pass(w1, b1, ds):
+        def broken_region_rule(w1, b1, ds):
             raise RuntimeError("not a ShallowminError")
 
-        monkeypatch.setattr(gd, "_truncation_pass", broken_truncation_pass)
+        monkeypatch.setattr(gd, "_region_preactivation", broken_region_rule)
         params = ShallowParams(w1=np.eye(2), b1=np.full(2, 3.0), w2=np.eye(2), b2=np.zeros(2))
         with pytest.raises(RuntimeError, match="not a ShallowminError"):
             gd_in_fixed_point_region(params, delta01_dataset)
+
+    def test_region_check_solves_nothing(self, delta01_dataset, monkeypatch):
+        from shallowmin import ShallowParams
+
+        solves = []
+        original = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, **k: solves.append(1) or original(*a, **k))
+        params = ShallowParams(w1=np.eye(2), b1=np.full(2, 3.0), w2=np.eye(2), b2=np.zeros(2))
+        assert gd_in_fixed_point_region(params, delta01_dataset)
+        assert solves == []
 
     def test_one_forward_per_parameter_set(self, delta01_dataset, forward_calls):
         from shallowmin import cost_weighted

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shallowmin import (
+    cost_weighted,
     dataset_stats,
     exact_min_weighted,
     min_over_output_layer,
@@ -12,7 +13,8 @@ from shallowmin import (
 )
 from shallowmin import ClassifiedDataset, ShallowParams, truncation, verify
 from shallowmin.gd import gd_in_fixed_point_region
-from shallowmin.errors import SingularMeans, SingularW1, WrongRegime
+from shallowmin.constructive import resolve_output_layer
+from shallowmin.errors import BetaTooSmall, SingularMeans, SingularW1, WrongRegime
 from shallowmin.network import relu
 from shallowmin.cost import projector_route
 from shallowmin.dataset import block_means
@@ -332,6 +334,22 @@ class TestSignRule:
         assert min_over_output_layer(w1, b1, delta01_dataset).in_fixed_point_region == inside
         params = ShallowParams(w1=w1, b1=b1, w2=np.eye(2), b2=np.zeros(2))
         assert gd_in_fixed_point_region(params, delta01_dataset) == inside
+
+    @pytest.mark.parametrize("b1_first,inside", [
+        (-0.9, True),                           # the smallest pre-activation is exactly 0
+        (np.nextafter(-0.9, -1.0), False),      # one pre-activation is -1.1e-16
+    ])
+    def test_resolve_output_layer_reads_the_same_sign(self, delta01_dataset, b1_first, inside):
+        w1, b1 = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([b1_first, 3.0])
+        stats, _ = dataset_stats(delta01_dataset)
+        if not inside:
+            with pytest.raises(BetaTooSmall):
+                resolve_output_layer(w1, b1, delta01_dataset, stats)
+            return
+        w2, b2 = resolve_output_layer(w1, b1, delta01_dataset, stats)
+        cw = cost_weighted(ShallowParams(w1=w1, b1=b1, w2=w2, b2=b2), delta01_dataset)
+        em = exact_min_weighted(delta01_dataset, stats)
+        assert abs(cw - em) <= 1e-8 * (1.0 + em)
 
     def test_one_first_layer_product_per_point(self, monkeypatch):
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
