@@ -7,7 +7,8 @@ positive orthant) while the general variant simultaneously pushes the noise
 block below zero so the activation deletes it. The output layer then solves a
 least-squares matching of class means to targets, and the second bias reverts
 the first-layer translation. Each trainer reads its first-layer checks and its
-cost off one pass of the network over the data.
+cost off one pass of the network over the data; the M = Q trainer solves the
+normal equations once, in cost.exact_minimum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cost import _residual_sums, bound_general, exact_min_weighted, normal_w2
+from .cost import _residual_sums, bound_general, exact_min_weighted, exact_minimum, normal_w2
 from .dataset import ClassifiedDataset, DatasetStats
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, op_norm, penrose_inverse
@@ -118,12 +119,6 @@ def train_general(
     return params
 
 
-def exact_w2(ds: ClassifiedDataset, stats: DatasetStats) -> np.ndarray:
-    """Normal-equation output weights of the M = Q construction:
-    Y means^T (X0 N^-1 X0^T)^-1."""
-    return normal_w2(ds, ds.x0, stats.means)
-
-
 def train_exact_meq(
     ds: ClassifiedDataset,
     stats: DatasetStats,
@@ -131,21 +126,23 @@ def train_exact_meq(
 ) -> ShallowParams:
     """The M = Q construction: identity first layer, bias beta1 on every
     coordinate, output layer from the normal equations, second bias tied to
-    revert the translation. Its weighted cost equals exact_min_weighted; one
-    pass yields it and checks that relu(X0 + beta1) stays above 0."""
+    revert the translation. w2 and the target value come from one
+    exact_minimum call; one pass then yields the weighted cost, which must
+    equal it, and checks that relu(X0 + beta1) stays above 0."""
     if ds.m != ds.q:
         raise WrongRegime(f"requires M = Q, got M={ds.m}, Q={ds.q}")
     q = ds.q
     beta1 = cfg.beta1(stats.rho)
     b1 = np.full(q, beta1)
-    w2 = exact_w2(ds, stats)
+    exact = exact_minimum(ds, stats)
+    w2 = exact.w2
     params = ShallowParams(w1=np.eye(q), b1=b1, w2=w2, b2=-(w2 @ b1))
     hidden_mins = []
     _, weighted = _residual_sums(params, ds, lambda hidden: hidden_mins.append(hidden.min()))
     if not min(hidden_mins) > 0.0:
         raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
     achieved = float(np.sqrt(weighted))
-    target = exact_min_weighted(ds, stats)
+    target = exact.value
     if abs(achieved - target) > 1e-9 * (1.0 + max(achieved, target)):
         raise ConsistencyError(
             f"constructed weighted cost {achieved!r} != exact minimum {target!r}"
@@ -179,12 +176,12 @@ def resolve_output_layer(
     M = Q normal-equation solution, and b2 = -w2 b1. Raises what truncation's
     first-layer rule raises (WrongRegime, SingularW1), BetaTooSmall outside the region.
     """
-    return _tied_output_layer(w1, b1, ds, exact_w2(ds, stats))
+    return _tied_output_layer(w1, b1, ds, normal_w2(ds, ds.x0, stats.means))
 
 
 def _tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray):
-    """resolve_output_layer with V = exact_w2(ds, stats) given, so that a caller
-    re-solving for many first layers on one dataset computes V once."""
+    """resolve_output_layer with V given (exact_minimum's w2), so that a
+    caller re-solving for many first layers on one dataset solves for V once."""
     if not _region_preactivation(w1, b1, ds)[1]:
         raise BetaTooSmall("first layer leaves the identity region")
     w2 = np.linalg.solve(np.transpose(w1), v.T).T

@@ -18,8 +18,10 @@ checks hidden layers (train_general's) never reads one. The general bound
 (1/sqrt(N)) ||Y pen dev||_F is read from the statistics, whose pass over the
 data already sums ||Y pen dev||_F^2, so bound_general costs O(Q^2). The closed
 forms of the M = Q regime are functions of the relative deviation Gram matrix
-alone and are cross-checked at runtime, at every N, against the data projector
-route ||Yext Pperp||. The data projector P = N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 is
+alone; exact_minimum computes them with one pass and one normal-equation
+solve and cross-checks them at runtime, at every N, against the data
+projector route ||Yext Pperp|| of that solve. The data projector
+P = N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 is
 applied through the normal equations without being formed: projector_route
 takes the residual norm and projector_action the image of an N x k block.
 Only data_projector forms the N x N matrix, as projector_action on the
@@ -235,33 +237,40 @@ def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
     return float(np.linalg.norm((y @ v) * np.sqrt(w / (1.0 + w))[None, :]))
 
 
-def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
-    """The weighted-cost value of the M = Q closed-form construction.
+@dataclass(frozen=True)
+class ExactMinimum:
+    """The M = Q closed form of one dataset: the relative deviations d1 and
+    their Gram d2, the normal-equation output weights w2, the closed-form
+    weighted minimum value and the projector route of the same w2."""
 
-    Computed as ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
-    (l, V) of the relative deviation Gram. Algebraically this equals
-    ||Yext Pperp|| in the weighted norm; at every N that route is also
-    evaluated, matrix-free (projector_route), and must agree to 1e-9 relative.
+    d1: np.ndarray
+    d2: np.ndarray
+    w2: np.ndarray
+    value: float
+    route: float
+
+
+def exact_minimum(ds: ClassifiedDataset, stats: DatasetStats) -> ExactMinimum:
+    """ExactMinimum from one relative_deviations pass and one normal_w2 solve.
+
+    The value is ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
+    (l, V) of d2. Algebraically it equals ||Yext Pperp|| in the weighted norm;
+    that route, the residual w2 X0 - Yext, is evaluated matrix-free at every N
+    and must agree to 1e-9 relative.
     """
-    _, d2 = relative_deviations(ds, stats)
+    d1, d2 = relative_deviations(ds, stats)
     value = closed_form_min(ds.y, d2)
-    ref = projector_route(ds, ds.x0, stats.means)
-    if abs(value - ref) > CROSS_CHECK_RTOL * (1.0 + max(value, ref)):
-        raise ConsistencyError(f"closed form {value!r} and projector route {ref!r} disagree")
-    return value
+    w2 = normal_w2(ds, ds.x0, stats.means)
+    route = weighted_norm(w2 @ ds.x0 - y_ext(ds), ds.class_sizes)
+    if abs(value - route) > CROSS_CHECK_RTOL * (1.0 + max(value, route)):
+        raise ConsistencyError(f"closed form {value!r} and projector route {route!r} disagree")
+    return ExactMinimum(d1=d1, d2=d2, w2=w2, value=value, route=route)
 
 
-def weighted_norm_y_delta1(ds: ClassifiedDataset, stats: DatasetStats) -> float:
-    """||Y Delta1_rel|| in the weighted norm; upper-bound line of the exact minimum."""
-    d1, _ = relative_deviations(ds, stats)
-    return weighted_norm(ds.y @ d1, ds.class_sizes)
-
-
-def spectral_range_d2(ds: ClassifiedDataset, stats: DatasetStats) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of the relative deviation Gram; diagnostics only."""
-    _, d2 = relative_deviations(ds, stats)
-    w, _ = _psd_eig(d2)
-    return float(w.min()), float(w.max())
+def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
+    """The weighted-cost value of the M = Q closed-form construction,
+    cross-checked against the projector route (see exact_minimum)."""
+    return exact_minimum(ds, stats).value
 
 
 def bound_general(
@@ -368,7 +377,8 @@ def evaluate(
     include_matrices: bool = False,
 ) -> CostReport:
     """Full cost report for one parameter set on one dataset. The costs are
-    read from the record of an earlier pass of p over ds when there is one."""
+    read from the record of an earlier pass of p over ds when there is one;
+    the M = Q fields come from one exact_minimum call."""
     b_l2, b_dp = bound_general(ds, stats, pack)
     c_l2, c_w = costs(p, ds)
     report = CostReport(
@@ -381,7 +391,8 @@ def evaluate(
         rho=stats.rho,
     )
     if ds.m == ds.q:
-        report.exact_min_weighted = exact_min_weighted(ds, stats)
+        exact = exact_minimum(ds, stats)
+        report.exact_min_weighted = exact.value
         if include_matrices:
-            report.delta1_rel, report.delta2_rel = relative_deviations(ds, stats)
+            report.delta1_rel, report.delta2_rel = exact.d1, exact.d2
     return report

@@ -75,6 +75,8 @@ class ClassifiedDataset:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "class_sizes", tuple(int(s) for s in self.class_sizes))
+        if self.q < 1:
+            raise DimensionError(f"need at least one class, got Q={self.q}")
         if self.q > self.m:
             raise DimensionError(f"need Q <= M, got Q={self.q}, M={self.m}")
         if len(self.class_sizes) != self.q or any(s <= 0 for s in self.class_sizes):
@@ -104,11 +106,9 @@ class DatasetStats:
     delta:    max Euclidean norm over deviation columns
     delta_p:  max Euclidean norm over columns of pen @ dev (scale invariant)
     rho:      max Euclidean norm over sample columns
-    n_weights: the class sizes defining the block-diagonal weight matrix
     y_pen_dev_sq: ||Y pen dev||_F^2, summed class block by class block; the
               general bound is bound_l2 = sqrt(y_pen_dev_sq / N), so it is
               carried here as one float rather than recomputed from dev
-    mean_ext: M x N means repeated per class block, computed on access
 
     No M x N array is retained; deviations(ds, means) forms dev on demand.
     """
@@ -117,13 +117,7 @@ class DatasetStats:
     delta: float
     delta_p: float
     rho: float
-    n_weights: tuple[int, ...]
     y_pen_dev_sq: float
-
-    @property
-    def mean_ext(self) -> np.ndarray:
-        """M x N means repeated per class block, formed on each access."""
-        return np.repeat(self.means, self.n_weights, axis=1)
 
 
 def block_means(x: np.ndarray, class_sizes) -> np.ndarray:
@@ -203,7 +197,6 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
         delta=delta,
         delta_p=delta_p,
         rho=rho,
-        n_weights=ds.class_sizes,
         y_pen_dev_sq=y_pen_dev_sq,
     )
 

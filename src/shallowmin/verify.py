@@ -19,7 +19,6 @@ from .classify import classify_batch, metric as metric_distance, score_batch
 from .constructive import (
     _tied_output_layer,
     ConstructiveConfig,
-    exact_w2,
     in_region_perturbation,
     sanity_forward_means,
     train_exact_meq,
@@ -27,18 +26,17 @@ from .constructive import (
     w2_tilde,
 )
 from .cost import (
+    _psd_eig,
     bound_general,
     cost_l2,
     cost_weighted,
     exact_min_weighted,
+    exact_minimum,
     lstsq_output_layer,
     projector_action,
-    projector_route,
-    relative_deviations,
-    spectral_range_d2,
-    weighted_norm_y_delta1,
+    weighted_norm,
 )
-from .dataset import ClassifiedDataset, dataset_stats, deviations, y_ext
+from .dataset import ClassifiedDataset, dataset_stats, deviations, independent_means, y_ext
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
@@ -49,6 +47,9 @@ SUITES = ("bounds", "exact-min", "degeneracy", "invariance", "metric", "truncati
 # Suites whose claims hold only in the M = Q regime; they raise WrongRegime
 # elsewhere, and `all` leaves them out there.
 SQUARE_ONLY_SUITES = ("exact-min", "degeneracy", "truncation")
+
+# Halvings of the deviations over which quadratic_trend_checks fits its slopes.
+OCTAVES = 4
 
 
 @dataclass
@@ -76,12 +77,6 @@ def _check(name: str, measured: float, tolerance: float, detail: str = "") -> Pr
 
 def _scaled(ds: ClassifiedDataset, lam: float) -> ClassifiedDataset:
     return replace(ds, x0=lam * ds.x0)
-
-
-def _noise_scaled(ds: ClassifiedDataset, t: float) -> ClassifiedDataset:
-    """Same class means, deviations scaled by t (exact linear noise scaling)."""
-    stats, _ = dataset_stats(ds)
-    return replace(ds, x0=stats.mean_ext + t * deviations(ds, stats.means))
 
 
 def random_gl(q: int, rng: np.random.Generator, cond_max: float = 10.0) -> np.ndarray:
@@ -146,23 +141,23 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
     quadratic-in-delta_p trends of the W2 gap and the minimum's deficit."""
     if ds.m != ds.q:
         raise WrongRegime("exact-min suite requires M = Q")
-    stats, pack = dataset_stats(ds)
+    stats, _ = dataset_stats(ds)
     params = train_exact_meq(ds, stats)
     cw = cost_weighted(params, ds)
-    em = exact_min_weighted(ds, stats)
-    lam_lo, lam_hi = spectral_range_d2(ds, stats)
+    exact = exact_minimum(ds, stats)
+    em = exact.value
+    lam, _ = _psd_eig(exact.d2)
     checks = [
         _check("exact.cost-eq-closed-form", _rel(cw, em), 1e-9,
-               detail=f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam_lo:.3e},{lam_hi:.3e}]"),
+               detail=f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]"),
+        _check("exact.projector-route", _rel(em, exact.route), 1e-9,
+               detail=f"projector route={exact.route:.9e}"),
     ]
-    via_projector = projector_route(ds, ds.x0, stats.means)
-    checks.append(_check("exact.projector-route", _rel(em, via_projector), 1e-9,
-                         detail=f"projector route={via_projector:.9e}"))
     hidden, _ = forward(params, ds.x0)
     _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=params.b1)
     checks.append(_check("exact.lstsq-oracle", _rel(em, oracle), 1e-8,
                          detail=f"lstsq oracle={oracle:.9e}"))
-    upper = weighted_norm_y_delta1(ds, stats)
+    upper = weighted_norm(ds.y @ exact.d1, ds.class_sizes)
     checks.append(_check("exact.le-upper-line", em - upper, 1e-12 * (1.0 + upper),
                          detail=f"closed={em:.6e} |Y D1|={upper:.6e}"))
     if len(set(ds.class_sizes)) == 1:
@@ -173,27 +168,31 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
     return checks
 
 
-def quadratic_trend_checks(ds: ClassifiedDataset, octaves: int = 4) -> list[PropertyCheck]:
+def quadratic_trend_checks(ds: ClassifiedDataset) -> list[PropertyCheck]:
     """Log-log slopes of |W2* - W2~|_op and of the minimum's deficit against
-    delta_p, over `octaves` halvings of the deviations; both must be ~2."""
+    delta_p, over OCTAVES halvings t of the deviations, X0(t) = mean_ext + t dev
+    with the class means kept; both must be ~2."""
+    means = independent_means(ds)
+    mean_ext = np.repeat(means, ds.class_sizes, axis=1)
+    dev = deviations(ds, means)
     delta_ps, gaps, deficits = [], [], []
-    for k in range(octaves + 1):
-        ds_t = _noise_scaled(ds, 0.5 ** k)
+    for k in range(OCTAVES + 1):
+        ds_t = replace(ds, x0=mean_ext + 0.5 ** k * dev)
         stats_t, _ = dataset_stats(ds_t)
-        gap = op_norm(exact_w2(ds_t, stats_t) - w2_tilde(ds_t, stats_t))
-        em = exact_min_weighted(ds_t, stats_t)
-        upper = weighted_norm_y_delta1(ds_t, stats_t)
+        exact = exact_minimum(ds_t, stats_t)
+        gap = op_norm(exact.w2 - w2_tilde(ds_t, stats_t))
+        upper = weighted_norm(ds_t.y @ exact.d1, ds_t.class_sizes)
         delta_ps.append(stats_t.delta_p)
         gaps.append(gap)
-        deficits.append(1.0 - em / upper)
+        deficits.append(1.0 - exact.value / upper)
     log_dp = np.log(delta_ps)
     slope_gap = float(np.polyfit(log_dp, np.log(gaps), 1)[0])
     slope_def = float(np.polyfit(log_dp, np.log(deficits), 1)[0])
     return [
         _check("exact.w2-gap-slope", abs(slope_gap - 2.0), 0.15,
-               detail=f"slope={slope_gap:.4f} over {octaves} octaves"),
+               detail=f"slope={slope_gap:.4f} over {OCTAVES} octaves"),
         _check("exact.deficit-slope", abs(slope_def - 2.0), 0.2,
-               detail=f"slope={slope_def:.4f} over {octaves} octaves"),
+               detail=f"slope={slope_def:.4f} over {OCTAVES} octaves"),
     ]
 
 
@@ -204,19 +203,18 @@ def suite_degeneracy(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         raise WrongRegime("degeneracy suite requires M = Q")
     stats, _ = dataset_stats(ds)
     params = train_exact_meq(ds, stats)
-    em = exact_min_weighted(ds, stats)
+    exact = exact_minimum(ds, stats)
     beta1 = ConstructiveConfig().beta1(stats.rho)
-    v = exact_w2(ds, stats)
     rng = np.random.default_rng(seed)
     worst = 0.0
     n_perturbations = 50
     for _ in range(n_perturbations):
         w1p, b1p = in_region_perturbation(params, stats, beta1, rng)
-        w2p, b2p = _tied_output_layer(w1p, b1p, ds, v)
+        w2p, b2p = _tied_output_layer(w1p, b1p, ds, exact.w2)
         cw = cost_weighted(ShallowParams(w1=w1p, b1=b1p, w2=w2p, b2=b2p), ds)
-        worst = max(worst, _rel(cw, em))
+        worst = max(worst, _rel(cw, exact.value))
     return [_check("degeneracy.flat-value", worst, 1e-8,
-                   detail=f"{n_perturbations} perturbations, exact={em:.9e}")]
+                   detail=f"{n_perturbations} perturbations, exact={exact.value:.9e}")]
 
 
 def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
@@ -233,8 +231,8 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     if ds.m != ds.q:
         return checks
 
-    d1, _ = relative_deviations(ds, stats)
-    em = exact_min_weighted(ds, stats)
+    exact = exact_minimum(ds, stats)
+    d1, em = exact.d1, exact.value
     probe_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = probe_rng.standard_normal((ds.n, 4))
     pz = projector_action(ds, ds.x0, z)
@@ -247,11 +245,11 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         k = random_gl(ds.q, rng)
         ds_k = replace(ds, x0=k @ ds.x0)
         stats_k, _ = dataset_stats(ds_k)
-        d1_k, _ = relative_deviations(ds_k, stats_k)
+        exact_k = exact_minimum(ds_k, stats_k)
         worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, ds_k.x0, z) - pz)))
                       / pz_scale)
-        worst_d1 = max(worst_d1, float(np.max(np.abs(d1_k - d1))) / d1_scale)
-        worst_em = max(worst_em, _rel(exact_min_weighted(ds_k, stats_k), em))
+        worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - d1))) / d1_scale)
+        worst_em = max(worst_em, _rel(exact_k.value, em))
     checks.append(_check("invariance.gl-data-projector", worst_p, 1e-7, detail=f"{n_k} random K"))
     checks.append(_check("invariance.gl-delta1", worst_d1, 1e-7))
     checks.append(_check("invariance.gl-exact-min", worst_em, 1e-7))

@@ -79,3 +79,25 @@ def forward_calls(monkeypatch):
         if name.split(".")[0] == "shallowmin" and getattr(module, "forward", None) is original:
             monkeypatch.setattr(module, "forward", counting)
     return calls
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the calls of the M = Q closed form's pieces, whichever
+    shallowmin module makes them: relative-deviation passes
+    (relative_deviations), Gram solves (_gram, behind normal_w2 and
+    projector_action) and closed-form values (closed_form_min)."""
+    from shallowmin import cost
+
+    counts = dict.fromkeys(("relative_deviations", "_gram", "closed_form_min"), 0)
+    for fname in counts:
+        original = getattr(cost, fname)
+
+        def counting(*args, _name=fname, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "shallowmin" and getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counting)
+    return counts

@@ -172,7 +172,7 @@ def test_criterion_5_quadratic_gap():
     failures = []
     for seed in (0, 2, 5):
         ds = square_dataset(seed=seed, noise=0.05)
-        for check in quadratic_trend_checks(ds, octaves=4):
+        for check in quadratic_trend_checks(ds):
             if not check.passed:
                 failures.append(f"seed {seed}: {check.name} deviation "
                                 f"{check.measured:.3f} > {check.tolerance}")

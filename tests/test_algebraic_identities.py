@@ -13,8 +13,8 @@ from shallowmin import (
     synthesize,
     y_ext,
 )
-from shallowmin.constructive import exact_w2, w2_tilde
-from shallowmin.cost import _gram, weighted_norm
+from shallowmin.constructive import w2_tilde
+from shallowmin.cost import _gram, normal_w2, weighted_norm
 from shallowmin.dataset import deviations
 
 
@@ -56,7 +56,7 @@ def test_exact_w2_equals_gap_corrected_interpolant(square_ds):
     _, d2 = relative_deviations(ds, stats)
     correction = ds.y @ d2 @ np.linalg.solve(
         np.eye(ds.q) + d2, np.linalg.inv(stats.means))
-    assert np.allclose(exact_w2(ds, stats), w2_tilde(ds, stats) - correction,
+    assert np.allclose(normal_w2(ds, ds.x0, stats.means), w2_tilde(ds, stats) - correction,
                        atol=1e-11)
 
 

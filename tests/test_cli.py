@@ -42,12 +42,21 @@ class TestGen:
     @pytest.mark.parametrize("args, code", [
         (["--m", 2, "--q", 3], 3),            # DimensionError: q > m
         (["--m", 3, "--q", 3, "--noise", "nan"], 2),
+        (["--m", 0, "--q", 0], 3),            # DimensionError: no class
     ])
     def test_failed_gen_leaves_no_file(self, tmp_path, capsys, args, code):
         out = tmp_path / "ds.json"
         assert run(["gen", *args, "--out", out]) == code
         assert not out.exists()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [["gen"], ["train"], ["train", "--variant", "exact"],
+                                         ["verify", "all"], ["verify", "exact-min"]])
+    def test_zero_classes_exit_3(self, capsys, command):
+        assert run([*command, "--m", 0, "--q", 0]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: DimensionError: need at least one class, got Q=0\n"
 
 
 class TestTrainEval:

@@ -21,12 +21,12 @@ from shallowmin import (
     y_ext,
 )
 from shallowmin.constructive import (
-    exact_w2,
     in_region_perturbation,
     resolve_output_layer,
     sanity_forward_means,
 )
-from shallowmin import constructive
+from shallowmin import constructive, cost
+from shallowmin.cost import normal_w2
 from shallowmin.errors import BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
 from shallowmin.linalg import op_norm
 from tests.conftest import weighted_lstsq_oracle
@@ -219,12 +219,41 @@ class TestTrainExactMeq:
         assert CountingX0.adds == 0
         assert cost_weighted(params, ds) == pytest.approx(exact_min_weighted(ds, stats), rel=1e-9)
 
+    def test_one_gram_solve(self, exact_calls):
+        """w2 and the target value come from one exact_minimum call: one
+        relative-deviations pass, one Gram solve, one closed form."""
+        ds = synthesize(4, 4, [6, 5, 7, 6], noise=0.1, seed=3)
+        stats, _ = dataset_stats(ds)
+        train_exact_meq(ds, stats)
+        assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
+
+    def test_projector_route_checks_the_trained_w2(self, monkeypatch):
+        ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2)
+        stats, _ = dataset_stats(ds)
+        original = cost.normal_w2
+        monkeypatch.setattr(cost, "normal_w2", lambda *a: original(*a) * (1.0 + 1e-3))
+        with pytest.raises(ConsistencyError, match="projector route"):
+            train_exact_meq(ds, stats)
+
+    def test_closed_form_errors_come_before_beta_too_small(self, monkeypatch):
+        """Only stats that bypass dataset_stats reach BetaTooSmall; the closed
+        form's own checks run first."""
+        ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2)
+        stats, _ = dataset_stats(ds)
+        bypass = replace(stats, rho=1e-3 * stats.rho)
+        with pytest.raises(BetaTooSmall):
+            train_exact_meq(ds, bypass)
+        original = cost.closed_form_min
+        monkeypatch.setattr(cost, "closed_form_min", lambda y, d2: original(y, d2) + 1e-6)
+        with pytest.raises(ConsistencyError, match="projector route"):
+            train_exact_meq(ds, bypass)
+
     def test_w2_gap_quarters_when_noise_halves(self):
         g = []
         for noise in (0.2, 0.1):
             ds = synthesize(3, 3, [6, 6, 6], noise=noise, seed=12)
             stats, _ = dataset_stats(ds)
-            gap = np.linalg.norm(exact_w2(ds, stats) - w2_tilde(ds, stats), 2)
+            gap = np.linalg.norm(normal_w2(ds, ds.x0, stats.means) - w2_tilde(ds, stats), 2)
             g.append(gap)
         assert g[0] / g[1] == pytest.approx(4.0, abs=0.5)
 

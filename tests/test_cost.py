@@ -28,12 +28,12 @@ from shallowmin import dataset as dataset_mod
 from shallowmin.cost import (
     MAX_PROJECTOR_N,
     closed_form_min,
+    exact_minimum,
     lstsq_output_layer,
     normal_w2,
     projector_action,
     projector_route,
     weighted_norm,
-    weighted_norm_y_delta1,
 )
 from shallowmin.errors import ConsistencyError, SingularGram, WrongRegime
 from shallowmin.network import params_from_dict, params_to_dict
@@ -493,7 +493,7 @@ class TestExactMinWeighted:
             ds = synthesize(3, 3, [5, 5, 5], noise=0.2, seed=seed)
             stats, _ = dataset_stats(ds)
             value = exact_min_weighted(ds, stats)
-            upper = weighted_norm_y_delta1(ds, stats)
+            upper = weighted_norm(ds.y @ exact_minimum(ds, stats).d1, ds.class_sizes)
             assert value <= upper + 1e-12
 
     def test_library_lstsq_matches_test_oracle(self, delta01_dataset):
@@ -569,6 +569,29 @@ class TestSharedKernel:
         res = min_over_output_layer(np.eye(2), np.array([-0.5, 0.0]), delta01_dataset)
         assert res.rank_x0_preserved and res.rank_means_preserved
         assert res.min_cost_weighted == closed_form_min(delta01_dataset.y, res.delta2_rel_tr)
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["c-ordered", "json-loaded"])
+    def test_exact_minimum_fields_are_the_kernels(self, tmp_path, loaded):
+        """Each field equals the kernel it comes from bit for bit, on a
+        C-ordered X0 and on the F-ordered X0 of a dataset loaded from JSON."""
+        ds = synthesize(4, 4, [7, 9, 8, 6], noise=0.1, seed=21)
+        if loaded:
+            dataset_mod.save_json(ds, tmp_path / "ds.json")
+            ds = dataset_mod.load_json(tmp_path / "ds.json")
+            assert ds.x0.flags.f_contiguous and not ds.x0.flags.c_contiguous
+        stats, _ = dataset_stats(ds)
+        exact = exact_minimum(ds, stats)
+        d1, d2 = relative_deviations(ds, stats)
+        assert np.array_equal(exact.d1, d1) and np.array_equal(exact.d2, d2)
+        assert np.array_equal(exact.w2, normal_w2(ds, ds.x0, stats.means))
+        assert exact.value == closed_form_min(ds.y, d2) == exact_min_weighted(ds, stats)
+        assert exact.route == projector_route(ds, ds.x0, stats.means)
+
+    def test_evaluate_solves_once(self, exact_calls):
+        ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
+        stats, pack = dataset_stats(ds)
+        evaluate(linear_params(np.eye(3)), ds, stats, pack, include_matrices=True)
+        assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
 
     def test_evaluate_matrices_are_relative_deviations(self):
         ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)

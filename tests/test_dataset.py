@@ -58,7 +58,8 @@ class TestStats:
     def test_reconstruction_bitwise(self):
         ds = synthesize(3, 2, [4, 4], noise=0.3, seed=5)
         stats, _ = dataset_stats(ds)
-        assert np.array_equal(ds.x0, stats.mean_ext + deviations(ds, stats.means))
+        mean_ext = np.repeat(stats.means, ds.class_sizes, axis=1)
+        assert np.array_equal(ds.x0, mean_ext + deviations(ds, stats.means))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_block_stats_match_full_array_bitwise(self, order):
@@ -195,6 +196,22 @@ class TestValidation:
         with pytest.raises(DimensionError):
             ClassifiedDataset(m=1, q=2, class_sizes=(1, 1),
                               x0=np.ones((1, 2)), y=np.eye(2))
+
+    @pytest.mark.parametrize("build", [
+        lambda: ClassifiedDataset(m=0, q=0, class_sizes=(), x0=np.zeros((0, 0)),
+                                  y=np.zeros((0, 0))),
+        lambda: ClassifiedDataset(m=3, q=0, class_sizes=(), x0=np.zeros((3, 0)),
+                                  y=np.zeros((0, 0))),
+        lambda: synthesize(0, 0, []),
+        lambda: synthesize(3, 0, []),
+    ], ids=["m0", "m3", "synthesize-m0", "synthesize-m3"])
+    def test_zero_classes_rejected(self, build):
+        with pytest.raises(DimensionError, match=r"need at least one class, got Q=0"):
+            build()
+
+    def test_q_le_m_message_kept(self):
+        with pytest.raises(DimensionError, match=r"^need Q <= M, got Q=2, M=1$"):
+            ClassifiedDataset(m=1, q=2, class_sizes=(1, 1), x0=np.ones((1, 2)), y=np.eye(2))
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
