@@ -9,8 +9,9 @@ baseline plus a CLI (`shallowmin`) with numerical verification suites.
 
 from .constructive import (
     ConstructiveConfig,
+    Fit,
     Variant,
-    train,
+    fit,
     train_exact_meq,
     train_general,
     w2_tilde,
@@ -62,6 +63,7 @@ __all__ = [
     "ConstructiveConfig",
     "CostReport",
     "DatasetStats",
+    "Fit",
     "GdConfig",
     "ProjectorPack",
     "ShallowParams",
@@ -80,6 +82,7 @@ __all__ = [
     "diagonalizing_rotation",
     "evaluate",
     "exact_min_weighted",
+    "fit",
     "forward",
     "load_dataset",
     "lstsq_output_layer",
@@ -94,7 +97,6 @@ __all__ = [
     "score",
     "sweep_fixed_point_region",
     "synthesize",
-    "train",
     "train_exact_meq",
     "train_general",
     "train_gd",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import score_batch
 from . import dataset as dataset_mod
-from .constructive import ConstructiveConfig, Variant, provenance, train
+from .constructive import ConstructiveConfig, Variant, fit, provenance
 from .cost import evaluate
 from .dataset import (
     checked_targets,
@@ -118,10 +118,10 @@ def cmd_train(args) -> int:
     stats, pack = dataset_stats(ds)
     cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
     variant = Variant(args.variant)
-    params = train(ds, stats, pack, variant, cfg)
-    prov = {**provenance(variant, ds, stats, pack, cfg), "y": ds.y.tolist(),
+    trained = fit(ds, stats, pack, variant, cfg)
+    prov = {**provenance(variant, trained, ds, stats, cfg), "y": ds.y.tolist(),
             "data_sha256": None if sha256 is None else sha256.hexdigest()}
-    _write_json({**params_to_dict(params), "provenance": prov}, args.out)
+    _write_json({**params_to_dict(trained.params), "provenance": prov}, args.out)
     return EXIT_OK
 
 
@@ -229,14 +229,14 @@ def cmd_compare(args) -> int:
     stats, pack = dataset_stats(ds)
     cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
     variant = Variant.EXACT if ds.m == ds.q else Variant.GENERAL
-    constructive_params = train(ds, stats, pack, variant, cfg)
+    trained = fit(ds, stats, pack, variant, cfg)
     gd_cfg = GdConfig(learning_rate=args.lr, steps=args.steps, seed=args.gd_seed,
                       init_scale=args.init_scale, record_every=args.record_every)
     gd_params, trace = train_gd(ds, gd_cfg)
-    doc = gd_compare(ds, stats, pack, gd_params, constructive_params)
+    doc = gd_compare(ds, gd_params, trained)
     doc["variant"] = variant.value
     if held_x is not None and held_x.shape[1]:
-        for key, params in (("gd", gd_params), ("constructive", constructive_params)):
+        for key, params in (("gd", gd_params), ("constructive", trained.params)):
             winners = np.argmin(score_batch(params, ds.y, held_x), axis=1)
             hits = int(np.count_nonzero(winners == np.asarray(held_labels)))
             doc[key]["holdout_accuracy"] = hits / len(held_labels)

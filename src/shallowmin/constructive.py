@@ -8,7 +8,9 @@ block below zero so the activation deletes it. The output layer then solves a
 least-squares matching of class means to targets, and the second bias reverts
 the first-layer translation. Each trainer reads its first-layer checks and its
 cost off one pass of the network over the data; the M = Q trainer solves the
-normal equations once, in cost.exact_minimum.
+normal equations once, in cost.exact_minimum. fit returns the parameters with
+what their trainer proved (Fit): the costs of that pass, the general bounds
+and the M = Q trainer's ExactMinimum, so no caller solves or passes again.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cost import _residual_sums, bound_general, exact_min_weighted, exact_minimum, normal_w2
+from .cost import ExactMinimum, _residual_sums, bound_general, exact_minimum
 from .dataset import ClassifiedDataset, DatasetStats
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, op_norm, penrose_inverse
@@ -50,18 +52,48 @@ class ConstructiveConfig:
         return 2.0 * rho + margin
 
 
+@dataclass(frozen=True)
+class Fit:
+    """Trained parameters with their certificate: the L2 and weighted costs
+    of the trainer's one pass over the data, the general bounds (bound_l2,
+    bound_deltap) and, from the M = Q trainer only, the ExactMinimum it
+    solved (None otherwise)."""
+
+    params: ShallowParams
+    cost_l2: float
+    cost_weighted: float
+    bound_l2: float
+    bound_deltap: float
+    exact: ExactMinimum | None
+
+
 def w2_tilde(ds: ClassifiedDataset, stats: DatasetStats) -> np.ndarray:
     """Y times the pseudoinverse of the class means: maps every class mean to
     its target column."""
     return ds.y @ penrose_inverse(stats.means)
 
 
-def train_general(
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-    pack: ProjectorPack,
-    cfg: ConstructiveConfig = ConstructiveConfig(),
-) -> ShallowParams:
+def fit(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack | None,
+        variant: Variant, cfg: ConstructiveConfig = ConstructiveConfig()) -> Fit:
+    """The Fit of one trainer: _fit_general (reads pack) or _fit_exact (M = Q)."""
+    if variant is Variant.EXACT:
+        return _fit_exact(ds, stats, cfg)
+    return _fit_general(ds, stats, pack, cfg)
+
+
+def train_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack,
+                  cfg: ConstructiveConfig = ConstructiveConfig()) -> ShallowParams:
+    """The parameters of the general Q <= M construction (_fit_general)."""
+    return fit(ds, stats, pack, Variant.GENERAL, cfg).params
+
+
+def train_exact_meq(ds: ClassifiedDataset, stats: DatasetStats,
+                    cfg: ConstructiveConfig = ConstructiveConfig()) -> ShallowParams:
+    """The parameters of the M = Q construction (_fit_exact)."""
+    return fit(ds, stats, None, Variant.EXACT, cfg).params
+
+
+def _fit_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack, cfg) -> Fit:
     """The general Q <= M construction.
 
     w1 is the diagonalizing rotation; b1 is beta1 on the leading Q (signal)
@@ -98,7 +130,7 @@ def train_general(
         if m > q:
             noise_max = max(noise_max, float(hidden[q:].max()))
 
-    total, _ = _residual_sums(params, ds, track)
+    total, weighted = _residual_sums(params, ds, track)
     if not signal_min > 0.0:
         raise BetaTooSmall(
             f"beta1={beta1!r} leaves signal pre-activation at or below 0"
@@ -111,34 +143,30 @@ def train_general(
         if noise_max > tol:
             raise ConsistencyError(f"noise block leaks {noise_max:.3e} above zero")
     achieved = float(np.sqrt(total) / np.sqrt(ds.n))
-    bound_l2, _ = bound_general(ds, stats, pack)
+    bound_l2, bound_deltap = bound_general(ds, stats)
     if achieved > bound_l2 + 1e-10 * (1.0 + bound_l2):
         raise ConsistencyError(
             f"constructed cost {achieved!r} exceeds its bound {bound_l2!r}"
         )
-    return params
+    return Fit(params, achieved, float(np.sqrt(weighted)), bound_l2, bound_deltap, None)
 
 
-def train_exact_meq(
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-    cfg: ConstructiveConfig = ConstructiveConfig(),
-) -> ShallowParams:
+def _fit_exact(ds: ClassifiedDataset, stats: DatasetStats, cfg) -> Fit:
     """The M = Q construction: identity first layer, bias beta1 on every
     coordinate, output layer from the normal equations, second bias tied to
     revert the translation. w2 and the target value come from one
     exact_minimum call; one pass then yields the weighted cost, which must
-    equal it, and checks that relu(X0 + beta1) stays above 0."""
+    equal it, and checks that relu(X0 + beta1) stays above 0. The general
+    bounds are taken last, after the trainer's own checks."""
     if ds.m != ds.q:
         raise WrongRegime(f"requires M = Q, got M={ds.m}, Q={ds.q}")
     q = ds.q
     beta1 = cfg.beta1(stats.rho)
     b1 = np.full(q, beta1)
     exact = exact_minimum(ds, stats)
-    w2 = exact.w2
-    params = ShallowParams(w1=np.eye(q), b1=b1, w2=w2, b2=-(w2 @ b1))
+    params = ShallowParams(w1=np.eye(q), b1=b1, w2=exact.w2, b2=-(exact.w2 @ b1))
     hidden_mins = []
-    _, weighted = _residual_sums(params, ds, lambda hidden: hidden_mins.append(hidden.min()))
+    total, weighted = _residual_sums(params, ds, lambda hidden: hidden_mins.append(hidden.min()))
     if not min(hidden_mins) > 0.0:
         raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
     achieved = float(np.sqrt(weighted))
@@ -147,41 +175,20 @@ def train_exact_meq(
         raise ConsistencyError(
             f"constructed weighted cost {achieved!r} != exact minimum {target!r}"
         )
-    return params
+    return Fit(params, float(np.sqrt(total) / np.sqrt(ds.n)), achieved,
+               *bound_general(ds, stats), exact)
 
 
-def train(
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-    pack: ProjectorPack,
-    variant: Variant,
-    cfg: ConstructiveConfig = ConstructiveConfig(),
-) -> ShallowParams:
-    if variant is Variant.EXACT:
-        return train_exact_meq(ds, stats, cfg)
-    return train_general(ds, stats, pack, cfg)
-
-
-def resolve_output_layer(
-    w1: np.ndarray,
-    b1: np.ndarray,
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal tied-family (w2, b2) for a fixed identity-regime first layer.
+def tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal tied-family (w2, b2) for a fixed identity-regime first layer,
+    given v = ExactMinimum.w2, the M = Q normal-equation solution of ds.
 
     For (w1, b1) inside the fixed-point region the hidden layer is the affine
     image w1 X0 + b1 1^T, so the normal equations on that hidden data reduce to
-    the original ones conjugated by the affine map: w2 = V w1^-1 with V the
-    M = Q normal-equation solution, and b2 = -w2 b1. Raises what truncation's
-    first-layer rule raises (WrongRegime, SingularW1), BetaTooSmall outside the region.
+    the original ones conjugated by the affine map: w2 = v w1^-1 and
+    b2 = -w2 b1. Raises what truncation's first-layer rule raises
+    (WrongRegime, SingularW1), BetaTooSmall outside the region.
     """
-    return _tied_output_layer(w1, b1, ds, normal_w2(ds, ds.x0, stats.means))
-
-
-def _tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray):
-    """resolve_output_layer with V given (exact_minimum's w2), so that a
-    caller re-solving for many first layers on one dataset solves for V once."""
     if not _region_preactivation(w1, b1, ds)[1]:
         raise BetaTooSmall("first layer leaves the identity region")
     w2 = np.linalg.solve(np.transpose(w1), v.T).T
@@ -207,26 +214,22 @@ def in_region_perturbation(
     return params.w1 @ (np.eye(q) + a), params.b1 + v
 
 
-def provenance(
-    variant: Variant,
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-    pack: ProjectorPack,
-    cfg: ConstructiveConfig,
-) -> dict:
-    """Training-time metadata block emitted next to serialized parameters."""
-    b_l2, b_dp = bound_general(ds, stats, pack)
+def provenance(variant: Variant, fit: Fit, ds: ClassifiedDataset, stats: DatasetStats,
+               cfg: ConstructiveConfig) -> dict:
+    """Training-time metadata block emitted next to serialized parameters:
+    the bounds of the fit and, for M = Q, the exact minimum its trainer
+    solved (solved here only after the general trainer)."""
     doc = {
         "variant": variant.value,
         "beta1": cfg.beta1(stats.rho),
         "delta": stats.delta,
         "delta_p": stats.delta_p,
         "rho": stats.rho,
-        "bound_l2": b_l2,
-        "bound_deltap": b_dp,
+        "bound_l2": fit.bound_l2,
+        "bound_deltap": fit.bound_deltap,
     }
     if ds.m == ds.q:
-        doc["exact_min_weighted"] = exact_min_weighted(ds, stats)
+        doc["exact_min_weighted"] = (fit.exact or exact_minimum(ds, stats)).value
     return doc
 
 

@@ -23,7 +23,8 @@ solve and cross-checks them at runtime, at every N, against the data
 projector route ||Yext Pperp|| of that solve. The data projector
 P = N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 is
 applied through the normal equations without being formed: projector_route
-takes the residual norm and projector_action the image of an N x k block.
+takes the residual norm and projector_action the image of an N x k block,
+given the Gram X0 N^-1 X0^T that _gram checked (ExactMinimum keeps it).
 Only data_projector forms the N x N matrix, as projector_action on the
 identity, for tests that compare against it; it refuses N > MAX_PROJECTOR_N.
 """
@@ -150,29 +151,29 @@ def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
     return gram
 
 
-def normal_w2(ds: ClassifiedDataset, x: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Normal-equation output weights W2 = Y means^T (x N^-1 x^T)^-1 for inputs
-    x (M x N, columns grouped like ds) with class means `means`.
+def normal_w2(ds: ClassifiedDataset, gram: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Normal-equation output weights W2 = Y means^T gram^-1 for inputs x
+    (M x N, grouped like ds) of class means `means`, gram = _gram(x, N^-1).
 
     Since Yext N^-1 x^T = Y means^T, W2 x = Yext P(x) with P(x) the data
     projector N^-1 x^T (x N^-1 x^T)^-1 x.
     """
-    return np.linalg.solve(_gram(x, ds.inv_size_weights()), means @ ds.y.T).T
+    return np.linalg.solve(gram, means @ ds.y.T).T
 
 
 def projector_route(ds: ClassifiedDataset, x: np.ndarray, means: np.ndarray) -> float:
     """||Yext Pperp(x)|| in the weighted norm, as the Q x N residual
     normal_w2 x - Yext; never forms the N x N projector."""
-    return weighted_norm(normal_w2(ds, x, means) @ x - y_ext(ds), ds.class_sizes)
+    w2 = normal_w2(ds, _gram(x, ds.inv_size_weights()), means)
+    return weighted_norm(w2 @ x - y_ext(ds), ds.class_sizes)
 
 
-def projector_action(ds: ClassifiedDataset, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """N^-1 x^T (x N^-1 x^T)^-1 (x z): the data projector P(x) of inputs x
-    (M x N, columns grouped like ds) applied to the N x k block z. Forms no
-    N x N matrix unless z is one."""
-    inv_n = ds.inv_size_weights()
-    out = x.T @ np.linalg.solve(_gram(x, inv_n), x @ z)
-    out *= inv_n[:, None]
+def projector_action(ds: ClassifiedDataset, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """N^-1 X0^T gram^-1 (X0 z): the data projector of ds applied to the
+    N x k block z, given gram = _gram(ds.x0, ds.inv_size_weights()) (as
+    ExactMinimum.gram keeps it). Forms no N x N matrix unless z is one."""
+    out = ds.x0.T @ np.linalg.solve(gram, ds.x0 @ z)
+    out *= ds.inv_size_weights()[:, None]
     return out
 
 
@@ -190,7 +191,7 @@ def data_projector(ds: ClassifiedDataset) -> np.ndarray:
             f"refusing to materialize a {ds.n} x {ds.n} projector "
             f"(MAX_PROJECTOR_N={MAX_PROJECTOR_N}); use projector_action"
         )
-    return projector_action(ds, ds.x0, np.eye(ds.n))
+    return projector_action(ds, _gram(ds.x0, ds.inv_size_weights()), np.eye(ds.n))
 
 
 def relative_gram(
@@ -239,19 +240,20 @@ def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ExactMinimum:
-    """The M = Q closed form of one dataset: the relative deviations d1 and
-    their Gram d2, the normal-equation output weights w2, the closed-form
-    weighted minimum value and the projector route of the same w2."""
+    """The M = Q closed form of one dataset: relative deviations d1, their Gram
+    d2, the checked Gram X0 N^-1 X0^T and normal-equation output weights w2,
+    the closed-form weighted minimum value and the projector route of w2."""
 
     d1: np.ndarray
     d2: np.ndarray
+    gram: np.ndarray
     w2: np.ndarray
     value: float
     route: float
 
 
 def exact_minimum(ds: ClassifiedDataset, stats: DatasetStats) -> ExactMinimum:
-    """ExactMinimum from one relative_deviations pass and one normal_w2 solve.
+    """ExactMinimum from one relative_deviations pass and one _gram solve.
 
     The value is ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
     (l, V) of d2. Algebraically it equals ||Yext Pperp|| in the weighted norm;
@@ -260,11 +262,12 @@ def exact_minimum(ds: ClassifiedDataset, stats: DatasetStats) -> ExactMinimum:
     """
     d1, d2 = relative_deviations(ds, stats)
     value = closed_form_min(ds.y, d2)
-    w2 = normal_w2(ds, ds.x0, stats.means)
+    gram = _gram(ds.x0, ds.inv_size_weights())
+    w2 = normal_w2(ds, gram, stats.means)
     route = weighted_norm(w2 @ ds.x0 - y_ext(ds), ds.class_sizes)
     if abs(value - route) > CROSS_CHECK_RTOL * (1.0 + max(value, route)):
         raise ConsistencyError(f"closed form {value!r} and projector route {route!r} disagree")
-    return ExactMinimum(d1=d1, d2=d2, w2=w2, value=value, route=route)
+    return ExactMinimum(d1=d1, d2=d2, gram=gram, w2=w2, value=value, route=route)
 
 
 def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
@@ -273,17 +276,15 @@ def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
     return exact_minimum(ds, stats).value
 
 
-def bound_general(
-    ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack
-) -> tuple[float, float]:
+def bound_general(ds: ClassifiedDataset, stats: DatasetStats) -> tuple[float, float]:
     """Closed-form cost bounds of the general Q <= M construction.
 
     Returns (bound_l2, bound_deltap) with
     bound_l2 = (1/sqrt(N)) ||Y pen dev||_F and bound_deltap = ||Y||_op delta_p;
     the first never exceeds the second (columnwise sup bound), which is
     checked here. Both are invariant under X0 -> lambda X0. ||Y pen dev||_F^2
-    is summed by compute_stats in its one pass over the data (with the pen of
-    pack), so this costs one Q x Q singular value decomposition.
+    is summed by compute_stats in its one pass over the data, so this costs
+    one Q x Q singular value decomposition.
     """
     bound_l2 = float(np.sqrt(stats.y_pen_dev_sq) / np.sqrt(ds.n))
     bound_deltap = float(op_norm(ds.y) * stats.delta_p)
@@ -378,8 +379,8 @@ def evaluate(
 ) -> CostReport:
     """Full cost report for one parameter set on one dataset. The costs are
     read from the record of an earlier pass of p over ds when there is one;
-    the M = Q fields come from one exact_minimum call."""
-    b_l2, b_dp = bound_general(ds, stats, pack)
+    the M = Q fields come from one exact_minimum call. pack is not read."""
+    b_l2, b_dp = bound_general(ds, stats)
     c_l2, c_w = costs(p, ds)
     report = CostReport(
         cost_l2=c_l2,

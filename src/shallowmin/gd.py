@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import bound_general, costs, exact_min_weighted
-from .dataset import ClassifiedDataset, DatasetStats, y_ext
+from .constructive import Fit
+from .cost import costs
+from .dataset import ClassifiedDataset, y_ext
 from .errors import Diverged, ShallowminError
-from .linalg import ProjectorPack
 from .network import ShallowParams
 from .truncation import _region_preactivation
 
@@ -135,30 +135,22 @@ def gd_in_fixed_point_region(params: ShallowParams, ds: ClassifiedDataset) -> bo
         return False
 
 
-def compare(
-    ds: ClassifiedDataset,
-    stats: DatasetStats,
-    pack: ProjectorPack,
-    gd_params: ShallowParams,
-    constructive_params: ShallowParams,
-) -> dict:
-    """Side-by-side cost figures for a GD run and a constructive run on the
-    same dataset, plus the applicable closed-form references."""
-    b_l2, b_dp = bound_general(ds, stats, pack)
+def compare(ds: ClassifiedDataset, gd_params: ShallowParams, fit: Fit) -> dict:
+    """Side-by-side cost figures for a GD run and a constructive fit on the
+    same dataset, plus the fit's closed-form references (exact_min_weighted
+    is None unless the fit is the M = Q one). Only GD's costs are computed."""
     gd_l2, gd_w = costs(gd_params, ds)
-    c_l2, c_w = costs(constructive_params, ds)
-    doc = {
+    return {
         "gd": {
             "cost_l2": gd_l2,
             "cost_weighted": gd_w,
             "in_fixed_point_region": gd_in_fixed_point_region(gd_params, ds),
         },
         "constructive": {
-            "cost_l2": c_l2,
-            "cost_weighted": c_w,
+            "cost_l2": fit.cost_l2,
+            "cost_weighted": fit.cost_weighted,
         },
-        "bound_l2": b_l2,
-        "bound_deltap": b_dp,
-        "exact_min_weighted": exact_min_weighted(ds, stats) if ds.m == ds.q else None,
+        "bound_l2": fit.bound_l2,
+        "bound_deltap": fit.bound_deltap,
+        "exact_min_weighted": None if fit.exact is None else fit.exact.value,
     }
-    return doc

@@ -17,18 +17,18 @@ import numpy as np
 
 from .classify import classify_batch, metric as metric_distance, score_batch
 from .constructive import (
-    _tied_output_layer,
     ConstructiveConfig,
+    Variant,
+    fit,
     in_region_perturbation,
     sanity_forward_means,
-    train_exact_meq,
+    tied_output_layer,
     train_general,
     w2_tilde,
 )
 from .cost import (
     _psd_eig,
     bound_general,
-    cost_l2,
     cost_weighted,
     exact_min_weighted,
     exact_minimum,
@@ -98,8 +98,8 @@ def _scale_invariance_slack(ds: ClassifiedDataset, delta_p: float, b_l2: float) 
     """Worst relative change of bound_l2 and delta_p under X0 -> lambda X0, lambda in {0.1, 10}."""
     worst = 0.0
     for lam in (0.1, 10.0):
-        stats_l, pack_l = dataset_stats(_scaled(ds, lam))
-        b_l2_l, _ = bound_general(_scaled(ds, lam), stats_l, pack_l)
+        stats_l, _ = dataset_stats(_scaled(ds, lam))
+        b_l2_l, _ = bound_general(_scaled(ds, lam), stats_l)
         worst = max(worst, _rel(b_l2_l, b_l2), _rel(stats_l.delta_p, delta_p))
     return worst
 
@@ -107,9 +107,9 @@ def _scale_invariance_slack(ds: ClassifiedDataset, delta_p: float, b_l2: float) 
 def suite_bounds(ds: ClassifiedDataset) -> list[PropertyCheck]:
     """Upper-bound chain of the general construction plus its invariances."""
     stats, pack = dataset_stats(ds)
-    params = train_general(ds, stats, pack)
-    b_l2, b_dp = bound_general(ds, stats, pack)
-    achieved = cost_l2(params, ds)
+    general = fit(ds, stats, pack, Variant.GENERAL)
+    params, achieved = general.params, general.cost_l2
+    b_l2, b_dp = general.bound_l2, general.bound_deltap
     checks = [
         _check("bounds.cost-le-bound", achieved - b_l2, 1e-10 * (1.0 + b_l2),
                detail=f"cost={achieved:.6e} bound_l2={b_l2:.6e}"),
@@ -122,9 +122,8 @@ def suite_bounds(ds: ClassifiedDataset) -> list[PropertyCheck]:
                          _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9))
 
     margin = 0.5 * stats.rho + 1.7 * (stats.rho + 1.0)
-    params_big = train_general(ds, stats, pack, ConstructiveConfig(beta1_margin=margin))
-    checks.append(_check("bounds.beta-margin-invariance",
-                         abs(cost_l2(params_big, ds) - achieved), 1e-10))
+    big = fit(ds, stats, pack, Variant.GENERAL, ConstructiveConfig(beta1_margin=margin))
+    checks.append(_check("bounds.beta-margin-invariance", abs(big.cost_l2 - achieved), 1e-10))
 
     hidden, _ = forward(params, ds.x0)
     signal = pack.r @ (pack.p @ ds.x0)
@@ -141,10 +140,9 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
     quadratic-in-delta_p trends of the W2 gap and the minimum's deficit."""
     if ds.m != ds.q:
         raise WrongRegime("exact-min suite requires M = Q")
-    stats, _ = dataset_stats(ds)
-    params = train_exact_meq(ds, stats)
-    cw = cost_weighted(params, ds)
-    exact = exact_minimum(ds, stats)
+    stats, pack = dataset_stats(ds)
+    square = fit(ds, stats, pack, Variant.EXACT)
+    params, cw, exact = square.params, square.cost_weighted, square.exact
     em = exact.value
     lam, _ = _psd_eig(exact.d2)
     checks = [
@@ -162,7 +160,7 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
                          detail=f"closed={em:.6e} |Y D1|={upper:.6e}"))
     if len(set(ds.class_sizes)) == 1:
         checks.append(_check("exact.sqrtq-identity",
-                             _rel(cw, np.sqrt(ds.q) * cost_l2(params, ds)), 1e-12))
+                             _rel(cw, np.sqrt(ds.q) * square.cost_l2), 1e-12))
     if stats.delta > 0:
         checks.extend(quadratic_trend_checks(ds))
     return checks
@@ -201,16 +199,16 @@ def suite_degeneracy(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     re-solve must reproduce the exact minimum."""
     if ds.m != ds.q:
         raise WrongRegime("degeneracy suite requires M = Q")
-    stats, _ = dataset_stats(ds)
-    params = train_exact_meq(ds, stats)
-    exact = exact_minimum(ds, stats)
+    stats, pack = dataset_stats(ds)
+    square = fit(ds, stats, pack, Variant.EXACT)
+    params, exact = square.params, square.exact
     beta1 = ConstructiveConfig().beta1(stats.rho)
     rng = np.random.default_rng(seed)
     worst = 0.0
     n_perturbations = 50
     for _ in range(n_perturbations):
         w1p, b1p = in_region_perturbation(params, stats, beta1, rng)
-        w2p, b2p = _tied_output_layer(w1p, b1p, ds, exact.w2)
+        w2p, b2p = tied_output_layer(w1p, b1p, ds, exact.w2)
         cw = cost_weighted(ShallowParams(w1=w1p, b1=b1p, w2=w2p, b2=b2p), ds)
         worst = max(worst, _rel(cw, exact.value))
     return [_check("degeneracy.flat-value", worst, 1e-8,
@@ -223,10 +221,11 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
 
     The data projector is compared through its action P Z on a seeded N x 4
     probe block Z, a randomized identity test in the style of Freivalds, so
-    no N x N matrix is formed at any N. The probes come from their own
+    no N x N matrix is formed at any N; each probe reuses the Gram that its
+    dataset's exact_minimum checked. The probes come from their own
     generator; the sequence of K depends on the seed alone."""
-    stats, pack = dataset_stats(ds)
-    b_l2, _ = bound_general(ds, stats, pack)
+    stats, _ = dataset_stats(ds)
+    b_l2, _ = bound_general(ds, stats)
     checks = [_check("invariance.scaling", _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9)]
     if ds.m != ds.q:
         return checks
@@ -235,7 +234,7 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     d1, em = exact.d1, exact.value
     probe_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = probe_rng.standard_normal((ds.n, 4))
-    pz = projector_action(ds, ds.x0, z)
+    pz = projector_action(ds, exact.gram, z)
     pz_scale = 1.0 + float(np.max(np.abs(pz)))
     d1_scale = 1.0 + float(np.max(np.abs(d1)))
     rng = np.random.default_rng(seed)
@@ -246,7 +245,7 @@ def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         ds_k = replace(ds, x0=k @ ds.x0)
         stats_k, _ = dataset_stats(ds_k)
         exact_k = exact_minimum(ds_k, stats_k)
-        worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, ds_k.x0, z) - pz)))
+        worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, exact_k.gram, z) - pz)))
                       / pz_scale)
         worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - d1))) / d1_scale)
         worst_em = max(worst_em, _rel(exact_k.value, em))
@@ -333,10 +332,12 @@ def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     points = sweep_fixed_point_region(ds, grid)
 
     # The sweep compared each rank-preserving point's closed form with its
-    # least-squares oracle already and kept the oracle value.
+    # least-squares oracle already and kept the oracle value; errored points
+    # are counted in the detail.
     worst_oracle = 0.0
     n_preserving = 0
     region_vals = []
+    errored = [pt.index for pt in points if pt.result is None]
     for pt in points:
         if pt.result is None or pt.result.min_cost_weighted is None:
             continue
@@ -350,7 +351,8 @@ def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
     vs_exact = max((_rel(v, em) for v in region_vals), default=float("inf"))
     checks = [
         _check("truncation.closed-vs-lstsq", worst_oracle, 1e-8,
-               detail=f"{n_preserving} rank-preserving points"),
+               detail=f"{n_preserving} rank-preserving points"
+               + (f", {len(errored)} errored, first at index {errored[0]}" if errored else "")),
         _check("truncation.region-flat", flat, 1e-8,
                detail=f"{len(region_vals)} in-region points"),
         _check("truncation.region-matches-exact", vs_exact, 1e-8,

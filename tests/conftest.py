@@ -85,8 +85,9 @@ def forward_calls(monkeypatch):
 def exact_calls(monkeypatch):
     """Counts the calls of the M = Q closed form's pieces, whichever
     shallowmin module makes them: relative-deviation passes
-    (relative_deviations), Gram solves (_gram, behind normal_w2 and
-    projector_action) and closed-form values (closed_form_min)."""
+    (relative_deviations), Gram solves (_gram, in exact_minimum,
+    projector_route and data_projector) and closed-form values
+    (closed_form_min)."""
     from shallowmin import cost
 
     counts = dict.fromkeys(("relative_deviations", "_gram", "closed_form_min"), 0)

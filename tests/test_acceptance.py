@@ -29,8 +29,8 @@ from shallowmin import (
     w2_tilde,
     y_ext,
 )
-from shallowmin.constructive import in_region_perturbation, resolve_output_layer
-from shallowmin.cost import weighted_norm
+from shallowmin.constructive import in_region_perturbation, tied_output_layer
+from shallowmin.cost import exact_minimum, weighted_norm
 from shallowmin.errors import ShallowminError
 from shallowmin.gd import gd_in_fixed_point_region
 from shallowmin.linalg import diagonalizing_rotation, orthoprojector, penrose_inverse
@@ -69,7 +69,7 @@ def test_criterion_1_bound_chain():
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
         c = cost_l2(params, ds)
-        b_l2, b_dp = bound_general(ds, stats, pack)
+        b_l2, b_dp = bound_general(ds, stats)
         tag = f"(q={q}, m={m}, noise={noise}, seed={seed})"
         if c > b_l2 + 1e-10 * (1.0 + b_l2):
             failures.append(f"cost {c} > bound {b_l2} {tag}")
@@ -118,11 +118,12 @@ def test_criterion_3_degeneracy():
     stats, _ = dataset_stats(ds)
     params = train_exact_meq(ds, stats)
     em = exact_min_weighted(ds, stats)
+    v = exact_minimum(ds, stats).w2
     beta1 = ConstructiveConfig().beta1(stats.rho)
     rng = np.random.default_rng(33)
     for i in range(50):
         w1p, b1p = in_region_perturbation(params, stats, beta1, rng)
-        w2p, b2p = resolve_output_layer(w1p, b1p, ds, stats)
+        w2p, b2p = tied_output_layer(w1p, b1p, ds, v)
         cw = cost_weighted(ShallowParams(w1=w1p, b1=b1p, w2=w2p, b2=b2p), ds)
         if abs(cw - em) > 1e-8 * (1.0 + em):
             failures.append(f"perturbation {i}: {cw} != {em}")
@@ -133,12 +134,12 @@ def test_criterion_3_degeneracy():
 def test_criterion_4_invariances():
     failures = []
     ds = square_dataset(seed=5, noise=0.1)
-    stats, pack = dataset_stats(ds)
-    b_l2, _ = bound_general(ds, stats, pack)
+    stats, _ = dataset_stats(ds)
+    b_l2, _ = bound_general(ds, stats)
     for lam in (0.1, 10.0):
         ds_l = replace(ds, x0=lam * ds.x0)
-        stats_l, pack_l = dataset_stats(ds_l)
-        b_l2_l, _ = bound_general(ds_l, stats_l, pack_l)
+        stats_l, _ = dataset_stats(ds_l)
+        b_l2_l, _ = bound_general(ds_l, stats_l)
         if abs(b_l2_l - b_l2) > 1e-9 * (1.0 + b_l2):
             failures.append(f"bound_l2 changed under lambda={lam}")
         if abs(stats_l.delta_p - stats.delta_p) > 1e-9 * (1.0 + stats.delta_p):

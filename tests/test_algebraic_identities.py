@@ -56,8 +56,8 @@ def test_exact_w2_equals_gap_corrected_interpolant(square_ds):
     _, d2 = relative_deviations(ds, stats)
     correction = ds.y @ d2 @ np.linalg.solve(
         np.eye(ds.q) + d2, np.linalg.inv(stats.means))
-    assert np.allclose(normal_w2(ds, ds.x0, stats.means), w2_tilde(ds, stats) - correction,
-                       atol=1e-11)
+    w2 = normal_w2(ds, _gram(ds.x0, ds.inv_size_weights()), stats.means)
+    assert np.allclose(w2, w2_tilde(ds, stats) - correction, atol=1e-11)
 
 
 def test_weighted_residual_trace_form(square_ds):

@@ -133,6 +133,20 @@ class TestTrainEval:
                     "--inputs", inputs]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--variant", "exact"],
+        ["train", "--variant", "general"],  # the provenance solves after the general fit
+        ["compare", "--steps", 10],
+        ["compare", "--steps", 10, "--holdout", 0.25],
+    ])
+    def test_one_exact_solve_per_command(self, tmp_path, capsys, exact_calls, command):
+        """On M = Q data the provenance and the comparison read the fit's
+        ExactMinimum: one relative-deviations pass, one Gram, one closed form."""
+        ds_path = tmp_path / "ds.json"
+        run(["gen", "--m", 4, "--q", 4, "--sizes", "12,12,12,12", "--seed", 3, "--out", ds_path])
+        assert run([*command, "--data", ds_path]) == 0
+        assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
+
     def test_eval_deterministic_bytes(self, tmp_path):
         ds_path = tmp_path / "ds.json"
         params_path = tmp_path / "params.json"

@@ -22,11 +22,12 @@ from shallowmin import (
 )
 from shallowmin.constructive import (
     in_region_perturbation,
-    resolve_output_layer,
     sanity_forward_means,
+    tied_output_layer,
 )
 from shallowmin import constructive, cost
-from shallowmin.cost import normal_w2
+from shallowmin.constructive import Variant, fit
+from shallowmin.cost import exact_minimum
 from shallowmin.errors import BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
 from shallowmin.linalg import op_norm
 from tests.conftest import weighted_lstsq_oracle
@@ -63,7 +64,7 @@ class TestTrainGeneral:
         # deviations live in range(P_perp) and are deleted by the activation
         stats, pack = dataset_stats(e3_noise_dataset)
         params = train_general(e3_noise_dataset, stats, pack)
-        b_l2, _ = bound_general(e3_noise_dataset, stats, pack)
+        b_l2, _ = bound_general(e3_noise_dataset, stats)
         assert b_l2 < 1e-12
         assert cost_l2(params, e3_noise_dataset) <= 1e-10
 
@@ -74,7 +75,7 @@ class TestTrainGeneral:
         ds = synthesize(m, q, [6] * q, noise=noise, seed=seed)
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        b_l2, b_dp = bound_general(ds, stats, pack)
+        b_l2, b_dp = bound_general(ds, stats)
         c = cost_l2(params, ds)
         assert c <= b_l2 + 1e-10 * (1.0 + b_l2)
         assert b_l2 <= b_dp + 1e-12 * (1.0 + b_dp)
@@ -253,7 +254,7 @@ class TestTrainExactMeq:
         for noise in (0.2, 0.1):
             ds = synthesize(3, 3, [6, 6, 6], noise=noise, seed=12)
             stats, _ = dataset_stats(ds)
-            gap = np.linalg.norm(normal_w2(ds, ds.x0, stats.means) - w2_tilde(ds, stats), 2)
+            gap = np.linalg.norm(exact_minimum(ds, stats).w2 - w2_tilde(ds, stats), 2)
             g.append(gap)
         assert g[0] / g[1] == pytest.approx(4.0, abs=0.5)
 
@@ -288,35 +289,75 @@ class TestTrainExactMeq:
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.6)
 
 
+class TestFit:
+    """fit returns what its trainer proved; the certificate equals what a
+    caller computing it afresh gets, bit for bit."""
+
+    @pytest.mark.parametrize("m,q,variant", [(5, 3, Variant.GENERAL), (3, 3, Variant.GENERAL),
+                                             (3, 3, Variant.EXACT)])
+    def test_certificate_equals_the_kernels(self, m, q, variant):
+        ds = synthesize(m, q, [6, 7, 5][:q], noise=0.1, seed=2)
+        ds = replace(ds, x0=np.array(ds.x0))  # writable: costs run their own pass
+        stats, pack = dataset_stats(ds)
+        f = fit(ds, stats, pack, variant)
+        assert (f.cost_l2, f.cost_weighted) == (cost_l2(f.params, ds), cost_weighted(f.params, ds))
+        assert (f.bound_l2, f.bound_deltap) == cost.bound_general(ds, stats)
+        if variant is Variant.GENERAL:
+            assert f.exact is None
+            return
+        exact = exact_minimum(ds, stats)
+        for name in ("d1", "d2", "gram", "w2"):
+            assert np.array_equal(getattr(f.exact, name), getattr(exact, name))
+        assert (f.exact.value, f.exact.route) == (exact.value, exact.route)
+
+    def test_trainers_return_the_fit_params(self):
+        ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2)
+        stats, pack = dataset_stats(ds)
+        for params, variant in ((train_general(ds, stats, pack), Variant.GENERAL),
+                                (train_exact_meq(ds, stats), Variant.EXACT)):
+            expected = fit(ds, stats, pack, variant).params
+            for name in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(params, name), getattr(expected, name))
+
+    def test_general_fit_on_square_data_solves_no_closed_form(self, exact_calls):
+        ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2)
+        stats, pack = dataset_stats(ds)
+        assert fit(ds, stats, pack, Variant.GENERAL).exact is None
+        assert exact_calls == {"relative_deviations": 0, "_gram": 0, "closed_form_min": 0}
+
+
 class TestDegeneracy:
     def test_in_region_resolve_reproduces_value(self, delta01_dataset):
         stats, _ = dataset_stats(delta01_dataset)
         params = train_exact_meq(delta01_dataset, stats)
         em = exact_min_weighted(delta01_dataset, stats)
+        v = exact_minimum(delta01_dataset, stats).w2
         beta1 = ConstructiveConfig().beta1(stats.rho)
         rng = np.random.default_rng(15)
         for _ in range(50):
             w1p, b1p = in_region_perturbation(params, stats, beta1, rng)
-            w2p, b2p = resolve_output_layer(w1p, b1p, delta01_dataset, stats)
+            w2p, b2p = tied_output_layer(w1p, b1p, delta01_dataset, v)
             cw = cost_weighted(ShallowParams(w1=w1p, b1=b1p, w2=w2p, b2=b2p),
                                delta01_dataset)
             assert abs(cw - em) <= 1e-8 * (1.0 + em)
 
     def test_resolve_rejects_out_of_region(self, delta01_dataset):
         stats, _ = dataset_stats(delta01_dataset)
+        v = exact_minimum(delta01_dataset, stats).w2
         with pytest.raises(BetaTooSmall):
-            resolve_output_layer(np.eye(2), np.array([-5.0, 0.0]), delta01_dataset, stats)
+            tied_output_layer(np.eye(2), np.array([-5.0, 0.0]), delta01_dataset, v)
 
     def test_resolve_rejects_singular_w1(self, delta01_dataset):
         stats, _ = dataset_stats(delta01_dataset)
+        v = exact_minimum(delta01_dataset, stats).w2
         with pytest.raises(SingularW1):
-            resolve_output_layer(np.zeros((2, 2)), np.full(2, 5.0), delta01_dataset, stats)
+            tied_output_layer(np.zeros((2, 2)), np.full(2, 5.0), delta01_dataset, v)
 
     def test_resolve_requires_square_data(self, e3_noise_dataset):
-        stats, _ = dataset_stats(e3_noise_dataset)
-        m = e3_noise_dataset.m
+        # No exact minimum exists for M != Q, so any Q x M v stands in for one.
+        m, q = e3_noise_dataset.m, e3_noise_dataset.q
         with pytest.raises(WrongRegime):
-            resolve_output_layer(np.eye(m), np.full(m, 5.0), e3_noise_dataset, stats)
+            tied_output_layer(np.eye(m), np.full(m, 5.0), e3_noise_dataset, np.eye(q, m))
 
 
 def test_positivity_guard_fires_for_tiny_beta():

@@ -27,6 +27,7 @@ from shallowmin import cost
 from shallowmin import dataset as dataset_mod
 from shallowmin.cost import (
     MAX_PROJECTOR_N,
+    _gram,
     closed_form_min,
     exact_minimum,
     lstsq_output_layer,
@@ -39,6 +40,11 @@ from shallowmin.errors import ConsistencyError, SingularGram, WrongRegime
 from shallowmin.network import params_from_dict, params_to_dict
 from shallowmin.verify import random_gl
 from tests.conftest import weighted_lstsq_oracle
+
+
+def gram(ds):
+    """The checked Gram X0 N^-1 X0^T of ds, as exact_minimum keeps it."""
+    return _gram(ds.x0, ds.inv_size_weights())
 
 
 def linear_params(w2_eff, beta=5.0):
@@ -63,8 +69,8 @@ class TestCostL2:
         assert cost_l2(p, ds) == pytest.approx(5.0 / np.sqrt(2.0), rel=1e-15)
 
     def test_zero_noise_bound_forces_zero(self, zero_noise_dataset):
-        stats, pack = dataset_stats(zero_noise_dataset)
-        b_l2, b_dp = bound_general(zero_noise_dataset, stats, pack)
+        stats, _ = dataset_stats(zero_noise_dataset)
+        b_l2, b_dp = bound_general(zero_noise_dataset, stats)
         assert b_l2 == 0.0 and b_dp == 0.0
 
 
@@ -311,7 +317,7 @@ def test_bound_general_matches_materialized_product():
     assert not np.allclose(y.T @ y, np.diag(np.diag(y.T @ y)))  # not orthogonal
     ds = replace(base, y=y)
     stats, pack = dataset_stats(ds)
-    b_l2, b_dp = bound_general(ds, stats, pack)
+    b_l2, b_dp = bound_general(ds, stats)
     ref = np.linalg.norm((y @ pack.pen) @ dataset_mod.deviations(ds, stats.means)) / np.sqrt(ds.n)
     assert b_l2 == pytest.approx(ref, rel=1e-13)
     assert b_dp == np.linalg.svd(y, compute_uv=False)[0] * stats.delta_p
@@ -330,7 +336,7 @@ class TestDataProjector:
         p = data_projector(ds)
         assert np.allclose(p, np.eye(2), atol=1e-12)
         z = probes(ds.n)
-        assert np.max(np.abs(projector_action(ds, ds.x0, z) - p @ z)) <= 1e-12
+        assert np.max(np.abs(projector_action(ds, gram(ds), z) - p @ z)) <= 1e-12
 
     def test_delta01_projector_invariants(self, delta01_dataset):
         p = data_projector(delta01_dataset)
@@ -344,7 +350,7 @@ class TestDataProjector:
         expected = inv_n @ x0.T @ np.linalg.inv(x0 @ inv_n @ x0.T) @ x0
         assert np.allclose(p, expected, atol=1e-12)
         z = probes(delta01_dataset.n)
-        assert np.max(np.abs(projector_action(delta01_dataset, x0, z) - p @ z)) <= 1e-12
+        assert np.max(np.abs(projector_action(delta01_dataset, gram(delta01_dataset), z) - p @ z)) <= 1e-12
 
     def test_gl_invariance(self, delta01_dataset):
         p = data_projector(delta01_dataset)
@@ -355,7 +361,7 @@ class TestDataProjector:
             p_k = data_projector(ds_k)
             assert np.max(np.abs(p_k - p)) < 1e-8
             z = probes(ds_k.n)
-            assert np.max(np.abs(projector_action(ds_k, ds_k.x0, z) - p_k @ z)) <= 1e-12
+            assert np.max(np.abs(projector_action(ds_k, gram(ds_k), z) - p_k @ z)) <= 1e-12
 
     def test_probe_measure_detects_row_space_change(self):
         # A generic perturbation of X0 moves its row space, so the projector's
@@ -365,8 +371,8 @@ class TestDataProjector:
         rng = np.random.default_rng(3)
         ds_e = replace(ds, x0=ds.x0 + 1e-3 * rng.standard_normal(ds.x0.shape))
         z = probes(ds.n)
-        pz = projector_action(ds, ds.x0, z)
-        moved = np.max(np.abs(projector_action(ds_e, ds_e.x0, z) - pz))
+        pz = projector_action(ds, gram(ds), z)
+        moved = np.max(np.abs(projector_action(ds_e, gram(ds_e), z) - pz))
         assert moved / (1.0 + np.max(np.abs(pz))) > 1e-7
         p = data_projector(ds)
         assert np.max(np.abs(pz - p @ z)) <= 1e-12
@@ -411,7 +417,7 @@ class TestProjectorRoute:
     def test_normal_w2_reproduces_projected_targets(self, square):
         stats, _ = dataset_stats(square)
         p_script = data_projector(square)
-        w2 = normal_w2(square, square.x0, stats.means)
+        w2 = normal_w2(square, gram(square), stats.means)
         assert np.max(np.abs(w2 @ square.x0 - y_ext(square) @ p_script)) <= 1e-12
 
     def test_singular_gram(self):
@@ -520,31 +526,31 @@ class TestExactMinWeighted:
 
 class TestBoundGeneral:
     def test_zero_noise(self, zero_noise_dataset):
-        stats, pack = dataset_stats(zero_noise_dataset)
-        assert bound_general(zero_noise_dataset, stats, pack) == (0.0, 0.0)
+        stats, _ = dataset_stats(zero_noise_dataset)
+        assert bound_general(zero_noise_dataset, stats) == (0.0, 0.0)
 
     def test_delta01_frozen(self, delta01_dataset):
-        stats, pack = dataset_stats(delta01_dataset)
-        b_l2, b_dp = bound_general(delta01_dataset, stats, pack)
+        stats, _ = dataset_stats(delta01_dataset)
+        b_l2, b_dp = bound_general(delta01_dataset, stats)
         assert b_l2 == pytest.approx(0.1, abs=1e-12)
         assert b_dp == pytest.approx(0.1, abs=1e-12)
 
     def test_scaling_invariance(self):
         ds = synthesize(5, 3, [4, 4, 4], noise=0.1, seed=2)
-        stats, pack = dataset_stats(ds)
-        b_l2, b_dp = bound_general(ds, stats, pack)
+        stats, _ = dataset_stats(ds)
+        b_l2, b_dp = bound_general(ds, stats)
         for lam in (0.1, 7.0, 10.0):
             ds_l = replace(ds, x0=lam * ds.x0)
-            stats_l, pack_l = dataset_stats(ds_l)
-            b_l2_l, b_dp_l = bound_general(ds_l, stats_l, pack_l)
+            stats_l, _ = dataset_stats(ds_l)
+            b_l2_l, b_dp_l = bound_general(ds_l, stats_l)
             assert abs(b_l2_l - b_l2) < 1e-9 * b_l2
             assert abs(b_dp_l - b_dp) < 1e-9 * b_dp
 
     def test_ordering(self):
         for seed in range(5):
             ds = synthesize(6, 3, [5, 7, 4], noise=0.2, seed=seed)
-            stats, pack = dataset_stats(ds)
-            b_l2, b_dp = bound_general(ds, stats, pack)
+            stats, _ = dataset_stats(ds)
+            b_l2, b_dp = bound_general(ds, stats)
             assert b_l2 <= b_dp + 1e-12 * (1.0 + b_dp)
 
 
@@ -583,7 +589,8 @@ class TestSharedKernel:
         exact = exact_minimum(ds, stats)
         d1, d2 = relative_deviations(ds, stats)
         assert np.array_equal(exact.d1, d1) and np.array_equal(exact.d2, d2)
-        assert np.array_equal(exact.w2, normal_w2(ds, ds.x0, stats.means))
+        assert np.array_equal(exact.gram, gram(ds))
+        assert np.array_equal(exact.w2, normal_w2(ds, gram(ds), stats.means))
         assert exact.value == closed_form_min(ds.y, d2) == exact_min_weighted(ds, stats)
         assert exact.route == projector_route(ds, ds.x0, stats.means)
 

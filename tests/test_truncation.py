@@ -13,10 +13,16 @@ from shallowmin import (
 )
 from shallowmin import ClassifiedDataset, ShallowParams, truncation, verify
 from shallowmin.gd import gd_in_fixed_point_region
-from shallowmin.constructive import resolve_output_layer
-from shallowmin.errors import BetaTooSmall, SingularMeans, SingularW1, WrongRegime
+from shallowmin.constructive import tied_output_layer
+from shallowmin.errors import (
+    BetaTooSmall,
+    NotPositiveSemidefinite,
+    SingularMeans,
+    SingularW1,
+    WrongRegime,
+)
 from shallowmin.network import relu
-from shallowmin.cost import projector_route
+from shallowmin.cost import exact_minimum, projector_route
 from shallowmin.dataset import block_means
 from shallowmin.truncation import region_minima_spread
 from tests.conftest import weighted_lstsq_oracle
@@ -258,6 +264,29 @@ class TestSuiteReusesSweep:
         assert len(calls) == n_preserving
         assert checks["truncation.closed-vs-lstsq"].passed
 
+    def test_errored_points_counted_in_the_detail(self, monkeypatch):
+        """A point whose minimum raised is counted, with the first such index,
+        in closed-vs-lstsq's detail instead of dropping out of it; the
+        verdicts do not change, and without errors the detail keeps its text."""
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        clean = {c.name: c for c in verify.suite_truncation(ds)}
+        n_clean = int(clean["truncation.closed-vs-lstsq"].detail.split()[0])
+        assert clean["truncation.closed-vs-lstsq"].detail == f"{n_clean} rank-preserving points"
+        original = truncation._min_over_output_layer
+        calls = []
+
+        def failing_rotations(w1, b1, ds, data_ranks):
+            calls.append(1)
+            if len(calls) in (8, 9):  # grid points 7 and 8: in-region rotations
+                raise NotPositiveSemidefinite("injected")
+            return original(w1, b1, ds, data_ranks)
+
+        monkeypatch.setattr(truncation, "_min_over_output_layer", failing_rotations)
+        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        assert checks["truncation.closed-vs-lstsq"].detail \
+            == f"{n_clean - 2} rank-preserving points, 2 errored, first at index 7"
+        assert {k: c.passed for k, c in checks.items()} == {k: c.passed for k, c in clean.items()}
+
 
 def test_closed_form_vs_lstsq_over_random_clippings():
     ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=20)
@@ -342,11 +371,12 @@ class TestSignRule:
     def test_resolve_output_layer_reads_the_same_sign(self, delta01_dataset, b1_first, inside):
         w1, b1 = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([b1_first, 3.0])
         stats, _ = dataset_stats(delta01_dataset)
+        v = exact_minimum(delta01_dataset, stats).w2
         if not inside:
             with pytest.raises(BetaTooSmall):
-                resolve_output_layer(w1, b1, delta01_dataset, stats)
+                tied_output_layer(w1, b1, delta01_dataset, v)
             return
-        w2, b2 = resolve_output_layer(w1, b1, delta01_dataset, stats)
+        w2, b2 = tied_output_layer(w1, b1, delta01_dataset, v)
         cw = cost_weighted(ShallowParams(w1=w1, b1=b1, w2=w2, b2=b2), delta01_dataset)
         em = exact_min_weighted(delta01_dataset, stats)
         assert abs(cw - em) <= 1e-8 * (1.0 + em)

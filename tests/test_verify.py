@@ -47,32 +47,32 @@ def test_bounds_suite_forwards_three_passes_and_the_means(forward_calls):
 
 def test_invariance_suite_solves_once_per_dataset(exact_calls):
     """One exact_minimum per dataset, the given one and its 20 images K X0:
-    one relative-deviations pass each; the Gram is solved by that call and by
-    the data-projector probe."""
+    one relative-deviations pass and one Gram each; the data-projector probe
+    reuses that call's Gram."""
     ds = synthesize(8, 8, [12] * 8, noise=0.05, seed=1)
     checks = suite_invariance(ds, seed=1)
     assert all(c.passed for c in checks)
-    assert exact_calls == {"relative_deviations": 21, "_gram": 42, "closed_form_min": 21}
+    assert exact_calls == {"relative_deviations": 21, "_gram": 21, "closed_form_min": 21}
 
 
 def test_exact_min_suite_solves_once_per_dataset(exact_calls):
-    """The given dataset is solved once by train_exact_meq and once by the
-    suite; each of the OCTAVES + 1 noise-scaled datasets once. Every solve is
-    one relative-deviations pass, one Gram solve and one closed form, which
-    its projector route cross-checks."""
+    """The given dataset is solved once, by the M = Q fit whose ExactMinimum
+    the suite reads; each of the OCTAVES + 1 noise-scaled datasets once. Every
+    solve is one relative-deviations pass, one Gram solve and one closed form,
+    which its projector route cross-checks."""
     ds = synthesize(4, 4, [10] * 4, noise=0.05, seed=3)
     checks = suite_exact_min(ds)
     assert all(c.passed for c in checks)
-    solves = 2 + OCTAVES + 1
+    solves = 1 + OCTAVES + 1
     assert exact_calls == {"relative_deviations": solves, "_gram": solves,
                            "closed_form_min": solves}
 
 
-def test_degeneracy_suite_solves_twice(exact_calls):
-    """train_exact_meq's solve and the suite's, whose w2 every re-solve reuses."""
+def test_degeneracy_suite_solves_once(exact_calls):
+    """The M = Q fit's solve, whose w2 every re-solve reuses."""
     ds = synthesize(3, 3, [10] * 3, noise=0.05, seed=3)
     assert all(c.passed for c in suite_degeneracy(ds, seed=1))
-    assert exact_calls == {"relative_deviations": 2, "_gram": 2, "closed_form_min": 2}
+    assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
 
 
 def test_exact_min_suite_rejects_rectangular():
