@@ -43,8 +43,6 @@ from .linalg import (
     ProjectorPack,
     diagonalizing_rotation,
     numerical_rank,
-    orthoprojector,
-    penrose_inverse,
     projector_pack,
 )
 from .network import ShallowParams, forward, relu
@@ -52,9 +50,8 @@ from .truncation import (
     TruncationResult,
     min_over_output_layer,
     sweep_fixed_point_region,
-    truncate,
 )
-from .classify import BatchOutcome, ClassificationOutcome, classify, classify_batch, metric, score
+from .classify import BatchOutcome, ClassificationOutcome, classify, classify_batch, metric
 
 __all__ = [
     "BatchOutcome",
@@ -89,18 +86,14 @@ __all__ = [
     "metric",
     "min_over_output_layer",
     "numerical_rank",
-    "orthoprojector",
-    "penrose_inverse",
     "projector_pack",
     "relative_deviations",
     "relu",
-    "score",
     "sweep_fixed_point_region",
     "synthesize",
     "train_exact_meq",
     "train_general",
     "train_gd",
-    "truncate",
     "w2_tilde",
     "y_ext",
 ]

@@ -76,11 +76,6 @@ def score_batch(params: ShallowParams, y: np.ndarray, x) -> np.ndarray:
         [np.linalg.norm(out - y[:, j:j + 1], axis=0) for j in range(y.shape[1])], axis=1)
 
 
-def score(params: ShallowParams, x: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
-    """Euclidean residual of the network output against every target column."""
-    return score_batch(params, ds.y, _input_column(params, x))[0]
-
-
 def metric(w2_tilde: np.ndarray, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """|w2_tilde P (x - y)|: a genuine metric on the range of P.
 

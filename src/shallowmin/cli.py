@@ -309,13 +309,13 @@ def cmd_report(args) -> int:
             else:
                 rows.append({"kind": "unknown", "source": str(path), **doc})
     merged = {"artifacts": rows}
-    if args.format == "table" or args.out is None:
+    if args.format == "table":
         keys = ["kind", "source", "variant", "cost_l2", "cost_weighted", "bound_l2",
                 "bound_deltap", "exact_min_weighted", "min_cost_weighted",
                 "delta", "delta_p", "rho", "beta1", "in_fixed_point_region", "error"]
         used = [k for k in keys if any(k in r for r in rows)] or ["kind", "source"]
         print(_render_table(rows, used))
-    if args.out is not None:
+    if args.format == "json" or args.out is not None:
         _write_json(merged, args.out)
     return EXIT_OK
 

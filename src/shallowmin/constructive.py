@@ -23,7 +23,7 @@ import numpy as np
 from .cost import ExactMinimum, _residual_sums, bound_general, exact_minimum
 from .dataset import ClassifiedDataset, DatasetStats
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
-from .linalg import ProjectorPack, op_norm, penrose_inverse
+from .linalg import ProjectorPack, op_norm
 from .network import ShallowParams, forward
 from .truncation import _region_preactivation
 
@@ -67,10 +67,10 @@ class Fit:
     exact: ExactMinimum | None
 
 
-def w2_tilde(ds: ClassifiedDataset, stats: DatasetStats) -> np.ndarray:
-    """Y times the pseudoinverse of the class means: maps every class mean to
-    its target column."""
-    return ds.y @ penrose_inverse(stats.means)
+def w2_tilde(ds: ClassifiedDataset, pack: ProjectorPack) -> np.ndarray:
+    """Y times the pseudoinverse of the class means (pack.pen): maps every
+    class mean to its target column."""
+    return ds.y @ pack.pen
 
 
 def fit(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack | None,
@@ -117,7 +117,7 @@ def _fit_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack
     beta1 = cfg.beta1(stats.rho)
     r = pack.r
     b1 = np.concatenate([np.full(q, beta1), np.full(m - q, -stats.delta)])
-    w2 = ds.y @ pack.pen @ pack.p @ r.T
+    w2 = w2_tilde(ds, pack) @ pack.p @ r.T
     signal_bias = np.concatenate([np.full(q, beta1), np.zeros(m - q)])
     b2 = -(w2 @ signal_bias)
     params = ShallowParams(w1=r, b1=b1, w2=w2, b2=b2)

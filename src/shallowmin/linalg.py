@@ -1,9 +1,14 @@
-"""Dense linear-algebra kernels: pseudoinverse, orthoprojectors, diagonalizing
-rotations and numerical rank.
+"""Dense linear-algebra kernels: the projector pack of the class means,
+diagonalizing rotations and numerical rank.
+
+projector_pack is the one kernel for the geometry of the means: from one thin
+SVD it builds their pseudoinverse, the orthoprojector onto their span and its
+complement, and the rotation that diagonalizes that projector. Every caller
+reads these from the pack dataset_stats returns; none takes a second SVD.
 
 All functions are pure and operate on float64 ndarrays; matrices are dense and
-sized for desk scale (M, Q <~ 100). Pseudoinverses and projectors are computed
-through the SVD for conditioning, never by forming (A^T A)^-1 explicitly.
+sized for desk scale (M, Q <~ 100). The pseudoinverse and projectors come from
+the SVD for conditioning, never from forming (A^T A)^-1 explicitly.
 """
 
 from __future__ import annotations
@@ -82,33 +87,6 @@ def _full_rank_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt
 
 
-def _projectors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u u^T explicitly symmetrized, its complement) for orthonormal columns u."""
-    p = u @ u.T
-    p = 0.5 * (p + p.T)
-    return p, np.eye(u.shape[0]) - p
-
-
-def penrose_inverse(a) -> np.ndarray:
-    """Left pseudoinverse of a full-column-rank M x Q matrix (M >= Q).
-
-    The returned Q x M matrix equals ((a^T a)^-1 a^T); it is computed from the
-    thin SVD so that result @ a = I_Q holds to near machine precision.
-    """
-    u, s, vt = _full_rank_svd(a)
-    return (vt.T / s) @ u.T
-
-
-def orthoprojector(a) -> tuple[np.ndarray, np.ndarray]:
-    """Orthoprojector onto the range of a full-column-rank matrix, and its complement.
-
-    Returns (p, p_perp) with p = a @ penrose_inverse(a) in value, built from the
-    left singular vectors and explicitly symmetrized.
-    """
-    u, _, _ = _full_rank_svd(a)
-    return _projectors(u)
-
-
 def diagonalizing_rotation(p, rank: int) -> np.ndarray:
     """Orthogonal R whose rows diagonalize a symmetric projector.
 
@@ -167,7 +145,7 @@ class ProjectorPack:
 def projector_pack(a) -> ProjectorPack:
     """Build the ProjectorPack of a full-column-rank M x Q matrix from one thin SVD."""
     u, s, vt = _full_rank_svd(a)
-    p, p_perp = _projectors(u)
-    return ProjectorPack(
-        pen=(vt.T / s) @ u.T, p=p, p_perp=p_perp, r=diagonalizing_rotation(p, s.size), rank=s.size
-    )
+    p = u @ u.T
+    p = 0.5 * (p + p.T)  # u u^T is symmetric only up to round-off
+    return ProjectorPack(pen=(vt.T / s) @ u.T, p=p, p_perp=np.eye(u.shape[0]) - p,
+                         r=diagonalizing_rotation(p, s.size), rank=s.size)

@@ -67,15 +67,6 @@ class TruncationResult:
         return doc
 
 
-def truncate(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
-    """tau(X0) = w1^-1 (relu(w1 X0 + b1 1^T) - b1 1^T); requires invertible w1.
-
-    Reapplying the affine map to the result lands in the image of the
-    activation, so relu acts as the identity there (checked to 1e-10).
-    """
-    return _truncation_pass(w1, b1, ds)[0]
-
-
 def _region_preactivation(w1, b1, ds: ClassifiedDataset) -> tuple[np.ndarray, bool]:
     """(w1 X0 + b1 1^T, whether its minimum is >= 0) of a first layer: the
     product and the fixed-point-region flag. WrongRegime unless M = Q and the
@@ -206,19 +197,3 @@ def sweep_fixed_point_region(ds: ClassifiedDataset, grid) -> list[SweepPoint]:
         except ShallowminError as exc:
             points.append(SweepPoint(index=i, error=f"{type(exc).__name__}: {exc}"))
     return points
-
-
-def region_minima_spread(points: list[SweepPoint]) -> float:
-    """Max relative spread of min_cost_weighted over in-region sweep points."""
-    vals = [
-        p.result.min_cost_weighted
-        for p in points
-        if p.result is not None
-        and p.result.in_fixed_point_region
-        and p.result.min_cost_weighted is not None
-    ]
-    if len(vals) < 2:
-        return 0.0
-    lo, hi = min(vals), max(vals)
-    return (hi - lo) / (1.0 + hi)
-

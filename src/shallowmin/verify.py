@@ -40,7 +40,7 @@ from .dataset import ClassifiedDataset, dataset_stats, deviations, independent_m
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
-from .truncation import _truncation_pass, min_over_output_layer, region_minima_spread, sweep_fixed_point_region
+from .truncation import _truncation_pass, min_over_output_layer, sweep_fixed_point_region
 
 SUITES = ("bounds", "exact-min", "degeneracy", "invariance", "metric", "truncation")
 
@@ -176,9 +176,9 @@ def quadratic_trend_checks(ds: ClassifiedDataset) -> list[PropertyCheck]:
     delta_ps, gaps, deficits = [], [], []
     for k in range(OCTAVES + 1):
         ds_t = replace(ds, x0=mean_ext + 0.5 ** k * dev)
-        stats_t, _ = dataset_stats(ds_t)
+        stats_t, pack_t = dataset_stats(ds_t)
         exact = exact_minimum(ds_t, stats_t)
-        gap = op_norm(exact.w2 - w2_tilde(ds_t, stats_t))
+        gap = op_norm(exact.w2 - w2_tilde(ds_t, pack_t))
         upper = weighted_norm(ds_t.y @ exact.d1, ds_t.class_sizes)
         delta_ps.append(stats_t.delta_p)
         gaps.append(gap)
@@ -264,7 +264,7 @@ def suite_metric(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
     """
     stats, pack = dataset_stats(ds)
     params = train_general(ds, stats, pack)
-    w2t = w2_tilde(ds, stats)
+    w2t = w2_tilde(ds, pack)
     rng = np.random.default_rng(seed)
     radius = 2.0 * stats.rho
     n_points = 1000
@@ -346,8 +346,9 @@ def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
         if pt.result.in_fixed_point_region:
             region_vals.append(pt.result.min_cost_weighted)
 
-    # With no in-region point both region checks fail rather than pass on no data.
-    flat = region_minima_spread(points) if region_vals else float("inf")
+    # The relative spread of the in-region minima, (hi - lo) / (1 + hi): 0 for
+    # one point. With none, both region checks fail rather than pass on no data.
+    flat = _rel(max(region_vals), min(region_vals)) if region_vals else float("inf")
     vs_exact = max((_rel(v, em) for v in region_vals), default=float("inf"))
     checks = [
         _check("truncation.closed-vs-lstsq", worst_oracle, 1e-8,

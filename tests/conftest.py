@@ -102,3 +102,22 @@ def exact_calls(monkeypatch):
             if name.split(".")[0] == "shallowmin" and getattr(module, fname, None) is original:
                 monkeypatch.setattr(module, fname, counting)
     return counts
+
+
+@pytest.fixture
+def means_svd_calls(monkeypatch):
+    """Counts the thin SVDs of class means (linalg._full_rank_svd, the one
+    SVD projector_pack takes), whichever shallowmin module makes them."""
+    from shallowmin import linalg
+
+    calls = []
+    original = linalg._full_rank_svd
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "shallowmin" and getattr(module, "_full_rank_svd", None) is original:
+            monkeypatch.setattr(module, "_full_rank_svd", counting)
+    return calls

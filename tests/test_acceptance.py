@@ -33,7 +33,7 @@ from shallowmin.constructive import in_region_perturbation, tied_output_layer
 from shallowmin.cost import exact_minimum, weighted_norm
 from shallowmin.errors import ShallowminError
 from shallowmin.gd import gd_in_fixed_point_region
-from shallowmin.linalg import diagonalizing_rotation, orthoprojector, penrose_inverse
+from shallowmin.linalg import diagonalizing_rotation, projector_pack
 from shallowmin.network import relu
 from shallowmin.truncation import min_over_output_layer
 from shallowmin.verify import quadratic_trend_checks, random_ball, random_gl
@@ -186,7 +186,7 @@ def test_criterion_6_metric_equivalence():
         ds = synthesize(m, q, [7] * q, noise=0.05, seed=seed)
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         rng = np.random.default_rng(100 + seed)
         worst_agree = worst_perp = 0.0
         for _ in range(1000):
@@ -302,10 +302,11 @@ def test_criterion_9_linalg_kernels():
         v, _ = np.linalg.qr(rng.standard_normal((q, q)))
         s = rng.uniform(0.2, 4.0, size=q)
         a = u[:, :q] * s @ v.T
-        pen = penrose_inverse(a)
+        pack = projector_pack(a)
+        pen = pack.pen
         if np.max(np.abs(pen @ a - np.eye(q))) > 1e-9:
             failures.append(f"matrix {i}: Pen[A] A != I")
-        p, p_perp = orthoprojector(a)
+        p, p_perp = pack.p, pack.p_perp
         if np.max(np.abs(p @ p - p)) > 1e-9 or np.max(np.abs(p - p.T)) > 1e-9:
             failures.append(f"matrix {i}: projector invariants")
         if np.max(np.abs(p @ a - a)) > 1e-9:

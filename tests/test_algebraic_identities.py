@@ -52,12 +52,12 @@ def test_exact_w2_equals_gap_corrected_interpolant(square_ds):
     # W2* = W2~ - Y D2 (1 + D2)^-1 means^-1: the output weights shrink away
     # from the mean interpolant by the deviation Gram correction
     ds = square_ds
-    stats, _ = dataset_stats(ds)
+    stats, pack = dataset_stats(ds)
     _, d2 = relative_deviations(ds, stats)
     correction = ds.y @ d2 @ np.linalg.solve(
         np.eye(ds.q) + d2, np.linalg.inv(stats.means))
     w2 = normal_w2(ds, _gram(ds.x0, ds.inv_size_weights()), stats.means)
-    assert np.allclose(w2, w2_tilde(ds, stats) - correction, atol=1e-11)
+    assert np.allclose(w2, w2_tilde(ds, pack) - correction, atol=1e-11)
 
 
 def test_weighted_residual_trace_form(square_ds):

@@ -7,11 +7,11 @@ from shallowmin import (
     classify_batch,
     dataset_stats,
     metric,
-    score,
     synthesize,
     train_general,
     w2_tilde,
 )
+from shallowmin.classify import score_batch
 from shallowmin.errors import DimensionError
 from shallowmin.verify import random_ball
 
@@ -27,7 +27,7 @@ class TestScore:
     def test_class_mean_scores_zero_on_its_class(self, trained):
         ds, stats, pack, params = trained
         for j in range(ds.q):
-            s = score(params, stats.means[:, j], ds)
+            s = score_batch(params, ds.y, stats.means[:, j][:, None])[0]
             assert s[j] < 1e-9
             assert s[1 - j] > 0.1
 
@@ -35,7 +35,8 @@ class TestScore:
         ds, stats, pack, params = trained
         x = stats.means[:, 0]
         v = pack.p_perp @ np.array([0.3, -0.2, 0.7])
-        assert np.allclose(score(params, x + v, ds), score(params, x, ds), atol=1e-10)
+        assert np.allclose(score_batch(params, ds.y, (x + v)[:, None])[0],
+                           score_batch(params, ds.y, x[:, None])[0], atol=1e-10)
 
     def test_fixed_output_arithmetic(self):
         # network forced to output (0.9, 0.1): scores are sqrt(0.02), sqrt(1.62)
@@ -43,20 +44,20 @@ class TestScore:
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1), x0=np.eye(2), y=np.eye(2))
         p = ShallowParams(w1=np.zeros((2, 2)), b1=np.array([0.9, 0.1]),
                           w2=np.eye(2), b2=np.zeros(2))
-        s = score(p, np.array([5.0, -3.0]), ds)
+        s = score_batch(p, ds.y, np.array([5.0, -3.0])[:, None])[0]
         assert s[0] == pytest.approx(np.sqrt(0.02), rel=1e-12)
         assert s[1] == pytest.approx(np.sqrt(1.62), rel=1e-12)
 
     def test_dimension_error(self, trained):
         ds, _, _, params = trained
         with pytest.raises(DimensionError):
-            score(params, np.zeros(5), ds)
+            score_batch(params, ds.y, np.zeros(5)[:, None])
 
 
 class TestMetric:
     def test_identity_and_symmetry(self, trained):
         ds, stats, pack, _ = trained
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         rng = np.random.default_rng(0)
         for _ in range(50):
             x, y = rng.standard_normal((2, ds.m))
@@ -67,7 +68,7 @@ class TestMetric:
 
     def test_triangle_inequality(self, trained):
         ds, stats, pack, _ = trained
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         rng = np.random.default_rng(1)
         for _ in range(100):
             x, y, z = rng.standard_normal((3, ds.m))
@@ -76,7 +77,7 @@ class TestMetric:
 
     def test_zero_iff_projections_equal(self, trained):
         ds, stats, pack, _ = trained
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         x = np.array([0.4, -0.2, 0.9])
         v = pack.p_perp @ np.array([1.0, 2.0, 3.0])
         assert metric(w2t, pack.p, x, x + v) < 1e-12
@@ -90,7 +91,7 @@ class TestClassify:
         ds = zero_noise_dataset
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         labels = [j for j, s in enumerate(ds.class_sizes) for _ in range(s)]
         for i in range(ds.n):
             out = classify(params, w2t, pack.p, ds, ds.x0[:, i])
@@ -101,7 +102,7 @@ class TestClassify:
         ds = zero_noise_dataset
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         x = np.array([0.5, 0.5])  # equidistant from both means by symmetry
         out = classify(params, w2t, pack.p, ds, x)
         assert out.scores[0] == out.scores[1]
@@ -111,7 +112,7 @@ class TestClassify:
         ds = synthesize(3, 2, [5, 5], noise=0.05, seed=2)
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         rng = np.random.default_rng(3)
         for _ in range(200):
             x = random_ball(3, 2.0 * stats.rho, rng)
@@ -124,7 +125,7 @@ class TestClassify:
         ds = synthesize(4, 2, [4, 4], noise=0.05, seed=4)
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = random_ball(4, 2.0 * stats.rho, rng)
@@ -141,7 +142,7 @@ class TestClassifyBatch:
         ds = synthesize(5, 3, [6, 6, 6], noise=0.05, seed=6)
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        return ds, stats, pack, params, w2_tilde(ds, stats)
+        return ds, stats, pack, params, w2_tilde(ds, pack)
 
     def test_matches_per_point_loop(self, general):
         ds, stats, pack, params, w2t = general
@@ -159,7 +160,7 @@ class TestClassifyBatch:
         ds = zero_noise_dataset
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        w2t = w2_tilde(ds, stats)
+        w2t = w2_tilde(ds, pack)
         x = np.array([[0.5, 0.0, 0.5],
                       [0.5, 1.0, 0.5]])  # symmetric point, mean of class 1, symmetric point
         out = classify_batch(params, w2t, pack.p, stats.means, ds.y, x)

@@ -556,6 +556,20 @@ class TestReport:
         out = capsys.readouterr().out
         assert "train" in out and "eval" in out
 
+    def test_json_format_writes_the_document_to_stdout_or_out(self, tmp_path, capsys):
+        ds_path, params_path = tmp_path / "ds.json", tmp_path / "params.json"
+        merged = tmp_path / "merged.json"
+        run(["gen", "--m", 3, "--q", 2, "--noise", "0.05", "--seed", 2, "--out", ds_path])
+        run(["train", "--data", ds_path, "--out", params_path])
+        capsys.readouterr()
+        assert run(["report", "--inputs", params_path, "--format", "json"]) == 0
+        stdout = capsys.readouterr().out
+        assert run(["report", "--inputs", params_path, "--format", "json",
+                    "--out", merged]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(stdout) == json.loads(merged.read_text())
+        assert [a["kind"] for a in json.loads(stdout)["artifacts"]] == ["train"]
+
     def test_null_provenance_is_a_train_row(self, tmp_path, capsys):
         path, merged = tmp_path / "a.json", tmp_path / "merged.json"
         path.write_text('{"provenance": null}')

@@ -2,10 +2,13 @@
 in Tier-1: a few commands, run twice on the working tree in fresh
 directories, give the same bytes and keep the exit-code contract."""
 
+import argparse
 import runpy
 import threading
 from pathlib import Path
 from types import SimpleNamespace
+
+from shallowmin import cli
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_matrix.py"
 cli_matrix = SimpleNamespace(**runpy.run_path(str(TOOL)))
@@ -42,3 +45,27 @@ def test_contract_flags_breaches():
     assert cli_matrix.problems(result("d", 0, "", "x.py:1: RuntimeWarning: overflow\n")) \
         == ["d: RuntimeWarning"]
     assert cli_matrix.problems(result("e", 2, "", "usage: shallowmin ...\n")) == []
+
+
+def test_matrix_covers_every_command_and_format_with_and_without_out():
+    """Static, no process: the full matrix runs every subcommand of the CLI
+    parser and every --format choice of each (the default counts), both to
+    stdout and with --out."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    wanted = set()
+    for name, sub in subparsers.items():
+        options = {a.dest: a for a in sub._actions}
+        formats = options["format"].choices if "format" in options else [None]
+        outs = (False, True) if "out" in options else (False,)
+        wanted |= {(name, fmt, out) for fmt in formats for out in outs}
+    covered = set()
+    for command in cli_matrix.matrix()[0]:
+        try:
+            args = parser.parse_args(command.split())
+        except SystemExit:  # the usage-error edge commands
+            continue
+        covered.add((args.command, getattr(args, "format", None),
+                     getattr(args, "out", None) is not None))
+    assert sorted(wanted - covered, key=str) == []

@@ -35,20 +35,20 @@ from tests.conftest import weighted_lstsq_oracle
 
 class TestW2Tilde:
     def test_identity_means(self, zero_noise_dataset):
-        stats, _ = dataset_stats(zero_noise_dataset)
-        assert np.allclose(w2_tilde(zero_noise_dataset, stats), np.eye(2), atol=1e-12)
+        _, pack = dataset_stats(zero_noise_dataset)
+        assert np.allclose(w2_tilde(zero_noise_dataset, pack), np.eye(2), atol=1e-12)
 
     def test_scaled_means(self):
         ds_x0 = 2.0 * np.eye(2)
         from shallowmin import ClassifiedDataset
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1), x0=ds_x0, y=np.eye(2))
-        stats, _ = dataset_stats(ds)
-        assert np.allclose(w2_tilde(ds, stats), 0.5 * np.eye(2), atol=1e-14)
+        _, pack = dataset_stats(ds)
+        assert np.allclose(w2_tilde(ds, pack), 0.5 * np.eye(2), atol=1e-14)
 
     def test_maps_means_to_targets(self):
         ds = synthesize(6, 4, [3, 3, 3, 3], noise=0.05, seed=17)
-        stats, _ = dataset_stats(ds)
-        w2t = w2_tilde(ds, stats)
+        stats, pack = dataset_stats(ds)
+        w2t = w2_tilde(ds, pack)
         assert np.max(np.abs(w2t @ stats.means - ds.y)) < 1e-10
 
 
@@ -253,8 +253,8 @@ class TestTrainExactMeq:
         g = []
         for noise in (0.2, 0.1):
             ds = synthesize(3, 3, [6, 6, 6], noise=noise, seed=12)
-            stats, _ = dataset_stats(ds)
-            gap = np.linalg.norm(exact_minimum(ds, stats).w2 - w2_tilde(ds, stats), 2)
+            stats, pack = dataset_stats(ds)
+            gap = np.linalg.norm(exact_minimum(ds, stats).w2 - w2_tilde(ds, pack), 2)
             g.append(gap)
         assert g[0] / g[1] == pytest.approx(4.0, abs=0.5)
 

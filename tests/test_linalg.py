@@ -10,8 +10,6 @@ from shallowmin.linalg import (
     as_matrix,
     diagonalizing_rotation,
     numerical_rank,
-    orthoprojector,
-    penrose_inverse,
     projector_pack,
     rank_with_margin,
 )
@@ -59,6 +57,8 @@ class TestAsMatrix:
 
 
 class TestPenroseInverse:
+    """The left pseudoinverse as projector_pack builds it, pack.pen."""
+
     @pytest.mark.parametrize("a,expected", [
         ([[2.0], [0.0]], [[0.5, 0.0]]),                      # rank-1 closed form v^T/|v|^2
         (np.eye(3), np.eye(3)),
@@ -66,15 +66,15 @@ class TestPenroseInverse:
     ])
     def test_examples(self, a, expected):
         # third case solved by hand from the normal equations (a^T a) x = a^T
-        assert np.allclose(penrose_inverse(a), expected, atol=1e-12)
+        assert np.allclose(projector_pack(a).pen, expected, atol=1e-12)
 
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficient):
-            penrose_inverse([[1.0, 1.0], [1.0, 1.0]])
+            projector_pack([[1.0, 1.0], [1.0, 1.0]])
 
     def test_wide_matrix_raises(self):
         with pytest.raises(DimensionError):
-            penrose_inverse([[1.0, 2.0, 3.0]])
+            projector_pack([[1.0, 2.0, 3.0]])
 
     def test_left_inverse_property(self):
         rng = np.random.default_rng(0)
@@ -82,17 +82,20 @@ class TestPenroseInverse:
             m = rng.integers(2, 9)
             q = rng.integers(1, m + 1)
             a = random_full_rank(m, q, rng)
-            assert np.max(np.abs(penrose_inverse(a) @ a - np.eye(q))) < 1e-9
+            assert np.max(np.abs(projector_pack(a).pen @ a - np.eye(q))) < 1e-9
 
 
 class TestOrthoprojector:
+    """The projectors as projector_pack builds them, pack.p and pack.p_perp."""
+
     @pytest.mark.parametrize("a,p_expected", [
         ([[1.0], [0.0]], [[1.0, 0.0], [0.0, 0.0]]),
         (np.eye(4), np.eye(4)),
         ([[1.0], [1.0]], [[0.5, 0.5], [0.5, 0.5]]),          # vv^T/|v|^2 by hand
     ])
     def test_examples(self, a, p_expected):
-        p, p_perp = orthoprojector(a)
+        pack = projector_pack(a)
+        p, p_perp = pack.p, pack.p_perp
         assert np.allclose(p, p_expected, atol=1e-12)
         assert np.allclose(p + p_perp, np.eye(np.shape(a)[0]), atol=1e-15)
 
@@ -102,7 +105,8 @@ class TestOrthoprojector:
             m = int(rng.integers(2, 10))
             q = int(rng.integers(1, m + 1))
             a = random_full_rank(m, q, rng)
-            p, p_perp = orthoprojector(a)
+            pack = projector_pack(a)
+            p, p_perp = pack.p, pack.p_perp
             assert np.max(np.abs(p @ p - p)) < 1e-9
             assert np.max(np.abs(p - p.T)) < 1e-9
             assert np.max(np.abs(p @ a - a)) < 1e-9
@@ -110,7 +114,7 @@ class TestOrthoprojector:
 
     def test_rank_deficient_propagates(self):
         with pytest.raises(RankDeficient):
-            orthoprojector(np.ones((3, 2)))
+            projector_pack(np.ones((3, 2)))
 
 
 class TestDiagonalizingRotation:
@@ -143,7 +147,7 @@ class TestDiagonalizingRotation:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         a = random_full_rank(5, 2, rng)
-        p, _ = orthoprojector(a)
+        p = projector_pack(a).p
         r1 = diagonalizing_rotation(p, rank=2)
         r2 = diagonalizing_rotation(p.copy(), rank=2)
         assert np.array_equal(r1, r2)
@@ -154,7 +158,7 @@ class TestDiagonalizingRotation:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 8))
         q = int(rng.integers(1, m + 1))
-        p, _ = orthoprojector(random_full_rank(m, q, rng))
+        p = projector_pack(random_full_rank(m, q, rng)).p
         r = diagonalizing_rotation(p, rank=q)
         assert np.max(np.abs(r.T @ r - np.eye(m))) < 1e-10
         target = np.diag([1.0] * q + [0.0] * (m - q))

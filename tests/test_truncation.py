@@ -8,7 +8,6 @@ from shallowmin import (
     min_over_output_layer,
     sweep_fixed_point_region,
     synthesize,
-    truncate,
     y_ext,
 )
 from shallowmin import ClassifiedDataset, ShallowParams, truncation, verify
@@ -24,14 +23,15 @@ from shallowmin.errors import (
 from shallowmin.network import relu
 from shallowmin.cost import exact_minimum, projector_route
 from shallowmin.dataset import block_means
-from shallowmin.truncation import region_minima_spread
 from tests.conftest import weighted_lstsq_oracle
 
 
 class TestTruncate:
+    """tau(X0) as min_over_output_layer reports it, tau_x0."""
+
     def test_identity_region(self, delta01_dataset):
         b1 = np.full(2, 2.0 * 1.1)  # 2 rho
-        tau = truncate(np.eye(2), b1, delta01_dataset)
+        tau = min_over_output_layer(np.eye(2), b1, delta01_dataset).tau_x0
         # (x + beta) - beta round-trips to the last ulp, not bitwise
         assert np.max(np.abs(tau - delta01_dataset.x0)) <= 1e-12
 
@@ -39,13 +39,13 @@ class TestTruncate:
         from shallowmin import ClassifiedDataset
         x0 = np.array([[-1.0, -2.0, -0.1, -0.2], [-0.5, -0.4, -2.0, -1.0]])
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(2, 2), x0=x0, y=np.eye(2))
-        tau = truncate(np.eye(2), np.zeros(2), ds)
+        tau = min_over_output_layer(np.eye(2), np.zeros(2), ds).tau_x0
         assert np.array_equal(tau, np.zeros_like(x0))
 
     def test_partial_clip_frozen(self, delta01_dataset):
         # b1 = (-0.5, 0): class-2 first coordinates 0 -> pre-activation -0.5,
         # clipped to 0, mapped back to 0.5; everything else untouched.
-        tau = truncate(np.eye(2), np.array([-0.5, 0.0]), delta01_dataset)
+        tau = min_over_output_layer(np.eye(2), np.array([-0.5, 0.0]), delta01_dataset).tau_x0
         expected = np.array([[1.1, 0.9, 0.5, 0.5],
                              [0.0, 0.0, 1.1, 0.9]])
         assert np.allclose(tau, expected, atol=1e-15)
@@ -57,17 +57,17 @@ class TestTruncate:
             if np.linalg.matrix_rank(w1) < 2:
                 continue
             b1 = rng.uniform(-2.0, 2.0, size=2)
-            tau = truncate(w1, b1, delta01_dataset)
+            tau = min_over_output_layer(w1, b1, delta01_dataset).tau_x0
             reapplied = w1 @ tau + b1[:, None]
             assert np.max(np.abs(relu(reapplied) - reapplied)) < 1e-10
 
     def test_singular_w1(self, delta01_dataset):
         with pytest.raises(SingularW1):
-            truncate(np.ones((2, 2)), np.zeros(2), delta01_dataset)
+            min_over_output_layer(np.ones((2, 2)), np.zeros(2), delta01_dataset).tau_x0
 
     def test_wrong_regime(self, e3_noise_dataset):
         with pytest.raises(WrongRegime):
-            truncate(np.eye(3), np.zeros(3), e3_noise_dataset)
+            min_over_output_layer(np.eye(3), np.zeros(3), e3_noise_dataset).tau_x0
 
 
 class TestRankPreserving:
@@ -122,7 +122,7 @@ class TestMinOverOutputLayer:
     def test_projector_route_matches_closed_form(self, delta01_dataset):
         w1, b1 = np.eye(2), np.array([-0.5, 0.0])
         res = min_over_output_layer(w1, b1, delta01_dataset)
-        tau = truncate(w1, b1, delta01_dataset)
+        tau = res.tau_x0
         assert res.min_cost_weighted == pytest.approx(
             projector_route(delta01_dataset, tau, block_means(tau, delta01_dataset.class_sizes)),
             rel=1e-9)
@@ -135,7 +135,8 @@ class TestSweep:
         grid = [(np.eye(2), t * np.ones(2)) for t in np.linspace(2 * rho, 4 * rho, 7)]
         points = sweep_fixed_point_region(delta01_dataset, grid)
         assert all(p.result.in_fixed_point_region for p in points)
-        assert region_minima_spread(points) < 1e-8
+        vals = [p.result.min_cost_weighted for p in points]
+        assert verify._rel(max(vals), min(vals)) < 1e-8
         em = exact_min_weighted(delta01_dataset, stats)
         for p in points:
             assert p.result.min_cost_weighted == pytest.approx(em, rel=1e-8)
@@ -169,7 +170,9 @@ class TestSweep:
         points = sweep_fixed_point_region(ds, grid)
         assert points[0].result.min_cost_weighted is not None
         assert points[1].result.min_cost_weighted is None
-        assert region_minima_spread(points) == 0.0
+        vals = [p.result.min_cost_weighted for p in points
+                if p.result.in_fixed_point_region and p.result.min_cost_weighted is not None]
+        assert verify._rel(max(vals), min(vals)) == 0.0
 
 
 class TestDataRanksOnce:

@@ -75,6 +75,17 @@ def test_degeneracy_suite_solves_once(exact_calls):
     assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
 
 
+@pytest.mark.parametrize("suite,svds", [("metric", 1), ("exact-min", 1 + OCTAVES + 1)])
+def test_one_means_svd_per_dataset(means_svd_calls, suite, svds):
+    """projector_pack is the one kernel for the geometry of the means: each
+    dataset's pack, taken by dataset_stats, also gives w2_tilde its
+    pseudoinverse. metric reads one dataset; exact-min reads the given one
+    and its OCTAVES + 1 noise-scaled images."""
+    ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
+    assert all(c.passed for c in run_suite(suite, ds, seed=1))
+    assert means_svd_calls == [(8, 8)] * svds
+
+
 def test_exact_min_suite_rejects_rectangular():
     ds = synthesize(5, 3, [4, 4, 4], noise=0.05, seed=0)
     with pytest.raises(WrongRegime):

@@ -5,8 +5,10 @@ working tree.
 
 The command matrix is data: DATASETS (gen flags) times COMMANDS (templates
 filled in per dataset), plus EDGE_COMMANDS on synthesized or missing inputs.
-It covers every command and output format at M = Q and M > Q, Q = 1, the
-scale probe --mean-scale 1e4 --noise 500 and non-finite settings.
+It covers every command and output format, each to stdout and with --out
+(tests/test_cli_matrix.py checks this against the CLI parser), at M = Q and
+M > Q, Q = 1, the scale probe --mean-scale 1e4 --noise 500 and non-finite
+settings.
 
 The tool extracts REV with `git archive` into a temporary directory (the
 repository gains no worktree or any other state), then runs the matrix once
@@ -77,6 +79,8 @@ COMMANDS = [
     "compare --data {d}.json --steps 50 --record-every 7",
     "report --inputs {d}.pg.json {d}.ev.pe.json {d}.cmp.json {d}.sweep.jsonl",
     "report --inputs {d}.pe.json {d}.cmp.json --format json --out {d}.report.json",
+    "report --inputs {d}.pe.json {d}.cmp.json --format json",
+    "report --inputs {d}.pg.json {d}.ev.pe.json --format table --out {d}.report_table.json",
 ]
 
 # Inputs the commands above read besides the datasets: classification points
