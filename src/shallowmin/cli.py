@@ -180,12 +180,14 @@ def cmd_classify(args) -> int:
     if data_shape != (params.m, params.q):
         raise DimensionError(f"means shape {data_shape} != ({params.m}, {params.q})")
     scores = score_batch(params, y, inputs.T)
-    with _output(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "winner"] + [f"score_{j}" for j in range(params.q)])
+    # csv.writer's bytes: no cell (an int or a float's repr) needs quoting.
+    header = ",".join(["index", "winner"] + [f"score_{j}" for j in range(params.q)])
+    text = "".join([f"{header}\r\n"] + [
+        f"{i},{winner},{','.join(map(repr, row))}\r\n"
         for i, (winner, row) in enumerate(zip(np.argmin(scores, axis=1).tolist(),
-                                              scores.tolist())):
-            writer.writerow([i, winner] + [repr(s) for s in row])
+                                              scores.tolist()))])
+    with _output(args.out) as fh:
+        fh.write(text)
     return EXIT_OK
 
 

@@ -11,9 +11,12 @@ dev = X0 - mean_ext are not retained; deviations() forms them on demand.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import re
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -31,6 +34,11 @@ _CHUNK_COLUMNS = 2048
 _JSON_CHUNK_VALUES = 1024
 # Bytes that file_sha256 reads and hashes at once.
 _HASH_CHUNK_BYTES = 1 << 20
+# Data lines that csv_rows may hand to np.loadtxt: digits, signs, points,
+# exponents, the letters of nan/inf/infinity, commas, blanks and line ends.
+# loadtxt ends a line at characters (\x0b, \x0c, \x85, ...) where csv.reader
+# does not, and csv.reader alone reads quotes, so neither is in the class.
+_PLAIN_NUMERIC = re.compile(r"[0-9+\-.eEnNaAiIfFtTyY, \t\r\n]*")
 
 
 def block_slices(class_sizes) -> list[slice]:
@@ -296,12 +304,37 @@ def from_samples(samples, labels) -> ClassifiedDataset:
 def csv_rows(path, has_header: bool, name, m: int | None = None, labelled: bool = False):
     """(K x M float array, K labels) of the K non-blank data rows of a CSV
     file, after its header if has_header; when labelled, each row ends in an
-    integer label. M defaults to the first data row's. A row of another width
-    or with a cell that does not parse raises DimensionError naming it
-    name(k, line), the data row k counted from 0 and the file line from 1."""
-    rows, labels = [], []
+    integer label. M defaults to the first data row's. A row of another width,
+    a cell that does not parse or a cell over csv.field_size_limit() raises
+    DimensionError naming it name(k, line), the data row k counted from 0 and
+    the file line from 1.
+
+    Unlabelled data lines of plain numeric text (_PLAIN_NUMERIC) that numpy's
+    C reader parses into M columns take that reader, which gives the same
+    values as float(); everything else, and every error message, comes from
+    the csv row walk."""
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
+        if labelled:  # a label must parse as int() parses it
+            return _csv_walk(fh, has_header, name, m, labelled)
+        text = fh.read()
+    start = len(io.StringIO(text, newline="").readline()) if has_header else 0
+    if _PLAIN_NUMERIC.fullmatch(text, start):
+        with warnings.catch_warnings(), contextlib.suppress(ValueError):
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+            rows = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None,
+                              skiprows=int(has_header), ndmin=2)
+            if rows.shape[1] == m:
+                return rows, []
+    return _csv_walk(io.StringIO(text, newline=""), has_header, name, m, labelled)
+
+
+def _csv_walk(lines, has_header: bool, name, m: int | None, labelled: bool):
+    """csv_rows of a text stream opened with newline="", by csv.reader and
+    float()/int() per cell."""
+    rows, labels = [], []
+    reader = csv.reader(lines)
+    try:
+        for i, row in enumerate(reader):
             if not row or (i == 0 and has_header):
                 continue
             m = len(row) - labelled if m is None else m
@@ -315,6 +348,8 @@ def csv_rows(path, has_header: bool, name, m: int | None = None, labelled: bool 
             except ValueError as exc:
                 raise DimensionError(f"{name(len(rows), i + 1)}: {exc}") from exc
             rows.append(values)
+    except csv.Error as exc:
+        raise DimensionError(f"{name(len(rows), reader.line_num)}: {exc}") from exc
     return np.array(rows, dtype=float).reshape(len(rows), m or 0), labels
 
 

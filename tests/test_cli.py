@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 
@@ -450,6 +451,64 @@ class TestClassify:
         assert run(["classify", "--data", ds_path, "--params", params_path,
                     "--inputs", inputs, "--out", out]) == 0
         assert out.read_text().splitlines() == ["index,winner,score_0,score_1"]
+
+    @pytest.mark.parametrize("text, error", [
+        # plain digits take numpy's reader, which reads the cell as inf
+        ("1," + "2" * 200_000 + ",3\n", "input column 0 contains non-finite entries"),
+        # a quoted cell takes the csv walk, which stops at the field limit
+        ('1,"' + "2" * 200_000 + '",3\n',
+         "input row 0 (line 1): field larger than field limit (131072)"),
+    ], ids=["plain", "quoted"])
+    def test_oversized_cell_exit_3(self, tmp_path, trained_files, capsys, text, error):
+        ds_path, params_path = trained_files
+        inputs, out = tmp_path / "inputs.csv", tmp_path / "scored.csv"
+        inputs.write_text(text)
+        assert run(["classify", "--data", ds_path, "--params", params_path,
+                    "--inputs", inputs, "--out", out]) == 3
+        assert capsys.readouterr().err == f"error: DimensionError: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m, q, scores", [
+        (3, 2, [[0.0, 5e-324], [1e300, 0.1], [5e-324, 1e300]]),
+        (1, 1, [[0.0], [5e-324], [1e300]]),
+        (3, 2, np.empty((0, 2))),
+        (1, 1, np.empty((0, 1))),
+    ], ids=["q2", "q1", "q2-no-rows", "q1-no-rows"])
+    def test_output_bytes_equal_csv_writer(self, tmp_path, capsys, monkeypatch, m, q, scores):
+        """The scores CSV, to stdout and to --out, has the bytes csv.writer
+        writes for the header, then [index, winner, repr(score), ...] per row."""
+        from shallowmin import cli
+        ds_path, params_path = tmp_path / "ds.json", tmp_path / "params.json"
+        run(["gen", "--m", m, "--q", q, "--seed", 4, "--out", ds_path])
+        run(["train", "--data", ds_path, "--out", params_path])
+        scores = np.asarray(scores, dtype=float)
+        monkeypatch.setattr(cli, "score_batch", lambda params, y, x: scores)
+        inputs, out = tmp_path / "inputs.csv", tmp_path / "scored.csv"
+        inputs.write_text("".join(",".join(["0.5"] * m) + "\n" for _ in scores))
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["index", "winner"] + [f"score_{j}" for j in range(q)])
+        for i, row in enumerate(scores.tolist()):
+            writer.writerow([i, int(np.argmin(row))] + [repr(s) for s in row])
+        args = ["classify", "--data", ds_path, "--params", params_path, "--inputs", inputs]
+        assert run(args + ["--out", out]) == 0
+        assert out.read_bytes() == want.getvalue().encode()
+        capsys.readouterr()
+        assert run(args) == 0
+        assert capsys.readouterr().out == want.getvalue()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_oversized_dataset_csv_cell_exit_3(tmp_path, capsys, command):
+    data = tmp_path / "ds.csv"
+    data.write_text("1.0,0.5,0\n0.5," + "2" * 200_000 + ",1\n")
+    params = tmp_path / "params.json"
+    extra = ["--params", params] if command == "eval" else []
+    if command == "eval":
+        run(["train", "--m", 2, "--q", 2, "--out", params])
+    assert run([command, "--data", data, *extra]) == 3
+    assert capsys.readouterr().err == ("error: DimensionError: dataset row 1 (line 2) of "
+                                       f"{data}: field larger than field limit (131072)\n")
 
 
 class TestTruncationSweep:

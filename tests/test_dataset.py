@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from shallowmin import ClassifiedDataset, class_means, dataset_stats, synthesize, y_ext
 from shallowmin import dataset
@@ -338,6 +340,66 @@ class TestIO:
             from_samples(np.eye(3), [0, 2, 2])
         with pytest.raises(DimensionError, match="needs at least one sample"):
             from_samples(np.eye(3), [0, 1, 10**12])
+
+
+# Quotes, line ends of every kind, blanks, "_", a non-ASCII digit, the
+# letters of nan/inf, and the characters numpy's reader (not csv's) ends a
+# line at: \x0b \x0c \x1c \x85 \u2028.
+_CSV_ALPHABET = '0123456789+-.eE, \t\r\n"_\u0661nNaAiIfFtTyY\x0b\x0c\x1c\x85\u2028'
+_csv_cells = st.one_of(
+    st.sampled_from(["1", "-0.5", "2e3", "1E-3", ".5", "+7.", "nan", "-inf", "Infinity",
+                     "0", "", " 4 ", '"3"', "1_0", "\u0661"]),
+    st.text(_CSV_ALPHABET, max_size=4))
+_csv_lines = st.tuples(st.lists(_csv_cells, max_size=4).map(",".join),
+                       st.sampled_from(["\n", "\r\n", "\r", "", " ", "\x0b", "\x0c",
+                                        "\x1c", "\x85", "\u2028"]))
+_csv_texts = st.lists(_csv_lines, max_size=6).map(lambda ls: "".join(c + e for c, e in ls))
+
+
+class TestCsvRows:
+    @staticmethod
+    def _outcome(read):
+        """Shape and bits of read()'s array, or its DimensionError message."""
+        try:
+            rows, labels = read()
+        except DimensionError as exc:
+            return str(exc)
+        assert rows.dtype == np.float64 and labels == []
+        return rows.shape, rows.tobytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_texts, header=st.booleans(), m=st.sampled_from([1, 2, 3]))
+    @example(text="1\x0c2\n", header=False, m=1)  # one line to csv, two to numpy
+    @example(text="h\n1,2\u2028\n3,4\n", header=True, m=2)
+    @example(text='"1",2\r3,4\r', header=False, m=2)
+    @example(text="1,2\n3\n", header=False, m=2)  # ragged
+    @example(text=" \n\r\n", header=False, m=1)
+    def test_same_result_as_the_row_walk(self, tmp_path, text, header, m):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+
+        def name(k, line):
+            return f"row {k} (line {line})"
+
+        def walk():
+            with open(path, newline="") as fh:
+                return dataset._csv_walk(fh, header, name, m, False)
+
+        assert self._outcome(lambda: dataset.csv_rows(path, header, name, m)) \
+            == self._outcome(walk)
+
+    @pytest.mark.parametrize("text, header", [
+        ("", False), ("\n\r\n\r", False), ("a,b\n", True), ("a,b", True), ("x\r\n\n", True),
+    ])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_no_data_rows_give_an_empty_block_without_warnings(self, tmp_path, recwarn,
+                                                               text, header, m):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        rows, _ = dataset.csv_rows(path, header, lambda k, line: "", m)
+        assert rows.shape == (0, m)
+        assert len(recwarn) == 0
 
 
 def test_class_means_shape():

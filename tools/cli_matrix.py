@@ -65,10 +65,13 @@ COMMANDS = [
     "eval --data {d}.json --params {d}.pe.json --matrices --out {d}.ev.pe.json",
     "eval --data {d}.json --params {d}.pg.json --format csv --out {d}.ev.pg.csv",
     "eval --data {d}.json --params {d}.pz.json --format table --out {d}.ev.pz.json",
+    "eval --data {d}.json --params {d}.pg.json --out {d}.ev.pg.json",
     "classify --data {d}.json --params {d}.pg.json --inputs {d}.pts.csv",
     "classify --data {d}.json --params {d}.pe.json --inputs {d}.pts.csv --out {d}.cl.csv",
     "classify {gen} --params {d}.pg.json --inputs {d}.pts.csv --out {d}.cl_synth.csv",
     "classify --data {d}.json --params {d}.ps.json --inputs {d}.pts.csv",
+    "classify --data {d}.json --params {d}.pg.json --inputs {d}.pts_quoted.csv --inputs-header"
+    " --out {d}.cl_quoted.csv",
     "truncation-sweep --data {d}.json --grid {d}.grid.json",
     "truncation-sweep --data {d}.json --grid {d}.grid.json --matrices --out {d}.sweep.jsonl",
     *(f"verify {suite} --data {{d}}.json --seed 1"
@@ -81,16 +84,22 @@ COMMANDS = [
     "report --inputs {d}.pe.json {d}.cmp.json --format json --out {d}.report.json",
     "report --inputs {d}.pe.json {d}.cmp.json --format json",
     "report --inputs {d}.pg.json {d}.ev.pe.json --format table --out {d}.report_table.json",
+    # Artifacts that every dataset writes, M > Q included.
+    "report --inputs {d}.pg.json {d}.ev.pg.json",
 ]
 
 # Inputs the commands above read besides the datasets: classification points
-# and a truncation grid per dataset, written alike into both directories.
+# and a truncation grid per dataset, written alike into both directories. The
+# points come twice: plain numeric text, which classify parses with numpy's
+# reader, and with a header row and one quoted cell, which take the csv walk.
 def _inputs(name: str, m: int) -> dict[str, str]:
-    points = "\n".join(",".join(repr(0.1 * ((3 * i + 5 * j) % 7) - 0.2) for j in range(m))
-                       for i in range(5)) + "\n"
+    rows = [[repr(0.1 * ((3 * i + 5 * j) % 7) - 0.2) for j in range(m)] for i in range(5)]
+    quoted = [[f"x{j}" for j in range(m)], [f'"{rows[0][0]}"', *rows[0][1:]], *rows[1:]]
     grid = [{"w1": [[float(i == j) for j in range(m)] for i in range(m)], "b1": [b] * m}
             for b in (3.0, 0.5, -0.2, -50.0)]
-    return {f"{name}.pts.csv": points, f"{name}.grid.json": json.dumps(grid)}
+    return {f"{name}.pts.csv": "".join(",".join(r) + "\n" for r in rows),
+            f"{name}.pts_quoted.csv": "".join(",".join(r) + "\n" for r in quoted),
+            f"{name}.grid.json": json.dumps(grid)}
 
 
 EDGE_COMMANDS = [
