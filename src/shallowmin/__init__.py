@@ -24,7 +24,7 @@ from .cost import (
     data_projector,
     evaluate,
     exact_min_weighted,
-    lstsq_output_layer,
+    lstsq_min_weighted,
     relative_deviations,
 )
 from .dataset import (
@@ -82,7 +82,7 @@ __all__ = [
     "fit",
     "forward",
     "load_dataset",
-    "lstsq_output_layer",
+    "lstsq_min_weighted",
     "metric",
     "min_over_output_layer",
     "numerical_rank",

@@ -1,32 +1,16 @@
 """Cost functionals, the data-side projector, relative deviations, and the
 closed-form bound / minimum expressions.
 
-Two costs are exposed everywhere: the plain L2 cost (1/sqrt(N)) ||X2 - Yext||_F
-and the size-weighted cost sqrt(sum_j ||residual_j||_F^2 / N_j), which removes
-the dependence of each class's contribution on its sample count. Both come from
-one blocked residual kernel: it runs the network on each class block in column
-chunks, subtracts y_j in place and sums squares chunk by chunk, so neither the
-M x N hidden layer nor the Q x N residual is formed; train_general reads its
-first-layer checks off the same pass's hidden layers. A full pass over a
-dataset whose X0 no one can write (read-only, as the library's own
-constructors leave it) records its two sums for that params object, and a
-later cost query (costs, cost_l2, cost_weighted, evaluate) on the same params
-and the same dataset object reads the record instead of running the network
-again, so evaluate after train_general costs no pass. The record keeps copies
-of w1, b1, w2, b2 and Y and is read only while they still match; a call that
-checks hidden layers (train_general's) never reads one. The general bound
-(1/sqrt(N)) ||Y pen dev||_F is read from the statistics, whose pass over the
-data already sums ||Y pen dev||_F^2, so bound_general costs O(Q^2). The closed
-forms of the M = Q regime are functions of the relative deviation Gram matrix
-alone; exact_minimum computes them with one pass and one normal-equation
-solve and cross-checks them at runtime, at every N, against the data
-projector route ||Yext Pperp|| of that solve. The data projector
-P = N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 is
-applied through the normal equations without being formed: projector_route
-takes the residual norm and projector_action the image of an N x k block,
-given the Gram X0 N^-1 X0^T that _gram checked (ExactMinimum keeps it).
-Only data_projector forms the N x N matrix, as projector_action on the
-identity, for tests that compare against it; it refuses N > MAX_PROJECTOR_N.
+The plain L2 cost (1/sqrt(N)) ||X2 - Yext||_F and the size-weighted cost
+sqrt(sum_j ||residual_j||_F^2 / N_j) come from one blocked residual kernel
+that forms neither the M x N hidden layer nor the Q x N residual. A full pass
+over a dataset with a read-only X0 records its sums for that params object;
+a later cost query on the same params and dataset reads the record while
+w1, b1, w2, b2 and Y still match its copies. The general bound is read from
+the statistics. The M = Q closed forms are functions of the relative
+deviation Gram alone, cross-checked at runtime against the matrix-free data
+projector route; only data_projector forms the N x N projector, for tests,
+and it refuses N > MAX_PROJECTOR_N.
 """
 
 from __future__ import annotations
@@ -295,47 +279,22 @@ def bound_general(ds: ClassifiedDataset, stats: DatasetStats) -> tuple[float, fl
     return bound_l2, bound_deltap
 
 
-def lstsq_output_layer(
-    hidden: np.ndarray,
-    targets_ext: np.ndarray,
-    class_sizes,
-    b1: np.ndarray | None = None,
-    free_intercept: bool = False,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares output layer for a fixed hidden layer, via LAPACK lstsq.
-
-    With free_intercept=False (the construction's family) the second-layer bias
-    is tied to cancel the propagated first-layer bias: the fit is W2 @ hidden
-    ~ targets with no intercept column, and b2 = -W2 @ b1 (b1 must be the
-    vector whose broadcast is already included in `hidden`). This is the
-    brute-force counterpart of the closed-form minimum. With
-    free_intercept=True an intercept column is added; the resulting minimum is
-    generally strictly below the tied-family one and is exposed only as a
-    diagnostic.
-
-    Returns (w2, b2, weighted_cost_at_optimum).
-    """
-    hidden = np.asarray(hidden, dtype=float)
-    targets_ext = np.asarray(targets_ext, dtype=float)
-    n = hidden.shape[1]
-    sqrt_w = np.sqrt(np.repeat([1.0 / s for s in class_sizes], class_sizes))
-    if free_intercept:
-        design = np.vstack([hidden, np.ones(n)])
-    else:
-        if b1 is None:
-            raise ValueError("b1 is required to tie the intercept when free_intercept=False")
-        design = hidden - np.asarray(b1, dtype=float).reshape(-1)[:, None]
-    theta_t, *_ = np.linalg.lstsq((design * sqrt_w).T, (targets_ext * sqrt_w).T, rcond=None)
-    theta = theta_t.T
-    if free_intercept:
-        w2, b2 = theta[:, :-1], theta[:, -1]
-    else:
-        w2 = theta
-        b2 = -w2 @ np.asarray(b1, dtype=float).reshape(-1)
+def lstsq_min_weighted(hidden: np.ndarray, b1, ds: ClassifiedDataset) -> float:
+    """Weighted-cost minimum over the tied output-layer family b2 = -W2 b1 at
+    the hidden layer `hidden` (b1's broadcast already included), by one LAPACK
+    lstsq of W2 (hidden - b1 1^T) ~ Yext: the brute-force counterpart of
+    closed_form_min."""
+    b1 = np.asarray(b1, dtype=float).reshape(-1)
+    targets = y_ext(ds)
+    sqrt_w = np.sqrt(ds.inv_size_weights())
+    design = hidden - b1[:, None]
+    theta_t, *_ = np.linalg.lstsq((design * sqrt_w).T, (targets * sqrt_w).T, rcond=None)
+    w2 = theta_t.T
+    b2 = -w2 @ b1
     resid = w2 @ hidden
     resid += b2[:, None]
-    resid -= targets_ext
-    return w2, b2, weighted_norm(resid, class_sizes)
+    resid -= targets
+    return weighted_norm(resid, ds.class_sizes)
 
 
 @dataclass

@@ -15,7 +15,6 @@ import contextlib
 import csv
 import io
 import json
-import re
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -34,11 +33,11 @@ _CHUNK_COLUMNS = 2048
 _JSON_CHUNK_VALUES = 1024
 # Bytes that file_sha256 reads and hashes at once.
 _HASH_CHUNK_BYTES = 1 << 20
-# Data lines that csv_rows may hand to np.loadtxt: digits, signs, points,
-# exponents, the letters of nan/inf/infinity, commas, blanks and line ends.
-# loadtxt ends a line at characters (\x0b, \x0c, \x85, ...) where csv.reader
-# does not, and csv.reader alone reads quotes, so neither is in the class.
-_PLAIN_NUMERIC = re.compile(r"[0-9+\-.eEnNaAiIfFtTyY, \t\r\n]*")
+# Bytes of the data lines that csv_rows may hand to np.loadtxt: digits, signs,
+# points, exponents, the letters of nan/inf/infinity, commas, blanks and line
+# ends. loadtxt ends a line at characters (\x0b, \x0c, \x85, ...) where
+# csv.reader does not, and csv.reader alone reads quotes, so neither is here.
+_PLAIN_BYTES = b"0123456789+-.eEnNaAiIfFtTyY, \t\r\n"
 
 
 def block_slices(class_sizes) -> list[slice]:
@@ -159,47 +158,47 @@ def deviations(ds: ClassifiedDataset, means: np.ndarray) -> np.ndarray:
     return dev
 
 
-def _max_column_norm(a: np.ndarray, buf: np.ndarray) -> float:
-    """max over columns of ||a[:, i]||, equal bit for bit to
-    np.max(np.linalg.norm(a, axis=0)): the squares go into a view of the flat
-    buffer buf laid out as numpy lays out a * a (a sum along the contiguous
-    axis is pairwise, along the other sequential), add.reduce sums them over
-    axis 0, and sqrt, being monotone and correctly rounded, commutes with max."""
-    f_order = min(a.shape) > 1 and abs(a.strides[0]) < abs(a.strides[1])
-    sq = np.square(a, out=buf[:a.size].reshape(a.shape, order="F" if f_order else "C"))
+def _root_max_column_sum(sq: np.ndarray) -> float:
+    """sqrt of the largest column sum of sq, the columns summed by add.reduce
+    over axis 0; sqrt, being monotone and correctly rounded, commutes with max."""
     return float(np.sqrt(np.max(np.add.reduce(sq, axis=0))))
 
 
-def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack) -> DatasetStats:
-    """Compute all derived statistics from the class means of ds and
-    pack = projector_pack(means).
+def _max_column_norm(a: np.ndarray, buf: np.ndarray) -> float:
+    """max over columns of ||a[:, i]||, equal bit for bit to
+    np.max(np.linalg.norm(a, axis=0)) for a read-only a of either layout: the
+    squares go into a view of the flat buffer buf laid out as numpy lays out
+    a * a (a sum along the contiguous axis is pairwise, along the other
+    sequential)."""
+    f_order = min(a.shape) > 1 and abs(a.strides[0]) < abs(a.strides[1])
+    return _root_max_column_sum(
+        np.square(a, out=buf[:a.size].reshape(a.shape, order="F" if f_order else "C")))
 
-    delta_p needs the pseudoinverse of the means, hence the two-pass
-    construction (means -> pack -> stats). The stats pass visits each class
-    block once: it subtracts the block's own mean into a reused M x max_j N_j
-    row-major buffer (a strided view like a column block of the C-ordered
-    deviations(ds, means), and equal to it bit for bit), takes the block's
-    column norms of dev, x0 and pen @ dev (pen @ p = pen, so the projector is
-    not applied), and adds ||Y (pen @ dev block)||_F^2 to y_pen_dev_sq, the
-    general bound's numerator. Besides that deviation buffer, the pass
-    allocates one flat work buffer of (M + Q) x max_j N_j floats, reused by
-    every block, and retains no M x N array.
+
+def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack) -> DatasetStats:
+    """All derived statistics of ds from its class means and
+    pack = projector_pack(means), in one visit per class block.
+
+    The block's deviations go into a reused row-major M x max_j N_j buffer
+    (equal bit for bit to that block of deviations(ds, means)) and their
+    projection pen @ dev (pen @ p = pen) into a reused Q x max_j N_j one; each
+    buffer is squared in place after its last product and summed column by
+    column. x0's squares use the deviation buffer before it is refilled. No
+    M x N array is retained.
     """
-    m, q = ds.m, ds.q
     width = max(ds.class_sizes)
-    work = np.empty((m + q) * width)
-    pen_out = work[m * width:]
-    dev_buf = np.empty((m, width))
+    dev_buf = np.empty((ds.m, width))
+    pen_buf = np.empty((ds.q, width))
     delta = delta_p = rho = y_pen_dev_sq = 0.0
     for sl, mean in zip(ds.class_slices(), means.T):
         x_block = ds.x0[:, sl]
         nj = x_block.shape[1]
-        block = np.subtract(x_block, mean[:, None], out=dev_buf[:, :nj])
-        delta = max(delta, _max_column_norm(block, work))
-        rho = max(rho, _max_column_norm(x_block, work))
-        pen_block = np.matmul(pack.pen, block, out=pen_out[:q * nj].reshape(q, nj))
-        delta_p = max(delta_p, _max_column_norm(pen_block, work))
-        y_pen_dev_sq += sum_squares(np.matmul(ds.y, pen_block, out=work[:q * nj].reshape(q, nj)))
+        rho = max(rho, _max_column_norm(x_block, dev_buf.reshape(-1)))
+        dev = np.subtract(x_block, mean[:, None], out=dev_buf[:, :nj])
+        pen_dev = np.matmul(pack.pen, dev, out=pen_buf[:, :nj])
+        delta = max(delta, _root_max_column_sum(np.square(dev, out=dev)))
+        y_pen_dev_sq += sum_squares(ds.y @ pen_dev)  # C-contiguous Q x N_j
+        delta_p = max(delta_p, _root_max_column_sum(np.square(pen_dev, out=pen_dev)))
     return DatasetStats(
         means=means,
         delta=delta,
@@ -303,26 +302,28 @@ def from_samples(samples, labels) -> ClassifiedDataset:
 
 def csv_rows(path, has_header: bool, name, m: int | None = None, labelled: bool = False):
     """(K x M float array, K labels) of the K non-blank data rows of a CSV
-    file, after its header if has_header; when labelled, each row ends in an
-    integer label. M defaults to the first data row's. A row of another width,
-    a cell that does not parse or a cell over csv.field_size_limit() raises
-    DimensionError naming it name(k, line), the data row k counted from 0 and
-    the file line from 1.
+    file, after its header record if has_header; when labelled, each row ends
+    in an integer label. M defaults to the first data row's. A row of another
+    width, a cell that does not parse or a cell over csv.field_size_limit()
+    raises DimensionError naming it name(k, line), the data row k counted from
+    0 and its file line from 1.
 
-    Unlabelled data lines of plain numeric text (_PLAIN_NUMERIC) that numpy's
-    C reader parses into M columns take that reader, which gives the same
-    values as float(); everything else, and every error message, comes from
-    the csv row walk."""
+    Unlabelled data of plain ASCII text (_PLAIN_BYTES) that numpy's C reader
+    parses into M columns takes that reader, which gives the same values as
+    float(); everything else, and every error message, comes from the csv
+    row walk."""
     with open(path, newline="") as fh:
         if labelled:  # a label must parse as int() parses it
             return _csv_walk(fh, has_header, name, m, labelled)
         text = fh.read()
-    start = len(io.StringIO(text, newline="").readline()) if has_header else 0
-    if _PLAIN_NUMERIC.fullmatch(text, start):
-        with warnings.catch_warnings(), contextlib.suppress(ValueError):
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
-            rows = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", comments=None,
-                              skiprows=int(has_header), ndmin=2)
+    data = io.StringIO(text, newline="")
+    # A UnicodeEncodeError (non-ASCII text) is a ValueError, as is loadtxt's.
+    with warnings.catch_warnings(), contextlib.suppress(ValueError, csv.Error):
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+        if has_header:  # the header record, which a quoted cell may carry over lines
+            next(csv.reader(data), None)
+        if not text[data.tell():].encode("ascii").translate(None, _PLAIN_BYTES):
+            rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
             if rows.shape[1] == m:
                 return rows, []
     return _csv_walk(io.StringIO(text, newline=""), has_header, name, m, labelled)
@@ -339,14 +340,14 @@ def _csv_walk(lines, has_header: bool, name, m: int | None, labelled: bool):
                 continue
             m = len(row) - labelled if m is None else m
             if len(row) != m + labelled:
-                raise DimensionError(f"{name(len(rows), i + 1)} has {len(row)} values, "
+                raise DimensionError(f"{name(len(rows), reader.line_num)} has {len(row)} values, "
                                      f"expected M={m}" + (" and a label" if labelled else ""))
             try:
                 values = [float(v) for v in row[:m]]
                 if labelled:
                     labels.append(int(row[m]))
             except ValueError as exc:
-                raise DimensionError(f"{name(len(rows), i + 1)}: {exc}") from exc
+                raise DimensionError(f"{name(len(rows), reader.line_num)}: {exc}") from exc
             rows.append(values)
     except csv.Error as exc:
         raise DimensionError(f"{name(len(rows), reader.line_num)}: {exc}") from exc

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import closed_form_min, lstsq_output_layer, relative_gram
-from .dataset import ClassifiedDataset, block_means, y_ext
+from .cost import closed_form_min, lstsq_min_weighted, relative_gram
+from .dataset import ClassifiedDataset, block_means
 from .errors import ConsistencyError, ShallowminError, SingularMeans, SingularW1, WrongRegime
 from .linalg import numerical_rank, rank_with_margin
 from .network import relu
@@ -156,7 +156,7 @@ def _min_over_output_layer(
     result.delta_p_tr = float(np.max(np.linalg.norm(d1_tr, axis=0)))
     result.delta1_rel_tr = d1_tr
     result.delta2_rel_tr = d2_tr
-    _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=b1)
+    oracle = lstsq_min_weighted(hidden, b1, ds)
     result.lstsq_oracle = oracle
     if abs(value - oracle) > ORACLE_RTOL * (1.0 + max(value, oracle)):
         raise ConsistencyError(

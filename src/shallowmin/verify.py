@@ -32,11 +32,11 @@ from .cost import (
     cost_weighted,
     exact_min_weighted,
     exact_minimum,
-    lstsq_output_layer,
+    lstsq_min_weighted,
     projector_action,
     weighted_norm,
 )
-from .dataset import ClassifiedDataset, dataset_stats, deviations, independent_means, y_ext
+from .dataset import ClassifiedDataset, dataset_stats, deviations, independent_means
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
@@ -152,7 +152,7 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
                detail=f"projector route={exact.route:.9e}"),
     ]
     hidden, _ = forward(params, ds.x0)
-    _, _, oracle = lstsq_output_layer(hidden, y_ext(ds), ds.class_sizes, b1=params.b1)
+    oracle = lstsq_min_weighted(hidden, params.b1, ds)
     checks.append(_check("exact.lstsq-oracle", _rel(em, oracle), 1e-8,
                          detail=f"lstsq oracle={oracle:.9e}"))
     upper = weighted_norm(ds.y @ exact.d1, ds.class_sizes)

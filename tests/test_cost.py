@@ -30,7 +30,7 @@ from shallowmin.cost import (
     _gram,
     closed_form_min,
     exact_minimum,
-    lstsq_output_layer,
+    lstsq_min_weighted,
     normal_w2,
     projector_action,
     projector_route,
@@ -508,20 +508,9 @@ class TestExactMinWeighted:
         b1 = np.full(2, beta)
         hidden = delta01_dataset.x0 + beta
         targets = y_ext(delta01_dataset)
-        _, _, lib = lstsq_output_layer(hidden, targets, delta01_dataset.class_sizes, b1=b1)
+        lib = lstsq_min_weighted(hidden, b1, delta01_dataset)
         _, _, ora = weighted_lstsq_oracle(hidden, targets, delta01_dataset.class_sizes, b1)
         assert lib == pytest.approx(ora, rel=1e-12)
-
-    def test_free_intercept_is_lower(self, delta01_dataset):
-        # the free-intercept joint optimum undercuts the tied-family value;
-        # frozen from an independent normal-equation solve: 0.0995037...
-        stats, _ = dataset_stats(delta01_dataset)
-        beta = 2.5 * stats.rho
-        hidden = delta01_dataset.x0 + beta
-        _, _, free = lstsq_output_layer(hidden, y_ext(delta01_dataset),
-                                        delta01_dataset.class_sizes, free_intercept=True)
-        assert free == pytest.approx(0.0995037190209989, abs=1e-12)
-        assert free < exact_min_weighted(delta01_dataset, stats)
 
 
 class TestBoundGeneral:

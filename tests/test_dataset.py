@@ -21,7 +21,7 @@ from shallowmin.dataset import (
     save_json,
 )
 from shallowmin.errors import DegenerateMeans, DimensionError, RankDeficient
-from shallowmin.linalg import numerical_rank
+from shallowmin.linalg import numerical_rank, sum_squares
 
 
 class TestStats:
@@ -67,15 +67,23 @@ class TestStats:
     def test_block_stats_match_full_array_bitwise(self, order):
         # dev, delta and rho are built class block by class block; they equal
         # the full-array formulas bit for bit in either memory layout. M > 8
-        # puts the F-layout column sums on numpy's pairwise path.
+        # puts the F-layout column sums on numpy's pairwise path. delta_p and
+        # ||Y pen dev||^2 are pinned against one GEMM per class block: a
+        # full-array pen @ dev can differ from those in the last bit.
         base = synthesize(20, 3, [4, 9, 6], noise=0.3, seed=8)
-        ds = ClassifiedDataset(m=20, q=3, class_sizes=base.class_sizes,
-                               x0=np.asarray(base.x0, order=order), y=base.y)
-        stats, _ = dataset_stats(ds)
-        dev = ds.x0 - np.repeat(stats.means, ds.class_sizes, axis=1)
-        assert np.array_equal(deviations(ds, stats.means), dev)
-        assert stats.delta == float(np.max(np.linalg.norm(dev, axis=0)))
-        assert stats.rho == float(np.max(np.linalg.norm(ds.x0, axis=0)))
+        y_other = np.array([[2.0, 0.5, 0.0], [-1.0, 1.0, 0.25], [0.0, 3.0, 1.0]])
+        for y in (base.y, y_other):
+            ds = ClassifiedDataset(m=20, q=3, class_sizes=base.class_sizes,
+                                   x0=np.asarray(base.x0, order=order), y=y)
+            stats, pack = dataset_stats(ds)
+            dev = ds.x0 - np.repeat(stats.means, ds.class_sizes, axis=1)
+            assert np.array_equal(deviations(ds, stats.means), dev)
+            assert stats.delta == float(np.max(np.linalg.norm(dev, axis=0)))
+            assert stats.rho == float(np.max(np.linalg.norm(ds.x0, axis=0)))
+            pen_devs = [pack.pen @ dev[:, sl] for sl in ds.class_slices()]
+            assert stats.delta_p == max(float(np.max(np.linalg.norm(b, axis=0)))
+                                        for b in pen_devs)
+            assert stats.y_pen_dev_sq == sum(sum_squares(y @ b) for b in pen_devs)
 
     def test_delta_p_scaling_invariance(self):
         from dataclasses import replace
@@ -375,6 +383,7 @@ class TestCsvRows:
     @example(text='"1",2\r3,4\r', header=False, m=2)
     @example(text="1,2\n3\n", header=False, m=2)  # ragged
     @example(text=" \n\r\n", header=False, m=1)
+    @example(text='"\n1\n', header=True, m=1)  # a header record over two lines
     def test_same_result_as_the_row_walk(self, tmp_path, text, header, m):
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
@@ -388,6 +397,48 @@ class TestCsvRows:
 
         assert self._outcome(lambda: dataset.csv_rows(path, header, name, m)) \
             == self._outcome(walk)
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n\x853,4\n",  # NEL
+        "1,2\n\u06613,4\n",  # a non-ASCII digit
+        "1,2\n3,4\x0b\n",  # an ASCII vertical tab
+    ], ids=["nel", "arabic-digit", "vtab"])
+    def test_text_outside_the_class_takes_the_walk(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(("h\n" + text).encode())
+        calls = []
+        walk = dataset._csv_walk
+        monkeypatch.setattr(dataset, "_csv_walk", lambda *a: calls.append(1) or walk(*a))
+        got = self._outcome(lambda: dataset.csv_rows(path, True, lambda k, line: "", 2))
+        assert calls == [1]
+        with open(path, newline="") as fh:
+            assert got == self._outcome(lambda: walk(fh, True, lambda k, line: "", 2, False))
+
+    def test_plain_text_skips_the_walk(self, tmp_path, monkeypatch):
+        path = tmp_path / "in.csv"
+        path.write_text("h\n1,2\r\n-3e1,nan\n")
+        monkeypatch.setattr(dataset, "_csv_walk", None)
+        rows, _ = dataset.csv_rows(path, True, lambda k, line: "", 2)
+        assert np.array_equal(rows, [[1.0, 2.0], [-30.0, np.nan]], equal_nan=True)
+
+    @pytest.mark.parametrize("text, message", [
+        ('1,"2\n"\n4,x\n', "input row 1 (line 3): could not convert string to float: 'x'"),
+        ('1,"2\n"\n4\n', "input row 1 (line 3) has 1 values, expected M=2"),
+        ("1,2\n4,x\n", "input row 1 (line 2): could not convert string to float: 'x'"),
+    ], ids=["value", "width", "single-line"])
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(DimensionError) as exc:
+            dataset.csv_rows(path, False, lambda k, line: f"input row {k} (line {line})", 2)
+        assert str(exc.value) == message
+
+    def test_load_csv_names_the_file_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('1.0,"0.5\n",0\n0.0,abc,1\n')
+        with pytest.raises(DimensionError,
+                           match=r"^dataset row 1 \(line 3\) of .*data\.csv: could not convert"):
+            load_csv(path)
 
     @pytest.mark.parametrize("text, header", [
         ("", False), ("\n\r\n\r", False), ("a,b\n", True), ("a,b", True), ("x\r\n\n", True),

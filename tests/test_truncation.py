@@ -249,14 +249,14 @@ class TestSuiteReusesSweep:
         # compared: one least-squares solve per rank-preserving point.
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
         calls = []
-        original = truncation.lstsq_output_layer
+        original = truncation.lstsq_min_weighted
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(truncation, "lstsq_output_layer", counting)
-        monkeypatch.setattr(verify, "lstsq_output_layer", counting)
+        monkeypatch.setattr(truncation, "lstsq_min_weighted", counting)
+        monkeypatch.setattr(verify, "lstsq_min_weighted", counting)
         points = verify.sweep_fixed_point_region(ds, verify.default_truncation_grid(ds))
         n_preserving = sum(p.result is not None and p.result.min_cost_weighted is not None
                            for p in points)
@@ -401,7 +401,7 @@ class TestSignRule:
         counted = ds.x0.view(CountingX0)
         object.__setattr__(ds, "x0", counted)
         passes, oracle_hidden = [], []
-        original_pass, original_lstsq = truncation._truncation_pass, truncation.lstsq_output_layer
+        original_pass, original_lstsq = truncation._truncation_pass, truncation.lstsq_min_weighted
 
         def recording_pass(w1, b1, ds):
             out = original_pass(w1, b1, ds)
@@ -413,7 +413,7 @@ class TestSignRule:
             return original_lstsq(hidden, *args, **kwargs)
 
         monkeypatch.setattr(truncation, "_truncation_pass", recording_pass)
-        monkeypatch.setattr(truncation, "lstsq_output_layer", recording_lstsq)
+        monkeypatch.setattr(truncation, "lstsq_min_weighted", recording_lstsq)
         for w1, b1 in grid:
             before = CountingX0.products
             res = truncation._min_over_output_layer(w1, b1, ds, data_ranks)

@@ -72,6 +72,7 @@ COMMANDS = [
     "classify --data {d}.json --params {d}.ps.json --inputs {d}.pts.csv",
     "classify --data {d}.json --params {d}.pg.json --inputs {d}.pts_quoted.csv --inputs-header"
     " --out {d}.cl_quoted.csv",
+    "classify --data {d}.json --params {d}.pg.json --inputs {d}.pts_multiline.csv",
     "truncation-sweep --data {d}.json --grid {d}.grid.json",
     "truncation-sweep --data {d}.json --grid {d}.grid.json --matrices --out {d}.sweep.jsonl",
     *(f"verify {suite} --data {{d}}.json --seed 1"
@@ -90,15 +91,19 @@ COMMANDS = [
 
 # Inputs the commands above read besides the datasets: classification points
 # and a truncation grid per dataset, written alike into both directories. The
-# points come twice: plain numeric text, which classify parses with numpy's
-# reader, and with a header row and one quoted cell, which take the csv walk.
+# points come three times: plain numeric text, which classify parses with
+# numpy's reader; with a header row and one quoted cell, which take the csv
+# walk; and with a quoted cell over lines 1-2 and a bad cell on line 3, whose
+# error message names line 3.
 def _inputs(name: str, m: int) -> dict[str, str]:
     rows = [[repr(0.1 * ((3 * i + 5 * j) % 7) - 0.2) for j in range(m)] for i in range(5)]
     quoted = [[f"x{j}" for j in range(m)], [f'"{rows[0][0]}"', *rows[0][1:]], *rows[1:]]
+    multiline = [[f'"{rows[0][0]}\n"', *rows[0][1:]], ["x", *rows[1][1:]]]
     grid = [{"w1": [[float(i == j) for j in range(m)] for i in range(m)], "b1": [b] * m}
             for b in (3.0, 0.5, -0.2, -50.0)]
     return {f"{name}.pts.csv": "".join(",".join(r) + "\n" for r in rows),
             f"{name}.pts_quoted.csv": "".join(",".join(r) + "\n" for r in quoted),
+            f"{name}.pts_multiline.csv": "".join(",".join(r) + "\n" for r in multiline),
             f"{name}.grid.json": json.dumps(grid)}
 
 
