@@ -10,8 +10,9 @@ baseline plus a CLI (`shallowmin`) with numerical verification suites.
 from .constructive import (
     ConstructiveConfig,
     Fit,
+    Pipeline,
     Variant,
-    fit,
+    pipeline,
     train_exact_meq,
     train_general,
     w2_tilde,
@@ -62,6 +63,7 @@ __all__ = [
     "DatasetStats",
     "Fit",
     "GdConfig",
+    "Pipeline",
     "ProjectorPack",
     "ShallowParams",
     "ShallowminError",
@@ -79,13 +81,13 @@ __all__ = [
     "diagonalizing_rotation",
     "evaluate",
     "exact_min_weighted",
-    "fit",
     "forward",
     "load_dataset",
     "lstsq_min_weighted",
     "metric",
     "min_over_output_layer",
     "numerical_rank",
+    "pipeline",
     "projector_pack",
     "relative_deviations",
     "relu",

@@ -20,12 +20,11 @@ import numpy as np
 
 from .classify import score_batch
 from . import dataset as dataset_mod
-from .constructive import ConstructiveConfig, Variant, fit, provenance
+from .constructive import ConstructiveConfig, Variant, pipeline, provenance
 from .cost import evaluate
 from .dataset import (
     checked_targets,
     csv_rows,
-    dataset_stats,
     independent_means,
     json_field,
     load_dataset,
@@ -115,21 +114,19 @@ def cmd_train(args) -> int:
         ds = dataset_mod.load_json(args.data, sha256)
     else:
         ds = _dataset_from_args(args)
-    stats, pack = dataset_stats(ds)
-    cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
+    pl = pipeline(ds, ConstructiveConfig(beta1_margin=args.beta1_margin))
     variant = Variant(args.variant)
-    trained = fit(ds, stats, pack, variant, cfg)
-    prov = {**provenance(variant, trained, ds, stats, cfg), "y": ds.y.tolist(),
+    trained = pl.square if variant is Variant.EXACT else pl.general
+    prov = {**provenance(variant, trained, pl), "y": ds.y.tolist(),
             "data_sha256": None if sha256 is None else sha256.hexdigest()}
     _write_json({**params_to_dict(trained.params), "provenance": prov}, args.out)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    ds = _dataset_from_args(args)
-    stats, pack = dataset_stats(ds)
+    pl = pipeline(_dataset_from_args(args))
     params, _ = load_params(args.params)
-    report = evaluate(params, ds, stats, pack, include_matrices=args.matrices)
+    report = evaluate(params, pl.ds, pl.stats, pl.pack, include_matrices=args.matrices)
     doc = report.to_dict(include_matrices=args.matrices)
     scalar_keys = [k for k in doc if not isinstance(doc[k], list)]
     if args.format == "table":
@@ -228,14 +225,13 @@ def cmd_compare(args) -> int:
     held_x = None
     if args.holdout is not None:
         ds, held_x, held_labels = dataset_mod.holdout_split(ds, args.holdout, seed=args.seed)
-    stats, pack = dataset_stats(ds)
-    cfg = ConstructiveConfig(beta1_margin=args.beta1_margin)
+    pl = pipeline(ds, ConstructiveConfig(beta1_margin=args.beta1_margin))
     variant = Variant.EXACT if ds.m == ds.q else Variant.GENERAL
-    trained = fit(ds, stats, pack, variant, cfg)
+    trained = pl.square if variant is Variant.EXACT else pl.general
     gd_cfg = GdConfig(learning_rate=args.lr, steps=args.steps, seed=args.gd_seed,
                       init_scale=args.init_scale, record_every=args.record_every)
     gd_params, trace = train_gd(ds, gd_cfg)
-    doc = gd_compare(ds, gd_params, trained)
+    doc = gd_compare(pl, gd_params, trained)
     doc["variant"] = variant.value
     if held_x is not None and held_x.shape[1]:
         for key, params in (("gd", gd_params), ("constructive", trained.params)):

@@ -7,21 +7,24 @@ positive orthant) while the general variant simultaneously pushes the noise
 block below zero so the activation deletes it. The output layer then solves a
 least-squares matching of class means to targets, and the second bias reverts
 the first-layer translation. Each trainer reads its first-layer checks and its
-cost off one pass of the network over the data; the M = Q trainer solves the
-normal equations once, in cost.exact_minimum. fit returns the parameters with
-what their trainer proved (Fit): the costs of that pass, the general bounds
-and the M = Q trainer's ExactMinimum, so no caller solves or passes again.
+cost off one pass of the network over the data.
+
+Everything derived from one dataset hangs off one Pipeline record, built by
+pipeline(ds, cfg) from one dataset_stats call and shared by every verify suite
+and command: the M = Q closed form, both fits and the scale-invariance slack,
+each built once, on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .cost import ExactMinimum, _residual_sums, bound_general, exact_minimum
-from .dataset import ClassifiedDataset, DatasetStats
+from .dataset import ClassifiedDataset, DatasetStats, dataset_stats
 from .errors import BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, op_norm
 from .network import ShallowParams, forward
@@ -55,16 +58,64 @@ class ConstructiveConfig:
 @dataclass(frozen=True)
 class Fit:
     """Trained parameters with their certificate: the L2 and weighted costs
-    of the trainer's one pass over the data, the general bounds (bound_l2,
-    bound_deltap) and, from the M = Q trainer only, the ExactMinimum it
-    solved (None otherwise)."""
+    of the trainer's one pass over the data and the general bounds
+    (bound_l2, bound_deltap)."""
 
     params: ShallowParams
     cost_l2: float
     cost_weighted: float
     bound_l2: float
     bound_deltap: float
-    exact: ExactMinimum | None
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One dataset, its stats and pack (one dataset_stats call) and the trainers'
+    config; minimum, general, square and scale_slack are built on first read
+    and kept. pack is None only in train_exact_meq, which does not read it."""
+
+    ds: ClassifiedDataset
+    stats: DatasetStats
+    pack: ProjectorPack | None
+    cfg: ConstructiveConfig = ConstructiveConfig()
+
+    @cached_property
+    def minimum(self) -> ExactMinimum:
+        """The M = Q closed form (WrongRegime otherwise)."""
+        if self.ds.m != self.ds.q:
+            raise WrongRegime(f"requires M = Q, got M={self.ds.m}, Q={self.ds.q}")
+        return exact_minimum(self.ds, self.stats)
+
+    @cached_property
+    def general(self) -> Fit:
+        """The Fit of the general Q <= M trainer (_fit_general)."""
+        return _fit_general(self)
+
+    @cached_property
+    def square(self) -> Fit:
+        """The Fit of the M = Q trainer (_fit_exact)."""
+        return _fit_exact(self)
+
+    @cached_property
+    def scale_slack(self) -> float:
+        """Worst relative change of bound_l2 and delta_p under X0 -> lambda X0,
+        lambda in {0.1, 10}; each scaled copy builds its own record."""
+        b_l2, _ = bound_general(self.ds, self.stats)
+        worst = 0.0
+        for lam in (0.1, 10.0):
+            scaled = pipeline(replace(self.ds, x0=lam * self.ds.x0))
+            b_l2_l, _ = bound_general(scaled.ds, scaled.stats)
+            worst = max(worst, _rel(b_l2_l, b_l2), _rel(scaled.stats.delta_p, self.stats.delta_p))
+        return worst
+
+
+def pipeline(ds: ClassifiedDataset, cfg: ConstructiveConfig = ConstructiveConfig()) -> Pipeline:
+    """The Pipeline record of ds: class means, pack and stats, nothing more."""
+    return Pipeline(ds, *dataset_stats(ds), cfg)
 
 
 def w2_tilde(ds: ClassifiedDataset, pack: ProjectorPack) -> np.ndarray:
@@ -73,27 +124,19 @@ def w2_tilde(ds: ClassifiedDataset, pack: ProjectorPack) -> np.ndarray:
     return ds.y @ pack.pen
 
 
-def fit(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack | None,
-        variant: Variant, cfg: ConstructiveConfig = ConstructiveConfig()) -> Fit:
-    """The Fit of one trainer: _fit_general (reads pack) or _fit_exact (M = Q)."""
-    if variant is Variant.EXACT:
-        return _fit_exact(ds, stats, cfg)
-    return _fit_general(ds, stats, pack, cfg)
-
-
 def train_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack,
                   cfg: ConstructiveConfig = ConstructiveConfig()) -> ShallowParams:
-    """The parameters of the general Q <= M construction (_fit_general)."""
-    return fit(ds, stats, pack, Variant.GENERAL, cfg).params
+    """The parameters of the general Q <= M construction (Pipeline.general)."""
+    return Pipeline(ds, stats, pack, cfg).general.params
 
 
 def train_exact_meq(ds: ClassifiedDataset, stats: DatasetStats,
                     cfg: ConstructiveConfig = ConstructiveConfig()) -> ShallowParams:
-    """The parameters of the M = Q construction (_fit_exact)."""
-    return fit(ds, stats, None, Variant.EXACT, cfg).params
+    """The parameters of the M = Q construction (Pipeline.square)."""
+    return Pipeline(ds, stats, None, cfg).square.params
 
 
-def _fit_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack, cfg) -> Fit:
+def _fit_general(pl: Pipeline) -> Fit:
     """The general Q <= M construction.
 
     w1 is the diagonalizing rotation; b1 is beta1 on the leading Q (signal)
@@ -113,8 +156,9 @@ def _fit_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack
     - the activation deletes the noise block: the hidden noise rows
       relu((r x)[q:] - delta) stay at 0 up to round-off.
     """
+    ds, stats, pack = pl.ds, pl.stats, pl.pack
     m, q = ds.m, ds.q
-    beta1 = cfg.beta1(stats.rho)
+    beta1 = pl.cfg.beta1(stats.rho)
     r = pack.r
     b1 = np.concatenate([np.full(q, beta1), np.full(m - q, -stats.delta)])
     w2 = w2_tilde(ds, pack) @ pack.p @ r.T
@@ -148,23 +192,20 @@ def _fit_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPack
         raise ConsistencyError(
             f"constructed cost {achieved!r} exceeds its bound {bound_l2!r}"
         )
-    return Fit(params, achieved, float(np.sqrt(weighted)), bound_l2, bound_deltap, None)
+    return Fit(params, achieved, float(np.sqrt(weighted)), bound_l2, bound_deltap)
 
 
-def _fit_exact(ds: ClassifiedDataset, stats: DatasetStats, cfg) -> Fit:
+def _fit_exact(pl: Pipeline) -> Fit:
     """The M = Q construction: identity first layer, bias beta1 on every
     coordinate, output layer from the normal equations, second bias tied to
-    revert the translation. w2 and the target value come from one
-    exact_minimum call; one pass then yields the weighted cost, which must
-    equal it, and checks that relu(X0 + beta1) stays above 0. The general
-    bounds are taken last, after the trainer's own checks."""
-    if ds.m != ds.q:
-        raise WrongRegime(f"requires M = Q, got M={ds.m}, Q={ds.q}")
-    q = ds.q
-    beta1 = cfg.beta1(stats.rho)
-    b1 = np.full(q, beta1)
-    exact = exact_minimum(ds, stats)
-    params = ShallowParams(w1=np.eye(q), b1=b1, w2=exact.w2, b2=-(exact.w2 @ b1))
+    revert the translation. w2 and the target value are read from pl.minimum
+    (first: WrongRegime unless M = Q); one pass then yields the weighted cost,
+    which must equal it, and checks that relu(X0 + beta1) stays above 0. The
+    general bounds are taken last, after the trainer's own checks."""
+    exact, ds, stats = pl.minimum, pl.ds, pl.stats
+    beta1 = pl.cfg.beta1(stats.rho)
+    b1 = np.full(ds.q, beta1)
+    params = ShallowParams(w1=np.eye(ds.q), b1=b1, w2=exact.w2, b2=-(exact.w2 @ b1))
     hidden_mins = []
     total, weighted = _residual_sums(params, ds, lambda hidden: hidden_mins.append(hidden.min()))
     if not min(hidden_mins) > 0.0:
@@ -176,7 +217,7 @@ def _fit_exact(ds: ClassifiedDataset, stats: DatasetStats, cfg) -> Fit:
             f"constructed weighted cost {achieved!r} != exact minimum {target!r}"
         )
     return Fit(params, float(np.sqrt(total) / np.sqrt(ds.n)), achieved,
-               *bound_general(ds, stats), exact)
+               *bound_general(ds, stats))
 
 
 def tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,22 +255,21 @@ def in_region_perturbation(
     return params.w1 @ (np.eye(q) + a), params.b1 + v
 
 
-def provenance(variant: Variant, fit: Fit, ds: ClassifiedDataset, stats: DatasetStats,
-               cfg: ConstructiveConfig) -> dict:
+def provenance(variant: Variant, fit: Fit, pl: Pipeline) -> dict:
     """Training-time metadata block emitted next to serialized parameters:
-    the bounds of the fit and, for M = Q, the exact minimum its trainer
-    solved (solved here only after the general trainer)."""
+    the bounds of the fit and, for M = Q, the value of pl.minimum (solved
+    here only after the general trainer)."""
     doc = {
         "variant": variant.value,
-        "beta1": cfg.beta1(stats.rho),
-        "delta": stats.delta,
-        "delta_p": stats.delta_p,
-        "rho": stats.rho,
+        "beta1": pl.cfg.beta1(pl.stats.rho),
+        "delta": pl.stats.delta,
+        "delta_p": pl.stats.delta_p,
+        "rho": pl.stats.rho,
         "bound_l2": fit.bound_l2,
         "bound_deltap": fit.bound_deltap,
     }
-    if ds.m == ds.q:
-        doc["exact_min_weighted"] = (fit.exact or exact_minimum(ds, stats)).value
+    if pl.ds.m == pl.ds.q:
+        doc["exact_min_weighted"] = pl.minimum.value
     return doc
 
 

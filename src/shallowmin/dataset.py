@@ -35,8 +35,8 @@ _JSON_CHUNK_VALUES = 1024
 _HASH_CHUNK_BYTES = 1 << 20
 # Bytes of the data lines that csv_rows may hand to np.loadtxt: digits, signs,
 # points, exponents, the letters of nan/inf/infinity, commas, blanks and line
-# ends. loadtxt ends a line at characters (\x0b, \x0c, \x85, ...) where
-# csv.reader does not, and csv.reader alone reads quotes, so neither is here.
+# ends. loadtxt drops characters from a cell's end (\x0b, \x1c-\x1f, \x85, ...)
+# that float() may reject, and csv.reader alone reads quotes: neither is here.
 _PLAIN_BYTES = b"0123456789+-.eEnNaAiIfFtTyY, \t\r\n"
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constructive import Fit
+from .constructive import Fit, Pipeline
 from .cost import costs
 from .dataset import ClassifiedDataset, y_ext
 from .errors import Diverged, ShallowminError
@@ -135,16 +135,17 @@ def gd_in_fixed_point_region(params: ShallowParams, ds: ClassifiedDataset) -> bo
         return False
 
 
-def compare(ds: ClassifiedDataset, gd_params: ShallowParams, fit: Fit) -> dict:
-    """Side-by-side cost figures for a GD run and a constructive fit on the
-    same dataset, plus the fit's closed-form references (exact_min_weighted
-    is None unless the fit is the M = Q one). Only GD's costs are computed."""
-    gd_l2, gd_w = costs(gd_params, ds)
+def compare(pl: Pipeline, gd_params: ShallowParams, fit: Fit) -> dict:
+    """Side-by-side cost figures for a GD run and a constructive fit of pl
+    on its dataset, plus the closed-form references: the fit's bounds and,
+    for M = Q, the value of pl.minimum (None otherwise). Only GD's costs are
+    computed."""
+    gd_l2, gd_w = costs(gd_params, pl.ds)
     return {
         "gd": {
             "cost_l2": gd_l2,
             "cost_weighted": gd_w,
-            "in_fixed_point_region": gd_in_fixed_point_region(gd_params, ds),
+            "in_fixed_point_region": gd_in_fixed_point_region(gd_params, pl.ds),
         },
         "constructive": {
             "cost_l2": fit.cost_l2,
@@ -152,5 +153,5 @@ def compare(ds: ClassifiedDataset, gd_params: ShallowParams, fit: Fit) -> dict:
         },
         "bound_l2": fit.bound_l2,
         "bound_deltap": fit.bound_deltap,
-        "exact_min_weighted": None if fit.exact is None else fit.exact.value,
+        "exact_min_weighted": pl.minimum.value if pl.ds.m == pl.ds.q else None,
     }

@@ -3,9 +3,11 @@ implements: bound chains, exact-minimum identities, degeneracy of the flat
 region, scaling and reparametrization invariances, the metric equivalence of
 classification, and truncation behaviour.
 
-Each suite returns PropertyCheck records with the measured slack and its
-tolerance; a suite passes iff every check does. The CLI `verify` command is a
-thin renderer over these functions.
+Every suite reads one Pipeline record of the dataset, so the given data's
+stats, pack, closed form and fits are built once however many suites run;
+derived datasets build their own. A suite returns PropertyCheck records with
+the measured slack and its tolerance and passes iff every check does. The CLI
+`verify` command is a thin renderer over run_suite.
 """
 
 from __future__ import annotations
@@ -18,25 +20,22 @@ import numpy as np
 from .classify import classify_batch, metric as metric_distance, score_batch
 from .constructive import (
     ConstructiveConfig,
-    Variant,
-    fit,
+    Pipeline,
+    _rel,
     in_region_perturbation,
+    pipeline,
     sanity_forward_means,
     tied_output_layer,
-    train_general,
     w2_tilde,
 )
 from .cost import (
     _psd_eig,
-    bound_general,
     cost_weighted,
-    exact_min_weighted,
-    exact_minimum,
     lstsq_min_weighted,
     projector_action,
     weighted_norm,
 )
-from .dataset import ClassifiedDataset, dataset_stats, deviations, independent_means
+from .dataset import ClassifiedDataset, deviations
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
@@ -61,10 +60,6 @@ class PropertyCheck:
     detail: str = ""
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
-
-
 def _check(name: str, measured: float, tolerance: float, detail: str = "") -> PropertyCheck:
     return PropertyCheck(
         name=name,
@@ -73,10 +68,6 @@ def _check(name: str, measured: float, tolerance: float, detail: str = "") -> Pr
         tolerance=float(tolerance),
         detail=detail,
     )
-
-
-def _scaled(ds: ClassifiedDataset, lam: float) -> ClassifiedDataset:
-    return replace(ds, x0=lam * ds.x0)
 
 
 def random_gl(q: int, rng: np.random.Generator, cond_max: float = 10.0) -> np.ndarray:
@@ -94,20 +85,10 @@ def random_ball(m: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     return v * radius * rng.uniform() ** (1.0 / m)
 
 
-def _scale_invariance_slack(ds: ClassifiedDataset, delta_p: float, b_l2: float) -> float:
-    """Worst relative change of bound_l2 and delta_p under X0 -> lambda X0, lambda in {0.1, 10}."""
-    worst = 0.0
-    for lam in (0.1, 10.0):
-        stats_l, _ = dataset_stats(_scaled(ds, lam))
-        b_l2_l, _ = bound_general(_scaled(ds, lam), stats_l)
-        worst = max(worst, _rel(b_l2_l, b_l2), _rel(stats_l.delta_p, delta_p))
-    return worst
-
-
-def suite_bounds(ds: ClassifiedDataset) -> list[PropertyCheck]:
+def suite_bounds(pl: Pipeline) -> list[PropertyCheck]:
     """Upper-bound chain of the general construction plus its invariances."""
-    stats, pack = dataset_stats(ds)
-    general = fit(ds, stats, pack, Variant.GENERAL)
+    ds, stats, pack = pl.ds, pl.stats, pl.pack
+    general = pl.general
     params, achieved = general.params, general.cost_l2
     b_l2, b_dp = general.bound_l2, general.bound_deltap
     checks = [
@@ -118,16 +99,15 @@ def suite_bounds(ds: ClassifiedDataset) -> list[PropertyCheck]:
     ]
     if stats.delta == 0.0:
         checks.append(_check("bounds.zero-noise-cost", achieved, 1e-10))
-    checks.append(_check("bounds.scale-invariance",
-                         _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9))
+    checks.append(_check("bounds.scale-invariance", pl.scale_slack, 1e-9))
 
     margin = 0.5 * stats.rho + 1.7 * (stats.rho + 1.0)
-    big = fit(ds, stats, pack, Variant.GENERAL, ConstructiveConfig(beta1_margin=margin))
+    big = replace(pl, cfg=ConstructiveConfig(beta1_margin=margin)).general
     checks.append(_check("bounds.beta-margin-invariance", abs(big.cost_l2 - achieved), 1e-10))
 
     hidden, _ = forward(params, ds.x0)
     signal = pack.r @ (pack.p @ ds.x0)
-    signal[: ds.q, :] += ConstructiveConfig().beta1(stats.rho)
+    signal[: ds.q, :] += pl.cfg.beta1(stats.rho)
     checks.append(_check("bounds.hidden-layer-identity",
                          float(np.max(np.abs(hidden - signal))), 1e-12))
     checks.append(_check("bounds.means-to-targets",
@@ -135,15 +115,11 @@ def suite_bounds(ds: ClassifiedDataset) -> list[PropertyCheck]:
     return checks
 
 
-def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
+def suite_exact_min(pl: Pipeline) -> list[PropertyCheck]:
     """M = Q exact-value identities, the least-squares oracle, and the
     quadratic-in-delta_p trends of the W2 gap and the minimum's deficit."""
-    if ds.m != ds.q:
-        raise WrongRegime("exact-min suite requires M = Q")
-    stats, pack = dataset_stats(ds)
-    square = fit(ds, stats, pack, Variant.EXACT)
-    params, cw, exact = square.params, square.cost_weighted, square.exact
-    em = exact.value
+    square, ds, stats, exact = pl.square, pl.ds, pl.stats, pl.minimum
+    params, cw, em = square.params, square.cost_weighted, exact.value
     lam, _ = _psd_eig(exact.d2)
     checks = [
         _check("exact.cost-eq-closed-form", _rel(cw, em), 1e-9,
@@ -162,25 +138,24 @@ def suite_exact_min(ds: ClassifiedDataset) -> list[PropertyCheck]:
         checks.append(_check("exact.sqrtq-identity",
                              _rel(cw, np.sqrt(ds.q) * square.cost_l2), 1e-12))
     if stats.delta > 0:
-        checks.extend(quadratic_trend_checks(ds))
+        checks.extend(quadratic_trend_checks(pl))
     return checks
 
 
-def quadratic_trend_checks(ds: ClassifiedDataset) -> list[PropertyCheck]:
+def quadratic_trend_checks(pl: Pipeline) -> list[PropertyCheck]:
     """Log-log slopes of |W2* - W2~|_op and of the minimum's deficit against
     delta_p, over OCTAVES halvings t of the deviations, X0(t) = mean_ext + t dev
-    with the class means kept; both must be ~2."""
-    means = independent_means(ds)
+    with pl's class means kept, each with its own record; both must be ~2."""
+    ds, means = pl.ds, pl.stats.means
     mean_ext = np.repeat(means, ds.class_sizes, axis=1)
     dev = deviations(ds, means)
     delta_ps, gaps, deficits = [], [], []
     for k in range(OCTAVES + 1):
-        ds_t = replace(ds, x0=mean_ext + 0.5 ** k * dev)
-        stats_t, pack_t = dataset_stats(ds_t)
-        exact = exact_minimum(ds_t, stats_t)
-        gap = op_norm(exact.w2 - w2_tilde(ds_t, pack_t))
-        upper = weighted_norm(ds_t.y @ exact.d1, ds_t.class_sizes)
-        delta_ps.append(stats_t.delta_p)
+        pl_t = pipeline(replace(ds, x0=mean_ext + 0.5 ** k * dev))
+        exact = pl_t.minimum
+        gap = op_norm(exact.w2 - w2_tilde(pl_t.ds, pl_t.pack))
+        upper = weighted_norm(ds.y @ exact.d1, ds.class_sizes)
+        delta_ps.append(pl_t.stats.delta_p)
         gaps.append(gap)
         deficits.append(1.0 - exact.value / upper)
     log_dp = np.log(delta_ps)
@@ -194,15 +169,11 @@ def quadratic_trend_checks(ds: ClassifiedDataset) -> list[PropertyCheck]:
     ]
 
 
-def suite_degeneracy(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
+def suite_degeneracy(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
     """Random in-region (w1, b1) perturbations followed by the tied output-layer
     re-solve must reproduce the exact minimum."""
-    if ds.m != ds.q:
-        raise WrongRegime("degeneracy suite requires M = Q")
-    stats, pack = dataset_stats(ds)
-    square = fit(ds, stats, pack, Variant.EXACT)
-    params, exact = square.params, square.exact
-    beta1 = ConstructiveConfig().beta1(stats.rho)
+    params, ds, stats, exact = pl.square.params, pl.ds, pl.stats, pl.minimum
+    beta1 = pl.cfg.beta1(stats.rho)
     rng = np.random.default_rng(seed)
     worst = 0.0
     n_perturbations = 50
@@ -215,55 +186,52 @@ def suite_degeneracy(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
                    detail=f"{n_perturbations} perturbations, exact={exact.value:.9e}")]
 
 
-def suite_invariance(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
+def suite_invariance(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
     """Scaling invariance of the bound quantities; GL(Q) reparametrization
     invariance of the data projector, relative deviations and exact minimum.
 
     The data projector is compared through its action P Z on a seeded N x 4
     probe block Z, a randomized identity test in the style of Freivalds, so
     no N x N matrix is formed at any N; each probe reuses the Gram that its
-    dataset's exact_minimum checked. The probes come from their own
-    generator; the sequence of K depends on the seed alone."""
-    stats, _ = dataset_stats(ds)
-    b_l2, _ = bound_general(ds, stats)
-    checks = [_check("invariance.scaling", _scale_invariance_slack(ds, stats.delta_p, b_l2), 1e-9)]
+    dataset's minimum checked; each K X0 has its own record. The probes come
+    from their own generator; the sequence of K depends on the seed alone."""
+    ds = pl.ds
+    checks = [_check("invariance.scaling", pl.scale_slack, 1e-9)]
     if ds.m != ds.q:
         return checks
 
-    exact = exact_minimum(ds, stats)
-    d1, em = exact.d1, exact.value
+    exact = pl.minimum
     probe_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = probe_rng.standard_normal((ds.n, 4))
     pz = projector_action(ds, exact.gram, z)
     pz_scale = 1.0 + float(np.max(np.abs(pz)))
-    d1_scale = 1.0 + float(np.max(np.abs(d1)))
+    d1_scale = 1.0 + float(np.max(np.abs(exact.d1)))
     rng = np.random.default_rng(seed)
     worst_p = worst_d1 = worst_em = 0.0
     n_k = 20
     for _ in range(n_k):
         k = random_gl(ds.q, rng)
-        ds_k = replace(ds, x0=k @ ds.x0)
-        stats_k, _ = dataset_stats(ds_k)
-        exact_k = exact_minimum(ds_k, stats_k)
-        worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, exact_k.gram, z) - pz)))
+        pl_k = pipeline(replace(ds, x0=k @ ds.x0))
+        exact_k = pl_k.minimum
+        worst_p = max(worst_p, float(np.max(np.abs(projector_action(pl_k.ds, exact_k.gram, z) - pz)))
                       / pz_scale)
-        worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - d1))) / d1_scale)
-        worst_em = max(worst_em, _rel(exact_k.value, em))
+        worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - exact.d1))) / d1_scale)
+        worst_em = max(worst_em, _rel(exact_k.value, exact.value))
     checks.append(_check("invariance.gl-data-projector", worst_p, 1e-7, detail=f"{n_k} random K"))
     checks.append(_check("invariance.gl-delta1", worst_d1, 1e-7))
     checks.append(_check("invariance.gl-exact-min", worst_em, 1e-7))
     return checks
 
 
-def suite_metric(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
+def suite_metric(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
     """Network-score vs metric-score equality for the general construction,
     insensitivity to components the network cuts off, and the metric axioms.
 
     Test points are drawn with |x| <= 2 rho < beta1, inside the ball on which
     the first layer of the construction provably stays linear.
     """
-    stats, pack = dataset_stats(ds)
-    params = train_general(ds, stats, pack)
+    ds, stats, pack = pl.ds, pl.stats, pl.pack
+    params = pl.general.params
     w2t = w2_tilde(ds, pack)
     rng = np.random.default_rng(seed)
     radius = 2.0 * stats.rho
@@ -299,12 +267,11 @@ def suite_metric(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
     return checks
 
 
-def default_truncation_grid(ds: ClassifiedDataset, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+def default_truncation_grid(pl: Pipeline, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Mixed 30-point grid: in-region bias sweeps, near-identity in-region
     rotations, partial clippings, and one full truncation."""
-    stats, _ = dataset_stats(ds)
-    rho = stats.rho
-    q = ds.q
+    rho = pl.stats.rho
+    q = pl.ds.q
     rng = np.random.default_rng(seed)
     grid: list[tuple[np.ndarray, np.ndarray]] = []
     for t in np.linspace(2.0 * rho, 4.0 * rho, 6):
@@ -320,15 +287,12 @@ def default_truncation_grid(ds: ClassifiedDataset, seed: int = 0) -> list[tuple[
     return grid
 
 
-def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
+def suite_truncation(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
     """Sweep a default grid: rank-preserving closed form vs least squares,
     flat value across the fixed-point region, agreement with the exact minimum,
     and the reapplication identity everywhere."""
-    if ds.m != ds.q:
-        raise WrongRegime("truncation suite requires M = Q")
-    stats, _ = dataset_stats(ds)
-    em = exact_min_weighted(ds, stats)
-    grid = default_truncation_grid(ds, seed=seed)
+    ds, em = pl.ds, pl.minimum.value
+    grid = default_truncation_grid(pl, seed=seed)
     points = sweep_fixed_point_region(ds, grid)
 
     # The sweep compared each rank-preserving point's closed form with its
@@ -379,29 +343,26 @@ def suite_truncation(ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck
 
 
 def run_suite(name: str, ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
-    """Checks of one suite, or of every suite for "all". With M != Q, "all"
-    runs the suites of the general regime and names the M = Q-only ones it
-    left out on one stderr line."""
-    if name == "bounds":
-        return suite_bounds(ds)
-    if name == "exact-min":
-        return suite_exact_min(ds)
-    if name == "degeneracy":
-        return suite_degeneracy(ds, seed=seed)
-    if name == "invariance":
-        return suite_invariance(ds, seed=seed)
-    if name == "metric":
-        return suite_metric(ds, seed=seed)
-    if name == "truncation":
-        return suite_truncation(ds, seed=seed)
-    if name == "all":
-        skipped = SQUARE_ONLY_SUITES if ds.m != ds.q else ()
-        if skipped:
-            print(f"verify all: M={ds.m} != Q={ds.q}, not run (M = Q only): "
-                  + ", ".join(skipped), file=sys.stderr)
-        checks = []
-        for suite in SUITES:
-            if suite not in skipped:
-                checks.extend(run_suite(suite, ds, seed=seed))
-        return checks
-    raise ValueError(f"unknown suite {name!r}")
+    """Checks of one suite, or of every suite for "all", all reading one
+    record, pipeline(ds). An M = Q-only suite on M != Q data raises
+    WrongRegime before the record is built; "all" there runs the suites of
+    the general regime and names the ones it left out on one stderr line."""
+    if name not in SUITES and name != "all":
+        raise ValueError(f"unknown suite {name!r}")
+    if name in SQUARE_ONLY_SUITES and ds.m != ds.q:
+        raise WrongRegime(f"{name} suite requires M = Q")
+    skipped = SQUARE_ONLY_SUITES if name == "all" and ds.m != ds.q else ()
+    if skipped:
+        print(f"verify all: M={ds.m} != Q={ds.q}, not run (M = Q only): "
+              + ", ".join(skipped), file=sys.stderr)
+    pl = pipeline(ds)
+    suites = {
+        "bounds": lambda: suite_bounds(pl),
+        "exact-min": lambda: suite_exact_min(pl),
+        "degeneracy": lambda: suite_degeneracy(pl, seed=seed),
+        "invariance": lambda: suite_invariance(pl, seed=seed),
+        "metric": lambda: suite_metric(pl, seed=seed),
+        "truncation": lambda: suite_truncation(pl, seed=seed),
+    }
+    return [check for suite in (SUITES if name == "all" else (name,)) if suite not in skipped
+            for check in suites[suite]()]

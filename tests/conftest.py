@@ -81,27 +81,45 @@ def forward_calls(monkeypatch):
     return calls
 
 
+def _count_calls(monkeypatch, *targets) -> dict:
+    """Call counts of the functions of each (module, fnames) target, made from
+    whichever shallowmin module holds them (each holds its own reference)."""
+    counts = {}
+    for module, fnames in targets:
+        for fname in fnames:
+            counts[fname] = 0
+            original = getattr(module, fname)
+
+            def counting(*args, _name=fname, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] == "shallowmin" and getattr(mod, fname, None) is original:
+                    monkeypatch.setattr(mod, fname, counting)
+    return counts
+
+
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Counts the calls of the M = Q closed form's pieces, whichever
-    shallowmin module makes them: relative-deviation passes
-    (relative_deviations), Gram solves (_gram, in exact_minimum,
+    """Counts the calls of the M = Q closed form's pieces: relative-deviation
+    passes (relative_deviations), Gram solves (_gram, in exact_minimum,
     projector_route and data_projector) and closed-form values
     (closed_form_min)."""
     from shallowmin import cost
 
-    counts = dict.fromkeys(("relative_deviations", "_gram", "closed_form_min"), 0)
-    for fname in counts:
-        original = getattr(cost, fname)
+    return _count_calls(monkeypatch, (cost, ("relative_deviations", "_gram", "closed_form_min")))
 
-        def counting(*args, _name=fname, _original=original):
-            counts[_name] += 1
-            return _original(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "shallowmin" and getattr(module, fname, None) is original:
-                monkeypatch.setattr(module, fname, counting)
-    return counts
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """Counts the stages of a pipeline record: statistics passes
+    (compute_stats), class means (class_means), closed-form solves
+    (exact_minimum) and the two trainers (_fit_general, _fit_exact)."""
+    from shallowmin import constructive, cost, dataset
+
+    return _count_calls(monkeypatch, (dataset, ("compute_stats", "class_means")),
+                        (cost, ("exact_minimum",)), (constructive, ("_fit_general", "_fit_exact")))
 
 
 @pytest.fixture

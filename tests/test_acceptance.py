@@ -21,6 +21,7 @@ from shallowmin import (
     data_projector,
     dataset_stats,
     exact_min_weighted,
+    pipeline,
     relative_deviations,
     synthesize,
     train_exact_meq,
@@ -173,7 +174,7 @@ def test_criterion_5_quadratic_gap():
     failures = []
     for seed in (0, 2, 5):
         ds = square_dataset(seed=seed, noise=0.05)
-        for check in quadratic_trend_checks(ds):
+        for check in quadratic_trend_checks(pipeline(ds)):
             if not check.passed:
                 failures.append(f"seed {seed}: {check.name} deviation "
                                 f"{check.measured:.3f} > {check.tolerance}")

@@ -140,13 +140,16 @@ class TestTrainEval:
         ["compare", "--steps", 10],
         ["compare", "--steps", 10, "--holdout", 0.25],
     ])
-    def test_one_exact_solve_per_command(self, tmp_path, capsys, exact_calls, command):
-        """On M = Q data the provenance and the comparison read the fit's
-        ExactMinimum: one relative-deviations pass, one Gram, one closed form."""
+    def test_one_exact_solve_per_command(self, tmp_path, capsys, exact_calls, pipeline_calls,
+                                         command):
+        """On M = Q data a command builds one record, whose one stats pass and
+        one closed-form solve the fit, the provenance and the comparison
+        read: one relative-deviations pass, one Gram, one closed form."""
         ds_path = tmp_path / "ds.json"
         run(["gen", "--m", 4, "--q", 4, "--sizes", "12,12,12,12", "--seed", 3, "--out", ds_path])
         assert run([*command, "--data", ds_path]) == 0
         assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
+        assert (pipeline_calls["compute_stats"], pipeline_calls["exact_minimum"]) == (1, 1)
 
     def test_eval_deterministic_bytes(self, tmp_path):
         ds_path = tmp_path / "ds.json"
@@ -206,6 +209,23 @@ class TestVerify:
         path.write_text(text)
         assert run(["train", "--data", path]) == 3
         assert f"DimensionError: {row}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m, q, per_class, counts", [
+        (8, 8, 300, {"compute_stats": 28, "class_means": 28, "exact_minimum": 26,
+                     "_fit_general": 2, "_fit_exact": 1}),
+        (12, 6, 50, {"compute_stats": 3, "class_means": 3, "exact_minimum": 0,
+                     "_fit_general": 2, "_fit_exact": 0}),
+    ], ids=["square", "rectangular"])
+    def test_all_reads_one_record(self, capsys, pipeline_calls, m, q, per_class, counts):
+        """verify all builds one record of the given data, which every suite
+        reads; the derived datasets build their own. Stats passes: 1, plus 2
+        scaled copies, plus for M = Q the OCTAVES + 1 noise octaves and 20
+        GL(Q) copies, each of which solves the closed form once as the given
+        data do. The general fit runs once for bounds and metric, plus the
+        big-margin fit; the M = Q fit once for exact-min and degeneracy."""
+        sizes = ",".join([str(per_class)] * q)
+        assert run(["verify", "all", "--m", m, "--q", q, "--sizes", sizes, "--seed", 1]) == 0
+        assert pipeline_calls == counts
 
     def test_all_suite_summary(self, capsys):
         assert run(["verify", "all", "--seed", 1]) == 0

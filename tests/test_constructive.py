@@ -26,7 +26,7 @@ from shallowmin.constructive import (
     tied_output_layer,
 )
 from shallowmin import constructive, cost
-from shallowmin.constructive import Variant, fit
+from shallowmin.constructive import Pipeline, Variant, pipeline
 from shallowmin.cost import exact_minimum
 from shallowmin.errors import BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
 from shallowmin.linalg import op_norm
@@ -290,8 +290,9 @@ class TestTrainExactMeq:
 
 
 class TestFit:
-    """fit returns what its trainer proved; the certificate equals what a
-    caller computing it afresh gets, bit for bit."""
+    """A record's fits carry what their trainer proved and its minimum is
+    the closed form; each equals what a caller computing it afresh gets, bit
+    for bit."""
 
     @pytest.mark.parametrize("m,q,variant", [(5, 3, Variant.GENERAL), (3, 3, Variant.GENERAL),
                                              (3, 3, Variant.EXACT)])
@@ -299,31 +300,62 @@ class TestFit:
         ds = synthesize(m, q, [6, 7, 5][:q], noise=0.1, seed=2)
         ds = replace(ds, x0=np.array(ds.x0))  # writable: costs run their own pass
         stats, pack = dataset_stats(ds)
-        f = fit(ds, stats, pack, variant)
+        pl = Pipeline(ds, stats, pack)
+        f = pl.square if variant is Variant.EXACT else pl.general
         assert (f.cost_l2, f.cost_weighted) == (cost_l2(f.params, ds), cost_weighted(f.params, ds))
         assert (f.bound_l2, f.bound_deltap) == cost.bound_general(ds, stats)
         if variant is Variant.GENERAL:
-            assert f.exact is None
+            assert "minimum" not in vars(pl)
             return
         exact = exact_minimum(ds, stats)
         for name in ("d1", "d2", "gram", "w2"):
-            assert np.array_equal(getattr(f.exact, name), getattr(exact, name))
-        assert (f.exact.value, f.exact.route) == (exact.value, exact.route)
+            assert np.array_equal(getattr(pl.minimum, name), getattr(exact, name))
+        assert (pl.minimum.value, pl.minimum.route) == (exact.value, exact.route)
 
     def test_trainers_return_the_fit_params(self):
         ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2)
         stats, pack = dataset_stats(ds)
-        for params, variant in ((train_general(ds, stats, pack), Variant.GENERAL),
-                                (train_exact_meq(ds, stats), Variant.EXACT)):
-            expected = fit(ds, stats, pack, variant).params
+        pl = Pipeline(ds, stats, pack)
+        for params, expected in ((train_general(ds, stats, pack), pl.general.params),
+                                 (train_exact_meq(ds, stats), pl.square.params)):
             for name in ("w1", "b1", "w2", "b2"):
                 assert np.array_equal(getattr(params, name), getattr(expected, name))
 
     def test_general_fit_on_square_data_solves_no_closed_form(self, exact_calls):
-        ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2)
-        stats, pack = dataset_stats(ds)
-        assert fit(ds, stats, pack, Variant.GENERAL).exact is None
+        pl = pipeline(synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2))
+        pl.general
+        assert "minimum" not in vars(pl)
         assert exact_calls == {"relative_deviations": 0, "_gram": 0, "closed_form_min": 0}
+
+
+class TestPipeline:
+    """pipeline(ds) makes one stats pass; every derived part is built on
+    first read, at most once."""
+
+    def test_parts_built_once_and_only_when_read(self, pipeline_calls):
+        pl = pipeline(synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2))
+        assert pipeline_calls == {"compute_stats": 1, "class_means": 1, "exact_minimum": 0,
+                                  "_fit_general": 0, "_fit_exact": 0}
+        for _ in range(2):
+            assert pl.square.cost_weighted == pytest.approx(pl.minimum.value, rel=1e-9)
+            assert pl.general.cost_l2 <= pl.general.bound_l2 + 1e-10
+            pl.scale_slack
+        assert pipeline_calls == {"compute_stats": 3, "class_means": 3, "exact_minimum": 1,
+                                  "_fit_general": 1, "_fit_exact": 1}
+
+    def test_square_checks_the_regime_first(self, pipeline_calls):
+        pl = pipeline(synthesize(5, 3, [6, 6, 6], noise=0.1, seed=2))
+        for read in (lambda: pl.square, lambda: pl.minimum):
+            with pytest.raises(WrongRegime, match=r"requires M = Q, got M=5, Q=3"):
+                read()
+        assert pipeline_calls["exact_minimum"] == 0
+
+    def test_another_config_shares_stats_not_fits(self):
+        pl = pipeline(synthesize(4, 2, [6, 6], noise=0.1, seed=2))
+        big = replace(pl, cfg=ConstructiveConfig(beta1_margin=5.0))
+        assert big.stats is pl.stats and big.pack is pl.pack
+        assert big.general.params.b1[0] == 2.0 * pl.stats.rho + 5.0
+        assert pl.general.params.b1[0] == 2.5 * pl.stats.rho
 
 
 class TestDegeneracy:

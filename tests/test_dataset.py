@@ -351,9 +351,10 @@ class TestIO:
 
 
 # Quotes, line ends of every kind, blanks, "_", a non-ASCII digit, the
-# letters of nan/inf, and the characters numpy's reader (not csv's) ends a
-# line at: \x0b \x0c \x1c \x85 \u2028.
-_CSV_ALPHABET = '0123456789+-.eE, \t\r\n"_\u0661nNaAiIfFtTyY\x0b\x0c\x1c\x85\u2028'
+# letters of nan/inf, and characters that numpy's reader drops from a cell's
+# end and csv's keeps: \x0b \x0c \x1c \x1f \x85 \u2028. float() accepts some
+# of them there and rejects others (\x1c, \x1f).
+_CSV_ALPHABET = '0123456789+-.eE, \t\r\n"_\u0661nNaAiIfFtTyY\x0b\x0c\x1c\x1f\x85\u2028'
 _csv_cells = st.one_of(
     st.sampled_from(["1", "-0.5", "2e3", "1E-3", ".5", "+7.", "nan", "-inf", "Infinity",
                      "0", "", " 4 ", '"3"', "1_0", "\u0661"]),
@@ -378,7 +379,9 @@ class TestCsvRows:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=_csv_texts, header=st.booleans(), m=st.sampled_from([1, 2, 3]))
-    @example(text="1\x0c2\n", header=False, m=1)  # one line to csv, two to numpy
+    @example(text="1\x0c2\n", header=False, m=1)  # one cell to csv; numpy's reader raises
+    @example(text="1\x1f\n", header=False, m=1)  # 1.0 to numpy's reader, float() rejects it
+    @example(text="1,2\x1f\n3,4\n", header=False, m=2)
     @example(text="h\n1,2\u2028\n3,4\n", header=True, m=2)
     @example(text='"1",2\r3,4\r', header=False, m=2)
     @example(text="1,2\n3\n", header=False, m=2)  # ragged

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from shallowmin import GdConfig, cost_l2, dataset_stats, synthesize, train_gd
+from shallowmin import GdConfig, cost_l2, dataset_stats, pipeline, synthesize, train_gd
 from shallowmin.errors import Diverged
 from shallowmin.gd import _Workspace, compare, gd_in_fixed_point_region
-from shallowmin.constructive import Variant, fit, train_exact_meq
+from shallowmin.constructive import train_exact_meq
 from shallowmin.dataset import from_samples, y_ext
 
 
@@ -158,10 +158,10 @@ class TestGradients:
 
 class TestCompare:
     def test_report_fields(self, delta01_dataset):
-        stats, pack = dataset_stats(delta01_dataset)
+        pl = pipeline(delta01_dataset)
         gd_params, _ = train_gd(delta01_dataset, GdConfig(steps=500))
-        cons = fit(delta01_dataset, stats, pack, Variant.EXACT)
-        doc = compare(delta01_dataset, gd_params, cons)
+        cons = pl.square
+        doc = compare(pl, gd_params, cons)
         assert set(doc) == {"gd", "constructive", "bound_l2", "bound_deltap",
                             "exact_min_weighted"}
         assert doc["constructive"]["cost_weighted"] == pytest.approx(0.1407195, abs=1e-6)
@@ -169,17 +169,17 @@ class TestCompare:
 
     def test_constructive_cost_below_bound(self):
         ds = synthesize(5, 3, [6, 6, 6], noise=0.1, seed=5)
-        stats, pack = dataset_stats(ds)
-        cons = fit(ds, stats, pack, Variant.GENERAL)
+        pl = pipeline(ds)
+        cons = pl.general
         gd_params, _ = train_gd(ds, GdConfig(steps=200))
-        doc = compare(ds, gd_params, cons)
+        doc = compare(pl, gd_params, cons)
         assert doc["constructive"]["cost_l2"] <= doc["bound_l2"] + 1e-10
 
     def test_zero_noise_both_near_zero(self, zero_noise_dataset):
-        stats, pack = dataset_stats(zero_noise_dataset)
+        pl = pipeline(zero_noise_dataset)
         gd_params, _ = train_gd(zero_noise_dataset, GdConfig())
-        cons = fit(zero_noise_dataset, stats, pack, Variant.EXACT)
-        doc = compare(zero_noise_dataset, gd_params, cons)
+        cons = pl.square
+        doc = compare(pl, gd_params, cons)
         assert doc["gd"]["cost_l2"] < 1e-3
         assert doc["constructive"]["cost_l2"] < 1e-12
 
@@ -217,11 +217,11 @@ class TestCompare:
     def test_one_forward_per_parameter_set(self, delta01_dataset, forward_calls):
         """One pass for GD's costs; the constructive costs are the Fit's."""
         from shallowmin import cost_weighted
-        stats, pack = dataset_stats(delta01_dataset)
+        pl = pipeline(delta01_dataset)
         gd_params, _ = train_gd(delta01_dataset, GdConfig(steps=50))
-        cons = fit(delta01_dataset, stats, pack, Variant.EXACT)
+        cons = pl.square
         forward_calls.clear()
-        doc = compare(delta01_dataset, gd_params, cons)
+        doc = compare(pl, gd_params, cons)
         assert sum(forward_calls) == delta01_dataset.n
         for key, params in (("gd", gd_params), ("constructive", cons.params)):
             assert doc[key]["cost_l2"] == cost_l2(params, delta01_dataset)

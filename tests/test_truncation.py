@@ -6,6 +6,7 @@ from shallowmin import (
     dataset_stats,
     exact_min_weighted,
     min_over_output_layer,
+    pipeline,
     sweep_fixed_point_region,
     synthesize,
     y_ext,
@@ -199,7 +200,7 @@ class TestDataRanksOnce:
 
     def test_suite_truncation(self, x0_rank_calls):
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
-        checks = verify.suite_truncation(ds)
+        checks = verify.suite_truncation(pipeline(ds))
         assert all(c.passed for c in checks)
         assert sum(a is ds.x0 for a in x0_rank_calls) == 1
 
@@ -223,13 +224,13 @@ class TestSuiteReusesSweep:
 
     def test_one_truncation_per_grid_point(self, truncate_calls):
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
-        checks = verify.suite_truncation(ds)
+        checks = verify.suite_truncation(pipeline(ds))
         assert all(c.passed for c in checks)
-        assert len(truncate_calls) == len(verify.default_truncation_grid(ds))
+        assert len(truncate_calls) == len(verify.default_truncation_grid(pipeline(ds)))
 
     def test_error_point_truncated_again(self, monkeypatch, truncate_calls):
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
-        clean = {c.name: c.measured for c in verify.suite_truncation(ds)}
+        clean = {c.name: c.measured for c in verify.suite_truncation(pipeline(ds))}
         original = verify.sweep_fixed_point_region
 
         def first_point_failed(ds, grid):
@@ -239,8 +240,8 @@ class TestSuiteReusesSweep:
 
         monkeypatch.setattr(verify, "sweep_fixed_point_region", first_point_failed)
         truncate_calls.clear()
-        checks = {c.name: c.measured for c in verify.suite_truncation(ds)}
-        assert len(truncate_calls) == len(verify.default_truncation_grid(ds)) + 1
+        checks = {c.name: c.measured for c in verify.suite_truncation(pipeline(ds))}
+        assert len(truncate_calls) == len(verify.default_truncation_grid(pipeline(ds))) + 1
         assert checks["truncation.reapplication-identity"] \
             == clean["truncation.reapplication-identity"]
 
@@ -257,13 +258,13 @@ class TestSuiteReusesSweep:
 
         monkeypatch.setattr(truncation, "lstsq_min_weighted", counting)
         monkeypatch.setattr(verify, "lstsq_min_weighted", counting)
-        points = verify.sweep_fixed_point_region(ds, verify.default_truncation_grid(ds))
+        points = verify.sweep_fixed_point_region(ds, verify.default_truncation_grid(pipeline(ds)))
         n_preserving = sum(p.result is not None and p.result.min_cost_weighted is not None
                            for p in points)
         assert n_preserving > 0 and len(calls) == n_preserving
         assert all("lstsq_oracle" not in p.to_dict(include_matrices=True) for p in points)
         calls.clear()
-        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        checks = {c.name: c for c in verify.suite_truncation(pipeline(ds))}
         assert len(calls) == n_preserving
         assert checks["truncation.closed-vs-lstsq"].passed
 
@@ -272,7 +273,7 @@ class TestSuiteReusesSweep:
         in closed-vs-lstsq's detail instead of dropping out of it; the
         verdicts do not change, and without errors the detail keeps its text."""
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
-        clean = {c.name: c for c in verify.suite_truncation(ds)}
+        clean = {c.name: c for c in verify.suite_truncation(pipeline(ds))}
         n_clean = int(clean["truncation.closed-vs-lstsq"].detail.split()[0])
         assert clean["truncation.closed-vs-lstsq"].detail == f"{n_clean} rank-preserving points"
         original = truncation._min_over_output_layer
@@ -285,7 +286,7 @@ class TestSuiteReusesSweep:
             return original(w1, b1, ds, data_ranks)
 
         monkeypatch.setattr(truncation, "_min_over_output_layer", failing_rotations)
-        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        checks = {c.name: c for c in verify.suite_truncation(pipeline(ds))}
         assert checks["truncation.closed-vs-lstsq"].detail \
             == f"{n_clean - 2} rank-preserving points, 2 errored, first at index 7"
         assert {k: c.passed for k, c in checks.items()} == {k: c.passed for k, c in clean.items()}
@@ -341,9 +342,9 @@ class TestSignRule:
     @pytest.mark.parametrize("s", [1e4, 2.0 ** 20, 1e8])
     def test_region_found_at_large_scale(self, s):
         ds = self._scaled(s)
-        points = sweep_fixed_point_region(ds, verify.default_truncation_grid(ds))
+        points = sweep_fixed_point_region(ds, verify.default_truncation_grid(pipeline(ds)))
         assert sum(p.result is not None and p.result.in_fixed_point_region for p in points) >= 1
-        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        checks = {c.name: c for c in verify.suite_truncation(pipeline(ds))}
         assert checks["truncation.region-matches-exact"].passed
 
     def test_shifted_identity_in_region_at_scale_1e4(self):
@@ -386,7 +387,7 @@ class TestSignRule:
 
     def test_one_first_layer_product_per_point(self, monkeypatch):
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
-        grid = verify.default_truncation_grid(ds)
+        grid = verify.default_truncation_grid(pipeline(ds))
         data_ranks = truncation._data_ranks(ds)
 
         class CountingX0(np.ndarray):
@@ -434,7 +435,7 @@ class TestSignRule:
             return points
 
         monkeypatch.setattr(verify, "sweep_fixed_point_region", no_region)
-        checks = {c.name: c for c in verify.suite_truncation(ds)}
+        checks = {c.name: c for c in verify.suite_truncation(pipeline(ds))}
         for name in ("truncation.region-flat", "truncation.region-matches-exact"):
             assert not checks[name].passed
             assert checks[name].detail == "0 in-region points"

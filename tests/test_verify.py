@@ -1,6 +1,6 @@
 import pytest
 
-from shallowmin import synthesize
+from shallowmin import pipeline, synthesize
 from shallowmin.errors import WrongRegime
 from shallowmin.verify import (
     OCTAVES,
@@ -28,11 +28,11 @@ def test_all_suites_pass_on_square_dataset():
 
 def test_bounds_suite_on_rectangular_dataset():
     ds = synthesize(6, 3, [5, 5, 5], noise=0.1, seed=2)
-    assert all(c.passed for c in suite_bounds(ds))
+    assert all(c.passed for c in suite_bounds(pipeline(ds)))
 
 
 def test_bounds_suite_at_zero_noise_checks_the_zero_cost():
-    checks = suite_bounds(synthesize(4, 2, [8, 8], noise=0.0, seed=1))
+    checks = suite_bounds(pipeline(synthesize(4, 2, [8, 8], noise=0.0, seed=1)))
     assert len(checks) == 7 and all(c.passed for c in checks)
     assert "bounds.zero-noise-cost" in {c.name for c in checks}
 
@@ -41,7 +41,7 @@ def test_bounds_suite_forwards_three_passes_and_the_means(forward_calls):
     """Two training passes, one full forward for the hidden-layer identity and
     the Q class means; the two costs read the training passes' records."""
     ds = synthesize(6, 3, [5, 5, 5], noise=0.1, seed=2)
-    suite_bounds(ds)
+    suite_bounds(pipeline(ds))
     assert sum(forward_calls) == 3 * ds.n + ds.q
 
 
@@ -50,7 +50,7 @@ def test_invariance_suite_solves_once_per_dataset(exact_calls):
     one relative-deviations pass and one Gram each; the data-projector probe
     reuses that call's Gram."""
     ds = synthesize(8, 8, [12] * 8, noise=0.05, seed=1)
-    checks = suite_invariance(ds, seed=1)
+    checks = suite_invariance(pipeline(ds), seed=1)
     assert all(c.passed for c in checks)
     assert exact_calls == {"relative_deviations": 21, "_gram": 21, "closed_form_min": 21}
 
@@ -61,7 +61,7 @@ def test_exact_min_suite_solves_once_per_dataset(exact_calls):
     solve is one relative-deviations pass, one Gram solve and one closed form,
     which its projector route cross-checks."""
     ds = synthesize(4, 4, [10] * 4, noise=0.05, seed=3)
-    checks = suite_exact_min(ds)
+    checks = suite_exact_min(pipeline(ds))
     assert all(c.passed for c in checks)
     solves = 1 + OCTAVES + 1
     assert exact_calls == {"relative_deviations": solves, "_gram": solves,
@@ -71,7 +71,7 @@ def test_exact_min_suite_solves_once_per_dataset(exact_calls):
 def test_degeneracy_suite_solves_once(exact_calls):
     """The M = Q fit's solve, whose w2 every re-solve reuses."""
     ds = synthesize(3, 3, [10] * 3, noise=0.05, seed=3)
-    assert all(c.passed for c in suite_degeneracy(ds, seed=1))
+    assert all(c.passed for c in suite_degeneracy(pipeline(ds), seed=1))
     assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
 
 
@@ -89,7 +89,7 @@ def test_one_means_svd_per_dataset(means_svd_calls, suite, svds):
 def test_exact_min_suite_rejects_rectangular():
     ds = synthesize(5, 3, [4, 4, 4], noise=0.05, seed=0)
     with pytest.raises(WrongRegime):
-        suite_exact_min(ds)
+        suite_exact_min(pipeline(ds))
 
 
 def test_unknown_suite_name():
