@@ -23,9 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cost import ExactMinimum, _residual_sums, bound_general, exact_minimum
+from .checks import Check, check, rel, require
+from .cost import ExactMinimum, _psd_eig, _residual_sums, bound_chain, bound_general, exact_minimum
 from .dataset import ClassifiedDataset, DatasetStats, dataset_stats
-from .errors import BetaTooSmall, ConsistencyError, WrongRegime
+from .errors import BetaTooLarge, BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, op_norm
 from .network import ShallowParams, forward
 from .truncation import _region_preactivation
@@ -58,18 +59,15 @@ class ConstructiveConfig:
 @dataclass(frozen=True)
 class Fit:
     """Trained parameters with their certificate: the L2 and weighted costs
-    of the trainer's one pass over the data and the general bounds
-    (bound_l2, bound_deltap)."""
+    of the trainer's one pass over the data, the general bounds (bound_l2,
+    bound_deltap) and the cost checks it passed, which verify prints."""
 
     params: ShallowParams
     cost_l2: float
     cost_weighted: float
     bound_l2: float
     bound_deltap: float
-
-
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+    checks: tuple[Check, ...]
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class Pipeline:
         for lam in (0.1, 10.0):
             scaled = pipeline(replace(self.ds, x0=lam * self.ds.x0))
             b_l2_l, _ = bound_general(scaled.ds, scaled.stats)
-            worst = max(worst, _rel(b_l2_l, b_l2), _rel(scaled.stats.delta_p, self.stats.delta_p))
+            worst = max(worst, rel(b_l2_l, b_l2), rel(scaled.stats.delta_p, self.stats.delta_p))
         return worst
 
 
@@ -134,6 +132,18 @@ def train_exact_meq(ds: ClassifiedDataset, stats: DatasetStats,
                     cfg: ConstructiveConfig = ConstructiveConfig()) -> ShallowParams:
     """The parameters of the M = Q construction (Pipeline.square)."""
     return Pipeline(ds, stats, None, cfg).square.params
+
+
+def _tied_pass(pl: Pipeline, w1, b1, w2, lifted, on_hidden) -> tuple[ShallowParams, float, float]:
+    """Params (w1, b1, w2, -w2 lifted) and the sums of their one pass over pl.ds;
+    a numpy overflow there, at a scale beta1 sets, raises BetaTooLarge, not a warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            params = ShallowParams(w1=w1, b1=b1, w2=w2, b2=-(w2 @ lifted))
+            return (params, *_residual_sums(params, pl.ds, on_hidden))
+    except FloatingPointError as exc:
+        beta1 = pl.cfg.beta1(pl.stats.rho)
+        raise BetaTooLarge(f"beta1={beta1!r} overflows the trainer's pass ({exc})") from None
 
 
 def _fit_general(pl: Pipeline) -> Fit:
@@ -163,9 +173,6 @@ def _fit_general(pl: Pipeline) -> Fit:
     b1 = np.concatenate([np.full(q, beta1), np.full(m - q, -stats.delta)])
     w2 = w2_tilde(ds, pack) @ pack.p @ r.T
     signal_bias = np.concatenate([np.full(q, beta1), np.zeros(m - q)])
-    b2 = -(w2 @ signal_bias)
-    params = ShallowParams(w1=r, b1=b1, w2=w2, b2=b2)
-
     signal_min, noise_max = np.inf, 0.0
 
     def track(hidden):
@@ -174,7 +181,7 @@ def _fit_general(pl: Pipeline) -> Fit:
         if m > q:
             noise_max = max(noise_max, float(hidden[q:].max()))
 
-    total, weighted = _residual_sums(params, ds, track)
+    params, total, weighted = _tied_pass(pl, r, b1, w2, signal_bias, track)
     if not signal_min > 0.0:
         raise BetaTooSmall(
             f"beta1={beta1!r} leaves signal pre-activation at or below 0"
@@ -182,17 +189,18 @@ def _fit_general(pl: Pipeline) -> Fit:
     tol = 1e-9 * (1.0 + stats.rho)
     if m > q:
         junk = op_norm((r @ pack.p)[q:]) * stats.rho
-        if junk > tol:
-            raise ConsistencyError(f"signal block leaks up to {junk:.3e} into noise rows")
-        if noise_max > tol:
-            raise ConsistencyError(f"noise block leaks {noise_max:.3e} above zero")
+        require(check("general.signal-leak", junk, tol), ConsistencyError,
+                f"signal block leaks up to {junk:.3e} into noise rows")
+        require(check("general.noise-leak", noise_max, tol), ConsistencyError,
+                f"noise block leaks {noise_max:.3e} above zero")
     achieved = float(np.sqrt(total) / np.sqrt(ds.n))
     bound_l2, bound_deltap = bound_general(ds, stats)
-    if achieved > bound_l2 + 1e-10 * (1.0 + bound_l2):
-        raise ConsistencyError(
-            f"constructed cost {achieved!r} exceeds its bound {bound_l2!r}"
-        )
-    return Fit(params, achieved, float(np.sqrt(weighted)), bound_l2, bound_deltap)
+    le_bound = require(
+        check("bounds.cost-le-bound", achieved - bound_l2, 1e-10 * (1.0 + bound_l2),
+              f"cost={achieved:.6e} bound_l2={bound_l2:.6e}"),
+        ConsistencyError, f"constructed cost {achieved!r} exceeds its bound {bound_l2!r}")
+    return Fit(params, achieved, float(np.sqrt(weighted)), bound_l2, bound_deltap,
+               (le_bound, bound_chain(bound_l2, bound_deltap)))
 
 
 def _fit_exact(pl: Pipeline) -> Fit:
@@ -205,19 +213,19 @@ def _fit_exact(pl: Pipeline) -> Fit:
     exact, ds, stats = pl.minimum, pl.ds, pl.stats
     beta1 = pl.cfg.beta1(stats.rho)
     b1 = np.full(ds.q, beta1)
-    params = ShallowParams(w1=np.eye(ds.q), b1=b1, w2=exact.w2, b2=-(exact.w2 @ b1))
     hidden_mins = []
-    total, weighted = _residual_sums(params, ds, lambda hidden: hidden_mins.append(hidden.min()))
+    params, total, weighted = _tied_pass(pl, np.eye(ds.q), b1, exact.w2, b1,
+                                         lambda hidden: hidden_mins.append(hidden.min()))
     if not min(hidden_mins) > 0.0:
         raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
-    achieved = float(np.sqrt(weighted))
-    target = exact.value
-    if abs(achieved - target) > 1e-9 * (1.0 + max(achieved, target)):
-        raise ConsistencyError(
-            f"constructed weighted cost {achieved!r} != exact minimum {target!r}"
-        )
-    return Fit(params, float(np.sqrt(total) / np.sqrt(ds.n)), achieved,
-               *bound_general(ds, stats))
+    cw, em = float(np.sqrt(weighted)), exact.value
+    lam, _ = _psd_eig(exact.d2)
+    eq_closed = require(
+        check("exact.cost-eq-closed-form", rel(cw, em), 1e-9,
+              f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]"),
+        ConsistencyError, f"constructed weighted cost {cw!r} != exact minimum {em!r}")
+    return Fit(params, float(np.sqrt(total) / np.sqrt(ds.n)), cw,
+               *bound_general(ds, stats), (eq_closed,))
 
 
 def tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ w1, b1, w2, b2 and Y still match its copies. The general bound is read from
 the statistics. The M = Q closed forms are functions of the relative
 deviation Gram alone, cross-checked at runtime against the matrix-free data
 projector route; only data_projector forms the N x N projector, for tests,
-and it refuses N > MAX_PROJECTOR_N.
+and it refuses N > MAX_PROJECTOR_N. ExactMinimum keeps its route check, and
+bound_chain is the one form of the bound chain's check; verify prints both.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import Check, check, rel, require
 from .dataset import ClassifiedDataset, DatasetStats, block_slices, column_chunks, deviations, y_ext
 from .errors import (
     ConsistencyError,
@@ -34,8 +36,6 @@ from .network import ShallowParams, forward
 # Largest N for which data_projector materializes the N x N projector. No
 # runtime check needs it: projector_route and projector_action are matrix-free.
 MAX_PROJECTOR_N = 5000
-
-CROSS_CHECK_RTOL = 1e-9
 
 
 def weighted_norm(a: np.ndarray, class_sizes) -> float:
@@ -207,10 +207,8 @@ def relative_deviations(
 def _psd_eig(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD-up-to-roundoff matrix, eigenvalues clamped at 0."""
     w, v = np.linalg.eigh(d2)
-    if w.min() < -1e-12:
-        raise NotPositiveSemidefinite(
-            f"relative deviation Gram has eigenvalue {w.min():.3e} < -1e-12"
-        )
+    require(check("psd-floor", -w.min(), 1e-12), NotPositiveSemidefinite,
+            f"relative deviation Gram has eigenvalue {w.min():.3e} < -1e-12")
     return np.clip(w, 0.0, None), v
 
 
@@ -226,7 +224,8 @@ def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
 class ExactMinimum:
     """The M = Q closed form of one dataset: relative deviations d1, their Gram
     d2, the checked Gram X0 N^-1 X0^T and normal-equation output weights w2,
-    the closed-form weighted minimum value and the projector route of w2."""
+    the closed-form weighted minimum value, the projector route of w2 and its
+    route_check (exact.projector-route)."""
 
     d1: np.ndarray
     d2: np.ndarray
@@ -234,6 +233,7 @@ class ExactMinimum:
     w2: np.ndarray
     value: float
     route: float
+    route_check: Check
 
 
 def exact_minimum(ds: ClassifiedDataset, stats: DatasetStats) -> ExactMinimum:
@@ -249,9 +249,10 @@ def exact_minimum(ds: ClassifiedDataset, stats: DatasetStats) -> ExactMinimum:
     gram = _gram(ds.x0, ds.inv_size_weights())
     w2 = normal_w2(ds, gram, stats.means)
     route = weighted_norm(w2 @ ds.x0 - y_ext(ds), ds.class_sizes)
-    if abs(value - route) > CROSS_CHECK_RTOL * (1.0 + max(value, route)):
-        raise ConsistencyError(f"closed form {value!r} and projector route {route!r} disagree")
-    return ExactMinimum(d1=d1, d2=d2, gram=gram, w2=w2, value=value, route=route)
+    route_check = require(
+        check("exact.projector-route", rel(value, route), 1e-9, f"projector route={route:.9e}"),
+        ConsistencyError, f"closed form {value!r} and projector route {route!r} disagree")
+    return ExactMinimum(d1, d2, gram, w2, value, route, route_check)
 
 
 def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
@@ -272,11 +273,15 @@ def bound_general(ds: ClassifiedDataset, stats: DatasetStats) -> tuple[float, fl
     """
     bound_l2 = float(np.sqrt(stats.y_pen_dev_sq) / np.sqrt(ds.n))
     bound_deltap = float(op_norm(ds.y) * stats.delta_p)
-    if bound_l2 > bound_deltap + 1e-12 * (1.0 + bound_deltap):
-        raise ConsistencyError(
-            f"bound_l2 {bound_l2!r} exceeds ||Y||_op delta_p {bound_deltap!r}"
-        )
+    require(bound_chain(bound_l2, bound_deltap), ConsistencyError,
+            f"bound_l2 {bound_l2!r} exceeds ||Y||_op delta_p {bound_deltap!r}")
     return bound_l2, bound_deltap
+
+
+def bound_chain(b_l2: float, b_dp: float) -> Check:
+    """The check b_l2 <= b_dp of bound_general's two bounds (b_l2, b_dp)."""
+    return check("bounds.bound-le-op-deltap", b_l2 - b_dp, 1e-12 * (1.0 + b_dp),
+                 f"bound_l2={b_l2:.6e} |Y|_op*delta_p={b_dp:.6e}")
 
 
 def lstsq_min_weighted(hidden: np.ndarray, b1, ds: ClassifiedDataset) -> float:

@@ -45,6 +45,10 @@ class BetaTooSmall(ShallowminError):
     """First-layer bias is too small to keep pre-activations non-negative."""
 
 
+class BetaTooLarge(ShallowminError):
+    """First-layer bias so large that the trainer's pass over the data overflows."""
+
+
 class NotPositiveSemidefinite(ShallowminError):
     """A matrix that must be PSD has an eigenvalue below -1e-12."""
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check, rel, require
 from .cost import closed_form_min, lstsq_min_weighted, relative_gram
 from .dataset import ClassifiedDataset, block_means
 from .errors import ConsistencyError, ShallowminError, SingularMeans, SingularW1, WrongRegime
@@ -94,8 +95,8 @@ def _truncation_pass(w1: np.ndarray, b1: np.ndarray,
     tau = np.linalg.solve(w1, hidden - bias)
     reapplied = w1 @ tau + bias
     leak = float(np.max(np.abs(relu(reapplied) - reapplied)))
-    if leak > 1e-10 * (1.0 + float(np.max(np.abs(hidden)))):
-        raise ConsistencyError(f"reapplication identity violated by {leak:.3e}")
+    require(check("truncation.reapplication-leak", leak, 1e-10 * (1.0 + np.max(np.abs(hidden)))),
+            ConsistencyError, f"reapplication identity violated by {leak:.3e}")
     return tau, hidden, in_region, leak
 
 
@@ -158,10 +159,8 @@ def _min_over_output_layer(
     result.delta2_rel_tr = d2_tr
     oracle = lstsq_min_weighted(hidden, b1, ds)
     result.lstsq_oracle = oracle
-    if abs(value - oracle) > ORACLE_RTOL * (1.0 + max(value, oracle)):
-        raise ConsistencyError(
-            f"closed-form minimum {value!r} disagrees with least squares {oracle!r}"
-        )
+    require(check("truncation.closed-vs-lstsq", rel(value, oracle), ORACLE_RTOL), ConsistencyError,
+            f"closed-form minimum {value!r} disagrees with least squares {oracle!r}")
     return result
 
 

@@ -5,41 +5,38 @@ classification, and truncation behaviour.
 
 Every suite reads one Pipeline record of the dataset, so the given data's
 stats, pack, closed form and fits are built once however many suites run;
-derived datasets build their own. A suite returns PropertyCheck records with
-the measured slack and its tolerance and passes iff every check does. The CLI
-`verify` command is a thin renderer over run_suite.
+derived datasets build their own. A suite returns checks.Check records with
+the measured slack and its tolerance and passes iff every check does; those of
+the bound chain and of the exact minimum's two routes are the records the fits
+and the closed form made at run time. The CLI `verify` command is a thin
+renderer over run_suite.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
+from .checks import Check, check, rel
 from .classify import classify_batch, metric as metric_distance, score_batch
 from .constructive import (
     ConstructiveConfig,
     Pipeline,
-    _rel,
     in_region_perturbation,
     pipeline,
     sanity_forward_means,
     tied_output_layer,
     w2_tilde,
 )
-from .cost import (
-    _psd_eig,
-    cost_weighted,
-    lstsq_min_weighted,
-    projector_action,
-    weighted_norm,
-)
+from .cost import cost_weighted, lstsq_min_weighted, projector_action, weighted_norm
 from .dataset import ClassifiedDataset, deviations
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
-from .truncation import _truncation_pass, min_over_output_layer, sweep_fixed_point_region
+from .truncation import (
+    ORACLE_RTOL, _truncation_pass, min_over_output_layer, sweep_fixed_point_region)
 
 SUITES = ("bounds", "exact-min", "degeneracy", "invariance", "metric", "truncation")
 
@@ -49,25 +46,6 @@ SQUARE_ONLY_SUITES = ("exact-min", "degeneracy", "truncation")
 
 # Halvings of the deviations over which quadratic_trend_checks fits its slopes.
 OCTAVES = 4
-
-
-@dataclass
-class PropertyCheck:
-    name: str
-    passed: bool
-    measured: float
-    tolerance: float
-    detail: str = ""
-
-
-def _check(name: str, measured: float, tolerance: float, detail: str = "") -> PropertyCheck:
-    return PropertyCheck(
-        name=name,
-        passed=bool(measured <= tolerance),
-        measured=float(measured),
-        tolerance=float(tolerance),
-        detail=detail,
-    )
 
 
 def random_gl(q: int, rng: np.random.Generator, cond_max: float = 10.0) -> np.ndarray:
@@ -85,64 +63,52 @@ def random_ball(m: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     return v * radius * rng.uniform() ** (1.0 / m)
 
 
-def suite_bounds(pl: Pipeline) -> list[PropertyCheck]:
-    """Upper-bound chain of the general construction plus its invariances."""
+def suite_bounds(pl: Pipeline) -> list[Check]:
+    """Upper-bound chain of the general construction (its fit's checks) plus its invariances."""
     ds, stats, pack = pl.ds, pl.stats, pl.pack
     general = pl.general
     params, achieved = general.params, general.cost_l2
-    b_l2, b_dp = general.bound_l2, general.bound_deltap
-    checks = [
-        _check("bounds.cost-le-bound", achieved - b_l2, 1e-10 * (1.0 + b_l2),
-               detail=f"cost={achieved:.6e} bound_l2={b_l2:.6e}"),
-        _check("bounds.bound-le-op-deltap", b_l2 - b_dp, 1e-12 * (1.0 + b_dp),
-               detail=f"bound_l2={b_l2:.6e} |Y|_op*delta_p={b_dp:.6e}"),
-    ]
+    checks = list(general.checks)
     if stats.delta == 0.0:
-        checks.append(_check("bounds.zero-noise-cost", achieved, 1e-10))
-    checks.append(_check("bounds.scale-invariance", pl.scale_slack, 1e-9))
+        checks.append(check("bounds.zero-noise-cost", achieved, 1e-10))
+    checks.append(check("bounds.scale-invariance", pl.scale_slack, 1e-9))
 
     margin = 0.5 * stats.rho + 1.7 * (stats.rho + 1.0)
     big = replace(pl, cfg=ConstructiveConfig(beta1_margin=margin)).general
-    checks.append(_check("bounds.beta-margin-invariance", abs(big.cost_l2 - achieved), 1e-10))
+    checks.append(check("bounds.beta-margin-invariance", abs(big.cost_l2 - achieved), 1e-10))
 
     hidden, _ = forward(params, ds.x0)
     signal = pack.r @ (pack.p @ ds.x0)
     signal[: ds.q, :] += pl.cfg.beta1(stats.rho)
-    checks.append(_check("bounds.hidden-layer-identity",
-                         float(np.max(np.abs(hidden - signal))), 1e-12))
-    checks.append(_check("bounds.means-to-targets",
-                         sanity_forward_means(params, ds, stats), 1e-9))
+    checks.append(check("bounds.hidden-layer-identity",
+                        float(np.max(np.abs(hidden - signal))), 1e-12))
+    checks.append(check("bounds.means-to-targets",
+                        sanity_forward_means(params, ds, stats), 1e-9))
     return checks
 
 
-def suite_exact_min(pl: Pipeline) -> list[PropertyCheck]:
-    """M = Q exact-value identities, the least-squares oracle, and the
-    quadratic-in-delta_p trends of the W2 gap and the minimum's deficit."""
+def suite_exact_min(pl: Pipeline) -> list[Check]:
+    """M = Q exact-value identities (the fit's and the closed form's checks), the
+    least-squares oracle, and the quadratic trends of the W2 gap and deficit."""
     square, ds, stats, exact = pl.square, pl.ds, pl.stats, pl.minimum
     params, cw, em = square.params, square.cost_weighted, exact.value
-    lam, _ = _psd_eig(exact.d2)
-    checks = [
-        _check("exact.cost-eq-closed-form", _rel(cw, em), 1e-9,
-               detail=f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]"),
-        _check("exact.projector-route", _rel(em, exact.route), 1e-9,
-               detail=f"projector route={exact.route:.9e}"),
-    ]
+    checks = [*square.checks, exact.route_check]
     hidden, _ = forward(params, ds.x0)
     oracle = lstsq_min_weighted(hidden, params.b1, ds)
-    checks.append(_check("exact.lstsq-oracle", _rel(em, oracle), 1e-8,
-                         detail=f"lstsq oracle={oracle:.9e}"))
+    checks.append(check("exact.lstsq-oracle", rel(em, oracle), ORACLE_RTOL,
+                        detail=f"lstsq oracle={oracle:.9e}"))
     upper = weighted_norm(ds.y @ exact.d1, ds.class_sizes)
-    checks.append(_check("exact.le-upper-line", em - upper, 1e-12 * (1.0 + upper),
-                         detail=f"closed={em:.6e} |Y D1|={upper:.6e}"))
+    checks.append(check("exact.le-upper-line", em - upper, 1e-12 * (1.0 + upper),
+                        detail=f"closed={em:.6e} |Y D1|={upper:.6e}"))
     if len(set(ds.class_sizes)) == 1:
-        checks.append(_check("exact.sqrtq-identity",
-                             _rel(cw, np.sqrt(ds.q) * square.cost_l2), 1e-12))
+        checks.append(check("exact.sqrtq-identity",
+                            rel(cw, np.sqrt(ds.q) * square.cost_l2), 1e-12))
     if stats.delta > 0:
         checks.extend(quadratic_trend_checks(pl))
     return checks
 
 
-def quadratic_trend_checks(pl: Pipeline) -> list[PropertyCheck]:
+def quadratic_trend_checks(pl: Pipeline) -> list[Check]:
     """Log-log slopes of |W2* - W2~|_op and of the minimum's deficit against
     delta_p, over OCTAVES halvings t of the deviations, X0(t) = mean_ext + t dev
     with pl's class means kept, each with its own record; both must be ~2."""
@@ -162,14 +128,14 @@ def quadratic_trend_checks(pl: Pipeline) -> list[PropertyCheck]:
     slope_gap = float(np.polyfit(log_dp, np.log(gaps), 1)[0])
     slope_def = float(np.polyfit(log_dp, np.log(deficits), 1)[0])
     return [
-        _check("exact.w2-gap-slope", abs(slope_gap - 2.0), 0.15,
-               detail=f"slope={slope_gap:.4f} over {OCTAVES} octaves"),
-        _check("exact.deficit-slope", abs(slope_def - 2.0), 0.2,
-               detail=f"slope={slope_def:.4f} over {OCTAVES} octaves"),
+        check("exact.w2-gap-slope", abs(slope_gap - 2.0), 0.15,
+              detail=f"slope={slope_gap:.4f} over {OCTAVES} octaves"),
+        check("exact.deficit-slope", abs(slope_def - 2.0), 0.2,
+              detail=f"slope={slope_def:.4f} over {OCTAVES} octaves"),
     ]
 
 
-def suite_degeneracy(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
+def suite_degeneracy(pl: Pipeline, seed: int = 0) -> list[Check]:
     """Random in-region (w1, b1) perturbations followed by the tied output-layer
     re-solve must reproduce the exact minimum."""
     params, ds, stats, exact = pl.square.params, pl.ds, pl.stats, pl.minimum
@@ -181,12 +147,12 @@ def suite_degeneracy(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
         w1p, b1p = in_region_perturbation(params, stats, beta1, rng)
         w2p, b2p = tied_output_layer(w1p, b1p, ds, exact.w2)
         cw = cost_weighted(ShallowParams(w1=w1p, b1=b1p, w2=w2p, b2=b2p), ds)
-        worst = max(worst, _rel(cw, exact.value))
-    return [_check("degeneracy.flat-value", worst, 1e-8,
-                   detail=f"{n_perturbations} perturbations, exact={exact.value:.9e}")]
+        worst = max(worst, rel(cw, exact.value))
+    return [check("degeneracy.flat-value", worst, 1e-8,
+                  detail=f"{n_perturbations} perturbations, exact={exact.value:.9e}")]
 
 
-def suite_invariance(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
+def suite_invariance(pl: Pipeline, seed: int = 0) -> list[Check]:
     """Scaling invariance of the bound quantities; GL(Q) reparametrization
     invariance of the data projector, relative deviations and exact minimum.
 
@@ -196,7 +162,7 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
     dataset's minimum checked; each K X0 has its own record. The probes come
     from their own generator; the sequence of K depends on the seed alone."""
     ds = pl.ds
-    checks = [_check("invariance.scaling", pl.scale_slack, 1e-9)]
+    checks = [check("invariance.scaling", pl.scale_slack, 1e-9)]
     if ds.m != ds.q:
         return checks
 
@@ -216,14 +182,14 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
         worst_p = max(worst_p, float(np.max(np.abs(projector_action(pl_k.ds, exact_k.gram, z) - pz)))
                       / pz_scale)
         worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - exact.d1))) / d1_scale)
-        worst_em = max(worst_em, _rel(exact_k.value, exact.value))
-    checks.append(_check("invariance.gl-data-projector", worst_p, 1e-7, detail=f"{n_k} random K"))
-    checks.append(_check("invariance.gl-delta1", worst_d1, 1e-7))
-    checks.append(_check("invariance.gl-exact-min", worst_em, 1e-7))
+        worst_em = max(worst_em, rel(exact_k.value, exact.value))
+    checks.append(check("invariance.gl-data-projector", worst_p, 1e-7, detail=f"{n_k} random K"))
+    checks.append(check("invariance.gl-delta1", worst_d1, 1e-7))
+    checks.append(check("invariance.gl-exact-min", worst_em, 1e-7))
     return checks
 
 
-def suite_metric(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
+def suite_metric(pl: Pipeline, seed: int = 0) -> list[Check]:
     """Network-score vs metric-score equality for the general construction,
     insensitivity to components the network cuts off, and the metric axioms.
 
@@ -247,9 +213,9 @@ def suite_metric(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
     shifted = score_batch(params, ds.y, x + np.stack(vs, axis=1))
     worst_perp = float(np.max(np.abs(shifted - out.scores)))
     checks = [
-        _check("metric.network-eq-metric", worst_agree, 1e-9,
-               detail=f"{n_points} points, all agreement flags set: {all_agree}"),
-        _check("metric.pperp-insensitive", worst_perp, 1e-10),
+        check("metric.network-eq-metric", worst_agree, 1e-9,
+              detail=f"{n_points} points, all agreement flags set: {all_agree}"),
+        check("metric.pperp-insensitive", worst_perp, 1e-10),
     ]
     worst_sym = worst_tri = worst_id = 0.0
     for _ in range(100):
@@ -261,9 +227,9 @@ def suite_metric(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
         worst_tri = max(worst_tri, metric_distance(w2t, pack.p, x, z)
                         - (dxy + metric_distance(w2t, pack.p, y, z)))
         worst_id = max(worst_id, metric_distance(w2t, pack.p, x, x))
-    checks.append(_check("metric.symmetry", worst_sym, 1e-12))
-    checks.append(_check("metric.triangle", worst_tri, 1e-12))
-    checks.append(_check("metric.identity", worst_id, 0.0))
+    checks.append(check("metric.symmetry", worst_sym, 1e-12))
+    checks.append(check("metric.triangle", worst_tri, 1e-12))
+    checks.append(check("metric.identity", worst_id, 0.0))
     return checks
 
 
@@ -287,7 +253,7 @@ def default_truncation_grid(pl: Pipeline, seed: int = 0) -> list[tuple[np.ndarra
     return grid
 
 
-def suite_truncation(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
+def suite_truncation(pl: Pipeline, seed: int = 0) -> list[Check]:
     """Sweep a default grid: rank-preserving closed form vs least squares,
     flat value across the fixed-point region, agreement with the exact minimum,
     and the reapplication identity everywhere."""
@@ -306,22 +272,22 @@ def suite_truncation(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
         if pt.result is None or pt.result.min_cost_weighted is None:
             continue
         n_preserving += 1
-        worst_oracle = max(worst_oracle, _rel(pt.result.min_cost_weighted, pt.result.lstsq_oracle))
+        worst_oracle = max(worst_oracle, rel(pt.result.min_cost_weighted, pt.result.lstsq_oracle))
         if pt.result.in_fixed_point_region:
             region_vals.append(pt.result.min_cost_weighted)
 
     # The relative spread of the in-region minima, (hi - lo) / (1 + hi): 0 for
     # one point. With none, both region checks fail rather than pass on no data.
-    flat = _rel(max(region_vals), min(region_vals)) if region_vals else float("inf")
-    vs_exact = max((_rel(v, em) for v in region_vals), default=float("inf"))
+    flat = rel(max(region_vals), min(region_vals)) if region_vals else float("inf")
+    vs_exact = max((rel(v, em) for v in region_vals), default=float("inf"))
     checks = [
-        _check("truncation.closed-vs-lstsq", worst_oracle, 1e-8,
-               detail=f"{n_preserving} rank-preserving points"
-               + (f", {len(errored)} errored, first at index {errored[0]}" if errored else "")),
-        _check("truncation.region-flat", flat, 1e-8,
-               detail=f"{len(region_vals)} in-region points"),
-        _check("truncation.region-matches-exact", vs_exact, 1e-8,
-               detail=f"exact={em:.9e}" if region_vals else "0 in-region points"),
+        check("truncation.closed-vs-lstsq", worst_oracle, ORACLE_RTOL,
+              detail=f"{n_preserving} rank-preserving points"
+              + (f", {len(errored)} errored, first at index {errored[0]}" if errored else "")),
+        check("truncation.region-flat", flat, 1e-8,
+              detail=f"{len(region_vals)} in-region points"),
+        check("truncation.region-matches-exact", vs_exact, 1e-8,
+              detail=f"exact={em:.9e}" if region_vals else "0 in-region points"),
     ]
     # The sweep measured the reapplication leak of every point it finished. A
     # point that recorded an error is truncated again, so an error of the
@@ -329,7 +295,7 @@ def suite_truncation(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
     worst_reapply = max(
         _truncation_pass(w1, b1, ds)[3] if pt.result is None else pt.result.reapplication_leak
         for (w1, b1), pt in zip(grid, points))
-    checks.append(_check("truncation.reapplication-identity", worst_reapply, 1e-10))
+    checks.append(check("truncation.reapplication-identity", worst_reapply, 1e-10))
     # The sweep already evaluated the full truncation, the last grid point. If
     # it recorded an error there, the point is rerun to raise that error.
     full = points[-1].result
@@ -337,12 +303,12 @@ def suite_truncation(pl: Pipeline, seed: int = 0) -> list[PropertyCheck]:
         full = min_over_output_layer(grid[-1][0], grid[-1][1], ds)
     flagged = (not full.rank_x0_preserved) and (not full.rank_means_preserved) \
         and full.min_cost_weighted is None
-    checks.append(_check("truncation.full-truncation-flagged", 0.0 if flagged else 1.0, 0.5,
-                         detail="flags false and minimum absent"))
+    checks.append(check("truncation.full-truncation-flagged", 0.0 if flagged else 1.0, 0.5,
+                        detail="flags false and minimum absent"))
     return checks
 
 
-def run_suite(name: str, ds: ClassifiedDataset, seed: int = 0) -> list[PropertyCheck]:
+def run_suite(name: str, ds: ClassifiedDataset, seed: int = 0) -> list[Check]:
     """Checks of one suite, or of every suite for "all", all reading one
     record, pipeline(ds). An M = Q-only suite on M != Q data raises
     WrongRegime before the record is built; "all" there runs the suites of

@@ -741,6 +741,18 @@ def test_non_finite_settings_exit_2(capsys, args):
     assert captured.out == "" and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["train", "--m", 3, "--q", 2, "--beta1-margin", "1e200"],
+    ["train", "--m", 3, "--q", 2, "--beta1-margin", "1e308"],
+    ["train", "--m", 3, "--q", 3, "--variant", "exact", "--beta1-margin", "1e308"],
+])
+def test_overflowing_beta1_exit_3_without_warnings(capsys, args):
+    # A RuntimeWarning would be an exception here (pyproject's filterwarnings).
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: BetaTooLarge: beta1=1e+") and "RuntimeWarning" not in err
+
+
 def test_gd_overflow_exit_3_without_warnings(capsys):
     # pyproject's filterwarnings turns a RuntimeWarning into an exception,
     # which main does not catch.

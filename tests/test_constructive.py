@@ -350,6 +350,15 @@ class TestPipeline:
                 read()
         assert pipeline_calls["exact_minimum"] == 0
 
+    def test_nan_closed_form_is_refused(self, monkeypatch):
+        """A NaN closed form fails the projector-route check, so neither the
+        minimum nor the M = Q fit is built on it."""
+        monkeypatch.setattr(cost, "closed_form_min", lambda y, d2: float("nan"))
+        pl = pipeline(synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2))
+        for read in (lambda: pl.minimum, lambda: pl.square):
+            with pytest.raises(ConsistencyError, match="projector route"):
+                read()
+
     def test_another_config_shares_stats_not_fits(self):
         pl = pipeline(synthesize(4, 2, [6, 6], noise=0.1, seed=2))
         big = replace(pl, cfg=ConstructiveConfig(beta1_margin=5.0))

@@ -13,6 +13,7 @@ from shallowmin import (
 )
 from shallowmin import ClassifiedDataset, ShallowParams, truncation, verify
 from shallowmin.gd import gd_in_fixed_point_region
+from shallowmin.checks import rel
 from shallowmin.constructive import tied_output_layer
 from shallowmin.errors import (
     BetaTooSmall,
@@ -137,7 +138,7 @@ class TestSweep:
         points = sweep_fixed_point_region(delta01_dataset, grid)
         assert all(p.result.in_fixed_point_region for p in points)
         vals = [p.result.min_cost_weighted for p in points]
-        assert verify._rel(max(vals), min(vals)) < 1e-8
+        assert rel(max(vals), min(vals)) < 1e-8
         em = exact_min_weighted(delta01_dataset, stats)
         for p in points:
             assert p.result.min_cost_weighted == pytest.approx(em, rel=1e-8)
@@ -173,7 +174,7 @@ class TestSweep:
         assert points[1].result.min_cost_weighted is None
         vals = [p.result.min_cost_weighted for p in points
                 if p.result.in_fixed_point_region and p.result.min_cost_weighted is not None]
-        assert verify._rel(max(vals), min(vals)) == 0.0
+        assert rel(max(vals), min(vals)) == 0.0
 
 
 class TestDataRanksOnce:

@@ -1,10 +1,10 @@
 import pytest
 
 from shallowmin import pipeline, synthesize
+from shallowmin.checks import Check
 from shallowmin.errors import WrongRegime
 from shallowmin.verify import (
     OCTAVES,
-    PropertyCheck,
     SUITES,
     run_suite,
     suite_bounds,
@@ -43,6 +43,24 @@ def test_bounds_suite_forwards_three_passes_and_the_means(forward_calls):
     ds = synthesize(6, 3, [5, 5, 5], noise=0.1, seed=2)
     suite_bounds(pipeline(ds))
     assert sum(forward_calls) == 3 * ds.n + ds.q
+
+
+def test_bounds_suite_prints_the_fits_own_checks():
+    """The bound chain is not measured again: its two lines are the checks
+    the general fit made and kept."""
+    pl = pipeline(synthesize(6, 3, [5, 5, 5], noise=0.1, seed=2))
+    checks = suite_bounds(pl)
+    assert [c.name for c in checks[:2]] == ["bounds.cost-le-bound", "bounds.bound-le-op-deltap"]
+    assert checks[0] is pl.general.checks[0] and checks[1] is pl.general.checks[1]
+
+
+def test_exact_min_suite_prints_the_runtime_checks():
+    """cost-eq-closed-form is the M = Q fit's check, projector-route the
+    closed form's."""
+    pl = pipeline(synthesize(4, 4, [10] * 4, noise=0.05, seed=3))
+    checks = suite_exact_min(pl)
+    assert checks[0] is pl.square.checks[0] and checks[1] is pl.minimum.route_check
+    assert [c.name for c in checks[:2]] == ["exact.cost-eq-closed-form", "exact.projector-route"]
 
 
 def test_invariance_suite_solves_once_per_dataset(exact_calls):
@@ -107,7 +125,7 @@ def test_cli_verify_reports_failure(monkeypatch, capsys):
     from shallowmin import cli
 
     def fake_run_suite(name, ds, seed=0):
-        return [PropertyCheck(name="fake.broken", passed=False,
+        return [Check(name="fake.broken", passed=False,
                               measured=1.0, tolerance=0.1)]
 
     monkeypatch.setattr(cli, "run_suite", fake_run_suite)

@@ -7,8 +7,8 @@ The command matrix is data: DATASETS (gen flags) times COMMANDS (templates
 filled in per dataset), plus EDGE_COMMANDS on synthesized or missing inputs.
 It covers every command and output format, each to stdout and with --out
 (tests/test_cli_matrix.py checks this against the CLI parser), at M = Q and
-M > Q, Q = 1, the scale probe --mean-scale 1e4 --noise 500 and non-finite
-settings.
+M > Q, Q = 1, the scale probe --mean-scale 1e4 --noise 500, non-finite
+settings and a --beta1-margin so large that the trainer overflows.
 
 The tool extracts REV with `git archive` into a temporary directory (the
 repository gains no worktree or any other state), then runs the matrix once
@@ -115,6 +115,8 @@ EDGE_COMMANDS = [
     "train --m 3 --q 2 --beta1-margin nan",
     "train --m 3 --q 2 --beta1-margin inf",
     "train --m 3 --q 2 --beta1-margin -1",
+    "train --m 3 --q 2 --beta1-margin 1e200",
+    "train --m 3 --q 2 --beta1-margin 1e308",
     "train --m 3 --q 2 --bogus",
     "compare --m 3 --q 3 --lr nan",
     "compare --m 3 --q 3 --init-scale inf",
