@@ -195,8 +195,10 @@ def cmd_truncation_sweep(args) -> int:
         raise DimensionError(f"truncation grid must be a JSON list, got {type(raw).__name__}")
     grid = [tuple(json_field(g, key, f"truncation grid entry {i}") for key in ("w1", "b1"))
             for i, g in enumerate(raw)]
-    points = sweep_fixed_point_region(ds, grid)
-    lines = [json.dumps(pt.to_dict(include_matrices=args.matrices)) for pt in points]
+    # One line per point as the sweep yields it: without --matrices no
+    # point's arrays outlive its line.
+    lines = [json.dumps(pt.to_dict(include_matrices=args.matrices))
+             for pt in sweep_fixed_point_region(ds, grid)]
     text = "\n".join(lines) + "\n"
     with _output(args.out) as fh:
         fh.write(text)

@@ -4,8 +4,9 @@ zero is taken to be zero.
 
 A run allocates its arrays once, in a private workspace: the M x N
 pre-activations, mask, hidden layer and back-propagated residual, the Q x N
-residual and its square, and the four gradients. Each step writes into them
-and updates the weights in place, so a step allocates no array."""
+residual and its square, and the four gradients, views of one flat vector.
+Each step writes into them and updates the weights, views of another flat
+vector, in place, so a step allocates no array."""
 
 from __future__ import annotations
 
@@ -38,11 +39,19 @@ class GdConfig:
             raise ValueError("record_every must be positive")
 
 
+def _flat_views(flat: np.ndarray, m: int, q: int) -> tuple[np.ndarray, ...]:
+    """(w1, b1, w2, b2)-shaped views of one flat vector of (m + q)(m + 1)
+    entries, in that order."""
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([m * m, m, q * m]))
+    return w1.reshape(m, m), b1, w2.reshape(q, m), b2
+
+
 class _Workspace:
     """The arrays of one full-batch step on data x0 (M x N) with targets
     (Q x N), allocated once per run: the pre-activations, their ReLU mask,
     the hidden layer, the residual and its square, the back-propagated
-    residual, and grads = (g_w1, g_b1, g_w2, g_b2)."""
+    residual, and grads = (g_w1, g_b1, g_w2, g_b2), views of one flat vector
+    grad_flat laid out as _flat_views."""
 
     def __init__(self, x0: np.ndarray, targets: np.ndarray):
         (m, n), q = x0.shape, targets.shape[0]
@@ -50,36 +59,34 @@ class _Workspace:
         self.pre, self.hidden, self.back = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
         self.mask = np.empty((m, n), dtype=bool)
         self.resid, self.resid_sq = np.empty((q, n)), np.empty((q, n))
-        self.grads = (np.empty((m, m)), np.empty(m), np.empty((q, m)), np.empty(q))
+        self.grad_flat = np.empty((m + q) * (m + 1))
+        self.grads = _flat_views(self.grad_flat, m, q)
 
     def gradients(self, w1, b1, w2, b2) -> float:
         """Write the gradients of the squared cost at (w1, b1, w2, b2) into
         grads and return that cost. The floating-point operations are those
         of hidden = relu(w1 x0 + b1), resid = w2 hidden + b2 - targets and
         their chain rule, in the same order as the allocating formulas, so
-        the results are the same bit for bit."""
+        the results are the same bit for bit. fmax(pre, 0) is 0 where pre is
+        NaN, as the mask is; it keeps a -0.0, which pre never holds (b1
+        starts at +0.0 and a difference is -0.0 only from -0.0 - +0.0)."""
         x0, pre, mask, hidden, resid, back = (self.x0, self.pre, self.mask, self.hidden,
                                               self.resid, self.back)
         g_w1, g_b1, g_w2, g_b2 = self.grads
-        scale = 2.0 / self.n
         np.matmul(w1, x0, out=pre)
         pre += b1[:, None]
         np.greater(pre, 0.0, out=mask)
-        hidden.fill(0.0)
-        np.copyto(hidden, pre, where=mask)
+        np.fmax(pre, 0.0, out=hidden)
         np.matmul(w2, hidden, out=resid)
         resid += b2[:, None]
         resid -= self.targets
         np.matmul(resid, hidden.T, out=g_w2)
-        g_w2 *= scale
         resid.sum(axis=1, out=g_b2)
-        g_b2 *= scale
         np.matmul(w2.T, resid, out=back)
         back *= mask
         np.matmul(back, x0.T, out=g_w1)
-        g_w1 *= scale
         back.sum(axis=1, out=g_b1)
-        g_b1 *= scale
+        self.grad_flat *= 2.0 / self.n
         return float(np.multiply(resid, resid, out=self.resid_sq).sum()) / self.n
 
 
@@ -98,11 +105,11 @@ def train_gd(
     """
     rng = np.random.default_rng(cfg.seed)
     m, q = ds.m, ds.q
-    w1 = cfg.init_scale * rng.standard_normal((m, m))
-    b1 = np.zeros(m)
-    w2 = cfg.init_scale * rng.standard_normal((q, m))
-    b2 = np.zeros(q)
     work = _Workspace(ds.x0, y_ext(ds))
+    flat = np.zeros_like(work.grad_flat)
+    w1, b1, w2, b2 = _flat_views(flat, m, q)
+    w1[...] = cfg.init_scale * rng.standard_normal((m, m))
+    w2[...] = cfg.init_scale * rng.standard_normal((q, m))
 
     trace: list[tuple[int, float]] = []
     initial_cost = None
@@ -120,9 +127,8 @@ def train_gd(
                 trace.append((step, cost))
             if step == cfg.steps:
                 break
-            for w, g in zip((w1, b1, w2, b2), work.grads):
-                g *= lr
-                w -= g
+            work.grad_flat *= lr
+            flat -= work.grad_flat
     return ShallowParams(w1=w1, b1=b1, w2=w2, b2=b2), trace
 
 

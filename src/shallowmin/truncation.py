@@ -12,6 +12,7 @@ _region_preactivation is that rule, and invertibility of w1, for every caller.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,20 +180,25 @@ class SweepPoint:
         return {"index": self.index, **self.result.to_dict(include_matrices)}
 
 
-def sweep_fixed_point_region(ds: ClassifiedDataset, grid) -> list[SweepPoint]:
-    """Evaluate min_over_output_layer on every (w1, b1) grid point.
+def _sweep_point(i: int, w1, b1, ds: ClassifiedDataset, data_ranks: tuple[int, int]) -> SweepPoint:
+    """Grid point i of a sweep: its result, or the error it raised."""
+    try:
+        return SweepPoint(index=i, result=_min_over_output_layer(w1, b1, ds, data_ranks))
+    except ShallowminError as exc:
+        return SweepPoint(index=i, error=f"{type(exc).__name__}: {exc}")
 
-    Per-point errors are recorded and the sweep continues; result order matches
-    grid order. All in-region points report the same minimum (the value does
-    not depend on (w1, b1) there). The ranks of X0 and of its class means are
-    computed once for the whole grid.
+
+def sweep_fixed_point_region(ds: ClassifiedDataset, grid) -> Iterator[SweepPoint]:
+    """Evaluate min_over_output_layer on every (w1, b1) grid point, yielding
+    each point as soon as it is evaluated.
+
+    Per-point errors are recorded and the sweep continues; points come in grid
+    order. All in-region points report the same minimum (the value does not
+    depend on (w1, b1) there). The ranks of X0 and of its class means are
+    computed once for the whole grid. The sweep keeps no reference to a point
+    it has yielded, so a caller that folds each point into scalars holds one
+    point's M x N arrays at a time.
     """
     data_ranks = _data_ranks(ds)
-    points: list[SweepPoint] = []
     for i, (w1, b1) in enumerate(grid):
-        try:
-            res = _min_over_output_layer(w1, b1, ds, data_ranks)
-            points.append(SweepPoint(index=i, result=res))
-        except ShallowminError as exc:
-            points.append(SweepPoint(index=i, error=f"{type(exc).__name__}: {exc}"))
-    return points
+        yield _sweep_point(i, w1, b1, ds, data_ranks)

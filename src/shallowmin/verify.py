@@ -36,7 +36,8 @@ from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
 from .truncation import (
-    ORACLE_RTOL, _truncation_pass, min_over_output_layer, sweep_fixed_point_region)
+    ORACLE_RTOL, TruncationResult, _truncation_pass, min_over_output_layer,
+    sweep_fixed_point_region)
 
 SUITES = ("bounds", "exact-min", "degeneracy", "invariance", "metric", "truncation")
 
@@ -253,28 +254,49 @@ def default_truncation_grid(pl: Pipeline, seed: int = 0) -> list[tuple[np.ndarra
     return grid
 
 
+def _fully_truncated(res: TruncationResult) -> bool:
+    """Whether a point reads as the full truncation: both rank flags false and
+    no minimum."""
+    return (not res.rank_x0_preserved) and (not res.rank_means_preserved) \
+        and res.min_cost_weighted is None
+
+
 def suite_truncation(pl: Pipeline, seed: int = 0) -> list[Check]:
     """Sweep a default grid: rank-preserving closed form vs least squares,
     flat value across the fixed-point region, agreement with the exact minimum,
-    and the reapplication identity everywhere."""
+    and the reapplication identity everywhere.
+
+    Each point is folded into scalars as the sweep yields it, so one point's
+    M x N arrays are alive at a time, whatever the grid length."""
     ds, em = pl.ds, pl.minimum.value
     grid = default_truncation_grid(pl, seed=seed)
-    points = sweep_fixed_point_region(ds, grid)
 
     # The sweep compared each rank-preserving point's closed form with its
     # least-squares oracle already and kept the oracle value; errored points
-    # are counted in the detail.
+    # are counted in the detail. The sweep also measured the reapplication
+    # leak of every point it finished. A point that recorded an error is
+    # truncated again on the spot, so an error of the truncation itself
+    # surfaces. The last point is the full truncation.
     worst_oracle = 0.0
     n_preserving = 0
     region_vals = []
-    errored = [pt.index for pt in points if pt.result is None]
-    for pt in points:
-        if pt.result is None or pt.result.min_cost_weighted is None:
-            continue
-        n_preserving += 1
-        worst_oracle = max(worst_oracle, rel(pt.result.min_cost_weighted, pt.result.lstsq_oracle))
-        if pt.result.in_fixed_point_region:
-            region_vals.append(pt.result.min_cost_weighted)
+    errored = []
+    worst_reapply = None
+    for pt in sweep_fixed_point_region(ds, grid):
+        res = pt.result
+        if res is None:
+            errored.append(pt.index)
+            leak = _truncation_pass(*grid[pt.index], ds)[3]
+        else:
+            leak = res.reapplication_leak
+            if res.min_cost_weighted is not None:
+                n_preserving += 1
+                worst_oracle = max(worst_oracle, rel(res.min_cost_weighted, res.lstsq_oracle))
+                if res.in_fixed_point_region:
+                    region_vals.append(res.min_cost_weighted)
+        worst_reapply = leak if worst_reapply is None else max(worst_reapply, leak)
+        last_flagged = None if res is None else _fully_truncated(res)
+        del pt, res  # the next point is evaluated with this one's arrays freed
 
     # The relative spread of the in-region minima, (hi - lo) / (1 + hi): 0 for
     # one point. With none, both region checks fail rather than pass on no data.
@@ -288,22 +310,13 @@ def suite_truncation(pl: Pipeline, seed: int = 0) -> list[Check]:
               detail=f"{len(region_vals)} in-region points"),
         check("truncation.region-matches-exact", vs_exact, 1e-8,
               detail=f"exact={em:.9e}" if region_vals else "0 in-region points"),
+        check("truncation.reapplication-identity", worst_reapply, 1e-10),
     ]
-    # The sweep measured the reapplication leak of every point it finished. A
-    # point that recorded an error is truncated again, so an error of the
-    # truncation itself surfaces.
-    worst_reapply = max(
-        _truncation_pass(w1, b1, ds)[3] if pt.result is None else pt.result.reapplication_leak
-        for (w1, b1), pt in zip(grid, points))
-    checks.append(check("truncation.reapplication-identity", worst_reapply, 1e-10))
-    # The sweep already evaluated the full truncation, the last grid point. If
-    # it recorded an error there, the point is rerun to raise that error.
-    full = points[-1].result
-    if full is None:
-        full = min_over_output_layer(grid[-1][0], grid[-1][1], ds)
-    flagged = (not full.rank_x0_preserved) and (not full.rank_means_preserved) \
-        and full.min_cost_weighted is None
-    checks.append(check("truncation.full-truncation-flagged", 0.0 if flagged else 1.0, 0.5,
+    # If the sweep recorded an error at the full truncation, the point is
+    # rerun to raise that error.
+    if last_flagged is None:
+        last_flagged = _fully_truncated(min_over_output_layer(*grid[-1], ds))
+    checks.append(check("truncation.full-truncation-flagged", 0.0 if last_flagged else 1.0, 0.5,
                         detail="flags false and minimum absent"))
     return checks
 

@@ -4,7 +4,8 @@ class-block buffers), training keeps under one M x N array of transient
 memory, and a cost report under half of one (it forwards column chunks and
 reads the bound from the statistics). Synthesis holds one M x N array (it
 builds X0 in place), and the JSON writer less than one (it streams column
-chunks)."""
+chunks). The truncation suite holds one grid point's arrays at a time (it
+folds each point of the sweep into scalars as it arrives)."""
 
 import dataclasses
 import tracemalloc
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shallowmin import dataset_stats, evaluate, synthesize, train_general
+from shallowmin import dataset_stats, evaluate, pipeline, synthesize, train_general, verify
 from shallowmin.dataset import save_json
 from shallowmin.network import params_from_dict, params_to_dict
 
@@ -76,3 +77,16 @@ def test_synthesize_peak_one_m_by_n_array(fitted):
 def test_save_json_peak_under_one_m_by_n_array(tmp_path):
     ds = synthesize(8, 4, [2500] * 4, noise=0.05, seed=3)
     assert traced_peak(save_json, ds, tmp_path / "d.json") < 1.0 * ds.x0.nbytes
+
+
+def test_truncation_suite_peak_does_not_grow_with_the_grid(monkeypatch):
+    ds = synthesize(8, 8, [500] * 8, noise=0.05, seed=3)
+    pl = pipeline(ds)
+    pl.minimum  # built before tracing: the suite reads it
+    full_grid = verify.default_truncation_grid(pl)
+    full = traced_peak(verify.suite_truncation, pl)
+    monkeypatch.setattr(verify, "default_truncation_grid", lambda pl, seed=0: full_grid[:5])
+    prefix = traced_peak(verify.suite_truncation, pl)
+    assert len(full_grid) == 30
+    assert full <= 1.25 * prefix
+    assert full < 10 * ds.x0.nbytes

@@ -135,7 +135,7 @@ class TestSweep:
         stats, _ = dataset_stats(delta01_dataset)
         rho = stats.rho
         grid = [(np.eye(2), t * np.ones(2)) for t in np.linspace(2 * rho, 4 * rho, 7)]
-        points = sweep_fixed_point_region(delta01_dataset, grid)
+        points = list(sweep_fixed_point_region(delta01_dataset, grid))
         assert all(p.result.in_fixed_point_region for p in points)
         vals = [p.result.min_cost_weighted for p in points]
         assert rel(max(vals), min(vals)) < 1e-8
@@ -146,7 +146,7 @@ class TestSweep:
     def test_region_flag_flips_below_threshold(self, delta01_dataset):
         # t below -min entry of class-2 first coordinate clips: 0 + t < 0 for t < 0
         grid = [(np.eye(2), t * np.ones(2)) for t in (-0.5, 0.05, 2.5)]
-        points = sweep_fixed_point_region(delta01_dataset, grid)
+        points = list(sweep_fixed_point_region(delta01_dataset, grid))
         flags = [p.result.in_fixed_point_region for p in points]
         assert flags == [False, True, True]
         # outside the region the minima differ from the in-region value
@@ -159,7 +159,7 @@ class TestSweep:
             (np.ones((2, 2)), np.zeros(2)),  # singular w1
             (np.eye(2), np.full(2, 4.0)),
         ]
-        points = sweep_fixed_point_region(delta01_dataset, grid)
+        points = list(sweep_fixed_point_region(delta01_dataset, grid))
         assert points[0].error is None and points[2].error is None
         assert points[1].error is not None and "SingularW1" in points[1].error
         assert [p.index for p in points] == [0, 1, 2]
@@ -169,7 +169,7 @@ class TestSweep:
         x0 = np.array([[-1.0, -2.0, -0.1, -0.2], [-0.5, -0.4, -2.0, -1.0]])
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(2, 2), x0=x0, y=np.eye(2))
         grid = [(np.eye(2), np.full(2, 5.0)), (np.eye(2), np.zeros(2))]
-        points = sweep_fixed_point_region(ds, grid)
+        points = list(sweep_fixed_point_region(ds, grid))
         assert points[0].result.min_cost_weighted is not None
         assert points[1].result.min_cost_weighted is None
         vals = [p.result.min_cost_weighted for p in points
@@ -235,7 +235,7 @@ class TestSuiteReusesSweep:
         original = verify.sweep_fixed_point_region
 
         def first_point_failed(ds, grid):
-            points = original(ds, grid)
+            points = list(original(ds, grid))
             points[0] = truncation.SweepPoint(index=0, error="SingularW1: injected")
             return points
 
@@ -259,7 +259,8 @@ class TestSuiteReusesSweep:
 
         monkeypatch.setattr(truncation, "lstsq_min_weighted", counting)
         monkeypatch.setattr(verify, "lstsq_min_weighted", counting)
-        points = verify.sweep_fixed_point_region(ds, verify.default_truncation_grid(pipeline(ds)))
+        points = list(verify.sweep_fixed_point_region(
+            ds, verify.default_truncation_grid(pipeline(ds))))
         n_preserving = sum(p.result is not None and p.result.min_cost_weighted is not None
                            for p in points)
         assert n_preserving > 0 and len(calls) == n_preserving
@@ -325,7 +326,7 @@ class TestDependentMeans:
 
     def test_sweep_records_error_and_continues(self, dependent_ds):
         grid = [(np.eye(3), np.full(3, 5.0)), (np.eye(3), np.full(3, -10.0))]
-        points = sweep_fixed_point_region(dependent_ds, grid)
+        points = list(sweep_fixed_point_region(dependent_ds, grid))
         assert points[0].error is not None and "SingularMeans" in points[0].error
         assert points[1].error is None
         assert points[1].result.min_cost_weighted is None
@@ -429,7 +430,7 @@ class TestSignRule:
         original = verify.sweep_fixed_point_region
 
         def no_region(ds, grid):
-            points = original(ds, grid)
+            points = list(original(ds, grid))
             for p in points:
                 if p.result is not None:
                     p.result.in_fixed_point_region = False
