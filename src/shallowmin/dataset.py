@@ -380,26 +380,44 @@ def json_field(doc, key: str, where: str, convert=None):
         raise DimensionError(f"{where} field {key!r}: {exc}") from exc
 
 
+def _sample_rows(classes, m: int, q: int) -> tuple[np.ndarray, list[int]]:
+    """(N x M float array, class sizes) of the decoded "classes" field."""
+    if len(classes) != q:
+        raise DimensionError(f"expected {q} classes, got {len(classes)}")
+    samples = list(chain.from_iterable(classes))
+    lengths = np.fromiter(map(len, samples), dtype=np.intp, count=len(samples))
+    wrong = lengths[lengths != m]
+    if wrong.size:
+        raise DimensionError(f"sample length {wrong[0]} != m={m}")
+    return np.array(samples, dtype=float), [len(c) for c in classes]
+
+
+def _block_rows(blocks, m: int, q: int) -> tuple[np.ndarray, list[int]]:
+    """_sample_rows of classes already converted to one 2-D float block each
+    (_streamed_document): the same checks, messages and C-ordered values."""
+    if len(blocks) != q:
+        raise DimensionError(f"expected {q} classes, got {len(blocks)}")
+    wrong = [b.shape[1] for b in blocks if b.shape[1] != m]
+    if wrong:
+        raise DimensionError(f"sample length {wrong[0]} != m={m}")
+    return np.concatenate(blocks), [len(b) for b in blocks]
+
+
+def _from_document(d, rows) -> ClassifiedDataset:
+    """from_json_dict, with the "classes" field turned into (N x M samples,
+    class sizes) by rows(classes, m, q)."""
+    m = json_field(d, "m", "dataset document", int)
+    q = json_field(d, "q", "dataset document", int)
+    x, sizes = json_field(d, "classes", "dataset document", lambda c: rows(c, m, q))
+    y = json_field(d, "y", "dataset document") if d.get("y") is not None else np.eye(q)
+    return _built(x.T, sizes, y)
+
+
 def from_json_dict(d: dict) -> ClassifiedDataset:
     """Dataset from its JSON document (see save_json; a missing or null "y"
     gives identity targets). A missing, ragged or non-numeric field raises
     DimensionError naming it."""
-    m = json_field(d, "m", "dataset document", int)
-    q = json_field(d, "q", "dataset document", int)
-
-    def rows(classes) -> tuple[np.ndarray, list[int]]:
-        if len(classes) != q:
-            raise DimensionError(f"expected {q} classes, got {len(classes)}")
-        samples = list(chain.from_iterable(classes))
-        lengths = np.fromiter(map(len, samples), dtype=np.intp, count=len(samples))
-        wrong = lengths[lengths != m]
-        if wrong.size:
-            raise DimensionError(f"sample length {wrong[0]} != m={m}")
-        return np.array(samples, dtype=float), [len(c) for c in classes]
-
-    x, sizes = json_field(d, "classes", "dataset document", rows)
-    y = json_field(d, "y", "dataset document") if d.get("y") is not None else np.eye(q)
-    return _built(x.T, sizes, y)
+    return _from_document(d, _sample_rows)
 
 
 def save_json(ds: ClassifiedDataset, out) -> None:
@@ -423,21 +441,195 @@ def save_json(ds: ClassifiedDataset, out) -> None:
     out.write(f'], "y": {json.dumps(ds.y.tolist())}}}\n')
 
 
+class _Unstreamable(Exception):
+    """The streamed JSON reader does not decide this document; from_json_dict
+    of json.loads of the whole text does."""
+
+
+class _HashedReader(io.RawIOBase):
+    """Raw reader of the binary file fh that feeds every byte it reads to
+    sha256, a hashlib object or None."""
+
+    def __init__(self, fh, sha256):
+        self._fh, self._sha256 = fh, sha256
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._fh.readinto(buf)
+        if n and self._sha256 is not None:
+            self._sha256.update(memoryview(buf)[:n])
+        return n
+
+    def drain(self) -> None:
+        """Feed the bytes of fh not yet read to sha256."""
+        if self._sha256 is not None:
+            for chunk in iter(lambda: self._fh.read(_HASH_CHUNK_BYTES), b""):
+                self._sha256.update(chunk)
+
+
+_DECODER = json.JSONDecoder()  # configured as json.loads decodes
+_BLANKS = json.decoder.WHITESPACE  # the blanks json.loads skips between tokens
+
+
+def _char(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """(c, end): c, the first non-blank character at or after pos, one of chars."""
+    pos = _BLANKS.match(text, pos).end()
+    c = text[pos:pos + 1]
+    if not c or c not in chars:
+        raise ValueError(f"expected one of {chars!r} at {pos}")
+    return c, pos + 1
+
+
+def _value(text: str, pos: int):
+    """(value, end) of the JSON value at the first non-blank character at or after pos."""
+    return _DECODER.raw_decode(text, _BLANKS.match(text, pos).end())
+
+
+def _key(text: str, pos: int) -> tuple[str, int]:
+    """(key, end) of an object member's key and the colon after it."""
+    _char(text, pos, '"')
+    key, end = _value(text, pos)
+    return key, _char(text, end, ":")[1]
+
+
+def _member_value(text: str, pos: int):
+    """((value, c), end) of an object member's value and the "," or "}" after
+    it. A number cut by the window's end parses as a shorter one, but then no
+    separator follows it, so the window refills and parses it again."""
+    value, end = _value(text, pos)
+    c, end = _char(text, end, ",}")
+    return (value, c), end
+
+
+class _TextWindow:
+    """The unparsed text of a stream, text[pos:], read _HASH_CHUNK_BYTES
+    characters or more at a time.
+
+    take(parse) returns the value of (value, end) = parse(text, pos) and moves
+    pos to end. While parse raises ValueError (the window may end inside the
+    value) and the stream has text left, it reads more and parses again from
+    pos. Each read at least doubles the unparsed text, so a value of L >
+    _HASH_CHUNK_BYTES characters is parsed at most 2 + ceil(log2(L /
+    _HASH_CHUNK_BYTES)) times, a shorter one at most twice. A parse that
+    fails on the whole rest of the stream raises _Unstreamable."""
+
+    def __init__(self, stream):
+        self._stream, self._eof = stream, False
+        self.text, self.pos, self._dropped = "", 0, 0
+
+    @property
+    def offset(self) -> int:
+        """Characters of the stream before pos."""
+        return self._dropped + self.pos
+
+    def _read(self) -> bool:
+        """Read more text behind the unparsed text; False at the end of the stream."""
+        if not self._eof:
+            try:
+                more = self._stream.read(max(_HASH_CHUNK_BYTES, len(self.text) - self.pos))
+            except UnicodeDecodeError:
+                raise _Unstreamable from None
+            self._dropped += self.pos
+            self.text, self.pos, self._eof = self.text[self.pos:] + more, 0, not more
+        return not self._eof
+
+    def reserve(self, n: int) -> None:
+        """Read until n characters are unparsed or the stream ends."""
+        while len(self.text) - self.pos < n and self._read():
+            pass
+
+    def take(self, parse, *args):
+        while True:
+            try:
+                value, self.pos = parse(self.text, self.pos, *args)
+                return value
+            except ValueError:  # json.JSONDecodeError included
+                if not self._read():
+                    raise _Unstreamable from None
+            except RecursionError:
+                raise _Unstreamable from None
+
+    def at_end(self) -> bool:
+        """Whether only blanks are left."""
+        while True:
+            self.pos = _BLANKS.match(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return False
+            if not self._read():
+                return True
+
+
+def _class_blocks(window: _TextWindow) -> list[np.ndarray]:
+    """The "classes" array at the window's position as one 2-D float block per
+    class; each class's lists are dropped before the next class is decoded.
+    A class that is empty or not rectangular raises _Unstreamable."""
+    window.take(_char, "[")
+    blocks, length = [], 0
+    while True:
+        # Classes of one file are alike in length: reading a little more than
+        # the last one's text first saves parsing a class cut by the window.
+        window.reserve(length + length // 4)
+        start = window.offset
+        cls = window.take(_value)
+        length = window.offset - start
+        try:
+            block = np.array(cls, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise _Unstreamable from None
+        del cls
+        if block.ndim != 2 or not block.size:
+            raise _Unstreamable
+        blocks.append(block)
+        if window.take(_char, ",]") == "]":
+            return blocks
+
+
+def _streamed_document(stream) -> dict:
+    """The top-level JSON object of a text stream, with "classes" as
+    _class_blocks. Raises _Unstreamable for any other document, or a stream
+    that does not decode."""
+    window = _TextWindow(stream)
+    window.take(_char, "{")
+    doc, c = {}, ","  # {} has no fields, so from_json_dict decides it too
+    while c == ",":
+        key = window.take(_key)
+        if key == "classes":
+            doc[key] = _class_blocks(window)
+            c = window.take(_char, ",}")
+        else:
+            doc[key], c = window.take(_member_value)
+    if not window.at_end():
+        raise _Unstreamable
+    return doc
+
+
 def load_json(path, sha256=None) -> ClassifiedDataset:
-    """Dataset from a JSON file (see from_json_dict). The file is read once as
-    bytes and decoded as open(path) in text mode decodes it; sha256, a hashlib
-    object if given, is fed exactly those bytes."""
+    """Dataset from a JSON file (see from_json_dict), decoded as open(path) in
+    text mode decodes it; sha256, a hashlib object if given, is fed the
+    file's bytes exactly once.
+
+    The text is read once, _HASH_CHUNK_BYTES characters at a time, and the
+    "classes" field is decoded and converted one class at a time, so the
+    reader holds the float blocks, one class as Python lists and a window of
+    text, never the whole text or document. x0 is the concatenation of the
+    blocks, transposed: the values and layout of from_json_dict's. A document
+    that this streamed walk does not decide (it does not parse, does not
+    decode, or has a class that is not a non-empty rectangle of values) is
+    read again whole by from_json_dict, which raises its error."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if sha256 is not None:
-        sha256.update(raw)
-    # Each form is dropped once the next exists, as json.load on a text-mode
-    # file drops them: the bytes before the parse, the text before the build.
-    text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    del raw
-    doc = json.loads(text)
-    del text
-    return from_json_dict(doc)
+        reader = _HashedReader(fh, sha256)
+        try:
+            doc = _streamed_document(io.TextIOWrapper(reader))
+        except _Unstreamable:
+            doc = None
+        if doc is None:
+            reader.drain()
+    if doc is None:  # outside the except block, whose traceback holds the walk's text
+        with open(path) as fh:
+            return from_json_dict(json.load(fh))
+    return _from_document(doc, _block_rows)
 
 
 def file_sha256(path) -> str:

@@ -92,11 +92,16 @@ def _truncation_pass(w1: np.ndarray, b1: np.ndarray,
     pre, in_region = _region_preactivation(w1, b1, ds)
     w1 = np.asarray(w1, dtype=float)
     bias = np.asarray(b1, dtype=float).reshape(-1, 1)
-    hidden = relu(pre)
+    hidden = np.maximum(pre, 0.0, out=pre)  # relu(pre); nothing reads pre again
     tau = np.linalg.solve(w1, hidden - bias)
-    reapplied = w1 @ tau + bias
-    leak = float(np.max(np.abs(relu(reapplied) - reapplied)))
-    require(check("truncation.reapplication-leak", leak, 1e-10 * (1.0 + np.max(np.abs(hidden)))),
+    reapplied = w1 @ tau
+    reapplied += bias
+    # |relu(r) - r| is -r for r < 0, 0 for finite r >= 0 and NaN for r NaN or
+    # +inf, so its maximum over reapplied is its maximum over the two extremes.
+    ends = np.array([reapplied.min(), reapplied.max()])
+    leak = float(np.max(np.abs(relu(ends) - ends)))
+    # hidden >= 0, so its maximum is max|hidden| up to the sign of a zero.
+    require(check("truncation.reapplication-leak", leak, 1e-10 * (1.0 + np.max(hidden))),
             ConsistencyError, f"reapplication identity violated by {leak:.3e}")
     return tau, hidden, in_region, leak
 

@@ -291,6 +291,8 @@ class TestIO:
         with pytest.raises(DimensionError):
             load_dataset(tmp_path / "d.parquet")
 
+    _TWO_CLASSES = b'[[[1.0, 0.0], [0.9, 0.1]], [[0.0, 1.0], [0.1, 0.9]]]'
+
     @pytest.mark.parametrize("raw", [
         b'{"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0, 1.0]]]}',
         b'{"m": 2,\r\n "q": 2,\r "classes": [[[1.0, 0.0]], [[0.0, 1.0]]]}\r\n',
@@ -298,10 +300,29 @@ class TestIO:
         b'\xef\xbb\xbf{"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0, 1.0]]]}',
         b'{"m": 2,\r\n\r\n "q": 2, "classes": [[[1.0, 0.0]],, [[0.0, 1.0]]]}',
         b'{"m": 2, "q": 2, "classes": [[[1.0, 0.0]], [[0.0, 1.0]]], "y": "\xff"}',
-    ], ids=["lf", "crlf", "crlf-inf", "bom", "crlf-syntax-error", "invalid-utf8"])
-    def test_json_reads_like_text_mode_and_hashes_the_bytes(self, tmp_path, raw):
+        b'{"classes": ' + _TWO_CLASSES + b', "y": [[2.0, 0.0], [0.0, 1.0]], "q": 2, "m": 2}',
+        b'{"m": 2, "q": 2, "classes": [[[5.0]]], "extra": {"a": [1, "b"]}, "classes": '
+        + _TWO_CLASSES + b'}',
+        b'{"q": 2, "m": 2e0, "classes": ' + _TWO_CLASSES + b'}',  # 16 bytes end at "e"
+        b'{"m": 2.0, "q": 2, "classes": ' + _TWO_CLASSES + b'}',
+        b'{"m": 2, "q": 2, "classes": [[["1.0", "0"], [0.9, 0.1]], [[0.0, "1e0"], [0.1, 0.9]]]}',
+        b'{"m": 2, "q": 2, "classes": [[[NaN, 0.0]], [[0.0, Infinity], [-Infinity, 1.0]]]}',
+        b'{"m": 2, "q": 2, "classes": [[], [[0.0, 1.0], [0.1, 0.9]]]}',
+        b'{"m": 2, "q": 2, "classes": [[[1.0, 0.0], [0.9]], [[0.0, 1.0], [0.1, 0.9]]]}',
+        b'{"m": 2, "q": 2, "classes": {"a": [[1.0, 0.0]], "b": [[0.0, 1.0]]}}',
+        b'[{"m": 2, "q": 2, "classes": ' + _TWO_CLASSES + b'}]',
+        b'{"m": 2, "q": 2, "classes": ' + _TWO_CLASSES + b'} {}',
+        b'{"m": 2, "q": 2, "classes": ' + _TWO_CLASSES[:-9],
+        b'{"m": 2, "q": 2, "classes": [[[1.0, 0.0], [0.9, 0.1]], [[0.0, 1.0], [0.1, \xff0.9]]]}',
+    ], ids=["lf", "crlf", "crlf-inf", "bom", "crlf-syntax-error", "invalid-utf8", "classes-first",
+            "duplicate-classes", "number-across-chunks", "float-m", "string-samples",
+            "nan-infinity", "empty-class", "ragged-class", "classes-not-a-list",
+            "top-level-list", "trailing-data", "truncated", "invalid-utf8-late"])
+    def test_json_reads_like_text_mode_and_hashes_the_bytes(self, tmp_path, monkeypatch, raw):
         # the reader parses the bytes it hashes, decoded as open(path) decodes
-        # them: same datasets, same errors and messages
+        # them: same datasets (values, layout, sizes), same errors and messages,
+        # also when each read of 16 bytes splits the classes
+        monkeypatch.setattr(dataset, "_HASH_CHUNK_BYTES", 16)
         path = tmp_path / "data.json"
         path.write_bytes(raw)
 
@@ -310,7 +331,7 @@ class TestIO:
                 ds = read()
             except Exception as exc:  # compared by type and message
                 return type(exc), str(exc)
-            return ds.x0.tolist(), ds.y.tolist()
+            return ds.x0.tolist(), ds.x0.strides, ds.class_sizes, ds.y.tolist()
 
         sha256 = hashlib.sha256()
         got = outcome(lambda: load_json(path, sha256))

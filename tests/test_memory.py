@@ -4,8 +4,12 @@ class-block buffers), training keeps under one M x N array of transient
 memory, and a cost report under half of one (it forwards column chunks and
 reads the bound from the statistics). Synthesis holds one M x N array (it
 builds X0 in place), and the JSON writer less than one (it streams column
-chunks). The truncation suite holds one grid point's arrays at a time (it
-folds each point of the sweep into scalars as it arrives)."""
+chunks). The JSON reader holds about two (the class blocks and their
+concatenation), not the text and the decoded document: it decodes one class
+at a time. The truncation suite holds one grid point's arrays at a time (it
+folds each point of the sweep into scalars as it arrives), and one point's
+truncation pass three (it forms the hidden layer in place of the
+pre-activations and reads the reapplication leak off the extremes)."""
 
 import dataclasses
 import tracemalloc
@@ -13,8 +17,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shallowmin import dataset_stats, evaluate, pipeline, synthesize, train_general, verify
-from shallowmin.dataset import save_json
+from shallowmin import (dataset, dataset_stats, evaluate, pipeline, synthesize, train_general,
+                        truncation, verify)
+from shallowmin.dataset import load_json, save_json
 from shallowmin.network import params_from_dict, params_to_dict
 
 
@@ -77,6 +82,22 @@ def test_synthesize_peak_one_m_by_n_array(fitted):
 def test_save_json_peak_under_one_m_by_n_array(tmp_path):
     ds = synthesize(8, 4, [2500] * 4, noise=0.05, seed=3)
     assert traced_peak(save_json, ds, tmp_path / "d.json") < 1.0 * ds.x0.nbytes
+
+
+def test_load_json_peak_under_four_m_by_n_arrays(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_HASH_CHUNK_BYTES", 1 << 16)
+    ds = synthesize(20, 10, [200] * 10, noise=0.05, seed=3)
+    path = tmp_path / "d.json"
+    save_json(ds, path)
+    assert path.stat().st_size > 4 * dataset._HASH_CHUNK_BYTES
+    assert traced_peak(load_json, path) < 4 * ds.x0.nbytes
+
+
+def test_truncation_pass_peak_under_three_and_a_half_m_by_n_arrays():
+    ds = synthesize(8, 8, [500] * 8, noise=0.05, seed=3)
+    for b in (3.0, -0.2):  # in the fixed-point region and out of it
+        peak = traced_peak(truncation._truncation_pass, np.eye(8), np.full(8, b), ds)
+        assert peak < 3.5 * ds.x0.nbytes
 
 
 def test_truncation_suite_peak_does_not_grow_with_the_grid(monkeypatch):

@@ -17,6 +17,7 @@ from shallowmin.checks import rel
 from shallowmin.constructive import tied_output_layer
 from shallowmin.errors import (
     BetaTooSmall,
+    ConsistencyError,
     NotPositiveSemidefinite,
     SingularMeans,
     SingularW1,
@@ -62,6 +63,29 @@ class TestTruncate:
             tau = min_over_output_layer(w1, b1, delta01_dataset).tau_x0
             reapplied = w1 @ tau + b1[:, None]
             assert np.max(np.abs(relu(reapplied) - reapplied)) < 1e-10
+
+    @pytest.mark.parametrize("entry", [-1e-12, -0.0, 0.5, -1.0, np.nan])
+    def test_reapplication_leak_over_all_entries(self, delta01_dataset, monkeypatch, entry):
+        # With w1 = I and b1 = 0, reapplied is tau; one planted entry of tau
+        # must give the leak max|relu(r) - r| over every entry r, and a leak
+        # that is NaN or over tolerance must fail.
+        solve = np.linalg.solve
+
+        def planted(a, b):
+            tau = solve(a, b)
+            tau[0, 0] = entry
+            return tau
+
+        monkeypatch.setattr(np.linalg, "solve", planted)
+        reapplied = planted(np.eye(2), relu(delta01_dataset.x0))
+        with np.errstate(invalid="ignore"):
+            expected = np.max(np.abs(relu(reapplied) - reapplied))
+        if expected <= 1e-10:
+            leak = truncation._truncation_pass(np.eye(2), np.zeros(2), delta01_dataset)[3]
+            assert leak == expected
+        else:
+            with pytest.raises(ConsistencyError, match="reapplication identity"):
+                truncation._truncation_pass(np.eye(2), np.zeros(2), delta01_dataset)
 
     def test_singular_w1(self, delta01_dataset):
         with pytest.raises(SingularW1):

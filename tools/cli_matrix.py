@@ -4,7 +4,8 @@ working tree.
     python tools/cli_matrix.py REV        # REV: HEAD, HEAD~1, a commit hash, ...
 
 The command matrix is data: DATASETS (gen flags) times COMMANDS (templates
-filled in per dataset), plus EDGE_COMMANDS on synthesized or missing inputs.
+filled in per dataset), plus EDGE_COMMANDS on synthesized, hand-written or
+missing inputs.
 It covers every command and output format, each to stdout and with --out
 (tests/test_cli_matrix.py checks this against the CLI parser), at M = Q and
 M > Q, Q = 1, the scale probe --mean-scale 1e4 --noise 500, non-finite
@@ -107,7 +108,26 @@ def _inputs(name: str, m: int) -> dict[str, str]:
             f"{name}.grid.json": json.dumps(grid)}
 
 
+# Dataset files in forms that gen never writes, for the commands that read
+# JSON: keys in reverse order and indented (a valid dataset), the same
+# document followed by more data, and one with a ragged class.
+def _edge_inputs() -> dict[str, str]:
+    classes = [[[2.0 * (i == j) + 0.05 * ((7 * k + 3 * i) % 5 - 2) for i in range(3)]
+                for k in range(4)] for j in range(3)]
+    doc = {"y": [[float(i == j) for j in range(3)] for i in range(3)],
+           "classes": classes, "q": 3, "m": 3}
+    ragged = {"m": 3, "q": 3, "classes": [classes[0], [*classes[1], [1.0, 2.0]], classes[2]]}
+    return {"reordered.json": json.dumps(doc, indent=1),
+            "trailing.json": json.dumps(doc, indent=1) + "\n{}\n",
+            "ragged.json": json.dumps(ragged)}
+
+
 EDGE_COMMANDS = [
+    "train --data reordered.json --out reordered.p.json",
+    "eval --data reordered.json --params reordered.p.json",
+    "verify bounds --data reordered.json --seed 1",
+    *(f"{c} --data {d}.json" + (" --params reordered.p.json" if c == "eval" else "")
+      for d in ("trailing", "ragged") for c in ("train", "eval", "verify bounds")),
     "gen --m 3 --q 3 --noise nan --out nan.json",
     "gen --m 3 --q 3 --mean-scale inf",
     "gen --m 0 --q 0 --out q0.json",
@@ -147,7 +167,7 @@ SLICE = [
 
 def matrix() -> tuple[list[str], dict[str, str]]:
     """The full command list, in run order, and the input files it reads."""
-    commands, files = [], {}
+    commands, files = [], _edge_inputs()
     for name, flags in DATASETS.items():
         m = int(flags[flags.index("--m") + 1])
         files.update(_inputs(name, m))
