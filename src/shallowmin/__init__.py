@@ -52,10 +52,9 @@ from .truncation import (
     min_over_output_layer,
     sweep_fixed_point_region,
 )
-from .classify import BatchOutcome, ClassificationOutcome, classify, classify_batch, metric
+from .classify import ClassificationOutcome, classify, metric
 
 __all__ = [
-    "BatchOutcome",
     "ClassificationOutcome",
     "ClassifiedDataset",
     "ConstructiveConfig",
@@ -72,7 +71,6 @@ __all__ = [
     "bound_general",
     "class_means",
     "classify",
-    "classify_batch",
     "compute_stats",
     "cost_l2",
     "cost_weighted",

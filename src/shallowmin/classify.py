@@ -9,10 +9,9 @@ The equality holds on the ball |x| <= beta1, where the first layer stays in its
 linear regime.
 
 Every winner is the row-wise argmin of score_batch over an M x K block of
-inputs, which needs only the parameters and the targets. classify_batch adds
-the metric scores and their agreement; the class means are passed in once, so
-a block costs one forward pass and Q linear maps, never a pass over the
-training data per input.
+inputs, which needs only the parameters and the targets: one forward pass per
+block, never a pass over the training data per input. classify does the same
+for one input and adds its metric scores and their agreement.
 """
 
 from __future__ import annotations
@@ -34,16 +33,6 @@ class ClassificationOutcome:
     winner: int                # argmin, lowest index on ties
     metric_scores: np.ndarray  # Q metric distances
     agreement: bool            # scores ~ metric_scores componentwise
-
-
-@dataclass
-class BatchOutcome:
-    """classify_batch results, one row per input column."""
-
-    scores: np.ndarray         # K x Q network residuals
-    winners: np.ndarray        # (K,) argmin per row, lowest index on ties
-    metric_scores: np.ndarray  # K x Q metric distances
-    agreement: np.ndarray      # (K,) bool, scores ~ metric_scores componentwise
 
 
 def _input_block(params: ShallowParams, x) -> np.ndarray:
@@ -87,39 +76,6 @@ def metric(w2_tilde: np.ndarray, p: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     return float(np.linalg.norm(w2_tilde @ (p @ (x - y))))
 
 
-def classify_batch(
-    params: ShallowParams,
-    w2_tilde: np.ndarray,
-    p: np.ndarray,
-    means: np.ndarray,
-    y: np.ndarray,
-    x,
-) -> BatchOutcome:
-    """Score every column of the M x K block x against every class through the
-    network and through the metric.
-
-    means are the M x Q class means (stats.means) and y the Q x Q targets.
-    winners are the row-wise argmin of the network scores with lowest-index
-    tie breaking; agreement records per input whether both score vectors
-    coincide to 1e-9 relative (guaranteed for parameters from the general
-    construction and |x| <= beta1). Non-finite inputs raise DimensionError.
-    """
-    if means.shape != (params.m, params.q):
-        raise DimensionError(f"means shape {means.shape} != ({params.m}, {params.q})")
-    x = _input_block(params, x)
-    s = score_batch(params, y, x)
-    px = p @ x
-    ms = np.stack(
-        [np.linalg.norm(w2_tilde @ (p @ (px - means[:, j:j + 1])), axis=0)
-         for j in range(params.q)], axis=1)
-    return BatchOutcome(
-        scores=s,
-        winners=np.argmin(s, axis=1),
-        metric_scores=ms,
-        agreement=np.all(np.abs(s - ms) <= AGREEMENT_RTOL * (1.0 + s), axis=1),
-    )
-
-
 def classify(
     params: ShallowParams,
     w2_tilde: np.ndarray,
@@ -127,15 +83,21 @@ def classify(
     ds: ClassifiedDataset,
     x: np.ndarray,
 ) -> ClassificationOutcome:
-    """classify_batch of the single input x; see there.
+    """Scores of the single input x through the network (score_batch) and
+    through the metric against each class mean of ds.
 
-    Computes the class means of ds on every call: use classify_batch with
-    stats.means for more than one input.
+    winner is the argmin of the network scores, lowest index on ties;
+    agreement records whether both score vectors coincide to 1e-9 relative
+    (guaranteed for parameters from the general construction and |x| <= beta1).
+    Computes the class means of ds on every call.
     """
-    out = classify_batch(params, w2_tilde, p, class_means(ds), ds.y, _input_column(params, x))
+    x = _input_column(params, x)
+    scores = score_batch(params, ds.y, x)[0]
+    means = class_means(ds)
+    metric_scores = np.array([metric(w2_tilde, p, x, means[:, j]) for j in range(ds.q)])
     return ClassificationOutcome(
-        scores=out.scores[0],
-        winner=int(out.winners[0]),
-        metric_scores=out.metric_scores[0],
-        agreement=bool(out.agreement[0]),
+        scores=scores,
+        winner=int(np.argmin(scores)),
+        metric_scores=metric_scores,
+        agreement=bool(np.all(np.abs(scores - metric_scores) <= AGREEMENT_RTOL * (1.0 + scores))),
     )

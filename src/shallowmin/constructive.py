@@ -25,7 +25,7 @@ import numpy as np
 
 from .checks import Check, check, rel, require
 from .cost import ExactMinimum, _psd_eig, _residual_sums, bound_chain, bound_general, exact_minimum
-from .dataset import ClassifiedDataset, DatasetStats, dataset_stats
+from .dataset import ClassifiedDataset, DatasetStats, dataset_stats, seal
 from .errors import BetaTooLarge, BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, op_norm
 from .network import ShallowParams, forward
@@ -136,10 +136,14 @@ def train_exact_meq(ds: ClassifiedDataset, stats: DatasetStats,
 
 def _tied_pass(pl: Pipeline, w1, b1, w2, lifted, on_hidden) -> tuple[ShallowParams, float, float]:
     """Params (w1, b1, w2, -w2 lifted) and the sums of their one pass over pl.ds;
-    a numpy overflow there, at a scale beta1 sets, raises BetaTooLarge, not a warning."""
+    a numpy overflow there, at a scale beta1 sets, raises BetaTooLarge, not a warning.
+    The params hold sealed copies, so the pass's sums stay readable by cost
+    queries on them, and the arrays passed in (pack.r, ExactMinimum.w2) stay
+    writable."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            params = ShallowParams(w1=w1, b1=b1, w2=w2, b2=-(w2 @ lifted))
+            w1, b1, w2 = (seal(np.array(a)) for a in (w1, b1, w2))
+            params = ShallowParams(w1=w1, b1=b1, w2=w2, b2=seal(-(w2 @ lifted)))
             return (params, *_residual_sums(params, pl.ds, on_hidden))
     except FloatingPointError as exc:
         beta1 = pl.cfg.beta1(pl.stats.rho)

@@ -4,13 +4,13 @@ closed-form bound / minimum expressions.
 The plain L2 cost (1/sqrt(N)) ||X2 - Yext||_F and the size-weighted cost
 sqrt(sum_j ||residual_j||_F^2 / N_j) come from one blocked residual kernel
 that forms neither the M x N hidden layer nor the Q x N residual. A full pass
-over a dataset with a read-only X0 records its sums for that params object;
-a later cost query on the same params and dataset reads the record while
-w1, b1, w2, b2 and Y still match its copies. The general bound is read from
-the statistics. The M = Q closed forms are functions of the relative
-deviation Gram alone, cross-checked at runtime against the matrix-free data
-projector route; only data_projector forms the N x N projector, for tests,
-and it refuses N > MAX_PROJECTOR_N. ExactMinimum keeps its route check, and
+over sealed inputs (params arrays, X0 and Y all read-only) leaves its sums in
+one module slot; a later cost query on the same params object and the same
+dataset object reads them. The general bound is read from the statistics.
+The M = Q closed forms are functions of the relative deviation Gram alone,
+cross-checked at runtime against the matrix-free data projector route; only
+data_projector forms the N x N projector, for tests, and it refuses
+N > MAX_PROJECTOR_N. ExactMinimum keeps its route check, and
 bound_chain is the one form of the bound chain's check; verify prints both.
 """
 
@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import Check, check, rel, require
-from .dataset import ClassifiedDataset, DatasetStats, block_slices, column_chunks, deviations, y_ext
+from .dataset import (
+    ClassifiedDataset, DatasetStats, block_slices, column_chunks, deviations, is_sealed, y_ext)
 from .errors import (
     ConsistencyError,
     NotPositiveSemidefinite,
@@ -45,26 +46,10 @@ def weighted_norm(a: np.ndarray, class_sizes) -> float:
                              for sl, nj in zip(block_slices(class_sizes), class_sizes))))
 
 
-# Sums of the last recorded residual pass per live ShallowParams, keyed by
-# id(p) and dropped when p is collected: (weak reference to the dataset, copies
-# of w1, b1, w2, b2 and Y, sum ||r||^2, sum_j ||r_j||^2 / N_j).
-_records: dict[int, tuple] = {}
-
-
-def _inputs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[np.ndarray, ...]:
-    return p.w1, p.b1, p.w2, p.b2, ds.y
-
-
-def _read_only(a: np.ndarray) -> bool:
-    """True when no writable array shares a's memory: a and every array it is
-    a view of are read-only, down to one that owns its data."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        if a.base is None:
-            return True
-        a = a.base
-    return False
+# The sums of the last full pass whose six inputs were all sealed: (weak
+# reference to the params, weak reference to the dataset, sum ||r||^2,
+# sum_j ||r_j||^2 / N_j). It keeps neither object alive.
+_last_pass: tuple | None = None
 
 
 def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> tuple[float, float]:
@@ -76,16 +61,16 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
     on_hidden, if given, is called with each chunk's hidden layer, so a
     caller can check the hidden layer within this same pass.
 
-    When ds.x0 is read-only (_read_only), each full pass records its sums for
-    p. Without on_hidden, the record is returned and the network does not run
-    if it was made on this same dataset object and w1, b1, w2, b2 and ds.y
-    still equal its copies; with on_hidden the pass always runs, so a check
-    reads only values it produced."""
-    sealed = _read_only(ds.x0)
-    record = _records.get(id(p)) if sealed and on_hidden is None else None
-    if (record is not None and record[0]() is ds
-            and all(map(np.array_equal, record[1], _inputs(p, ds)))):
-        return record[2], record[3]
+    When w1, b1, w2, b2, ds.x0 and ds.y are all sealed (dataset.is_sealed),
+    a full pass leaves its sums in _last_pass. Without on_hidden, those sums
+    are returned and the network does not run if they were made on this same
+    params object and this same dataset object; with on_hidden the pass
+    always runs, so a check reads only values it produced."""
+    global _last_pass
+    sealed = all(map(is_sealed, (p.w1, p.b1, p.w2, p.b2, ds.x0, ds.y)))
+    last = _last_pass  # read once: a concurrent overwrite can only cause a miss
+    if sealed and on_hidden is None and last is not None and last[0]() is p and last[1]() is ds:
+        return last[2], last[3]
     total = weighted = 0.0
     for sl, target, nj in zip(ds.class_slices(), ds.y.T, ds.class_sizes):
         block = 0.0
@@ -99,10 +84,7 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
         total += block
         weighted += block / nj
     if sealed:
-        if id(p) not in _records:
-            weakref.finalize(p, _records.pop, id(p), None)
-        copies = tuple(np.array(a) for a in _inputs(p, ds))
-        _records[id(p)] = (weakref.ref(ds), copies, total, weighted)
+        _last_pass = (weakref.ref(p), weakref.ref(ds), total, weighted)
     return total, weighted
 
 
@@ -118,7 +100,7 @@ def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
 
 def costs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
     """(cost_l2, cost_weighted) from one pass of the network over the data,
-    or from the sums an earlier pass recorded for p on this dataset object."""
+    or from the sums the last sealed pass left for p on this dataset object."""
     total, weighted = _residual_sums(p, ds)
     return float(np.sqrt(total) / np.sqrt(ds.n)), float(np.sqrt(weighted))
 
@@ -342,7 +324,7 @@ def evaluate(
     include_matrices: bool = False,
 ) -> CostReport:
     """Full cost report for one parameter set on one dataset. The costs are
-    read from the record of an earlier pass of p over ds when there is one;
+    read from the last sealed pass when it was p's over ds (_residual_sums);
     the M = Q fields come from one exact_minimum call. pack is not read."""
     b_l2, b_dp = bound_general(ds, stats)
     c_l2, c_w = costs(p, ds)

@@ -65,10 +65,10 @@ def checked_targets(y, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassifiedDataset:
-    """x0 is kept as given. Every builder in this module makes its datasets
-    through _built, which leaves x0 read-only, so no caller can change a
-    dataset built here; the cost kernel reuses a measured cost only for a
-    dataset whose x0 is read-only in this way."""
+    """x0 and y are kept as given. Every builder in this module makes its
+    datasets through _built, which seals x0 and y (is_sealed), so no caller
+    can change a dataset built here; the cost kernel reuses a measured cost
+    only for sealed inputs."""
 
     m: int
     q: int
@@ -223,15 +223,33 @@ def dataset_stats(ds: ClassifiedDataset) -> tuple[DatasetStats, ProjectorPack]:
     return compute_stats(ds, means, pack), pack
 
 
-def _built(x0: np.ndarray, class_sizes, y) -> ClassifiedDataset:
-    """The dataset of the M x N columns x0, grouped class by class, with
-    targets y. x0 and every array it is a view of are made read-only first."""
-    base = x0
+def seal(a: np.ndarray) -> np.ndarray:
+    """Make a and every array it is a view of read-only; returns a."""
+    base = a
     while isinstance(base, np.ndarray):
         base.flags.writeable = False
         base = base.base
+    return a
+
+
+def is_sealed(a: np.ndarray) -> bool:
+    """True when no writable array shares a's memory: a and every array it is
+    a view of are read-only, down to one that owns its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return False
+
+
+def _built(x0: np.ndarray, class_sizes, y) -> ClassifiedDataset:
+    """The dataset of the M x N columns x0, grouped class by class, with
+    targets y, both sealed: x0 in place, y as a Q x Q copy, so that no array
+    a caller passed in (holdout_split's source targets) is sealed."""
     return ClassifiedDataset(m=x0.shape[0], q=len(class_sizes), class_sizes=class_sizes,
-                             x0=x0, y=y)
+                             x0=seal(x0), y=seal(np.array(y, dtype=float)))
 
 
 def synthesize(

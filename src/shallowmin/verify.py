@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .checks import Check, check, rel
-from .classify import classify_batch, metric as metric_distance, score_batch
+from .classify import AGREEMENT_RTOL, metric as metric_distance, score_batch
 from .constructive import (
     ConstructiveConfig,
     Pipeline,
@@ -208,11 +208,17 @@ def suite_metric(pl: Pipeline, seed: int = 0) -> list[Check]:
         xs.append(random_ball(ds.m, radius, rng))
         vs.append(pack.p_perp @ rng.standard_normal(ds.m))
     x = np.stack(xs, axis=1)
-    out = classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
-    all_agree = bool(np.all(out.agreement))
-    worst_agree = float(np.max(np.abs(out.scores - out.metric_scores) / (1.0 + out.scores)))
+    scores = score_batch(params, ds.y, x)
+    # The metric reference |w2t P (Px - mean_j)| of every point and class.
+    px = pack.p @ x
+    metric_scores = np.stack(
+        [np.linalg.norm(w2t @ (pack.p @ (px - stats.means[:, j:j + 1])), axis=0)
+         for j in range(ds.q)], axis=1)
+    gap = np.abs(scores - metric_scores)
+    all_agree = bool(np.all(gap <= AGREEMENT_RTOL * (1.0 + scores)))
+    worst_agree = float(np.max(gap / (1.0 + scores)))
     shifted = score_batch(params, ds.y, x + np.stack(vs, axis=1))
-    worst_perp = float(np.max(np.abs(shifted - out.scores)))
+    worst_perp = float(np.max(np.abs(shifted - scores)))
     checks = [
         check("metric.network-eq-metric", worst_agree, 1e-9,
               detail=f"{n_points} points, all agreement flags set: {all_agree}"),

@@ -4,7 +4,6 @@ import pytest
 from shallowmin import (
     ShallowParams,
     classify,
-    classify_batch,
     dataset_stats,
     metric,
     synthesize,
@@ -137,6 +136,9 @@ class TestClassify:
 
 
 class TestClassifyBatch:
+    """A block of inputs is classified by score_batch and a row argmin, the
+    path verify and the CLI take; classify is its single-input form."""
+
     @pytest.fixture
     def general(self):
         ds = synthesize(5, 3, [6, 6, 6], noise=0.05, seed=6)
@@ -148,40 +150,36 @@ class TestClassifyBatch:
         ds, stats, pack, params, w2t = general
         rng = np.random.default_rng(7)
         x = np.stack([random_ball(ds.m, 2.0 * stats.rho, rng) for _ in range(100)], axis=1)
-        batch = classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
+        scores = score_batch(params, ds.y, x)
         loop = [classify(params, w2t, pack.p, ds, x[:, k]) for k in range(x.shape[1])]
-        assert batch.winners.tolist() == [o.winner for o in loop]
-        assert batch.agreement.tolist() == [o.agreement for o in loop]
-        np.testing.assert_allclose(batch.scores, [o.scores for o in loop], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(batch.metric_scores, [o.metric_scores for o in loop],
-                                   rtol=1e-12, atol=0)
+        assert np.argmin(scores, axis=1).tolist() == [o.winner for o in loop]
+        assert all(o.agreement for o in loop)
+        np.testing.assert_allclose(scores, [o.scores for o in loop], rtol=1e-12, atol=0)
 
     def test_tie_breaks_to_lower_index_per_column(self, zero_noise_dataset):
         ds = zero_noise_dataset
         stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
-        w2t = w2_tilde(ds, pack)
         x = np.array([[0.5, 0.0, 0.5],
                       [0.5, 1.0, 0.5]])  # symmetric point, mean of class 1, symmetric point
-        out = classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
-        assert out.scores[0, 0] == out.scores[0, 1]
-        assert out.winners.tolist() == [0, 1, 0]
+        scores = score_batch(params, ds.y, x)
+        assert scores[0, 0] == scores[0, 1]
+        assert np.argmin(scores, axis=1).tolist() == [0, 1, 0]
 
     def test_empty_block(self, general):
         ds, stats, pack, params, w2t = general
-        out = classify_batch(params, w2t, pack.p, stats.means, ds.y, np.zeros((ds.m, 0)))
-        assert out.scores.shape == out.metric_scores.shape == (0, ds.q)
-        assert out.winners.shape == out.agreement.shape == (0,)
+        scores = score_batch(params, ds.y, np.zeros((ds.m, 0)))
+        assert scores.shape == (0, ds.q)
+        assert np.argmin(scores, axis=1).shape == (0,)
 
     def test_single_column_equals_classify(self, general):
         ds, stats, pack, params, w2t = general
         x = stats.means[:, 1] + 0.01
-        out = classify_batch(params, w2t, pack.p, stats.means, ds.y, x[:, None])
+        scores = score_batch(params, ds.y, x[:, None])
         ref = classify(params, w2t, pack.p, ds, x)
-        assert out.winners.tolist() == [ref.winner]
-        assert out.agreement.tolist() == [ref.agreement]
-        assert out.scores[0].tolist() == ref.scores.tolist()
-        assert out.metric_scores[0].tolist() == ref.metric_scores.tolist()
+        assert np.argmin(scores, axis=1).tolist() == [ref.winner]
+        assert ref.agreement
+        assert scores[0].tolist() == ref.scores.tolist()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_columns(self, general, bad):
@@ -189,9 +187,13 @@ class TestClassifyBatch:
         x = np.tile(stats.means[:, :1], (1, 4))
         x[2, 3] = bad
         with pytest.raises(DimensionError, match="column 3"):
-            classify_batch(params, w2t, pack.p, stats.means, ds.y, x)
+            score_batch(params, ds.y, x)
+        with pytest.raises(DimensionError, match="column 0"):
+            classify(params, w2t, pack.p, ds, x[:, 3])
 
     def test_rejects_wrong_height(self, general):
         ds, stats, pack, params, w2t = general
         with pytest.raises(DimensionError):
-            classify_batch(params, w2t, pack.p, stats.means, ds.y, np.zeros((ds.m + 1, 2)))
+            score_batch(params, ds.y, np.zeros((ds.m + 1, 2)))
+        with pytest.raises(DimensionError):
+            classify(params, w2t, pack.p, ds, np.zeros(ds.m + 1))

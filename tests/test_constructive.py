@@ -366,6 +366,20 @@ class TestPipeline:
         assert big.general.params.b1[0] == 2.0 * pl.stats.rho + 5.0
         assert pl.general.params.b1[0] == 2.5 * pl.stats.rho
 
+    def test_fit_params_are_sealed_and_shared_arrays_are_not(self):
+        """A Fit's params cannot change under the costs its pass measured; the
+        pack and closed-form arrays they were copied from stay writable."""
+        pl = pipeline(synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2))
+        for fit in (pl.general, pl.square):
+            for name in ("w1", "b1", "w2", "b2"):
+                with pytest.raises(ValueError):
+                    getattr(fit.params, name)[0] += 1.0
+        assert pl.pack.r.flags.writeable and pl.minimum.w2.flags.writeable
+        r, w2 = pl.pack.r.copy(), pl.minimum.w2.copy()
+        pl.pack.r[0, 0] += 1.0
+        pl.minimum.w2[0, 0] += 1.0
+        assert np.array_equal(pl.general.params.w1, r) and np.array_equal(pl.square.params.w2, w2)
+
 
 class TestDegeneracy:
     def test_in_region_resolve_reproduces_value(self, delta01_dataset):

@@ -115,10 +115,10 @@ class TestOneForward:
 
 
 class TestResidualRecord:
-    """A full residual pass over a dataset with a read-only x0 records its
-    sums for the params it ran; a cost query on the same params and the same
-    dataset object reads the record while w1, b1, w2, b2 and y still match,
-    and a pass that checks hidden layers (a trainer's) never reads it."""
+    """A full residual pass whose params arrays, x0 and y are all sealed
+    leaves its sums in cost._last_pass; a cost query on the same params and
+    the same dataset object reads them, and a pass that checks hidden layers
+    (a trainer's) never does."""
 
     @pytest.fixture
     def general(self):
@@ -181,7 +181,7 @@ class TestResidualRecord:
             fresh = ShallowParams(w1=w1.copy(), b1=b1.copy(), w2=w2.copy(), b2=b2.copy())
             assert cost_l2(p, ds) == cost_l2(fresh, ds) != before
             before = cost_l2(p, ds)
-        assert sum(forward_calls) == 9 * ds.n
+        assert sum(forward_calls) == 13 * ds.n
 
     def test_writes_to_the_callers_dataset_arrays_are_seen(self, general, forward_calls):
         ds, _, _ = general
@@ -198,6 +198,15 @@ class TestResidualRecord:
         y *= 2.0
         assert cost_l2(p, targets) == cost_l2(p, replace(ds, y=2.0 * ds.y)) != before
         assert sum(forward_calls) == 6 * ds.n
+        y = np.array(ds.y)
+        targets = replace(ds, y=y)
+        stats, pack = dataset_stats(targets)
+        trained = train_general(targets, stats, pack)
+        y *= 2.0
+        fresh = params_from_dict(params_to_dict(trained))
+        assert evaluate(trained, targets, stats, pack).to_dict() == (
+            evaluate(fresh, targets, stats, pack).to_dict())
+        assert sum(forward_calls) == 9 * ds.n
 
     def test_library_built_datasets_are_read_only(self, general, tmp_path):
         ds, _, _ = general
@@ -207,9 +216,11 @@ class TestResidualRecord:
         built = (ds, dataset_mod.load_json(path), dataset_mod.from_samples(ds.x0.T, labels),
                  dataset_mod.holdout_split(ds, 0.25, seed=1)[0])
         for other in built:
-            assert cost._read_only(other.x0)
+            assert dataset_mod.is_sealed(other.x0) and dataset_mod.is_sealed(other.y)
             with pytest.raises(ValueError):
                 other.x0[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                other.y[0, 0] = 1.0
         samples = np.array(ds.x0.T)
         dataset_mod.from_samples(samples, labels)
         assert samples.flags.writeable
@@ -228,7 +239,7 @@ class TestResidualRecord:
         loaded = built[1]
         doc = json.loads(path.read_text())
         check(loaded.x0, (np.array(v) for group in doc["classes"] for v in group), "F")
-        assert cost._read_only(loaded.x0.T)
+        assert dataset_mod.is_sealed(loaded.x0.T)
         order = np.random.default_rng(3).permutation(ds.n)
         csv_path = tmp_path / "shuffled.csv"
         csv_path.write_text("".join(",".join(map(repr, ds.x0[:, i].tolist())) + f",{labels[i]}\n"
@@ -236,7 +247,8 @@ class TestResidualRecord:
         grouped = [ds.x0[:, i] for j in range(ds.q) for i in order if labels[i] == j]
         for shuffled in (dataset_mod.from_samples(ds.x0.T[order], labels[order]),
                          dataset_mod.load_csv(csv_path)):
-            assert shuffled.class_sizes == ds.class_sizes and cost._read_only(shuffled.x0)
+            assert shuffled.class_sizes == ds.class_sizes and dataset_mod.is_sealed(shuffled.x0)
+            assert dataset_mod.is_sealed(shuffled.y)
             check(shuffled.x0, grouped, "C")
         for source in (ds, loaded):
             train, held_x, held_labels = dataset_mod.holdout_split(source, 0.25, seed=1)
@@ -249,7 +261,8 @@ class TestResidualRecord:
                 kept += [source.x0[:, sl.start + i] for i in sorted(idx[n_hold:])]
                 held += [source.x0[:, sl.start + i] for i in sorted(idx[:n_hold])]
                 ref_labels += [j] * n_hold
-            assert cost._read_only(train.x0) and held_labels == ref_labels
+            assert dataset_mod.is_sealed(train.x0) and held_labels == ref_labels
+            assert dataset_mod.is_sealed(train.y)
             check(train.x0, kept, "C")
             check(held_x, held, "C")
 
@@ -257,7 +270,6 @@ class TestResidualRecord:
         p = ShallowParams(w1=[[1.0, 0.5], [0.0, 2.0]], b1=[2.0, 3.0], w2=[[3.0, -1.0]], b2=[4.0])
         ds = synthesize(2, 1, [5], noise=0.1, seed=1)
         cost_l2(p, ds)
-        assert id(p) in cost._records
         assert repr(p) == ("ShallowParams(w1=array([[1. , 0.5],\n       [0. , 2. ]]), "
                            "b1=array([2., 3.]), w2=array([[ 3., -1.]]), b2=array([4.]))")
         assert json.dumps(params_to_dict(p)) == (
@@ -265,16 +277,19 @@ class TestResidualRecord:
         assert [f.name for f in fields(p)] == ["w1", "b1", "w2", "b2"]
         assert p == p
 
-    def test_a_record_lives_as_long_as_its_params(self, general, forward_calls):
-        ds, stats, pack = general
+    def test_a_record_lives_as_long_as_its_params(self, forward_calls):
+        # The slot keeps neither the params nor the dataset alive.
+        ds = synthesize(6, 3, [40, 25, 31], noise=0.1, seed=6)
+        stats, pack = dataset_stats(ds)
         params = train_general(ds, stats, pack)
         copy = pickle.loads(pickle.dumps(params))
-        assert cost.costs(copy, ds) == cost.costs(params, ds)
+        assert cost.costs(params, ds) == cost.costs(copy, ds)
         assert sum(forward_calls) == 2 * ds.n
-        key = id(params)
-        del params
+        refs = cost._last_pass[:2]
+        assert (refs[0]() is params or refs[0]() is copy) and refs[1]() is ds
+        del params, copy, ds, stats, pack
         gc.collect()
-        assert key not in cost._records
+        assert [ref() for ref in refs] == [None, None]
 
 
 WIDE = dataset_mod._CHUNK_COLUMNS + 37  # one class spans two column chunks
