@@ -2,11 +2,11 @@
 empirical comparator against the constructive bounds. The ReLU subgradient at
 zero is taken to be zero.
 
-A run allocates its arrays once, in a private workspace: the M x N
-pre-activations, mask, hidden layer and back-propagated residual, the Q x N
-residual and its square, and the four gradients, views of one flat vector.
-Each step writes into them and updates the weights, views of another flat
-vector, in place, so a step allocates no array."""
+A run allocates its arrays once, in a private workspace: the M x N hidden
+layer (written first as the pre-activations), ReLU mask and back-propagated
+residual, the Q x N residual, and the four gradients, views of one flat
+vector. Each step writes into them and updates the weights, views of another
+flat vector, in place, so a step allocates no array."""
 
 from __future__ import annotations
 
@@ -48,17 +48,18 @@ def _flat_views(flat: np.ndarray, m: int, q: int) -> tuple[np.ndarray, ...]:
 
 class _Workspace:
     """The arrays of one full-batch step on data x0 (M x N) with targets
-    (Q x N), allocated once per run: the pre-activations, their ReLU mask,
-    the hidden layer, the residual and its square, the back-propagated
-    residual, and grads = (g_w1, g_b1, g_w2, g_b2), views of one flat vector
-    grad_flat laid out as _flat_views."""
+    (Q x N), allocated once per run: the hidden layer (which holds the
+    pre-activations until the ReLU runs in place), their ReLU mask, the
+    back-propagated residual, the residual (squared in place for the cost
+    after its last read), and grads = (g_w1, g_b1, g_w2, g_b2), views of one
+    flat vector grad_flat laid out as _flat_views."""
 
     def __init__(self, x0: np.ndarray, targets: np.ndarray):
         (m, n), q = x0.shape, targets.shape[0]
         self.x0, self.targets, self.n = x0, targets, n
-        self.pre, self.hidden, self.back = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
+        self.hidden, self.back = np.empty((m, n)), np.empty((m, n))
         self.mask = np.empty((m, n), dtype=bool)
-        self.resid, self.resid_sq = np.empty((q, n)), np.empty((q, n))
+        self.resid = np.empty((q, n))
         self.grad_flat = np.empty((m + q) * (m + 1))
         self.grads = _flat_views(self.grad_flat, m, q)
 
@@ -70,13 +71,12 @@ class _Workspace:
         the results are the same bit for bit. fmax(pre, 0) is 0 where pre is
         NaN, as the mask is; it keeps a -0.0, which pre never holds (b1
         starts at +0.0 and a difference is -0.0 only from -0.0 - +0.0)."""
-        x0, pre, mask, hidden, resid, back = (self.x0, self.pre, self.mask, self.hidden,
-                                              self.resid, self.back)
+        x0, mask, hidden, resid, back = self.x0, self.mask, self.hidden, self.resid, self.back
         g_w1, g_b1, g_w2, g_b2 = self.grads
-        np.matmul(w1, x0, out=pre)
-        pre += b1[:, None]
-        np.greater(pre, 0.0, out=mask)
-        np.fmax(pre, 0.0, out=hidden)
+        np.matmul(w1, x0, out=hidden)
+        hidden += b1[:, None]  # pre, until the mask is read off it
+        np.greater(hidden, 0.0, out=mask)
+        np.fmax(hidden, 0.0, out=hidden)
         np.matmul(w2, hidden, out=resid)
         resid += b2[:, None]
         resid -= self.targets
@@ -87,7 +87,7 @@ class _Workspace:
         np.matmul(back, x0.T, out=g_w1)
         back.sum(axis=1, out=g_b1)
         self.grad_flat *= 2.0 / self.n
-        return float(np.multiply(resid, resid, out=self.resid_sq).sum()) / self.n
+        return float(np.multiply(resid, resid, out=resid).sum()) / self.n
 
 
 def train_gd(

@@ -13,13 +13,13 @@ _region_preactivation is that rule, and invertibility of w1, for every caller.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checks import check, rel, require
 from .cost import closed_form_min, lstsq_min_weighted, relative_gram
-from .dataset import ClassifiedDataset, block_means
+from .dataset import ClassifiedDataset, block_means, deviations
 from .errors import ConsistencyError, ShallowminError, SingularMeans, SingularW1, WrongRegime
 from .linalg import numerical_rank, rank_with_margin
 from .network import relu
@@ -106,14 +106,6 @@ def _truncation_pass(w1: np.ndarray, b1: np.ndarray,
     return tau, hidden, in_region, leak
 
 
-def _truncated_means(tau: np.ndarray, ds: ClassifiedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Class means and deviations of the truncated inputs; class membership is
-    inherited from the dataset, never re-clustered."""
-    means = block_means(tau, ds.class_sizes)
-    dev = tau - np.repeat(means, ds.class_sizes, axis=1)
-    return means, dev
-
-
 def _data_ranks(ds: ClassifiedDataset) -> tuple[int, int]:
     """(rank(X0), rank(class means)): they depend on the dataset alone, so a
     sweep computes them once, not once per grid point."""
@@ -140,7 +132,7 @@ def _min_over_output_layer(
     """min_over_output_layer given data_ranks = _data_ranks(ds)."""
     tau, hidden, in_region, leak = _truncation_pass(w1, b1, ds)
     rank_tau, marginal_tau = rank_with_margin(tau)
-    means_tau, dev_tau = _truncated_means(tau, ds)
+    means_tau = block_means(tau, ds.class_sizes)  # the classes of ds, never re-clustered
     rank_means_tau, marginal_means = rank_with_margin(means_tau)
     rank_x0 = rank_tau == data_ranks[0]
     rank_means = rank_means_tau == data_ranks[1]
@@ -157,7 +149,8 @@ def _min_over_output_layer(
     if rank_means_tau < ds.q:
         raise SingularMeans(
             f"truncated class means have rank {rank_means_tau} < Q={ds.q}")
-    d1_tr, d2_tr = relative_gram(means_tau, dev_tau, ds.inv_size_weights())
+    d1_tr, d2_tr = relative_gram(means_tau, deviations(replace(ds, x0=tau), means_tau),
+                                 ds.inv_size_weights())
     value = closed_form_min(ds.y, d2_tr)
     result.min_cost_weighted = value
     result.delta_p_tr = float(np.max(np.linalg.norm(d1_tr, axis=0)))

@@ -111,14 +111,17 @@ def suite_exact_min(pl: Pipeline) -> list[Check]:
 
 def quadratic_trend_checks(pl: Pipeline) -> list[Check]:
     """Log-log slopes of |W2* - W2~|_op and of the minimum's deficit against
-    delta_p, over OCTAVES halvings t of the deviations, X0(t) = mean_ext + t dev
-    with pl's class means kept, each with its own record; both must be ~2."""
+    delta_p, over OCTAVES halvings t of the deviations, X0(t) = t dev with each
+    class mean added to its block (as synthesize builds X0), so pl's class
+    means are kept; each octave has its own record; both must be ~2."""
     ds, means = pl.ds, pl.stats.means
-    mean_ext = np.repeat(means, ds.class_sizes, axis=1)
     dev = deviations(ds, means)
     delta_ps, gaps, deficits = [], [], []
     for k in range(OCTAVES + 1):
-        pl_t = pipeline(replace(ds, x0=mean_ext + 0.5 ** k * dev))
+        x0_t = 0.5 ** k * dev
+        for sl, mean in zip(ds.class_slices(), means.T):
+            x0_t[:, sl] += mean[:, None]
+        pl_t = pipeline(replace(ds, x0=x0_t))
         exact = pl_t.minimum
         gap = op_norm(exact.w2 - w2_tilde(pl_t.ds, pl_t.pack))
         upper = weighted_norm(ds.y @ exact.d1, ds.class_sizes)

@@ -9,7 +9,11 @@ concatenation), not the text and the decoded document: it decodes one class
 at a time. The truncation suite holds one grid point's arrays at a time (it
 folds each point of the sweep into scalars as it arrives), and one point's
 truncation pass three (it forms the hidden layer in place of the
-pre-activations and reads the reapplication leak off the extremes)."""
+pre-activations and reads the reapplication leak off the extremes). A
+gradient-descent run holds its workspace (the hidden layer, back-propagated
+residual, mask, residual and targets), and the trend checks of verify
+exact-min build each octave's X0(t) from the deviations in place, with no
+expansion of the class means."""
 
 import dataclasses
 import tracemalloc
@@ -20,6 +24,7 @@ import pytest
 from shallowmin import (dataset, dataset_stats, evaluate, pipeline, synthesize, train_general,
                         truncation, verify)
 from shallowmin.dataset import load_json, save_json
+from shallowmin.gd import GdConfig, train_gd
 from shallowmin.network import params_from_dict, params_to_dict
 
 
@@ -111,3 +116,14 @@ def test_truncation_suite_peak_does_not_grow_with_the_grid(monkeypatch):
     assert len(full_grid) == 30
     assert full <= 1.25 * prefix
     assert full < 10 * ds.x0.nbytes
+
+
+def test_train_gd_peak_under_three_and_a_half_m_by_n_arrays():
+    ds = synthesize(16, 8, [2000] * 8, noise=0.05, seed=1)
+    assert traced_peak(train_gd, ds, GdConfig(steps=3)) < 3.5 * ds.x0.nbytes
+
+
+def test_quadratic_trend_checks_peak_under_six_and_a_half_m_by_n_arrays():
+    ds = synthesize(16, 16, [1000] * 16, noise=0.05, seed=1)
+    pl = pipeline(ds)
+    assert traced_peak(verify.quadratic_trend_checks, pl) < 6.5 * ds.x0.nbytes
