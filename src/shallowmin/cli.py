@@ -199,7 +199,7 @@ def cmd_truncation_sweep(args) -> int:
     # point's arrays outlive its line.
     lines = [json.dumps(pt.to_dict(include_matrices=args.matrices))
              for pt in sweep_fixed_point_region(ds, grid)]
-    text = "\n".join(lines) + "\n"
+    text = "".join(line + "\n" for line in lines)  # an empty grid writes nothing
     with _output(args.out) as fh:
         fh.write(text)
     return EXIT_OK

@@ -27,7 +27,7 @@ from .checks import Check, check, rel, require
 from .cost import ExactMinimum, _psd_eig, _residual_sums, bound_chain, bound_general, exact_minimum
 from .dataset import ClassifiedDataset, DatasetStats, dataset_stats, seal
 from .errors import BetaTooLarge, BetaTooSmall, ConsistencyError, WrongRegime
-from .linalg import ProjectorPack, op_norm
+from .linalg import ProjectorPack, op_norm, projector_pack
 from .network import ShallowParams, forward
 from .truncation import _region_preactivation
 
@@ -74,11 +74,11 @@ class Fit:
 class Pipeline:
     """One dataset, its stats and pack (one dataset_stats call) and the trainers'
     config; minimum, general, square and scale_slack are built on first read
-    and kept. pack is None only in train_exact_meq, which does not read it."""
+    and kept."""
 
     ds: ClassifiedDataset
     stats: DatasetStats
-    pack: ProjectorPack | None
+    pack: ProjectorPack
     cfg: ConstructiveConfig = ConstructiveConfig()
 
     @cached_property
@@ -86,7 +86,7 @@ class Pipeline:
         """The M = Q closed form (WrongRegime otherwise)."""
         if self.ds.m != self.ds.q:
             raise WrongRegime(f"requires M = Q, got M={self.ds.m}, Q={self.ds.q}")
-        return exact_minimum(self.ds, self.stats)
+        return exact_minimum(self.ds, self.stats.means)
 
     @cached_property
     def general(self) -> Fit:
@@ -131,7 +131,7 @@ def train_general(ds: ClassifiedDataset, stats: DatasetStats, pack: ProjectorPac
 def train_exact_meq(ds: ClassifiedDataset, stats: DatasetStats,
                     cfg: ConstructiveConfig = ConstructiveConfig()) -> ShallowParams:
     """The parameters of the M = Q construction (Pipeline.square)."""
-    return Pipeline(ds, stats, None, cfg).square.params
+    return Pipeline(ds, stats, projector_pack(stats.means), cfg).square.params
 
 
 def _tied_pass(pl: Pipeline, w1, b1, w2, lifted, on_hidden) -> tuple[ShallowParams, float, float]:

@@ -7,10 +7,10 @@ that forms neither the M x N hidden layer nor the Q x N residual. A full pass
 over sealed inputs (params arrays, X0 and Y all read-only) leaves its sums in
 one module slot; a later cost query on the same params object and the same
 dataset object reads them. The general bound is read from the statistics.
-The M = Q closed forms are functions of the relative deviation Gram alone,
-cross-checked at runtime against the matrix-free data projector route; only
-data_projector forms the N x N projector, for tests, and it refuses
-N > MAX_PROJECTOR_N. ExactMinimum keeps its route check, and
+The M = Q closed form reads the data and its class means alone; its one
+kernel, exact_minimum, cross-checks it at runtime against the matrix-free data
+projector route. Only data_projector forms the N x N projector, for tests, and
+it refuses N > MAX_PROJECTOR_N. ExactMinimum keeps its route check, and
 bound_chain is the one form of the bound chain's check; verify prints both.
 """
 
@@ -35,7 +35,7 @@ from .linalg import SV_TOLERANCE, ProjectorPack, numerical_rank, op_norm, sum_sq
 from .network import ShallowParams, forward
 
 # Largest N for which data_projector materializes the N x N projector. No
-# runtime check needs it: projector_route and projector_action are matrix-free.
+# runtime check needs it: exact_minimum's route and projector_action are matrix-free.
 MAX_PROJECTOR_N = 5000
 
 
@@ -127,13 +127,6 @@ def normal_w2(ds: ClassifiedDataset, gram: np.ndarray, means: np.ndarray) -> np.
     return np.linalg.solve(gram, means @ ds.y.T).T
 
 
-def projector_route(ds: ClassifiedDataset, x: np.ndarray, means: np.ndarray) -> float:
-    """||Yext Pperp(x)|| in the weighted norm, as the Q x N residual
-    normal_w2 x - Yext; never forms the N x N projector."""
-    w2 = normal_w2(ds, _gram(x, ds.inv_size_weights()), means)
-    return weighted_norm(w2 @ x - y_ext(ds), ds.class_sizes)
-
-
 def projector_action(ds: ClassifiedDataset, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
     """N^-1 X0^T gram^-1 (X0 z): the data projector of ds applied to the
     N x k block z, given gram = _gram(ds.x0, ds.inv_size_weights()) (as
@@ -148,7 +141,7 @@ def data_projector(ds: ClassifiedDataset) -> np.ndarray:
     regime, orthogonal with respect to the class-size inner product.
 
     Refuses datasets with N > MAX_PROJECTOR_N before allocating anything;
-    projector_action and projector_route never form an N x N matrix.
+    projector_action and exact_minimum's route never form an N x N matrix.
     """
     if ds.m != ds.q:
         raise WrongRegime(f"data projector requires M = Q, got M={ds.m}, Q={ds.q}")
@@ -173,7 +166,7 @@ def relative_gram(
 
 
 def relative_deviations(
-    ds: ClassifiedDataset, stats: DatasetStats
+    ds: ClassifiedDataset, means: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean-normalized deviations (Q x N) and their size-weighted Gram (Q x Q PSD).
 
@@ -181,9 +174,9 @@ def relative_deviations(
     """
     if ds.m != ds.q:
         raise WrongRegime(f"relative deviations require M = Q, got M={ds.m}, Q={ds.q}")
-    if numerical_rank(stats.means) < ds.q:
+    if numerical_rank(means) < ds.q:
         raise SingularMeans("reduced mean matrix is numerically singular")
-    return relative_gram(stats.means, deviations(ds, stats.means), ds.inv_size_weights())
+    return relative_gram(means, deviations(ds, means), ds.inv_size_weights())
 
 
 def _psd_eig(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,18 +211,19 @@ class ExactMinimum:
     route_check: Check
 
 
-def exact_minimum(ds: ClassifiedDataset, stats: DatasetStats) -> ExactMinimum:
-    """ExactMinimum from one relative_deviations pass and one _gram solve.
+def exact_minimum(ds: ClassifiedDataset, means: np.ndarray) -> ExactMinimum:
+    """ExactMinimum of ds and its class means from one relative_deviations pass
+    and one _gram solve: the one M = Q kernel, for any data and means.
 
     The value is ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
     (l, V) of d2. Algebraically it equals ||Yext Pperp|| in the weighted norm;
     that route, the residual w2 X0 - Yext, is evaluated matrix-free at every N
     and must agree to 1e-9 relative.
     """
-    d1, d2 = relative_deviations(ds, stats)
+    d1, d2 = relative_deviations(ds, means)
     value = closed_form_min(ds.y, d2)
     gram = _gram(ds.x0, ds.inv_size_weights())
-    w2 = normal_w2(ds, gram, stats.means)
+    w2 = normal_w2(ds, gram, means)
     route = weighted_norm(w2 @ ds.x0 - y_ext(ds), ds.class_sizes)
     route_check = require(
         check("exact.projector-route", rel(value, route), 1e-9, f"projector route={route:.9e}"),
@@ -240,7 +234,7 @@ def exact_minimum(ds: ClassifiedDataset, stats: DatasetStats) -> ExactMinimum:
 def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:
     """The weighted-cost value of the M = Q closed-form construction,
     cross-checked against the projector route (see exact_minimum)."""
-    return exact_minimum(ds, stats).value
+    return exact_minimum(ds, stats.means).value
 
 
 def bound_general(ds: ClassifiedDataset, stats: DatasetStats) -> tuple[float, float]:
@@ -338,7 +332,7 @@ def evaluate(
         rho=stats.rho,
     )
     if ds.m == ds.q:
-        exact = exact_minimum(ds, stats)
+        exact = exact_minimum(ds, stats.means)
         report.exact_min_weighted = exact.value
         if include_matrices:
             report.delta1_rel, report.delta2_rel = exact.d1, exact.d2

@@ -5,11 +5,11 @@ classification, and truncation behaviour.
 
 Every suite reads one Pipeline record of the dataset, so the given data's
 stats, pack, closed form and fits are built once however many suites run;
-derived datasets build their own. A suite returns checks.Check records with
-the measured slack and its tolerance and passes iff every check does; those of
-the bound chain and of the exact minimum's two routes are the records the fits
-and the closed form made at run time. The CLI `verify` command is a thin
-renderer over run_suite.
+derived datasets build their own, invariance's GL(Q) images only their closed
+form. A suite returns checks.Check records with the measured slack and its
+tolerance and passes iff every check does; those of the bound chain and of the
+exact minimum's two routes are the records the fits and the closed form made
+at run time. The CLI `verify` command is a thin renderer over run_suite.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .constructive import (
     tied_output_layer,
     w2_tilde,
 )
-from .cost import cost_weighted, lstsq_min_weighted, projector_action, weighted_norm
-from .dataset import ClassifiedDataset, deviations
+from .cost import cost_weighted, exact_minimum, lstsq_min_weighted, projector_action, weighted_norm
+from .dataset import ClassifiedDataset, deviations, independent_means
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
@@ -163,8 +163,9 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[Check]:
     The data projector is compared through its action P Z on a seeded N x 4
     probe block Z, a randomized identity test in the style of Freivalds, so
     no N x N matrix is formed at any N; each probe reuses the Gram that its
-    dataset's minimum checked; each K X0 has its own record. The probes come
-    from their own generator; the sequence of K depends on the seed alone."""
+    dataset's minimum checked; each K X0 is solved from its data and class
+    means alone. The probes come from their own generator; the sequence of K
+    depends on the seed alone."""
     ds = pl.ds
     checks = [check("invariance.scaling", pl.scale_slack, 1e-9)]
     if ds.m != ds.q:
@@ -181,9 +182,9 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[Check]:
     n_k = 20
     for _ in range(n_k):
         k = random_gl(ds.q, rng)
-        pl_k = pipeline(replace(ds, x0=k @ ds.x0))
-        exact_k = pl_k.minimum
-        worst_p = max(worst_p, float(np.max(np.abs(projector_action(pl_k.ds, exact_k.gram, z) - pz)))
+        ds_k = replace(ds, x0=k @ ds.x0)
+        exact_k = exact_minimum(ds_k, independent_means(ds_k))
+        worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, exact_k.gram, z) - pz)))
                       / pz_scale)
         worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - exact.d1))) / d1_scale)
         worst_em = max(worst_em, rel(exact_k.value, exact.value))

@@ -103,9 +103,8 @@ def _count_calls(monkeypatch, *targets) -> dict:
 @pytest.fixture
 def exact_calls(monkeypatch):
     """Counts the calls of the M = Q closed form's pieces: relative-deviation
-    passes (relative_deviations), Gram solves (_gram, in exact_minimum,
-    projector_route and data_projector) and closed-form values
-    (closed_form_min)."""
+    passes (relative_deviations), Gram solves (_gram, in exact_minimum and
+    data_projector) and closed-form values (closed_form_min)."""
     from shallowmin import cost
 
     return _count_calls(monkeypatch, (cost, ("relative_deviations", "_gram", "closed_form_min")))

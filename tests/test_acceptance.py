@@ -119,7 +119,7 @@ def test_criterion_3_degeneracy():
     stats, _ = dataset_stats(ds)
     params = train_exact_meq(ds, stats)
     em = exact_min_weighted(ds, stats)
-    v = exact_minimum(ds, stats).w2
+    v = exact_minimum(ds, stats.means).w2
     beta1 = ConstructiveConfig().beta1(stats.rho)
     rng = np.random.default_rng(33)
     for i in range(50):
@@ -147,7 +147,7 @@ def test_criterion_4_invariances():
             failures.append(f"delta_p changed under lambda={lam}")
 
     p_script = data_projector(ds)
-    d1, _ = relative_deviations(ds, stats)
+    d1, _ = relative_deviations(ds, stats.means)
     em = exact_min_weighted(ds, stats)
     rng = np.random.default_rng(44)
     for i in range(20):
@@ -158,7 +158,7 @@ def test_criterion_4_invariances():
         ds_k = replace(ds, x0=k @ ds.x0)
         stats_k, _ = dataset_stats(ds_k)
         p_k = data_projector(ds_k)
-        d1_k, _ = relative_deviations(ds_k, stats_k)
+        d1_k, _ = relative_deviations(ds_k, stats_k.means)
         em_k = exact_min_weighted(ds_k, stats_k)
         scale_p = 1.0 + float(np.max(np.abs(p_script)))
         if float(np.max(np.abs(p_k - p_script))) > 1e-7 * scale_p:

@@ -39,7 +39,7 @@ def test_residual_equals_correction_form(square_ds):
     # -Yext Pperp = Y D1 - R with R = Y D2 (1 + D2)^-1 (means^-1 X0)
     ds = square_ds
     stats, _ = dataset_stats(ds)
-    d1, d2 = relative_deviations(ds, stats)
+    d1, d2 = relative_deviations(ds, stats.means)
     p_perp = np.eye(ds.n) - data_projector(ds)
     lhs = -(y_ext(ds) @ p_perp)
     correction = ds.y @ d2 @ np.linalg.solve(
@@ -53,7 +53,7 @@ def test_exact_w2_equals_gap_corrected_interpolant(square_ds):
     # from the mean interpolant by the deviation Gram correction
     ds = square_ds
     stats, pack = dataset_stats(ds)
-    _, d2 = relative_deviations(ds, stats)
+    _, d2 = relative_deviations(ds, stats.means)
     correction = ds.y @ d2 @ np.linalg.solve(
         np.eye(ds.q) + d2, np.linalg.inv(stats.means))
     w2 = normal_w2(ds, _gram(ds.x0, ds.inv_size_weights()), stats.means)
@@ -65,7 +65,7 @@ def test_weighted_residual_trace_form(square_ds):
     # eigenvalue expression
     ds = square_ds
     stats, _ = dataset_stats(ds)
-    _, d2 = relative_deviations(ds, stats)
+    _, d2 = relative_deviations(ds, stats.means)
     p_perp = np.eye(ds.n) - data_projector(ds)
     direct = weighted_norm(y_ext(ds) @ p_perp, ds.class_sizes) ** 2
     trace = float(np.trace(ds.y @ d2 @ np.linalg.solve(np.eye(ds.q) + d2, ds.y.T)))

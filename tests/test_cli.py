@@ -211,7 +211,7 @@ class TestVerify:
         assert f"DimensionError: {row}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m, q, per_class, counts", [
-        (8, 8, 300, {"compute_stats": 28, "class_means": 28, "exact_minimum": 26,
+        (8, 8, 300, {"compute_stats": 8, "class_means": 28, "exact_minimum": 26,
                      "_fit_general": 2, "_fit_exact": 1}),
         (12, 6, 50, {"compute_stats": 3, "class_means": 3, "exact_minimum": 0,
                      "_fit_general": 2, "_fit_exact": 0}),
@@ -219,10 +219,11 @@ class TestVerify:
     def test_all_reads_one_record(self, capsys, pipeline_calls, m, q, per_class, counts):
         """verify all builds one record of the given data, which every suite
         reads; the derived datasets build their own. Stats passes: 1, plus 2
-        scaled copies, plus for M = Q the OCTAVES + 1 noise octaves and 20
-        GL(Q) copies, each of which solves the closed form once as the given
-        data do. The general fit runs once for bounds and metric, plus the
-        big-margin fit; the M = Q fit once for exact-min and degeneracy."""
+        scaled copies, plus for M = Q the OCTAVES + 1 noise octaves. The 20
+        GL(Q) copies take only their class means and solve the closed form
+        once each, as the given data do. The general fit runs once for bounds
+        and metric, plus the big-margin fit; the M = Q fit once for exact-min
+        and degeneracy."""
         sizes = ",".join([str(per_class)] * q)
         assert run(["verify", "all", "--m", m, "--q", q, "--sizes", sizes, "--seed", 1]) == 0
         assert pipeline_calls == counts
@@ -565,6 +566,21 @@ class TestTruncationSweep:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines[0]["error"].startswith("SingularMeans")
         assert lines[1]["min_cost_weighted"] is None
+
+    def test_empty_grid_writes_nothing(self, tmp_path, capsys):
+        """An empty grid has no points, so no JSON lines: no lone newline on
+        stdout or in the --out file."""
+        ds_path = tmp_path / "ds.json"
+        grid_path = tmp_path / "grid.json"
+        out = tmp_path / "sweep.jsonl"
+        run(["gen", "--m", 2, "--q", 2, "--seed", 6, "--out", ds_path])
+        grid_path.write_text("[]")
+        capsys.readouterr()
+        assert run(["truncation-sweep", "--data", ds_path, "--grid", grid_path]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["truncation-sweep", "--data", ds_path, "--grid", grid_path,
+                    "--out", out]) == 0
+        assert out.read_bytes() == b""
 
 
 class TestCompare:

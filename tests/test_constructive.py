@@ -254,7 +254,7 @@ class TestTrainExactMeq:
         for noise in (0.2, 0.1):
             ds = synthesize(3, 3, [6, 6, 6], noise=noise, seed=12)
             stats, pack = dataset_stats(ds)
-            gap = np.linalg.norm(exact_minimum(ds, stats).w2 - w2_tilde(ds, pack), 2)
+            gap = np.linalg.norm(exact_minimum(ds, stats.means).w2 - w2_tilde(ds, pack), 2)
             g.append(gap)
         assert g[0] / g[1] == pytest.approx(4.0, abs=0.5)
 
@@ -307,7 +307,7 @@ class TestFit:
         if variant is Variant.GENERAL:
             assert "minimum" not in vars(pl)
             return
-        exact = exact_minimum(ds, stats)
+        exact = exact_minimum(ds, stats.means)
         for name in ("d1", "d2", "gram", "w2"):
             assert np.array_equal(getattr(pl.minimum, name), getattr(exact, name))
         assert (pl.minimum.value, pl.minimum.route) == (exact.value, exact.route)
@@ -386,7 +386,7 @@ class TestDegeneracy:
         stats, _ = dataset_stats(delta01_dataset)
         params = train_exact_meq(delta01_dataset, stats)
         em = exact_min_weighted(delta01_dataset, stats)
-        v = exact_minimum(delta01_dataset, stats).w2
+        v = exact_minimum(delta01_dataset, stats.means).w2
         beta1 = ConstructiveConfig().beta1(stats.rho)
         rng = np.random.default_rng(15)
         for _ in range(50):
@@ -398,13 +398,13 @@ class TestDegeneracy:
 
     def test_resolve_rejects_out_of_region(self, delta01_dataset):
         stats, _ = dataset_stats(delta01_dataset)
-        v = exact_minimum(delta01_dataset, stats).w2
+        v = exact_minimum(delta01_dataset, stats.means).w2
         with pytest.raises(BetaTooSmall):
             tied_output_layer(np.eye(2), np.array([-5.0, 0.0]), delta01_dataset, v)
 
     def test_resolve_rejects_singular_w1(self, delta01_dataset):
         stats, _ = dataset_stats(delta01_dataset)
-        v = exact_minimum(delta01_dataset, stats).w2
+        v = exact_minimum(delta01_dataset, stats.means).w2
         with pytest.raises(SingularW1):
             tied_output_layer(np.zeros((2, 2)), np.full(2, 5.0), delta01_dataset, v)
 

@@ -33,7 +33,6 @@ from shallowmin.cost import (
     lstsq_min_weighted,
     normal_w2,
     projector_action,
-    projector_route,
     weighted_norm,
 )
 from shallowmin.errors import ConsistencyError, SingularGram, WrongRegime
@@ -426,7 +425,7 @@ class TestProjectorRoute:
         stats, _ = dataset_stats(square)
         p_perp = np.eye(square.n) - data_projector(square)
         oracle = weighted_norm(y_ext(square) @ p_perp, square.class_sizes)
-        value = projector_route(square, square.x0, stats.means)
+        value = exact_minimum(square, stats.means).route
         assert abs(value - oracle) <= 1e-12 * (1.0 + max(value, oracle))
 
     def test_normal_w2_reproduces_projected_targets(self, square):
@@ -440,7 +439,7 @@ class TestProjectorRoute:
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1), x0=x0, y=np.eye(2))
         stats, _ = dataset_stats(ds)
         with pytest.raises(SingularGram):
-            projector_route(ds, ds.x0, stats.means)
+            exact_minimum(ds, stats.means)
 
     def test_cross_check_runs_above_projector_limit(self, monkeypatch):
         ds = synthesize(3, 3, [2000, 2000, 2000], noise=0.05, seed=0)
@@ -456,32 +455,32 @@ class TestProjectorRoute:
 class TestRelativeDeviations:
     def test_delta01_frozen(self, delta01_dataset):
         stats, _ = dataset_stats(delta01_dataset)
-        d1, d2 = relative_deviations(delta01_dataset, stats)
+        d1, d2 = relative_deviations(delta01_dataset, stats.means)
         assert np.allclose(d2, 0.01 * np.eye(2), atol=1e-15)
         dev = dataset_mod.deviations(delta01_dataset, stats.means)
         assert np.allclose(d1, dev, atol=1e-15)  # means = I here
 
     def test_zero_noise(self, zero_noise_dataset):
         stats, _ = dataset_stats(zero_noise_dataset)
-        d1, d2 = relative_deviations(zero_noise_dataset, stats)
+        d1, d2 = relative_deviations(zero_noise_dataset, stats.means)
         assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
     def test_gl_invariance_of_d1(self):
         ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=5)
         stats, _ = dataset_stats(ds)
-        d1, _ = relative_deviations(ds, stats)
+        d1, _ = relative_deviations(ds, stats.means)
         rng = np.random.default_rng(6)
         for _ in range(5):
             k = random_gl(3, rng)
             ds_k = replace(ds, x0=k @ ds.x0)
             stats_k, _ = dataset_stats(ds_k)
-            d1_k, _ = relative_deviations(ds_k, stats_k)
+            d1_k, _ = relative_deviations(ds_k, stats_k.means)
             assert np.max(np.abs(d1_k - d1)) < 1e-7 * (1.0 + np.max(np.abs(d1)))
 
     def test_d2_symmetric_psd(self):
         ds = synthesize(4, 4, [7, 5, 6, 8], noise=0.15, seed=9)
         stats, _ = dataset_stats(ds)
-        _, d2 = relative_deviations(ds, stats)
+        _, d2 = relative_deviations(ds, stats.means)
         assert np.array_equal(d2, d2.T)
         assert np.linalg.eigvalsh(d2).min() > -1e-10
 
@@ -514,7 +513,7 @@ class TestExactMinWeighted:
             ds = synthesize(3, 3, [5, 5, 5], noise=0.2, seed=seed)
             stats, _ = dataset_stats(ds)
             value = exact_min_weighted(ds, stats)
-            upper = weighted_norm(ds.y @ exact_minimum(ds, stats).d1, ds.class_sizes)
+            upper = weighted_norm(ds.y @ exact_minimum(ds, stats.means).d1, ds.class_sizes)
             assert value <= upper + 1e-12
 
     def test_library_lstsq_matches_test_oracle(self, delta01_dataset):
@@ -571,7 +570,7 @@ class TestSharedKernel:
     def test_exact_min_is_closed_form_of_relative_gram(self):
         ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
         stats, _ = dataset_stats(ds)
-        _, d2 = relative_deviations(ds, stats)
+        _, d2 = relative_deviations(ds, stats.means)
         assert exact_min_weighted(ds, stats) == closed_form_min(ds.y, d2)
 
     def test_truncated_min_is_closed_form_of_truncated_gram(self, delta01_dataset):
@@ -590,13 +589,12 @@ class TestSharedKernel:
             ds = dataset_mod.load_json(tmp_path / "ds.json")
             assert ds.x0.flags.f_contiguous and not ds.x0.flags.c_contiguous
         stats, _ = dataset_stats(ds)
-        exact = exact_minimum(ds, stats)
-        d1, d2 = relative_deviations(ds, stats)
+        exact = exact_minimum(ds, stats.means)
+        d1, d2 = relative_deviations(ds, stats.means)
         assert np.array_equal(exact.d1, d1) and np.array_equal(exact.d2, d2)
         assert np.array_equal(exact.gram, gram(ds))
         assert np.array_equal(exact.w2, normal_w2(ds, gram(ds), stats.means))
         assert exact.value == closed_form_min(ds.y, d2) == exact_min_weighted(ds, stats)
-        assert exact.route == projector_route(ds, ds.x0, stats.means)
 
     def test_evaluate_solves_once(self, exact_calls):
         ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
@@ -607,7 +605,7 @@ class TestSharedKernel:
     def test_evaluate_matrices_are_relative_deviations(self):
         ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
         stats, pack = dataset_stats(ds)
-        d1, d2 = relative_deviations(ds, stats)
+        d1, d2 = relative_deviations(ds, stats.means)
         report = evaluate(linear_params(np.eye(3)), ds, stats, pack, include_matrices=True)
         assert np.array_equal(report.delta1_rel, d1)
         assert np.array_equal(report.delta2_rel, d2)

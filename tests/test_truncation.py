@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from shallowmin.errors import (
     WrongRegime,
 )
 from shallowmin.network import relu
-from shallowmin.cost import exact_minimum, projector_route
+from shallowmin.cost import exact_minimum
 from shallowmin.dataset import block_means
 from tests.conftest import weighted_lstsq_oracle
 
@@ -150,7 +152,8 @@ class TestMinOverOutputLayer:
         res = min_over_output_layer(w1, b1, delta01_dataset)
         tau = res.tau_x0
         assert res.min_cost_weighted == pytest.approx(
-            projector_route(delta01_dataset, tau, block_means(tau, delta01_dataset.class_sizes)),
+            exact_minimum(replace(delta01_dataset, x0=tau),
+                          block_means(tau, delta01_dataset.class_sizes)).route,
             rel=1e-9)
 
 
@@ -401,7 +404,7 @@ class TestSignRule:
     def test_resolve_output_layer_reads_the_same_sign(self, delta01_dataset, b1_first, inside):
         w1, b1 = np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([b1_first, 3.0])
         stats, _ = dataset_stats(delta01_dataset)
-        v = exact_minimum(delta01_dataset, stats).w2
+        v = exact_minimum(delta01_dataset, stats.means).w2
         if not inside:
             with pytest.raises(BetaTooSmall):
                 tied_output_layer(w1, b1, delta01_dataset, v)

@@ -93,12 +93,14 @@ def test_degeneracy_suite_solves_once(exact_calls):
     assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
 
 
-@pytest.mark.parametrize("suite,svds", [("metric", 1), ("exact-min", 1 + OCTAVES + 1)])
+@pytest.mark.parametrize("suite,svds", [("metric", 1), ("exact-min", 1 + OCTAVES + 1),
+                                        ("invariance", 1 + 2)])
 def test_one_means_svd_per_dataset(means_svd_calls, suite, svds):
     """projector_pack is the one kernel for the geometry of the means: each
     dataset's pack, taken by dataset_stats, also gives w2_tilde its
     pseudoinverse. metric reads one dataset; exact-min reads the given one
-    and its OCTAVES + 1 noise-scaled images."""
+    and its OCTAVES + 1 noise-scaled images; invariance the given one and its
+    2 scaled copies, while its 20 GL(Q) images take no pack."""
     ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
     assert all(c.passed for c in run_suite(suite, ds, seed=1))
     assert means_svd_calls == [(8, 8)] * svds
