@@ -24,10 +24,10 @@ from functools import cached_property
 import numpy as np
 
 from .checks import Check, check, rel, require
-from .cost import ExactMinimum, _psd_eig, _residual_sums, bound_chain, bound_general, exact_minimum
+from .cost import ExactMinimum, _psd_eig, bound_chain, bound_general, costs, exact_minimum
 from .dataset import ClassifiedDataset, DatasetStats, dataset_stats, seal
 from .errors import BetaTooLarge, BetaTooSmall, ConsistencyError, WrongRegime
-from .linalg import ProjectorPack, op_norm, projector_pack
+from .linalg import ProjectorPack, diagonalizing_rotation, op_norm, projector_pack
 from .network import ShallowParams, forward
 from .truncation import _region_preactivation
 
@@ -135,16 +135,16 @@ def train_exact_meq(ds: ClassifiedDataset, stats: DatasetStats,
 
 
 def _tied_pass(pl: Pipeline, w1, b1, w2, lifted, on_hidden) -> tuple[ShallowParams, float, float]:
-    """Params (w1, b1, w2, -w2 lifted) and the sums of their one pass over pl.ds;
-    a numpy overflow there, at a scale beta1 sets, raises BetaTooLarge, not a warning.
-    The params hold sealed copies, so the pass's sums stay readable by cost
-    queries on them, and the arrays passed in (pack.r, ExactMinimum.w2) stay
-    writable."""
+    """Params (w1, b1, w2, -w2 lifted) and the (cost_l2, cost_weighted) of their
+    one pass over pl.ds; a numpy overflow there, at a scale beta1 sets, raises
+    BetaTooLarge, not a warning. The params hold sealed copies, so the pass's
+    costs stay readable by cost queries on them, and the arrays passed in
+    (ExactMinimum.w2) stay writable."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             w1, b1, w2 = (seal(np.array(a)) for a in (w1, b1, w2))
             params = ShallowParams(w1=w1, b1=b1, w2=w2, b2=seal(-(w2 @ lifted)))
-            return (params, *_residual_sums(params, pl.ds, on_hidden))
+            return (params, *costs(params, pl.ds, on_hidden))
     except FloatingPointError as exc:
         beta1 = pl.cfg.beta1(pl.stats.rho)
         raise BetaTooLarge(f"beta1={beta1!r} overflows the trainer's pass ({exc})") from None
@@ -153,10 +153,11 @@ def _tied_pass(pl: Pipeline, w1, b1, w2, lifted, on_hidden) -> tuple[ShallowPara
 def _fit_general(pl: Pipeline) -> Fit:
     """The general Q <= M construction.
 
-    w1 is the diagonalizing rotation; b1 is beta1 on the leading Q (signal)
-    coordinates and -delta on the trailing M-Q (noise) coordinates; w2 matches
-    rotated class means to targets in the least-squares sense; b2 reverts the
-    signal-block translation. The resulting L2 cost equals the closed-form
+    w1 is the rotation r that diagonalizes pack.p, built here, its one reader;
+    b1 is beta1 on the leading Q (signal) coordinates and -delta on the
+    trailing M-Q (noise) coordinates; w2 matches rotated class means to
+    targets in the least-squares sense; b2 reverts the signal-block
+    translation. The resulting L2 cost equals the closed-form
     bound up to round-off.
 
     One blocked pass of the network over the data yields the cost and, from
@@ -173,7 +174,7 @@ def _fit_general(pl: Pipeline) -> Fit:
     ds, stats, pack = pl.ds, pl.stats, pl.pack
     m, q = ds.m, ds.q
     beta1 = pl.cfg.beta1(stats.rho)
-    r = pack.r
+    r = diagonalizing_rotation(pack.p, q)
     b1 = np.concatenate([np.full(q, beta1), np.full(m - q, -stats.delta)])
     w2 = w2_tilde(ds, pack) @ pack.p @ r.T
     signal_bias = np.concatenate([np.full(q, beta1), np.zeros(m - q)])
@@ -185,7 +186,7 @@ def _fit_general(pl: Pipeline) -> Fit:
         if m > q:
             noise_max = max(noise_max, float(hidden[q:].max()))
 
-    params, total, weighted = _tied_pass(pl, r, b1, w2, signal_bias, track)
+    params, achieved, cost_w = _tied_pass(pl, r, b1, w2, signal_bias, track)
     if not signal_min > 0.0:
         raise BetaTooSmall(
             f"beta1={beta1!r} leaves signal pre-activation at or below 0"
@@ -197,13 +198,12 @@ def _fit_general(pl: Pipeline) -> Fit:
                 f"signal block leaks up to {junk:.3e} into noise rows")
         require(check("general.noise-leak", noise_max, tol), ConsistencyError,
                 f"noise block leaks {noise_max:.3e} above zero")
-    achieved = float(np.sqrt(total) / np.sqrt(ds.n))
     bound_l2, bound_deltap = bound_general(ds, stats)
     le_bound = require(
         check("bounds.cost-le-bound", achieved - bound_l2, 1e-10 * (1.0 + bound_l2),
               f"cost={achieved:.6e} bound_l2={bound_l2:.6e}"),
         ConsistencyError, f"constructed cost {achieved!r} exceeds its bound {bound_l2!r}")
-    return Fit(params, achieved, float(np.sqrt(weighted)), bound_l2, bound_deltap,
+    return Fit(params, achieved, cost_w, bound_l2, bound_deltap,
                (le_bound, bound_chain(bound_l2, bound_deltap)))
 
 
@@ -218,18 +218,17 @@ def _fit_exact(pl: Pipeline) -> Fit:
     beta1 = pl.cfg.beta1(stats.rho)
     b1 = np.full(ds.q, beta1)
     hidden_mins = []
-    params, total, weighted = _tied_pass(pl, np.eye(ds.q), b1, exact.w2, b1,
-                                         lambda hidden: hidden_mins.append(hidden.min()))
+    params, c_l2, cw = _tied_pass(pl, np.eye(ds.q), b1, exact.w2, b1,
+                                  lambda hidden: hidden_mins.append(hidden.min()))
     if not min(hidden_mins) > 0.0:
         raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
-    cw, em = float(np.sqrt(weighted)), exact.value
+    em = exact.value
     lam, _ = _psd_eig(exact.d2)
     eq_closed = require(
         check("exact.cost-eq-closed-form", rel(cw, em), 1e-9,
               f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]"),
         ConsistencyError, f"constructed weighted cost {cw!r} != exact minimum {em!r}")
-    return Fit(params, float(np.sqrt(total) / np.sqrt(ds.n)), cw,
-               *bound_general(ds, stats), (eq_closed,))
+    return Fit(params, c_l2, cw, *bound_general(ds, stats), (eq_closed,))
 
 
 def tied_output_layer(w1, b1, ds: ClassifiedDataset, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

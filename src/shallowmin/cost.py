@@ -4,9 +4,9 @@ closed-form bound / minimum expressions.
 The plain L2 cost (1/sqrt(N)) ||X2 - Yext||_F and the size-weighted cost
 sqrt(sum_j ||residual_j||_F^2 / N_j) come from one blocked residual kernel
 that forms neither the M x N hidden layer nor the Q x N residual. A full pass
-over sealed inputs (params arrays, X0 and Y all read-only) leaves its sums in
-one module slot; a later cost query on the same params object and the same
-dataset object reads them. The general bound is read from the statistics.
+over sealed inputs (params arrays, X0 and Y all read-only) leaves its two
+costs in one module slot; a later cost query on the same params object and the
+same dataset object reads them. The general bound is read from the statistics.
 The M = Q closed form reads the data and its class means alone; its one
 kernel, exact_minimum, cross-checks it at runtime against the matrix-free data
 projector route. Only data_projector forms the N x N projector, for tests, and
@@ -46,14 +46,15 @@ def weighted_norm(a: np.ndarray, class_sizes) -> float:
                              for sl, nj in zip(block_slices(class_sizes), class_sizes))))
 
 
-# The sums of the last full pass whose six inputs were all sealed: (weak
-# reference to the params, weak reference to the dataset, sum ||r||^2,
-# sum_j ||r_j||^2 / N_j). It keeps neither object alive.
+# The costs of the last full pass whose six inputs were all sealed: (weak
+# reference to the params, weak reference to the dataset, cost_l2,
+# cost_weighted). It keeps neither object alive.
 _last_pass: tuple | None = None
 
 
-def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> tuple[float, float]:
-    """(sum ||r||^2, sum_j ||r_j||^2 / N_j) of the residual r = X2 - Yext.
+def costs(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> tuple[float, float]:
+    """(cost_l2, cost_weighted) of the residual r = X2 - Yext: the square roots
+    of sum ||r||^2 / N and sum_j ||r_j||^2 / N_j.
 
     The network runs on each class block in column chunks; y_j is subtracted
     in place from each chunk's output, whose squares are summed before the
@@ -62,7 +63,7 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
     caller can check the hidden layer within this same pass.
 
     When w1, b1, w2, b2, ds.x0 and ds.y are all sealed (dataset.is_sealed),
-    a full pass leaves its sums in _last_pass. Without on_hidden, those sums
+    a full pass leaves its costs in _last_pass. Without on_hidden, those costs
     are returned and the network does not run if they were made on this same
     params object and this same dataset object; with on_hidden the pass
     always runs, so a check reads only values it produced."""
@@ -83,9 +84,10 @@ def _residual_sums(p: ShallowParams, ds: ClassifiedDataset, on_hidden=None) -> t
             block += sum_squares(resid)
         total += block
         weighted += block / nj
+    c_l2, c_w = float(np.sqrt(total) / np.sqrt(ds.n)), float(np.sqrt(weighted))
     if sealed:
-        _last_pass = (weakref.ref(p), weakref.ref(ds), total, weighted)
-    return total, weighted
+        _last_pass = (weakref.ref(p), weakref.ref(ds), c_l2, c_w)
+    return c_l2, c_w
 
 
 def cost_l2(p: ShallowParams, ds: ClassifiedDataset) -> float:
@@ -96,13 +98,6 @@ def cost_l2(p: ShallowParams, ds: ClassifiedDataset) -> float:
 def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
     """Size-weighted cost; equals sqrt(Q) x cost_l2 for uniform class sizes."""
     return costs(p, ds)[1]
-
-
-def costs(p: ShallowParams, ds: ClassifiedDataset) -> tuple[float, float]:
-    """(cost_l2, cost_weighted) from one pass of the network over the data,
-    or from the sums the last sealed pass left for p on this dataset object."""
-    total, weighted = _residual_sums(p, ds)
-    return float(np.sqrt(total) / np.sqrt(ds.n)), float(np.sqrt(weighted))
 
 
 def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
@@ -318,7 +313,7 @@ def evaluate(
     include_matrices: bool = False,
 ) -> CostReport:
     """Full cost report for one parameter set on one dataset. The costs are
-    read from the last sealed pass when it was p's over ds (_residual_sums);
+    read from the last sealed pass when it was p's over ds (costs);
     the M = Q fields come from one exact_minimum call. pack is not read."""
     b_l2, b_dp = bound_general(ds, stats)
     c_l2, c_w = costs(p, ds)

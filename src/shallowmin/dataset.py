@@ -262,11 +262,11 @@ def synthesize(
 ) -> ClassifiedDataset:
     """Seeded synthetic dataset: Gaussian class means plus uniform box noise.
 
-    Means are resampled until they are linearly independent; samples are
-    mean + noise * u with u uniform in [-1, 1]^M. The PRNG is numpy's PCG64
-    (default_rng), so outputs are stable across runs for a fixed seed, and the
-    noise draws do not depend on the noise amplitude: rescaling `noise` rescales
-    the deviations exactly.
+    mean_scale must be nonzero (it may be negative). Means are resampled until
+    they are linearly independent; samples are mean + noise * u with u
+    uniform in [-1, 1]^M. The PRNG is numpy's PCG64 (default_rng), so outputs
+    are stable across runs for a fixed seed, and the noise draws do not depend
+    on the noise amplitude: rescaling `noise` rescales the deviations exactly.
 
     X0 is built in place in the one M x N array the draws land in: scaled by
     noise, then each class block shifted by its mean. IEEE addition and
@@ -278,6 +278,8 @@ def synthesize(
         raise ValueError(f"noise must be >= 0, got {noise}")
     if not np.isfinite([mean_scale, noise]).all():
         raise ValueError(f"mean_scale and noise must be finite, got {mean_scale}, {noise}")
+    if mean_scale == 0:
+        raise ValueError("mean_scale must be nonzero: zero means never reach rank q")
     class_sizes = tuple(int(s) for s in class_sizes)
     if len(class_sizes) != q:
         raise DimensionError(f"need {q} class sizes, got {len(class_sizes)}")

@@ -3,8 +3,9 @@ diagonalizing rotations and numerical rank.
 
 projector_pack is the one kernel for the geometry of the means: from one thin
 SVD it builds their pseudoinverse, the orthoprojector onto their span and its
-complement, and the rotation that diagonalizes that projector. Every caller
-reads these from the pack dataset_stats returns; none takes a second SVD.
+complement. Every caller reads these from the pack dataset_stats returns; none
+takes a second SVD. The rotation that diagonalizes that projector is built by
+its one reader, the general trainer, with diagonalizing_rotation.
 
 All functions are pure and operate on float64 ndarrays; matrices are dense and
 sized for desk scale (M, Q <~ 100). The pseudoinverse and projectors come from
@@ -126,20 +127,16 @@ def diagonalizing_rotation(p, rank: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectorPack:
-    """Pseudoinverse / projector / rotation bundle for one M x Q full-rank matrix.
+    """Pseudoinverse / projector bundle for one M x Q full-rank matrix.
 
     pen:    Q x M left pseudoinverse
     p:      M x M orthoprojector onto the column span
     p_perp: M x M complement projector
-    r:      M x M orthogonal rotation, r @ p @ r.T = diag(1,...,1,0,...,0)
-    rank:   number of leading ones on that diagonal (= Q)
     """
 
     pen: np.ndarray
     p: np.ndarray
     p_perp: np.ndarray
-    r: np.ndarray
-    rank: int
 
 
 def projector_pack(a) -> ProjectorPack:
@@ -147,5 +144,4 @@ def projector_pack(a) -> ProjectorPack:
     u, s, vt = _full_rank_svd(a)
     p = u @ u.T
     p = 0.5 * (p + p.T)  # u u^T is symmetric only up to round-off
-    return ProjectorPack(pen=(vt.T / s) @ u.T, p=p, p_perp=np.eye(u.shape[0]) - p,
-                         r=diagonalizing_rotation(p, s.size), rank=s.size)
+    return ProjectorPack(pen=(vt.T / s) @ u.T, p=p, p_perp=np.eye(u.shape[0]) - p)

@@ -79,7 +79,7 @@ def suite_bounds(pl: Pipeline) -> list[Check]:
     checks.append(check("bounds.beta-margin-invariance", abs(big.cost_l2 - achieved), 1e-10))
 
     hidden, _ = forward(params, ds.x0)
-    signal = pack.r @ (pack.p @ ds.x0)
+    signal = params.w1 @ (pack.p @ ds.x0)
     signal[: ds.q, :] += pl.cfg.beta1(stats.rho)
     checks.append(check("bounds.hidden-layer-identity",
                         float(np.max(np.abs(hidden - signal))), 1e-12))

@@ -122,6 +122,15 @@ def pipeline_calls(monkeypatch):
 
 
 @pytest.fixture
+def rotation_calls(monkeypatch):
+    """Counts the diagonalizing rotations built (linalg.diagonalizing_rotation),
+    whichever shallowmin module calls them."""
+    from shallowmin import linalg
+
+    return _count_calls(monkeypatch, (linalg, ("diagonalizing_rotation",)))
+
+
+@pytest.fixture
 def means_svd_calls(monkeypatch):
     """Counts the thin SVDs of class means (linalg._full_rank_svd, the one
     SVD projector_pack takes), whichever shallowmin module makes them."""

@@ -757,6 +757,13 @@ def test_non_finite_settings_exit_2(capsys, args):
     assert captured.out == "" and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("scale", ["0", "-0.0"])
+def test_zero_mean_scale_exits_2(capsys, scale):
+    assert run(["gen", "--m", 2, "--q", 2, "--mean-scale", scale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "mean_scale must be nonzero" in captured.err
+
+
 @pytest.mark.parametrize("args", [
     ["train", "--m", 3, "--q", 2, "--beta1-margin", "1e200"],
     ["train", "--m", 3, "--q", 2, "--beta1-margin", "1e308"],

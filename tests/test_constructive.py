@@ -29,7 +29,7 @@ from shallowmin import constructive, cost
 from shallowmin.constructive import Pipeline, Variant, pipeline
 from shallowmin.cost import exact_minimum
 from shallowmin.errors import BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
-from shallowmin.linalg import op_norm
+from shallowmin.linalg import diagonalizing_rotation, op_norm
 from tests.conftest import weighted_lstsq_oracle
 
 
@@ -86,7 +86,7 @@ class TestTrainGeneral:
         cfg = ConstructiveConfig()
         params = train_general(ds, stats, pack, cfg)
         hidden, _ = forward(params, ds.x0)
-        expected = pack.r @ (pack.p @ ds.x0)
+        expected = diagonalizing_rotation(pack.p, ds.q) @ (pack.p @ ds.x0)
         expected[: ds.q, :] += cfg.beta1(stats.rho)
         assert np.max(np.abs(hidden - expected)) < 1e-12
 
@@ -124,12 +124,13 @@ class TestTrainGeneralSelfChecks:
         stats, pack = dataset_stats(ds)
         return ds, stats, pack
 
-    def test_signal_leak_into_noise_rows(self, fitted):
+    def test_signal_leak_into_noise_rows(self, fitted, monkeypatch):
         ds, stats, pack = fitted
-        # p = I keeps the noise directions in r p x0, so its trailing rows
-        # no longer vanish.
+        # r = I does not rotate the span of p onto the leading rows, so the
+        # trailing rows of r p x0 no longer vanish.
+        monkeypatch.setattr(constructive, "diagonalizing_rotation", lambda p, q: np.eye(ds.m))
         with pytest.raises(ConsistencyError, match="signal block leaks"):
-            train_general(ds, stats, replace(pack, p=np.eye(ds.m)))
+            train_general(ds, stats, pack)
 
     def test_noise_leak_above_zero(self, fitted):
         ds, stats, pack = fitted
@@ -175,7 +176,7 @@ class TestTrainGeneralSelfChecks:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         ds = synthesize(m, q, sizes, mean_scale=scale, noise=noise, seed=seed)
         stats, pack = dataset_stats(ds)
-        trailing = (pack.r @ pack.p)[q:]
+        trailing = (diagonalizing_rotation(pack.p, q) @ pack.p)[q:]
         assert op_norm(trailing) * stats.rho >= np.max(np.abs(trailing @ ds.x0))
 
 
@@ -368,17 +369,16 @@ class TestPipeline:
 
     def test_fit_params_are_sealed_and_shared_arrays_are_not(self):
         """A Fit's params cannot change under the costs its pass measured; the
-        pack and closed-form arrays they were copied from stay writable."""
+        closed-form arrays they were copied from stay writable."""
         pl = pipeline(synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2))
         for fit in (pl.general, pl.square):
             for name in ("w1", "b1", "w2", "b2"):
                 with pytest.raises(ValueError):
                     getattr(fit.params, name)[0] += 1.0
-        assert pl.pack.r.flags.writeable and pl.minimum.w2.flags.writeable
-        r, w2 = pl.pack.r.copy(), pl.minimum.w2.copy()
-        pl.pack.r[0, 0] += 1.0
+        assert pl.minimum.w2.flags.writeable
+        w2 = pl.minimum.w2.copy()
         pl.minimum.w2[0, 0] += 1.0
-        assert np.array_equal(pl.general.params.w1, r) and np.array_equal(pl.square.params.w2, w2)
+        assert np.array_equal(pl.square.params.w2, w2)
 
 
 class TestDegeneracy:

@@ -115,7 +115,7 @@ class TestOneForward:
 
 class TestResidualRecord:
     """A full residual pass whose params arrays, x0 and y are all sealed
-    leaves its sums in cost._last_pass; a cost query on the same params and
+    leaves its costs in cost._last_pass; a cost query on the same params and
     the same dataset object reads them, and a pass that checks hidden layers
     (a trainer's) never does."""
 
@@ -161,7 +161,7 @@ class TestResidualRecord:
         train_general(ds, stats, pack)
         assert sum(forward_calls) == 2 * ds.n
         hidden_columns = []
-        cost._residual_sums(params, ds, lambda h: hidden_columns.append(h.shape[1]))
+        cost.costs(params, ds, lambda h: hidden_columns.append(h.shape[1]))
         assert sum(forward_calls) == 3 * ds.n and sum(hidden_columns) == ds.n
         square = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
         stats_sq, _ = dataset_stats(square)

@@ -150,6 +150,12 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="must be"):
             synthesize(3, 3, [4, 4, 4], **kwargs)
 
+    @pytest.mark.parametrize("mean_scale", [0.0, -0.0])
+    def test_zero_mean_scale_rejected(self, mean_scale):
+        # Zero means never reach rank Q, so resampling them would never end.
+        with pytest.raises(ValueError, match="mean_scale must be nonzero"):
+            synthesize(2, 2, [3, 3], mean_scale=mean_scale)
+
     def test_q_greater_than_m_rejected(self):
         with pytest.raises(DimensionError):
             synthesize(2, 3, [1, 1, 1])
@@ -161,6 +167,7 @@ class TestSynthesize:
         (4, 2, [10, 10], 1e8, 0.3, 3),
         (4, 2, [10, 10], 1e-9, 0.3, 4),
         (6, 3, [3, 5, 2], 1.0, 2.5, 7),
+        (3, 2, [4, 4], -2.0, 0.1, 5),  # a negative scale stays valid
     ])
     def test_equals_repeated_means_plus_scaled_noise_bitwise(self, m, q, sizes, mean_scale,
                                                              noise, seed):

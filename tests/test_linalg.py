@@ -202,7 +202,8 @@ def test_projector_pack_bundle():
     rng = np.random.default_rng(3)
     a = random_full_rank(6, 3, rng)
     pack = projector_pack(a)
-    assert pack.rank == 3
+    assert pack.pen.shape == (3, 6)
     assert np.max(np.abs(pack.pen @ a - np.eye(3))) < 1e-10
     assert np.max(np.abs(pack.p + pack.p_perp - np.eye(6))) < 1e-15
-    assert np.max(np.abs(pack.r @ pack.p @ pack.r.T - np.diag([1.0] * 3 + [0.0] * 3))) < 1e-9
+    r = diagonalizing_rotation(pack.p, 3)
+    assert np.max(np.abs(r @ pack.p @ r.T - np.diag([1.0] * 3 + [0.0] * 3))) < 1e-9

@@ -1,6 +1,6 @@
 import pytest
 
-from shallowmin import pipeline, synthesize
+from shallowmin import dataset_stats, pipeline, synthesize, train_exact_meq, train_general
 from shallowmin.checks import Check
 from shallowmin.errors import WrongRegime
 from shallowmin.verify import (
@@ -104,6 +104,26 @@ def test_one_means_svd_per_dataset(means_svd_calls, suite, svds):
     ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
     assert all(c.passed for c in run_suite(suite, ds, seed=1))
     assert means_svd_calls == [(8, 8)] * svds
+
+
+@pytest.mark.parametrize("suite,rotations", [("bounds", 2), ("metric", 1), ("exact-min", 0),
+                                             ("degeneracy", 0), ("invariance", 0),
+                                             ("truncation", 0)])
+def test_rotations_only_for_general_fits(rotation_calls, suite, rotations):
+    """The rotation is built by the general trainer, its one reader: bounds
+    fits at two margins, metric once, and no other suite builds one."""
+    ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
+    assert all(c.passed for c in run_suite(suite, ds, seed=1))
+    assert rotation_calls == {"diagonalizing_rotation": rotations}
+
+
+def test_rotations_of_the_trainers(rotation_calls):
+    ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
+    stats, pack = dataset_stats(ds)
+    train_exact_meq(ds, stats)
+    assert rotation_calls == {"diagonalizing_rotation": 0}
+    train_general(ds, stats, pack)
+    assert rotation_calls == {"diagonalizing_rotation": 1}
 
 
 def test_exact_min_suite_rejects_rectangular():
