@@ -23,7 +23,7 @@ import numpy as np
 
 from .checks import Check, check, rel, require
 from .dataset import (
-    ClassifiedDataset, DatasetStats, block_slices, column_chunks, deviations, is_sealed, y_ext)
+    ClassifiedDataset, DatasetStats, block_slices, column_chunks, deviations, is_sealed)
 from .errors import (
     ConsistencyError,
     NotPositiveSemidefinite,
@@ -190,6 +190,13 @@ def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
     return float(np.linalg.norm((y @ v) * np.sqrt(w / (1.0 + w))[None, :]))
 
 
+def _less_targets(resid: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
+    """resid - Yext, in place: each class's target y_j off its column block."""
+    for sl, target in zip(ds.class_slices(), ds.y.T):
+        resid[:, sl] -= target[:, None]
+    return resid
+
+
 @dataclass(frozen=True)
 class ExactMinimum:
     """The M = Q closed form of one dataset: relative deviations d1, their Gram
@@ -219,7 +226,7 @@ def exact_minimum(ds: ClassifiedDataset, means: np.ndarray) -> ExactMinimum:
     value = closed_form_min(ds.y, d2)
     gram = _gram(ds.x0, ds.inv_size_weights())
     w2 = normal_w2(ds, gram, means)
-    route = weighted_norm(w2 @ ds.x0 - y_ext(ds), ds.class_sizes)
+    route = weighted_norm(_less_targets(w2 @ ds.x0, ds), ds.class_sizes)
     route_check = require(
         check("exact.projector-route", rel(value, route), 1e-9, f"projector route={route:.9e}"),
         ConsistencyError, f"closed form {value!r} and projector route {route!r} disagree")
@@ -259,18 +266,19 @@ def lstsq_min_weighted(hidden: np.ndarray, b1, ds: ClassifiedDataset) -> float:
     """Weighted-cost minimum over the tied output-layer family b2 = -W2 b1 at
     the hidden layer `hidden` (b1's broadcast already included), by one LAPACK
     lstsq of W2 (hidden - b1 1^T) ~ Yext: the brute-force counterpart of
-    closed_form_min."""
+    closed_form_min. It forms no Yext."""
     b1 = np.asarray(b1, dtype=float).reshape(-1)
-    targets = y_ext(ds)
-    sqrt_w = np.sqrt(ds.inv_size_weights())
+    root_w = np.sqrt([1.0 / nj for nj in ds.class_sizes])  # sqrt(1/N_j) per class
     design = hidden - b1[:, None]
-    theta_t, *_ = np.linalg.lstsq((design * sqrt_w).T, (targets * sqrt_w).T, rcond=None)
+    design *= np.repeat(root_w, ds.class_sizes)
+    weighted_targets = np.repeat(ds.y * root_w, ds.class_sizes, axis=1)
+    theta_t, *_ = np.linalg.lstsq(design.T, weighted_targets.T, rcond=None)
+    del design, weighted_targets  # freed before the residual is formed
     w2 = theta_t.T
     b2 = -w2 @ b1
     resid = w2 @ hidden
     resid += b2[:, None]
-    resid -= targets
-    return weighted_norm(resid, ds.class_sizes)
+    return weighted_norm(_less_targets(resid, ds), ds.class_sizes)
 
 
 @dataclass

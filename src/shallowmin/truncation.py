@@ -36,8 +36,7 @@ class TruncationResult:
     relative-deviation matrices and delta_p_tr are the truncated analogues of
     the dataset statistics. in_fixed_point_region: no pre-activation w1 X0 + b1
     is negative (a sign test, no tolerance). to_dict leaves out lstsq_oracle,
-    the least-squares value min_cost_weighted was checked against, and
-    reapplication_leak, max|relu(r) - r| at r = w1 tau(X0) + b1.
+    the least-squares value min_cost_weighted was checked against.
     """
 
     tau_x0: np.ndarray = field(repr=False)
@@ -45,7 +44,6 @@ class TruncationResult:
     rank_means_preserved: bool
     rank_marginal: bool
     in_fixed_point_region: bool
-    reapplication_leak: float = field(repr=False)
     min_cost_weighted: float | None = None
     delta_p_tr: float | None = None
     delta1_rel_tr: np.ndarray | None = field(default=None, repr=False)
@@ -123,14 +121,13 @@ def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset)
     truncation is rank reducing the minimum is absent; if it preserves the rank
     of class means that were already dependent, SingularMeans is raised.
     """
-    return _min_over_output_layer(w1, b1, ds, _data_ranks(ds))
+    return _min_over_output_layer(_truncation_pass(w1, b1, ds), b1, ds, _data_ranks(ds))
 
 
-def _min_over_output_layer(
-    w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset, data_ranks: tuple[int, int]
-) -> TruncationResult:
-    """min_over_output_layer given data_ranks = _data_ranks(ds)."""
-    tau, hidden, in_region, leak = _truncation_pass(w1, b1, ds)
+def _min_over_output_layer(passed: tuple, b1, ds: ClassifiedDataset, data_ranks) -> TruncationResult:
+    """min_over_output_layer from passed = _truncation_pass(w1, b1, ds) and
+    data_ranks = _data_ranks(ds)."""
+    tau, hidden, in_region, _ = passed
     rank_tau, marginal_tau = rank_with_margin(tau)
     means_tau = block_means(tau, ds.class_sizes)  # the classes of ds, never re-clustered
     rank_means_tau, marginal_means = rank_with_margin(means_tau)
@@ -142,7 +139,6 @@ def _min_over_output_layer(
         rank_means_preserved=rank_means,
         rank_marginal=marginal_tau or marginal_means,
         in_fixed_point_region=in_region,
-        reapplication_leak=leak,
     )
     if not (rank_x0 and rank_means):
         return result
@@ -166,24 +162,31 @@ def _min_over_output_layer(
 @dataclass
 class SweepPoint:
     """One grid entry of a fixed-point-region sweep; exactly one of result and
-    error is set."""
+    error (the raised ShallowminError, its traceback dropped so no frame keeps
+    the point's arrays) is set. leak, max|relu(r) - r| at r = w1 tau(X0) + b1,
+    is set iff the truncation pass finished."""
 
     index: int
     result: TruncationResult | None = None
-    error: str | None = None
+    error: ShallowminError | None = None
+    leak: float | None = None
 
     def to_dict(self, include_matrices: bool = False) -> dict:
         if self.error is not None:
-            return {"index": self.index, "error": self.error}
+            return {"index": self.index, "error": f"{type(self.error).__name__}: {self.error}"}
         return {"index": self.index, **self.result.to_dict(include_matrices)}
 
 
 def _sweep_point(i: int, w1, b1, ds: ClassifiedDataset, data_ranks: tuple[int, int]) -> SweepPoint:
-    """Grid point i of a sweep: its result, or the error it raised."""
+    """Grid point i of a sweep, from one truncation pass."""
+    point = SweepPoint(index=i)
     try:
-        return SweepPoint(index=i, result=_min_over_output_layer(w1, b1, ds, data_ranks))
+        passed = _truncation_pass(w1, b1, ds)
+        point.leak = passed[3]
+        point.result = _min_over_output_layer(passed, b1, ds, data_ranks)
     except ShallowminError as exc:
-        return SweepPoint(index=i, error=f"{type(exc).__name__}: {exc}")
+        point.error = exc.with_traceback(None)
+    return point
 
 
 def sweep_fixed_point_region(ds: ClassifiedDataset, grid) -> Iterator[SweepPoint]:

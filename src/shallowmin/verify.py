@@ -35,9 +35,7 @@ from .dataset import ClassifiedDataset, deviations, independent_means
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
-from .truncation import (
-    ORACLE_RTOL, TruncationResult, _truncation_pass, min_over_output_layer,
-    sweep_fixed_point_region)
+from .truncation import ORACLE_RTOL, sweep_fixed_point_region
 
 SUITES = ("bounds", "exact-min", "degeneracy", "invariance", "metric", "truncation")
 
@@ -264,13 +262,6 @@ def default_truncation_grid(pl: Pipeline, seed: int = 0) -> list[tuple[np.ndarra
     return grid
 
 
-def _fully_truncated(res: TruncationResult) -> bool:
-    """Whether a point reads as the full truncation: both rank flags false and
-    no minimum."""
-    return (not res.rank_x0_preserved) and (not res.rank_means_preserved) \
-        and res.min_cost_weighted is None
-
-
 def suite_truncation(pl: Pipeline, seed: int = 0) -> list[Check]:
     """Sweep a default grid: rank-preserving closed form vs least squares,
     flat value across the fixed-point region, agreement with the exact minimum,
@@ -283,29 +274,28 @@ def suite_truncation(pl: Pipeline, seed: int = 0) -> list[Check]:
 
     # The sweep compared each rank-preserving point's closed form with its
     # least-squares oracle already and kept the oracle value; errored points
-    # are counted in the detail. The sweep also measured the reapplication
-    # leak of every point it finished. A point that recorded an error is
-    # truncated again on the spot, so an error of the truncation itself
-    # surfaces. The last point is the full truncation.
+    # are counted in the detail. Each point carries its pass's reapplication
+    # leak unless the pass itself raised. The last point, the full truncation,
+    # should read as such: both rank flags false and no minimum.
     worst_oracle = 0.0
     n_preserving = 0
     region_vals = []
     errored = []
     worst_reapply = None
     for pt in sweep_fixed_point_region(ds, grid):
+        if pt.leak is None or (pt.error is not None and pt.index == len(grid) - 1):
+            raise pt.error
         res = pt.result
         if res is None:
             errored.append(pt.index)
-            leak = _truncation_pass(*grid[pt.index], ds)[3]
-        else:
-            leak = res.reapplication_leak
-            if res.min_cost_weighted is not None:
-                n_preserving += 1
-                worst_oracle = max(worst_oracle, rel(res.min_cost_weighted, res.lstsq_oracle))
-                if res.in_fixed_point_region:
-                    region_vals.append(res.min_cost_weighted)
-        worst_reapply = leak if worst_reapply is None else max(worst_reapply, leak)
-        last_flagged = None if res is None else _fully_truncated(res)
+        elif res.min_cost_weighted is not None:
+            n_preserving += 1
+            worst_oracle = max(worst_oracle, rel(res.min_cost_weighted, res.lstsq_oracle))
+            if res.in_fixed_point_region:
+                region_vals.append(res.min_cost_weighted)
+        worst_reapply = pt.leak if worst_reapply is None else max(worst_reapply, pt.leak)
+        last_flagged = res is not None and res.min_cost_weighted is None \
+            and not (res.rank_x0_preserved or res.rank_means_preserved)
         del pt, res  # the next point is evaluated with this one's arrays freed
 
     # The relative spread of the in-region minima, (hi - lo) / (1 + hi): 0 for
@@ -322,12 +312,10 @@ def suite_truncation(pl: Pipeline, seed: int = 0) -> list[Check]:
               detail=f"exact={em:.9e}" if region_vals else "0 in-region points"),
         check("truncation.reapplication-identity", worst_reapply, 1e-10),
     ]
-    # If the sweep recorded an error at the full truncation, the point is
-    # rerun to raise that error.
-    if last_flagged is None:
-        last_flagged = _fully_truncated(min_over_output_layer(*grid[-1], ds))
-    checks.append(check("truncation.full-truncation-flagged", 0.0 if last_flagged else 1.0, 0.5,
-                        detail="flags false and minimum absent"))
+    # At Q = 1 the full truncation leaves rank 1 = Q, so there is nothing to flag.
+    if ds.q > 1:
+        checks.append(check("truncation.full-truncation-flagged", 0.0 if last_flagged else 1.0,
+                            0.5, detail="flags false and minimum absent"))
     return checks
 
 

@@ -246,6 +246,25 @@ class TestVerify:
         assert captured.err == ("verify all: M=6 != Q=3, not run (M = Q only): "
                                 "exact-min, degeneracy, truncation\n")
 
+    @pytest.mark.parametrize("args", [
+        ["truncation", "--data", "q1.json", "--seed", 1],
+        ["all", "--m", 1, "--q", 1, "--sizes", 9, "--seed", 3],
+        ["all", "--m", 1, "--q", 1],
+    ], ids=["truncation-data", "all-sized", "all-default"])
+    def test_q1_passes_without_a_full_truncation_check(self, tmp_path, monkeypatch, capsys,
+                                                       args):
+        """At Q = 1 the full truncation keeps rank 1 = Q, so the check that it
+        drops the rank is not made, and every check that is made passes."""
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--m", 1, "--q", 1, "--sizes", 9, "--seed", 3, "--out", "q1.json"])
+        capsys.readouterr()
+        assert run(["verify", *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line for line in lines if line.startswith("[")]
+        assert any("] truncation." in line for line in checks)
+        assert checks and all(line.startswith("[PASS]") for line in checks)
+        assert not any("truncation.full-truncation-flagged" in line for line in checks)
+
 
 class TestClassify:
     def test_csv_output(self, tmp_path):
@@ -582,6 +601,17 @@ class TestTruncationSweep:
                     "--out", out]) == 0
         assert out.read_bytes() == b""
 
+    def test_grid_not_a_list_exit_3(self, tmp_path, capsys):
+        ds_path, grid_path = tmp_path / "ds.json", tmp_path / "grid.json"
+        run(["gen", "--m", 2, "--q", 2, "--seed", 6, "--out", ds_path])
+        grid_path.write_text('{"w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [5.0, 5.0]}')
+        capsys.readouterr()
+        assert run(["truncation-sweep", "--data", ds_path, "--grid", grid_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: DimensionError: truncation grid must be a JSON list, "
+                                "got dict\n")
+
 
 class TestCompare:
     def test_runs_and_writes_trace(self, tmp_path, capsys):
@@ -615,6 +645,18 @@ class TestCompare:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "cost_l2" and len(rows) == 2
         assert float(rows[1][0]) >= 0.0
+
+    def test_eval_table_out_writes_the_json_report(self, tmp_path, capsys):
+        ds_path, params_path = tmp_path / "ds.json", tmp_path / "params.json"
+        table_out, json_out = tmp_path / "table.json", tmp_path / "report.json"
+        run(["gen", "--m", 3, "--q", 3, "--seed", 2, "--out", ds_path])
+        run(["train", "--data", ds_path, "--out", params_path])
+        capsys.readouterr()
+        common = ["eval", "--data", ds_path, "--params", params_path]
+        assert run([*common, "--format", "table", "--out", table_out]) == 0
+        assert "cost_l2" in capsys.readouterr().out
+        assert run([*common, "--out", json_out]) == 0
+        assert table_out.read_bytes() == json_out.read_bytes()
 
     def test_compare_holdout_accuracy(self, tmp_path):
         ds_path = tmp_path / "ds.json"
@@ -675,6 +717,29 @@ class TestReport:
     def test_missing_artifact_exit_code(self, tmp_path, capsys):
         assert run(["report", "--inputs", tmp_path / "nope.json"]) == 2
         assert "no such artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (" \n", "empty artifact: "),
+        ("not json", "not a JSON artifact: "),
+    ], ids=["empty", "non-json"])
+    def test_unreadable_artifact_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
+        assert run(["report", "--inputs", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}{path}")
+
+    def test_compare_and_unknown_rows(self, tmp_path, capsys):
+        cmp_path, other, merged = tmp_path / "cmp.json", tmp_path / "o.json", tmp_path / "m.json"
+        cmp_path.write_text(json.dumps({"steps": 5, "gd": {"cost_l2": 0.5},
+                                        "constructive": {"cost_l2": 0.1, "cost_weighted": 0.2}}))
+        other.write_text('{"note": "x"}')
+        assert run(["report", "--inputs", cmp_path, other, "--out", merged]) == 0
+        assert json.loads(merged.read_text()) == {"artifacts": [
+            {"kind": "compare", "source": str(cmp_path), "steps": 5,
+             "cost_l2": 0.1, "cost_weighted": 0.2},
+            {"kind": "unknown", "source": str(other), "note": "x"}]}
+        table = capsys.readouterr().out
+        assert "compare" in table and "unknown" in table
 
     @pytest.mark.parametrize("text", ["[1, 2]", '[{"cost_l2": 1.0}, "x"]', "3",
                                       '{"cost_l2": 1.0}\n[1]\n', '{"provenance": 5}'],

@@ -9,7 +9,9 @@ concatenation), not the text and the decoded document: it decodes one class
 at a time. The truncation suite holds one grid point's arrays at a time (it
 folds each point of the sweep into scalars as it arrives), and one point's
 truncation pass three (it forms the hidden layer in place of the
-pre-activations and reads the reapplication leak off the extremes). A
+pre-activations and reads the reapplication leak off the extremes), and its
+least-squares oracle under three and a half (its weighted targets are one
+repeat of Y, and the targets leave the residual block by block). A
 gradient-descent run holds its workspace (the hidden layer, back-propagated
 residual, mask, residual and targets), and the trend checks of verify
 exact-min build each octave's X0(t) from the deviations in place, with no
@@ -103,6 +105,13 @@ def test_truncation_pass_peak_under_three_and_a_half_m_by_n_arrays():
     for b in (3.0, -0.2):  # in the fixed-point region and out of it
         peak = traced_peak(truncation._truncation_pass, np.eye(8), np.full(8, b), ds)
         assert peak < 3.5 * ds.x0.nbytes
+
+
+def test_lstsq_oracle_peak_under_three_and_a_half_m_by_n_arrays():
+    ds = synthesize(16, 16, [1000] * 16, noise=0.05, seed=1)
+    b1 = np.full(16, 3.0)
+    hidden = truncation._truncation_pass(np.eye(16), b1, ds)[1]
+    assert traced_peak(truncation.lstsq_min_weighted, hidden, b1, ds) < 3.5 * ds.x0.nbytes
 
 
 def test_truncation_suite_peak_does_not_grow_with_the_grid(monkeypatch):

@@ -188,7 +188,10 @@ class TestSweep:
         ]
         points = list(sweep_fixed_point_region(delta01_dataset, grid))
         assert points[0].error is None and points[2].error is None
-        assert points[1].error is not None and "SingularW1" in points[1].error
+        assert isinstance(points[1].error, SingularW1) and points[1].error.__traceback__ is None
+        assert points[1].to_dict()["error"] == "SingularW1: w1 must be invertible"
+        assert points[1].leak is None  # the pass itself raised
+        assert points[0].leak is not None and points[2].leak is not None
         assert [p.index for p in points] == [0, 1, 2]
 
     def test_rank_reducing_point_excluded_from_minima(self):
@@ -234,8 +237,8 @@ class TestDataRanksOnce:
 
 
 class TestSuiteReusesSweep:
-    """suite_truncation reads the reapplication leak from the sweep and
-    truncates again only where the sweep recorded an error."""
+    """suite_truncation reads each point's reapplication leak and error from
+    the sweep and never truncates a point again."""
 
     @pytest.fixture
     def truncate_calls(self, monkeypatch):
@@ -247,7 +250,6 @@ class TestSuiteReusesSweep:
             return original(w1, b1, ds)
 
         monkeypatch.setattr(truncation, "_truncation_pass", counting)
-        monkeypatch.setattr(verify, "_truncation_pass", counting)
         return calls
 
     def test_one_truncation_per_grid_point(self, truncate_calls):
@@ -256,22 +258,44 @@ class TestSuiteReusesSweep:
         assert all(c.passed for c in checks)
         assert len(truncate_calls) == len(verify.default_truncation_grid(pipeline(ds)))
 
-    def test_error_point_truncated_again(self, monkeypatch, truncate_calls):
+    def test_error_after_the_pass_keeps_one_pass_per_point(self, monkeypatch, truncate_calls):
         ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
         clean = {c.name: c.measured for c in verify.suite_truncation(pipeline(ds))}
-        original = verify.sweep_fixed_point_region
+        original = truncation._min_over_output_layer
+        calls = []
 
-        def first_point_failed(ds, grid):
-            points = list(original(ds, grid))
-            points[0] = truncation.SweepPoint(index=0, error="SingularW1: injected")
-            return points
+        def first_point_failed(passed, b1, ds, data_ranks):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NotPositiveSemidefinite("injected")
+            return original(passed, b1, ds, data_ranks)
 
-        monkeypatch.setattr(verify, "sweep_fixed_point_region", first_point_failed)
+        monkeypatch.setattr(truncation, "_min_over_output_layer", first_point_failed)
         truncate_calls.clear()
         checks = {c.name: c.measured for c in verify.suite_truncation(pipeline(ds))}
-        assert len(truncate_calls) == len(verify.default_truncation_grid(pipeline(ds))) + 1
+        assert len(truncate_calls) == len(verify.default_truncation_grid(pipeline(ds)))
         assert checks["truncation.reapplication-identity"] \
             == clean["truncation.reapplication-identity"]
+
+    @pytest.mark.parametrize("where", ["pass", "last point"])
+    def test_error_raised_with_its_own_type_and_message(self, monkeypatch, where):
+        """A point whose truncation pass raised, or an errored full truncation
+        (the last point), raises that error from the suite."""
+        ds = synthesize(3, 3, [20, 20, 20], noise=0.05, seed=1)
+        n = len(verify.default_truncation_grid(pipeline(ds)))
+        target = "_truncation_pass" if where == "pass" else "_min_over_output_layer"
+        original = getattr(truncation, target)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == (3 if where == "pass" else n):
+                raise SingularW1("injected at one point")
+            return original(*args)
+
+        monkeypatch.setattr(truncation, target, failing)
+        with pytest.raises(SingularW1, match="^injected at one point$"):
+            verify.suite_truncation(pipeline(ds))
 
     def test_oracle_read_from_the_sweep(self, monkeypatch):
         # The closed-vs-lstsq check reads the oracle value the sweep already
@@ -354,7 +378,10 @@ class TestDependentMeans:
     def test_sweep_records_error_and_continues(self, dependent_ds):
         grid = [(np.eye(3), np.full(3, 5.0)), (np.eye(3), np.full(3, -10.0))]
         points = list(sweep_fixed_point_region(dependent_ds, grid))
-        assert points[0].error is not None and "SingularMeans" in points[0].error
+        assert isinstance(points[0].error, SingularMeans)
+        assert points[0].to_dict() == {
+            "index": 0, "error": "SingularMeans: truncated class means have rank 2 < Q=3"}
+        assert points[0].leak is not None  # raised after the pass
         assert points[1].error is None
         assert points[1].result.min_cost_weighted is None
 
@@ -446,7 +473,8 @@ class TestSignRule:
         monkeypatch.setattr(truncation, "lstsq_min_weighted", recording_lstsq)
         for w1, b1 in grid:
             before = CountingX0.products
-            res = truncation._min_over_output_layer(w1, b1, ds, data_ranks)
+            res = truncation._min_over_output_layer(
+                truncation._truncation_pass(w1, b1, ds), b1, ds, data_ranks)
             assert CountingX0.products - before == 1
             if res.min_cost_weighted is not None:
                 assert oracle_hidden[-1] is passes[-1]

@@ -155,8 +155,8 @@ EDGE_COMMANDS = [
     "report --inputs sq.json",
 ]
 
-# Run twice by the Tier-1 test: exits 0, 2 and 3 (and 1 while the Q = 1
-# truncation check's premise is false), stdout and a written file.
+# Run twice by the Tier-1 test: exits 0 (the Q = 1 truncation suite among
+# them), 2 and 3, stdout and a written file.
 SLICE = [
     "train --m 3 --q 3 --sizes 6,5,7 --seed 1 --variant exact --out s.json",
     "verify truncation --m 1 --q 1 --sizes 3",
