@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .checks import Check, check, rel, require
-from .cost import ExactMinimum, _psd_eig, bound_chain, bound_general, costs, exact_minimum
+from .cost import ExactMinimum, bound_chain, bound_general, costs, exact_minimum
 from .dataset import ClassifiedDataset, DatasetStats, dataset_stats, seal
 from .errors import BetaTooLarge, BetaTooSmall, ConsistencyError, WrongRegime
 from .linalg import ProjectorPack, diagonalizing_rotation, op_norm, projector_pack
@@ -222,8 +222,7 @@ def _fit_exact(pl: Pipeline) -> Fit:
                                   lambda hidden: hidden_mins.append(hidden.min()))
     if not min(hidden_mins) > 0.0:
         raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
-    em = exact.value
-    lam, _ = _psd_eig(exact.d2)
+    em, lam = exact.value, exact.lam
     eq_closed = require(
         check("exact.cost-eq-closed-form", rel(cw, em), 1e-9,
               f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]"),

@@ -182,11 +182,11 @@ def _psd_eig(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(w, 0.0, None), v
 
 
-def closed_form_min(y: np.ndarray, d2: np.ndarray) -> float:
+def closed_form_min(y: np.ndarray, d2) -> float:
     """||Y V diag(sqrt(l/(1+l)))||_F from the eigendecomposition (l, V) of a
-    relative deviation Gram d2: the weighted-cost minimum over the tied
-    output-layer family."""
-    w, v = _psd_eig(d2)
+    relative deviation Gram d2, or from d2 = (l, V) as _psd_eig returns it:
+    the weighted-cost minimum over the tied output-layer family."""
+    w, v = d2 if isinstance(d2, tuple) else _psd_eig(d2)
     return float(np.linalg.norm((y @ v) * np.sqrt(w / (1.0 + w))[None, :]))
 
 
@@ -200,12 +200,14 @@ def _less_targets(resid: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
 @dataclass(frozen=True)
 class ExactMinimum:
     """The M = Q closed form of one dataset: relative deviations d1, their Gram
-    d2, the checked Gram X0 N^-1 X0^T and normal-equation output weights w2,
-    the closed-form weighted minimum value, the projector route of w2 and its
-    route_check (exact.projector-route)."""
+    d2 and its one eigendecomposition (lam, vec), the checked Gram X0 N^-1 X0^T
+    and normal-equation output weights w2, the closed-form weighted minimum
+    value, the projector route of w2 and its route_check (exact.projector-route)."""
 
     d1: np.ndarray
     d2: np.ndarray
+    lam: np.ndarray
+    vec: np.ndarray
     gram: np.ndarray
     w2: np.ndarray
     value: float
@@ -214,8 +216,9 @@ class ExactMinimum:
 
 
 def exact_minimum(ds: ClassifiedDataset, means: np.ndarray) -> ExactMinimum:
-    """ExactMinimum of ds and its class means from one relative_deviations pass
-    and one _gram solve: the one M = Q kernel, for any data and means.
+    """ExactMinimum of ds and its class means from one relative_deviations pass,
+    one eigendecomposition of d2 and one _gram solve: the one M = Q kernel, for
+    any data and means.
 
     The value is ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
     (l, V) of d2. Algebraically it equals ||Yext Pperp|| in the weighted norm;
@@ -223,14 +226,15 @@ def exact_minimum(ds: ClassifiedDataset, means: np.ndarray) -> ExactMinimum:
     and must agree to 1e-9 relative.
     """
     d1, d2 = relative_deviations(ds, means)
-    value = closed_form_min(ds.y, d2)
+    lam, vec = eig = _psd_eig(d2)
+    value = closed_form_min(ds.y, eig)
     gram = _gram(ds.x0, ds.inv_size_weights())
     w2 = normal_w2(ds, gram, means)
     route = weighted_norm(_less_targets(w2 @ ds.x0, ds), ds.class_sizes)
     route_check = require(
         check("exact.projector-route", rel(value, route), 1e-9, f"projector route={route:.9e}"),
         ConsistencyError, f"closed form {value!r} and projector route {route!r} disagree")
-    return ExactMinimum(d1, d2, gram, w2, value, route, route_check)
+    return ExactMinimum(d1, d2, lam, vec, gram, w2, value, route, route_check)
 
 
 def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:

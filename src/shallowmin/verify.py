@@ -46,6 +46,10 @@ SQUARE_ONLY_SUITES = ("exact-min", "degeneracy", "truncation")
 # Halvings of the deviations over which quadratic_trend_checks fits its slopes.
 OCTAVES = 4
 
+# The largest t^2 lambda_max(D2) of the first trend octave: the t-law's slopes
+# tend to 2 only as t^2 lambda_max(D2) -> 0.
+TREND_REGIME = 0.01
+
 
 def random_gl(q: int, rng: np.random.Generator, cond_max: float = 10.0) -> np.ndarray:
     """Random GL(Q) matrix with controlled condition number (< cond_max)."""
@@ -107,33 +111,71 @@ def suite_exact_min(pl: Pipeline) -> list[Check]:
     return checks
 
 
+def trend_start(lam_max: float) -> int:
+    """k0: the smallest k >= 0 with 4^-k lam_max <= TREND_REGIME, so the trend
+    octaves t = 2^-k0 .. 2^-(k0 + OCTAVES) lie where t^2 lambda_max(D2) << 1."""
+    k0 = 0
+    while np.ldexp(lam_max, -2 * k0) > TREND_REGIME:
+        k0 += 1
+    return k0
+
+
+def t_law(pl: Pipeline, t: float) -> tuple[float, float, np.ndarray, float, float]:
+    """(delta_p, value, W2*, |W2* - W2~|_op, deficit) of X0(t) = means + t dev,
+    read off pl.minimum with no data pass (M = Q).
+
+    The class means stay and D2(t) = t^2 D2, so with (l, V) the
+    eigendecomposition of D2, s = t^2 l and w_i = |(Y V)[:, i]|^2:
+    delta_p(t) = t delta_p; W2* = Y V diag(1/(1+s)) V^T pen and
+    W2~ - W2* = Y V diag(s/(1+s)) V^T pen; value^2 = a = sum w s/(1+s) and
+    |Y D1(t)|^2 = b = sum w s, so the deficit 1 - value/|Y D1(t)| is
+    ((b - a)/b) / (1 + sqrt(a/b)), with b - a = sum w s^2/(1+s) summed as
+    such: nothing cancels at small t."""
+    exact, pen = pl.minimum, pl.pack.pen
+    s = t * t * exact.lam
+    yv = pl.ds.y @ exact.vec
+    w = np.sum(yv * yv, axis=0)
+    a, b, b_less_a = w @ (s / (1.0 + s)), w @ s, w @ (s * s / (1.0 + s))
+    w2 = (yv / (1.0 + s)) @ exact.vec.T @ pen
+    gap = op_norm((yv * (s / (1.0 + s))) @ exact.vec.T @ pen)
+    deficit = b_less_a / b / (1.0 + np.sqrt(a / b))
+    return t * pl.stats.delta_p, float(np.sqrt(a)), w2, gap, float(deficit)
+
+
 def quadratic_trend_checks(pl: Pipeline) -> list[Check]:
     """Log-log slopes of |W2* - W2~|_op and of the minimum's deficit against
-    delta_p, over OCTAVES halvings t of the deviations, X0(t) = t dev with each
-    class mean added to its block (as synthesize builds X0), so pl's class
-    means are kept; each octave has its own record; both must be ~2."""
+    delta_p over OCTAVES halvings t of the deviations, X0(t) = means + t dev,
+    from t0 = 2^-trend_start(lambda_max(D2)); both must be ~2. Every octave is
+    read off the t-law (t_law). The last one is also rebuilt as data, with each
+    class mean added to its block (as synthesize builds X0), and its record's
+    value, delta_p and W2* must match the law's (exact.t-law-route)."""
     ds, means = pl.ds, pl.stats.means
-    dev = deviations(ds, means)
-    delta_ps, gaps, deficits = [], [], []
-    for k in range(OCTAVES + 1):
-        x0_t = 0.5 ** k * dev
-        for sl, mean in zip(ds.class_slices(), means.T):
-            x0_t[:, sl] += mean[:, None]
-        pl_t = pipeline(replace(ds, x0=x0_t))
-        exact = pl_t.minimum
-        gap = op_norm(exact.w2 - w2_tilde(pl_t.ds, pl_t.pack))
-        upper = weighted_norm(ds.y @ exact.d1, ds.class_sizes)
-        delta_ps.append(pl_t.stats.delta_p)
-        gaps.append(gap)
-        deficits.append(1.0 - exact.value / upper)
+    lam_max = float(pl.minimum.lam.max())
+    k0 = trend_start(lam_max)
+    ts = np.ldexp(1.0, -np.arange(k0, k0 + OCTAVES + 1))
+    laws = [t_law(pl, t) for t in ts]
+    delta_ps, _, _, gaps, deficits = zip(*laws)
     log_dp = np.log(delta_ps)
     slope_gap = float(np.polyfit(log_dp, np.log(gaps), 1)[0])
     slope_def = float(np.polyfit(log_dp, np.log(deficits), 1)[0])
+    window = f"over {OCTAVES} octaves from t0=2^-{k0}, lambda_max(D2)={lam_max:.3e}"
+
+    delta_p, value, w2, _, _ = laws[-1]
+    x0_t = deviations(ds, means)
+    x0_t *= ts[-1]
+    for sl, mean in zip(ds.class_slices(), means.T):
+        x0_t[:, sl] += mean[:, None]
+    pl_t = pipeline(replace(ds, x0=x0_t))
+    route = (rel(pl_t.minimum.value, value), rel(pl_t.stats.delta_p, delta_p),
+             op_norm(pl_t.minimum.w2 - w2) / (1.0 + op_norm(w2)))
     return [
         check("exact.w2-gap-slope", abs(slope_gap - 2.0), 0.15,
-              detail=f"slope={slope_gap:.4f} over {OCTAVES} octaves"),
+              detail=f"slope={slope_gap:.4f} {window}"),
         check("exact.deficit-slope", abs(slope_def - 2.0), 0.2,
-              detail=f"slope={slope_def:.4f} over {OCTAVES} octaves"),
+              detail=f"slope={slope_def:.4f} {window}"),
+        check("exact.t-law-route", max(route), 1e-9,
+              detail=f"t=2^-{k0 + OCTAVES}: value {route[0]:.1e}, "
+              f"delta_p {route[1]:.1e}, W2* {route[2]:.1e}"),
     ]
 
 

@@ -189,8 +189,22 @@ class TestVerify:
         assert run(["verify", "exact-min", "--m", 3, "--q", 3,
                     "--sizes", "2000,2000,2000"]) == 0
         out = capsys.readouterr().out
-        assert "7/7 checks passed" in out
+        assert "8/8 checks passed" in out
         assert "[PASS] exact.projector-route" in out
+
+    @pytest.mark.parametrize("args, t0", [
+        (["--m", 8, "--q", 8, "--sizes", ",".join(["300"] * 8), "--seed", 2], "2^-5"),
+        (["--m", 3, "--q", 3, "--noise", "1e-10", "--seed", 1], "2^-0"),
+    ], ids=["lambda-max-2.8", "noise-1e-10"])
+    def test_exact_min_trend_octaves_in_their_regime(self, capsys, args, t0):
+        """The trend octaves start at the first t0 = 2^-k with t0^2
+        lambda_max(D2) <= 0.01: on deviations large against the means
+        (lambda_max(D2) = 2.79) and on tiny ones, every check passes, with
+        RuntimeWarnings raised as errors."""
+        assert run(["verify", "exact-min", *args]) == 0
+        out = capsys.readouterr().out
+        assert "8/8 checks passed" in out
+        assert f"from t0={t0}," in out and "[PASS] exact.t-law-route" in out
 
     def test_invariance_above_projector_limit(self, capsys):
         # N = 6000 > MAX_PROJECTOR_N: the data projector is compared on probes
@@ -211,7 +225,7 @@ class TestVerify:
         assert f"DimensionError: {row}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m, q, per_class, counts", [
-        (8, 8, 300, {"compute_stats": 8, "class_means": 28, "exact_minimum": 26,
+        (8, 8, 300, {"compute_stats": 4, "class_means": 24, "exact_minimum": 22,
                      "_fit_general": 2, "_fit_exact": 1}),
         (12, 6, 50, {"compute_stats": 3, "class_means": 3, "exact_minimum": 0,
                      "_fit_general": 2, "_fit_exact": 0}),
@@ -219,7 +233,7 @@ class TestVerify:
     def test_all_reads_one_record(self, capsys, pipeline_calls, m, q, per_class, counts):
         """verify all builds one record of the given data, which every suite
         reads; the derived datasets build their own. Stats passes: 1, plus 2
-        scaled copies, plus for M = Q the OCTAVES + 1 noise octaves. The 20
+        scaled copies, plus for M = Q the one rebuilt noise octave. The 20
         GL(Q) copies take only their class means and solve the closed form
         once each, as the given data do. The general fit runs once for bounds
         and metric, plus the big-margin fit; the M = Q fit once for exact-min

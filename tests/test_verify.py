@@ -1,8 +1,12 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from shallowmin import dataset_stats, pipeline, synthesize, train_exact_meq, train_general
-from shallowmin.checks import Check
+from shallowmin.checks import Check, rel
 from shallowmin.errors import WrongRegime
+from shallowmin.linalg import op_norm
 from shallowmin.verify import (
     OCTAVES,
     SUITES,
@@ -11,6 +15,8 @@ from shallowmin.verify import (
     suite_degeneracy,
     suite_exact_min,
     suite_invariance,
+    t_law,
+    trend_start,
 )
 
 
@@ -75,15 +81,34 @@ def test_invariance_suite_solves_once_per_dataset(exact_calls):
 
 def test_exact_min_suite_solves_once_per_dataset(exact_calls):
     """The given dataset is solved once, by the M = Q fit whose ExactMinimum
-    the suite reads; each of the OCTAVES + 1 noise-scaled datasets once. Every
-    solve is one relative-deviations pass, one Gram solve and one closed form,
-    which its projector route cross-checks."""
+    the suite reads, and the trend checks' one rebuilt octave once; the other
+    octaves are read off the t-law. Every solve is one relative-deviations
+    pass, one Gram solve and one closed form, which its projector route
+    cross-checks."""
     ds = synthesize(4, 4, [10] * 4, noise=0.05, seed=3)
     checks = suite_exact_min(pipeline(ds))
     assert all(c.passed for c in checks)
-    solves = 1 + OCTAVES + 1
+    solves = 2
     assert exact_calls == {"relative_deviations": solves, "_gram": solves,
                            "closed_form_min": solves}
+
+
+@pytest.mark.parametrize("m, size, noise, seed, k0", [(8, 300, 0.05, 2, 5),
+                                                      (3, 20, 0.005, 1, 0)])
+def test_t_law_matches_rebuilt_data_at_every_octave(m, size, noise, seed, k0):
+    """At each octave the trend checks fit, the t-law's delta_p, value and W2*
+    equal those of the record of X0(t) = means + t dev, built as data."""
+    ds = synthesize(m, m, [size] * m, noise=noise, seed=seed)
+    pl = pipeline(ds)
+    means = np.repeat(pl.stats.means, ds.class_sizes, axis=1)
+    assert trend_start(float(pl.minimum.lam.max())) == k0
+    for k in range(k0, k0 + OCTAVES + 1):
+        t = 0.5 ** k
+        delta_p, value, w2, _, _ = t_law(pl, t)
+        data = pipeline(replace(ds, x0=means + t * (ds.x0 - means)))
+        assert rel(data.minimum.value, value) <= 1e-9
+        assert rel(data.stats.delta_p, delta_p) <= 1e-9
+        assert op_norm(data.minimum.w2 - w2) / (1.0 + op_norm(w2)) <= 1e-9
 
 
 def test_degeneracy_suite_solves_once(exact_calls):
@@ -93,13 +118,13 @@ def test_degeneracy_suite_solves_once(exact_calls):
     assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
 
 
-@pytest.mark.parametrize("suite,svds", [("metric", 1), ("exact-min", 1 + OCTAVES + 1),
+@pytest.mark.parametrize("suite,svds", [("metric", 1), ("exact-min", 2),
                                         ("invariance", 1 + 2)])
 def test_one_means_svd_per_dataset(means_svd_calls, suite, svds):
     """projector_pack is the one kernel for the geometry of the means: each
     dataset's pack, taken by dataset_stats, also gives w2_tilde its
     pseudoinverse. metric reads one dataset; exact-min reads the given one
-    and its OCTAVES + 1 noise-scaled images; invariance the given one and its
+    and its one rebuilt noise octave; invariance the given one and its
     2 scaled copies, while its 20 GL(Q) images take no pack."""
     ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
     assert all(c.passed for c in run_suite(suite, ds, seed=1))

@@ -132,6 +132,7 @@ EDGE_COMMANDS = [
     "gen --m 3 --q 3 --mean-scale inf",
     "gen --m 0 --q 0 --out q0.json",
     "gen --m 2 --q 3",
+    "gen --m 2 --q 2 --mean-scale 0",
     "train --m 3 --q 2 --beta1-margin nan",
     "train --m 3 --q 2 --beta1-margin inf",
     "train --m 3 --q 2 --beta1-margin -1",
@@ -144,6 +145,9 @@ EDGE_COMMANDS = [
     "compare --m 4 --q 4 --mean-scale 1e4 --noise 500 --steps 200",
     "verify degeneracy --m 4 --q 4 --mean-scale 1e4 --noise 500 --seed 1",
     "verify exact-min --m 6 --q 3",
+    # Trend octaves from t0 = 2^-5 (lambda_max(D2) = 2.79), and on deviations of 1e-10.
+    "verify exact-min --m 8 --q 8 --sizes " + ",".join(["300"] * 8) + " --seed 2",
+    "verify exact-min --m 3 --q 3 --noise 1e-10 --seed 1",
     "verify all --m 1 --q 1",
     "verify all --m 0 --q 0",
     # A sweep point that raises NotPositiveSemidefinite (eigenvalue -3.2e-11).
