@@ -3,7 +3,8 @@
 Commands: gen, train, eval, classify, truncation-sweep, verify, compare,
 report. Every command is deterministic given (inputs, seed, flags); JSON
 output serializes floats via repr, which round-trips full double precision,
-so reruns are byte-identical. Exit codes: 0 success, 1 verification failure,
+so reruns are byte-identical, whatever the input path and BLAS thread count,
+on one machine and BLAS build. Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 numeric/rank error.
 """
 
@@ -25,7 +26,7 @@ from .cost import evaluate
 from .dataset import (
     checked_targets,
     csv_rows,
-    independent_means,
+    dataset_stats,
     json_field,
     load_dataset,
     synthesize,
@@ -150,8 +151,8 @@ def _classify_model(args) -> tuple[ShallowParams, np.ndarray, tuple[int, int]]:
     When --data is a JSON file whose SHA-256 equals the data_sha256 that train
     recorded in the params' provenance, the targets are the provenance y and
     the file is not parsed (nor hashed when no digest is recorded). Otherwise
-    the dataset is loaded as every command loads it, its class means are
-    checked for rank, and its y is used.
+    the dataset is loaded as every command loads it, dataset_stats checks the
+    rank of its class means, and its y is used.
     """
     params = prov = load_error = None
     try:
@@ -164,7 +165,7 @@ def _classify_model(args) -> tuple[ShallowParams, np.ndarray, tuple[int, int]]:
         y = checked_targets(json_field(prov, "y", "params provenance"), params.q)
         return params, y, (params.m, params.q)
     ds = _dataset_from_args(args)
-    independent_means(ds)
+    dataset_stats(ds)
     if load_error is not None:
         raise load_error
     return params, ds.y, (ds.m, ds.q)

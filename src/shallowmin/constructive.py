@@ -150,6 +150,16 @@ def _tied_pass(pl: Pipeline, w1, b1, w2, lifted, on_hidden) -> tuple[ShallowPara
         raise BetaTooLarge(f"beta1={beta1!r} overflows the trainer's pass ({exc})") from None
 
 
+def _cost_miss(pl: Pipeline, w2, tol: float, message: str):
+    """Raise for a failed cost check, tol being its tolerance on an output: BetaTooLarge if
+    the lift X0 + beta1 rounds an output by eps beta1 ||w2||_op > tol, else ConsistencyError."""
+    beta1 = pl.cfg.beta1(pl.stats.rho)
+    lift = float(np.finfo(float).eps) * beta1 * op_norm(w2)
+    if lift > tol:
+        raise BetaTooLarge(f"beta1={beta1!r} rounds away X0's digits ({lift:.3e} > {tol:.3e})")
+    raise ConsistencyError(message)
+
+
 def _fit_general(pl: Pipeline) -> Fit:
     """The general Q <= M construction.
 
@@ -199,10 +209,11 @@ def _fit_general(pl: Pipeline) -> Fit:
         require(check("general.noise-leak", noise_max, tol), ConsistencyError,
                 f"noise block leaks {noise_max:.3e} above zero")
     bound_l2, bound_deltap = bound_general(ds, stats)
-    le_bound = require(
-        check("bounds.cost-le-bound", achieved - bound_l2, 1e-10 * (1.0 + bound_l2),
-              f"cost={achieved:.6e} bound_l2={bound_l2:.6e}"),
-        ConsistencyError, f"constructed cost {achieved!r} exceeds its bound {bound_l2!r}")
+    le_bound = check("bounds.cost-le-bound", achieved - bound_l2, 1e-10 * (1.0 + bound_l2),
+                     f"cost={achieved:.6e} bound_l2={bound_l2:.6e}")
+    if not le_bound.passed:
+        _cost_miss(pl, w2, le_bound.tolerance,
+                   f"constructed cost {achieved!r} exceeds its bound {bound_l2!r}")
     return Fit(params, achieved, cost_w, bound_l2, bound_deltap,
                (le_bound, bound_chain(bound_l2, bound_deltap)))
 
@@ -223,10 +234,11 @@ def _fit_exact(pl: Pipeline) -> Fit:
     if not min(hidden_mins) > 0.0:
         raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
     em, lam = exact.value, exact.lam
-    eq_closed = require(
-        check("exact.cost-eq-closed-form", rel(cw, em), 1e-9,
-              f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]"),
-        ConsistencyError, f"constructed weighted cost {cw!r} != exact minimum {em!r}")
+    eq_closed = check("exact.cost-eq-closed-form", rel(cw, em), 1e-9,
+                      f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]")
+    if not eq_closed.passed:  # the weighted cost moves by up to sqrt(Q) x an output
+        _cost_miss(pl, exact.w2, eq_closed.tolerance * (1.0 + em) / np.sqrt(ds.q),
+                   f"constructed weighted cost {cw!r} != exact minimum {em!r}")
     return Fit(params, c_l2, cw, *bound_general(ds, stats), (eq_closed,))
 
 

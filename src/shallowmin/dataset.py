@@ -65,19 +65,19 @@ def checked_targets(y, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassifiedDataset:
-    """x0 and y are kept as given. Every builder in this module makes its
-    datasets through _built, which seals x0 and y (is_sealed), so no caller
-    can change a dataset built here; the cost kernel reuses a measured cost
-    only for sealed inputs."""
+    """y is kept as given, x0 too if row-major and else copied once to be so.
+    Every builder in this module makes its datasets through _built, which
+    seals x0 and y (is_sealed), so no caller can change a dataset built here;
+    the cost kernel reuses a measured cost only for sealed inputs."""
 
     m: int
     q: int
     class_sizes: tuple[int, ...]
-    x0: np.ndarray  # M x N, columns grouped class by class
+    x0: np.ndarray  # M x N, row-major, columns grouped class by class
     y: np.ndarray   # Q x Q, linearly independent target columns
 
     def __post_init__(self):
-        x0 = as_matrix(self.x0, "x0")
+        x0 = as_matrix(np.asarray(self.x0, dtype=float, order="C"), "x0")
         y = as_matrix(self.y, "y")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "y", y)
@@ -151,7 +151,7 @@ def y_ext(ds: ClassifiedDataset) -> np.ndarray:
 
 def deviations(ds: ClassifiedDataset, means: np.ndarray) -> np.ndarray:
     """M x N per-sample deviations dev = x0 - mean_ext from the class means,
-    formed on each call as a C-ordered array, block by block."""
+    formed on each call, block by block."""
     dev = np.empty(ds.x0.shape)
     for sl, mean in zip(ds.class_slices(), means.T):
         np.subtract(ds.x0[:, sl], mean[:, None], out=dev[:, sl])
@@ -164,17 +164,6 @@ def _root_max_column_sum(sq: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.add.reduce(sq, axis=0))))
 
 
-def _max_column_norm(a: np.ndarray, buf: np.ndarray) -> float:
-    """max over columns of ||a[:, i]||, equal bit for bit to
-    np.max(np.linalg.norm(a, axis=0)) for a read-only a of either layout: the
-    squares go into a view of the flat buffer buf laid out as numpy lays out
-    a * a (a sum along the contiguous axis is pairwise, along the other
-    sequential)."""
-    f_order = min(a.shape) > 1 and abs(a.strides[0]) < abs(a.strides[1])
-    return _root_max_column_sum(
-        np.square(a, out=buf[:a.size].reshape(a.shape, order="F" if f_order else "C")))
-
-
 def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack) -> DatasetStats:
     """All derived statistics of ds from its class means and
     pack = projector_pack(means), in one visit per class block.
@@ -183,8 +172,8 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
     (equal bit for bit to that block of deviations(ds, means)) and their
     projection pen @ dev (pen @ p = pen) into a reused Q x max_j N_j one; each
     buffer is squared in place after its last product and summed column by
-    column. x0's squares use the deviation buffer before it is refilled. No
-    M x N array is retained.
+    column; x0's squares, summed as np.linalg.norm(x0, axis=0) sums them, use
+    the deviation buffer before it is refilled. No M x N array is retained.
     """
     width = max(ds.class_sizes)
     dev_buf = np.empty((ds.m, width))
@@ -193,7 +182,7 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
     for sl, mean in zip(ds.class_slices(), means.T):
         x_block = ds.x0[:, sl]
         nj = x_block.shape[1]
-        rho = max(rho, _max_column_norm(x_block, dev_buf.reshape(-1)))
+        rho = max(rho, _root_max_column_sum(np.square(x_block, out=dev_buf[:, :nj])))
         dev = np.subtract(x_block, mean[:, None], out=dev_buf[:, :nj])
         pen_dev = np.matmul(pack.pen, dev, out=pen_buf[:, :nj])
         delta = max(delta, _root_max_column_sum(np.square(dev, out=dev)))
@@ -208,27 +197,20 @@ def compute_stats(ds: ClassifiedDataset, means: np.ndarray, pack: ProjectorPack)
     )
 
 
-def independent_means(ds: ClassifiedDataset) -> np.ndarray:
-    """The class means of ds; DegenerateMeans unless they are linearly independent."""
-    means = class_means(ds)
-    if numerical_rank(means) < ds.q:
-        raise DegenerateMeans("class means are not linearly independent")
-    return means
-
-
 def dataset_stats(ds: ClassifiedDataset) -> tuple[DatasetStats, ProjectorPack]:
-    """Two-pass pipeline: class means, their projector pack, then the stats."""
-    means = independent_means(ds)
-    pack = projector_pack(means)
+    """Two-pass pipeline: class means, their pack (the means' rank test), then the stats."""
+    means = class_means(ds)
+    try:
+        pack = projector_pack(means)
+    except RankDeficient:
+        raise DegenerateMeans("class means are not linearly independent") from None
     return compute_stats(ds, means, pack), pack
 
 
 def seal(a: np.ndarray) -> np.ndarray:
-    """Make a and every array it is a view of read-only; returns a."""
-    base = a
-    while isinstance(base, np.ndarray):
-        base.flags.writeable = False
-        base = base.base
+    """Make a read-only; returns a, sealed (is_sealed) when it owns its data,
+    as every array this library seals does."""
+    a.flags.writeable = False
     return a
 
 
@@ -316,7 +298,7 @@ def from_samples(samples, labels) -> ClassifiedDataset:
     sizes = np.bincount(labels) if labels.max(initial=0) < labels.size else [0]
     if not np.all(sizes):
         raise DimensionError("every class between 0 and max(label) needs at least one sample")
-    x0 = np.take(samples.T, np.argsort(labels, kind="stable"), axis=1)  # C-ordered
+    x0 = np.take(samples.T, np.argsort(labels, kind="stable"), axis=1)
     return _built(x0, sizes, np.eye(sizes.size))
 
 
@@ -401,7 +383,7 @@ def json_field(doc, key: str, where: str, convert=None):
 
 
 def _sample_rows(classes, m: int, q: int) -> tuple[np.ndarray, list[int]]:
-    """(N x M float array, class sizes) of the decoded "classes" field."""
+    """(M x N X0, class sizes) of the decoded "classes" field."""
     if len(classes) != q:
         raise DimensionError(f"expected {q} classes, got {len(classes)}")
     samples = list(chain.from_iterable(classes))
@@ -409,28 +391,32 @@ def _sample_rows(classes, m: int, q: int) -> tuple[np.ndarray, list[int]]:
     wrong = lengths[lengths != m]
     if wrong.size:
         raise DimensionError(f"sample length {wrong[0]} != m={m}")
-    return np.array(samples, dtype=float), [len(c) for c in classes]
+    return np.array(samples, dtype=float).T.copy(), [len(c) for c in classes]
 
 
 def _block_rows(blocks, m: int, q: int) -> tuple[np.ndarray, list[int]]:
-    """_sample_rows of classes already converted to one 2-D float block each
-    (_streamed_document): the same checks, messages and C-ordered values."""
+    """_sample_rows of classes already converted to one N_j x M float block
+    each (_streamed_document), each dropped from blocks once X0 holds it."""
     if len(blocks) != q:
         raise DimensionError(f"expected {q} classes, got {len(blocks)}")
     wrong = [b.shape[1] for b in blocks if b.shape[1] != m]
     if wrong:
         raise DimensionError(f"sample length {wrong[0]} != m={m}")
-    return np.concatenate(blocks), [len(b) for b in blocks]
+    sizes = [len(b) for b in blocks]
+    x0 = np.empty((m, sum(sizes)))
+    for j, sl in enumerate(block_slices(sizes)):
+        x0[:, sl], blocks[j] = blocks[j].T, None
+    return x0, sizes
 
 
 def _from_document(d, rows) -> ClassifiedDataset:
-    """from_json_dict, with the "classes" field turned into (N x M samples,
-    class sizes) by rows(classes, m, q)."""
+    """from_json_dict, with the "classes" field turned into (M x N X0, class
+    sizes) by rows(classes, m, q)."""
     m = json_field(d, "m", "dataset document", int)
     q = json_field(d, "q", "dataset document", int)
     x, sizes = json_field(d, "classes", "dataset document", lambda c: rows(c, m, q))
     y = json_field(d, "y", "dataset document") if d.get("y") is not None else np.eye(q)
-    return _built(x.T, sizes, y)
+    return _built(x, sizes, y)
 
 
 def from_json_dict(d: dict) -> ClassifiedDataset:
@@ -633,8 +619,7 @@ def load_json(path, sha256=None) -> ClassifiedDataset:
     The text is read once, _HASH_CHUNK_BYTES characters at a time, and the
     "classes" field is decoded and converted one class at a time, so the
     reader holds the float blocks, one class as Python lists and a window of
-    text, never the whole text or document. x0 is the concatenation of the
-    blocks, transposed: the values and layout of from_json_dict's. A document
+    text, never the whole text or document. A document
     that this streamed walk does not decide (it does not parse, does not
     decode, or has a class that is not a non-empty rectangle of values) is
     read again whole by from_json_dict, which raises its error."""
@@ -694,7 +679,6 @@ def holdout_split(
         idx = sl.start + rng.permutation(nj)
         kept.append(np.sort(idx[n_hold:]))
         held.append(np.sort(idx[:n_hold]))
-    # np.take gathers into a new C-ordered array whatever the order of x0.
     train_x0 = np.take(ds.x0, np.concatenate(kept), axis=1)
     held_x = np.take(ds.x0, np.concatenate(held), axis=1)
     held_labels = np.repeat(np.arange(ds.q), [h.size for h in held]).tolist()

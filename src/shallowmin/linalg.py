@@ -26,6 +26,8 @@ SV_TOLERANCE = 1e-10
 # Tolerance for validating that an input matrix is an orthogonal projector.
 PROJECTOR_TOLERANCE = 1e-8
 
+_DOT_LEN = 10_000  # most entries per BLAS dot: OpenBLAS threads, so rounds, longer ones
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array, raising DimensionError otherwise."""
@@ -47,11 +49,12 @@ def op_norm(a) -> float:
 
 
 def sum_squares(a: np.ndarray) -> float:
-    """Sum of the squared entries of a 2-D array, forming no temporary: one
-    BLAS dot when a is C-contiguous, an einsum over the strided view otherwise."""
+    """Sum of the squared entries of a 2-D array, forming no temporary: BLAS dots
+    of _DOT_LEN at most, summed in order, if a is C-contiguous, else an einsum."""
     if a.flags.c_contiguous:
         flat = a.reshape(-1)
-        return float(flat @ flat)
+        return float(sum(flat[i:i + _DOT_LEN] @ flat[i:i + _DOT_LEN]
+                         for i in range(0, flat.size, _DOT_LEN)))
     return float(np.einsum("ij,ij->", a, a))
 
 

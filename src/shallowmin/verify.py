@@ -31,7 +31,7 @@ from .constructive import (
     w2_tilde,
 )
 from .cost import cost_weighted, exact_minimum, lstsq_min_weighted, projector_action, weighted_norm
-from .dataset import ClassifiedDataset, deviations, independent_means
+from .dataset import ClassifiedDataset, class_means, deviations
 from .errors import WrongRegime
 from .linalg import op_norm
 from .network import ShallowParams, forward
@@ -223,7 +223,7 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[Check]:
     for _ in range(n_k):
         k = random_gl(ds.q, rng)
         ds_k = replace(ds, x0=k @ ds.x0)
-        exact_k = exact_minimum(ds_k, independent_means(ds_k))
+        exact_k = exact_minimum(ds_k, class_means(ds_k))
         worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, exact_k.gram, z) - pz)))
                       / pz_scale)
         worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - exact.d1))) / d1_scale)

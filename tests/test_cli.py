@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import hashlib
 
@@ -853,6 +857,36 @@ def test_overflowing_beta1_exit_3_without_warnings(capsys, args):
     assert run(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: BetaTooLarge: beta1=1e+") and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--m", 3, "--q", 2, "--beta1-margin", "1e20"],
+    ["train", "--m", 3, "--q", 3, "--variant", "exact", "--beta1-margin", "1e17"],
+])
+def test_beta1_that_rounds_away_the_data_exit_3(capsys, args):
+    """Finite, but X0 + beta1 keeps too few of X0's digits for the cost check:
+    beta1 is named, not the cost."""
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: BetaTooLarge: beta1=1e+") and "rounds away X0's digits" in err
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """train and eval print the same bytes under one and two OpenBLAS threads,
+    with sums of squares over more than 10^4 entries (Q N_j = 18000)."""
+    flags = ["--m", "6", "--q", "6", "--sizes", ",".join(["3000"] * 6), "--seed", "3"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        params = tmp_path / f"p{threads}.json"
+        printed = [subprocess.run([sys.executable, "-m", "shallowmin.cli", *argv], env=env,
+                                  capture_output=True, text=True, check=True).stdout
+                   for argv in (["train", *flags, "--out", str(params)],
+                                ["eval", *flags, "--params", str(params)])]
+        outputs.append((params.read_bytes(), printed))
+    assert outputs[0] == outputs[1]
 
 
 def test_gd_overflow_exit_3_without_warnings(capsys):

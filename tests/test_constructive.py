@@ -28,7 +28,7 @@ from shallowmin.constructive import (
 from shallowmin import constructive, cost
 from shallowmin.constructive import Pipeline, Variant, pipeline
 from shallowmin.cost import exact_minimum
-from shallowmin.errors import BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
+from shallowmin.errors import BetaTooLarge, BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
 from shallowmin.linalg import diagonalizing_rotation, op_norm
 from tests.conftest import weighted_lstsq_oracle
 
@@ -112,6 +112,28 @@ class TestTrainGeneral:
     def test_non_finite_margin_rejected(self, margin):
         with pytest.raises(ValueError, match="beta1_margin must be"):
             ConstructiveConfig(beta1_margin=margin)
+
+    @pytest.mark.parametrize("trainer", ["general", "square"])
+    def test_large_beta1_is_named_not_blamed_on_the_cost(self, trainer):
+        """The lift X0 + beta1 moves an output by about eps beta1 ||w2||_op.
+        Just below the beta1 at which that reaches the cost check's tolerance
+        on an output, the fit passes; at every margin up to 1e22 it passes or
+        raises BetaTooLarge naming beta1, never ConsistencyError."""
+        q = 2 if trainer == "general" else 3
+        pl = pipeline(synthesize(3, q, [8] * q, noise=0.05, seed=0))  # train --m 3 --q {q}
+        fit = getattr(pl, trainer)
+        tol = (1e-10 * (1.0 + fit.bound_l2) if trainer == "general"
+               else 1e-9 * (1.0 + pl.minimum.value) / np.sqrt(q))
+        threshold = tol / (np.finfo(float).eps * op_norm(fit.params.w2)) - 2.0 * pl.stats.rho
+        outcomes = []
+        for margin in [0.999 * threshold, *np.geomspace(1.0, 1e22, 45)]:
+            try:
+                getattr(replace(pl, cfg=ConstructiveConfig(beta1_margin=float(margin))), trainer)
+                outcomes.append(True)
+            except BetaTooLarge as exc:
+                assert margin > threshold and str(exc).startswith("beta1=")
+                outcomes.append(False)
+        assert outcomes[0] and not outcomes[-1]
 
 
 class TestTrainGeneralSelfChecks:

@@ -224,9 +224,9 @@ class TestResidualRecord:
         dataset_mod.from_samples(samples, labels)
         assert samples.flags.writeable
 
-        # Each builder's x0 equals a reference built column by column and keeps
-        # its memory order (C, or F for the transpose of JSON rows): BLAS
-        # results, and so the CLI's output bytes, can depend on it.
+        # Each builder's x0 equals a reference built column by column and is
+        # row-major: BLAS results, and so the CLI's output bytes, can depend on
+        # the memory order.
         def check(x0, columns, order):
             assert np.array_equal(x0, np.stack(list(columns), axis=1))
             assert x0.dtype == np.float64
@@ -237,7 +237,7 @@ class TestResidualRecord:
         check(ds.x0, (means[:, j] + 0.1 * unit[:, i] for i, j in enumerate(labels)), "C")
         loaded = built[1]
         doc = json.loads(path.read_text())
-        check(loaded.x0, (np.array(v) for group in doc["classes"] for v in group), "F")
+        check(loaded.x0, (np.array(v) for group in doc["classes"] for v in group), "C")
         assert dataset_mod.is_sealed(loaded.x0.T)
         order = np.random.default_rng(3).permutation(ds.n)
         csv_path = tmp_path / "shuffled.csv"
@@ -582,12 +582,12 @@ class TestSharedKernel:
     @pytest.mark.parametrize("loaded", [False, True], ids=["c-ordered", "json-loaded"])
     def test_exact_minimum_fields_are_the_kernels(self, tmp_path, loaded):
         """Each field equals the kernel it comes from bit for bit, on a
-        C-ordered X0 and on the F-ordered X0 of a dataset loaded from JSON."""
+        synthesized X0 and on the row-major X0 of a dataset loaded from JSON."""
         ds = synthesize(4, 4, [7, 9, 8, 6], noise=0.1, seed=21)
         if loaded:
             dataset_mod.save_json(ds, tmp_path / "ds.json")
             ds = dataset_mod.load_json(tmp_path / "ds.json")
-            assert ds.x0.flags.f_contiguous and not ds.x0.flags.c_contiguous
+            assert ds.x0.flags.c_contiguous and not ds.x0.flags.f_contiguous
         stats, _ = dataset_stats(ds)
         exact = exact_minimum(ds, stats.means)
         d1, d2 = relative_deviations(ds, stats.means)

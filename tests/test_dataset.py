@@ -93,6 +93,23 @@ class TestStats:
             stats_l, _ = dataset_stats(replace(ds, x0=lam * ds.x0))
             assert abs(stats_l.delta_p - stats.delta_p) < 1e-9 * stats.delta_p
 
+    def test_one_svd_of_the_means(self, monkeypatch):
+        """The projector pack's SVD of the means is also their rank test."""
+        ds = synthesize(6, 3, [7, 9, 8], noise=0.1, seed=4)
+        means, svd, calls = class_means(ds), np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.array_equal(a, means))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        dataset_stats(ds)
+        assert calls.count(True) == 1
+        x0 = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        flat = ClassifiedDataset(m=3, q=2, class_sizes=(1, 2), x0=x0, y=np.eye(2))
+        with pytest.raises(DegenerateMeans, match="^class means are not linearly independent$"):
+            dataset_stats(flat)
+
     def test_degenerate_means(self):
         x0 = np.array([[1.0, 1.0], [0.0, 0.0]])  # both class means on e1
         ds = ClassifiedDataset(m=2, q=2, class_sizes=(1, 1), x0=x0, y=np.eye(2))

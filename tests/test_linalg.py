@@ -12,6 +12,7 @@ from shallowmin.linalg import (
     numerical_rank,
     projector_pack,
     rank_with_margin,
+    sum_squares,
 )
 
 
@@ -54,6 +55,20 @@ class TestAsMatrix:
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_accepted(self, shape):
         assert as_matrix(np.empty(shape)).shape == shape
+
+
+def test_sum_squares_dots_at_most_1e4_entries_in_order():
+    """A C-contiguous array is summed as BLAS dots of 10^4 entries at most,
+    in order, so that no dot is long enough for OpenBLAS to thread; up to
+    10^4 entries that is one dot."""
+    flat = np.random.default_rng(5).standard_normal(25_001)
+    for n in (0, 1, 10_000):
+        assert sum_squares(flat[:n].reshape(1, n)) == float(flat[:n] @ flat[:n])
+    parts = [flat[i:i + 10_000] for i in (0, 10_000, 20_000)]
+    expected = float(parts[0] @ parts[0]) + float(parts[1] @ parts[1]) + float(parts[2] @ parts[2])
+    assert sum_squares(flat.reshape(1, -1)) == expected
+    assert sum_squares(flat[:25_000].reshape(5, 5000)) \
+        == float(sum(p @ p for p in np.split(flat[:25_000], [10_000, 20_000])))
 
 
 class TestPenroseInverse:
