@@ -42,7 +42,6 @@ from .errors import ShallowminError
 from .gd import GdConfig, train_gd
 from .linalg import (
     ProjectorPack,
-    diagonalizing_rotation,
     numerical_rank,
     projector_pack,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "cost_weighted",
     "data_projector",
     "dataset_stats",
-    "diagonalizing_rotation",
     "evaluate",
     "exact_min_weighted",
     "forward",

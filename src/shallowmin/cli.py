@@ -3,9 +3,11 @@
 Commands: gen, train, eval, classify, truncation-sweep, verify, compare,
 report. Every command is deterministic given (inputs, seed, flags); JSON
 output serializes floats via repr, which round-trips full double precision,
-so reruns are byte-identical, whatever the input path and BLAS thread count,
-on one machine and BLAS build. Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 numeric/rank error.
+so reruns are byte-identical on one machine and BLAS build, whatever the input
+path and, but for the measured values of verify's checks against LAPACK's
+least-squares oracle (exact.lstsq-oracle, truncation.closed-vs-lstsq), the
+BLAS thread count. Exit codes: 0 success, 1 verification failure, 2 usage
+error, 3 numeric/rank error.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .checks import Check, check, rel, require
 from .cost import ExactMinimum, bound_chain, bound_general, costs, exact_minimum
 from .dataset import ClassifiedDataset, DatasetStats, dataset_stats, seal
 from .errors import BetaTooLarge, BetaTooSmall, ConsistencyError, WrongRegime
-from .linalg import ProjectorPack, diagonalizing_rotation, op_norm, projector_pack
+from .linalg import ProjectorPack, op_norm, projector_pack
 from .network import ShallowParams, forward
 from .truncation import _region_preactivation
 
@@ -163,12 +163,11 @@ def _cost_miss(pl: Pipeline, w2, tol: float, message: str):
 def _fit_general(pl: Pipeline) -> Fit:
     """The general Q <= M construction.
 
-    w1 is the rotation r that diagonalizes pack.p, built here, its one reader;
-    b1 is beta1 on the leading Q (signal) coordinates and -delta on the
-    trailing M-Q (noise) coordinates; w2 matches rotated class means to
-    targets in the least-squares sense; b2 reverts the signal-block
-    translation. The resulting L2 cost equals the closed-form
-    bound up to round-off.
+    w1 is the rotation pack.r that diagonalizes pack.p; b1 is beta1 on the
+    leading Q (signal) coordinates and -delta on the trailing M-Q (noise)
+    coordinates; w2 matches rotated class means to targets in the
+    least-squares sense; b2 reverts the signal-block translation. The
+    resulting L2 cost equals the closed-form bound up to round-off.
 
     One blocked pass of the network over the data yields the cost and, from
     each chunk's hidden layer, the three first-layer checks, all run before
@@ -184,7 +183,7 @@ def _fit_general(pl: Pipeline) -> Fit:
     ds, stats, pack = pl.ds, pl.stats, pl.pack
     m, q = ds.m, ds.q
     beta1 = pl.cfg.beta1(stats.rho)
-    r = diagonalizing_rotation(pack.p, q)
+    r = pack.r
     b1 = np.concatenate([np.full(q, beta1), np.full(m - q, -stats.delta)])
     w2 = w2_tilde(ds, pack) @ pack.p @ r.T
     signal_bias = np.concatenate([np.full(q, beta1), np.zeros(m - q)])

@@ -17,10 +17,6 @@ class RankDeficient(ShallowminError):
     """A matrix required to have full column rank does not."""
 
 
-class NotAProjector(ShallowminError):
-    """Input fails the orthogonal-projector invariants beyond tolerance."""
-
-
 class DegenerateMeans(ShallowminError):
     """Class means are not linearly independent; downstream results assume rank Q."""
 

@@ -1,11 +1,10 @@
-"""Dense linear-algebra kernels: the projector pack of the class means,
-diagonalizing rotations and numerical rank.
+"""Dense linear-algebra kernels: the projector pack of the class means and
+numerical rank.
 
-projector_pack is the one kernel for the geometry of the means: from one thin
-SVD it builds their pseudoinverse, the orthoprojector onto their span and its
-complement. Every caller reads these from the pack dataset_stats returns; none
-takes a second SVD. The rotation that diagonalizes that projector is built by
-its one reader, the general trainer, with diagonalizing_rotation.
+projector_pack is the one kernel for the geometry of the means: from one SVD
+it builds their pseudoinverse, the orthoprojector onto their span, its
+complement and the rotation that diagonalizes it. Every caller reads these
+from the pack dataset_stats returns; none takes a second decomposition.
 
 All functions are pure and operate on float64 ndarrays; matrices are dense and
 sized for desk scale (M, Q <~ 100). The pseudoinverse and projectors come from
@@ -18,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotAProjector, RankDeficient
+from .errors import DimensionError, RankDeficient
 
 # Relative singular-value cutoff shared by every rank decision in the library.
 SV_TOLERANCE = 1e-10
-
-# Tolerance for validating that an input matrix is an orthogonal projector.
-PROJECTOR_TOLERANCE = 1e-8
 
 _DOT_LEN = 10_000  # most entries per BLAS dot: OpenBLAS threads, so rounds, longer ones
 
@@ -77,55 +73,19 @@ def rank_with_margin(a) -> tuple[int, bool]:
 
 
 def _full_rank_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vt) of an M x Q matrix (M >= Q), checked for full column rank."""
+    """SVD (u, s, vt) of an M x Q matrix (M >= Q) with the full M x M u,
+    checked for full column rank."""
     a = as_matrix(a)
     m, q = a.shape
     if m < q:
         raise DimensionError(f"need rows >= cols for full column rank, got {a.shape}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = np.linalg.svd(a, full_matrices=True)
     if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
         raise RankDeficient(
             f"column rank < {q}: smallest/largest singular value "
             f"{s[-1]:.3e}/{s[0]:.3e} under tolerance {SV_TOLERANCE:g}"
         )
     return u, s, vt
-
-
-def diagonalizing_rotation(p, rank: int) -> np.ndarray:
-    """Orthogonal R whose rows diagonalize a symmetric projector.
-
-    R p R^T is diagonal with `rank` ones followed by zeros. The rotation is not
-    unique; this implementation fixes one deterministically: rows are the
-    eigenvectors of p sorted by descending eigenvalue, each signed so that its
-    largest-magnitude entry is positive.
-    """
-    p = as_matrix(p, "projector")
-    m = p.shape[0]
-    if p.shape[1] != m:
-        raise DimensionError(f"projector must be square, got {p.shape}")
-    if not 0 < rank <= m:
-        raise DimensionError(f"rank must be in (0, {m}], got {rank}")
-    sym_err = np.max(np.abs(p - p.T))
-    idem_err = np.max(np.abs(p @ p - p))
-    if sym_err > PROJECTOR_TOLERANCE or idem_err > PROJECTOR_TOLERANCE:
-        raise NotAProjector(
-            f"symmetry error {sym_err:.3e}, idempotence error {idem_err:.3e} "
-            f"exceed tolerance {PROJECTOR_TOLERANCE:g}"
-        )
-    w, v = np.linalg.eigh(p)
-    order = np.argsort(-w, kind="stable")
-    w, v = w[order], v[:, order]
-    if np.max(np.abs(w[:rank] - 1.0)) > PROJECTOR_TOLERANCE or (
-        rank < m and np.max(np.abs(w[rank:])) > PROJECTOR_TOLERANCE
-    ):
-        raise NotAProjector(
-            f"eigenvalues {w} are not {rank} ones followed by zeros"
-        )
-    for j in range(m):
-        col = v[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            v[:, j] = -col
-    return v.T.copy()
 
 
 @dataclass(frozen=True)
@@ -135,16 +95,30 @@ class ProjectorPack:
     pen:    Q x M left pseudoinverse
     p:      M x M orthoprojector onto the column span
     p_perp: M x M complement projector
+    r:      M x M rotation with r p r^T = diag(I_Q, 0): its first Q rows span
+            the columns, the rest their complement
     """
 
     pen: np.ndarray
     p: np.ndarray
     p_perp: np.ndarray
+    r: np.ndarray
 
 
 def projector_pack(a) -> ProjectorPack:
-    """Build the ProjectorPack of a full-column-rank M x Q matrix from one thin SVD."""
+    """Build the ProjectorPack of a full-column-rank M x Q matrix from one SVD.
+
+    r is u^T, each row signed so that its largest-magnitude entry is positive.
+    It comes from a, not from an eigenbasis of p: p's eigenvalue 1 is Q-fold
+    degenerate, so the last bits of p would pick that basis. p is a gemm of
+    two buffers, as numpy sends u @ u.T to syrk, which OpenBLAS rounds by the
+    thread count.
+    """
     u, s, vt = _full_rank_svd(a)
-    p = u @ u.T
-    p = 0.5 * (p + p.T)  # u u^T is symmetric only up to round-off
-    return ProjectorPack(pen=(vt.T / s) @ u.T, p=p, p_perp=np.eye(u.shape[0]) - p)
+    m, q = u.shape[0], s.size
+    ut = np.ascontiguousarray(u[:, :q].T)
+    p = u[:, :q] @ ut
+    p = 0.5 * (p + p.T)  # symmetric only up to round-off
+    r = u.T.copy()
+    r[r[np.arange(m), np.argmax(np.abs(r), axis=1)] < 0] *= -1.0
+    return ProjectorPack(pen=(vt.T / s) @ ut, p=p, p_perp=np.eye(m) - p, r=r)

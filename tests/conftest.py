@@ -123,16 +123,35 @@ def pipeline_calls(monkeypatch):
 
 @pytest.fixture
 def rotation_calls(monkeypatch):
-    """Counts the diagonalizing rotations built (linalg.diagonalizing_rotation),
-    whichever shallowmin module calls them."""
-    from shallowmin import linalg
+    """Counts the general fits (constructive._fit_general), each of which reads
+    its rotation off the pack, and the eigendecompositions (np.linalg.eigh)
+    made while one runs."""
+    from shallowmin import constructive
 
-    return _count_calls(monkeypatch, (linalg, ("diagonalizing_rotation",)))
+    counts = {"_fit_general": 0, "eigh": 0}
+    fit, eigh = constructive._fit_general, np.linalg.eigh
+    fitting = []
+
+    def counting_fit(pl):
+        counts["_fit_general"] += 1
+        fitting.append(pl)
+        try:
+            return fit(pl)
+        finally:
+            fitting.pop()
+
+    def counting_eigh(*args, **kwargs):
+        counts["eigh"] += bool(fitting)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(constructive, "_fit_general", counting_fit)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return counts
 
 
 @pytest.fixture
 def means_svd_calls(monkeypatch):
-    """Counts the thin SVDs of class means (linalg._full_rank_svd, the one
+    """Counts the SVDs of class means (linalg._full_rank_svd, the one
     SVD projector_pack takes), whichever shallowmin module makes them."""
     from shallowmin import linalg
 

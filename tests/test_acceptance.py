@@ -34,7 +34,7 @@ from shallowmin.constructive import in_region_perturbation, tied_output_layer
 from shallowmin.cost import exact_minimum, weighted_norm
 from shallowmin.errors import ShallowminError
 from shallowmin.gd import gd_in_fixed_point_region
-from shallowmin.linalg import diagonalizing_rotation, projector_pack
+from shallowmin.linalg import projector_pack
 from shallowmin.network import relu
 from shallowmin.truncation import min_over_output_layer
 from shallowmin.verify import quadratic_trend_checks, random_ball, random_gl
@@ -312,7 +312,7 @@ def test_criterion_9_linalg_kernels():
             failures.append(f"matrix {i}: projector invariants")
         if np.max(np.abs(p @ a - a)) > 1e-9:
             failures.append(f"matrix {i}: P A != A")
-        r = diagonalizing_rotation(p, q)
+        r = pack.r
         target = np.diag([1.0] * q + [0.0] * (m - q))
         if np.max(np.abs(r @ p @ r.T - target)) > 1e-9:
             failures.append(f"matrix {i}: R P R^T not diagonal")

@@ -871,10 +871,15 @@ def test_beta1_that_rounds_away_the_data_exit_3(capsys, args):
     assert err.startswith("error: BetaTooLarge: beta1=1e+") and "rounds away X0's digits" in err
 
 
-def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """train and eval print the same bytes under one and two OpenBLAS threads,
-    with sums of squares over more than 10^4 entries (Q N_j = 18000)."""
-    flags = ["--m", "6", "--q", "6", "--sizes", ",".join(["3000"] * 6), "--seed", "3"]
+@pytest.mark.parametrize("flags", [
+    ["--m", "6", "--q", "6", "--sizes", ",".join(["3000"] * 6), "--seed", "3"],
+    ["--m", "100", "--q", "50", "--sizes", ",".join(["200"] * 50), "--seed", "1"],
+], ids=["6x6", "100x50"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, flags):
+    """train and eval print the same bytes under one and two OpenBLAS threads:
+    with sums of squares over more than 10^4 entries (6x6: Q N_j = 18000),
+    and with a general first layer whose projector numpy's syrk would round
+    by the thread count (100x50)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):

@@ -29,7 +29,7 @@ from shallowmin import constructive, cost
 from shallowmin.constructive import Pipeline, Variant, pipeline
 from shallowmin.cost import exact_minimum
 from shallowmin.errors import BetaTooLarge, BetaTooSmall, ConsistencyError, SingularW1, WrongRegime
-from shallowmin.linalg import diagonalizing_rotation, op_norm
+from shallowmin.linalg import op_norm
 from tests.conftest import weighted_lstsq_oracle
 
 
@@ -86,7 +86,7 @@ class TestTrainGeneral:
         cfg = ConstructiveConfig()
         params = train_general(ds, stats, pack, cfg)
         hidden, _ = forward(params, ds.x0)
-        expected = diagonalizing_rotation(pack.p, ds.q) @ (pack.p @ ds.x0)
+        expected = pack.r @ (pack.p @ ds.x0)
         expected[: ds.q, :] += cfg.beta1(stats.rho)
         assert np.max(np.abs(hidden - expected)) < 1e-12
 
@@ -146,13 +146,12 @@ class TestTrainGeneralSelfChecks:
         stats, pack = dataset_stats(ds)
         return ds, stats, pack
 
-    def test_signal_leak_into_noise_rows(self, fitted, monkeypatch):
+    def test_signal_leak_into_noise_rows(self, fitted):
         ds, stats, pack = fitted
         # r = I does not rotate the span of p onto the leading rows, so the
         # trailing rows of r p x0 no longer vanish.
-        monkeypatch.setattr(constructive, "diagonalizing_rotation", lambda p, q: np.eye(ds.m))
         with pytest.raises(ConsistencyError, match="signal block leaks"):
-            train_general(ds, stats, pack)
+            train_general(ds, stats, replace(pack, r=np.eye(ds.m)))
 
     def test_noise_leak_above_zero(self, fitted):
         ds, stats, pack = fitted
@@ -198,7 +197,7 @@ class TestTrainGeneralSelfChecks:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         ds = synthesize(m, q, sizes, mean_scale=scale, noise=noise, seed=seed)
         stats, pack = dataset_stats(ds)
-        trailing = (diagonalizing_rotation(pack.p, q) @ pack.p)[q:]
+        trailing = (pack.r @ pack.p)[q:]
         assert op_norm(trailing) * stats.rho >= np.max(np.abs(trailing @ ds.x0))
 
 

@@ -227,17 +227,17 @@ class TestResidualRecord:
         # Each builder's x0 equals a reference built column by column and is
         # row-major: BLAS results, and so the CLI's output bytes, can depend on
         # the memory order.
-        def check(x0, columns, order):
+        def check(x0, columns):
             assert np.array_equal(x0, np.stack(list(columns), axis=1))
             assert x0.dtype == np.float64
-            assert x0.flags.c_contiguous == (order == "C") != x0.flags.f_contiguous
+            assert x0.flags.c_contiguous and not x0.flags.f_contiguous
 
         rng = np.random.default_rng(6)
         means, unit = rng.standard_normal((6, 3)), rng.uniform(-1.0, 1.0, size=(6, ds.n))
-        check(ds.x0, (means[:, j] + 0.1 * unit[:, i] for i, j in enumerate(labels)), "C")
+        check(ds.x0, (means[:, j] + 0.1 * unit[:, i] for i, j in enumerate(labels)))
         loaded = built[1]
         doc = json.loads(path.read_text())
-        check(loaded.x0, (np.array(v) for group in doc["classes"] for v in group), "C")
+        check(loaded.x0, (np.array(v) for group in doc["classes"] for v in group))
         assert dataset_mod.is_sealed(loaded.x0.T)
         order = np.random.default_rng(3).permutation(ds.n)
         csv_path = tmp_path / "shuffled.csv"
@@ -248,7 +248,7 @@ class TestResidualRecord:
                          dataset_mod.load_csv(csv_path)):
             assert shuffled.class_sizes == ds.class_sizes and dataset_mod.is_sealed(shuffled.x0)
             assert dataset_mod.is_sealed(shuffled.y)
-            check(shuffled.x0, grouped, "C")
+            check(shuffled.x0, grouped)
         for source in (ds, loaded):
             train, held_x, held_labels = dataset_mod.holdout_split(source, 0.25, seed=1)
             ref_rng = np.random.default_rng(1)
@@ -262,8 +262,8 @@ class TestResidualRecord:
                 ref_labels += [j] * n_hold
             assert dataset_mod.is_sealed(train.x0) and held_labels == ref_labels
             assert dataset_mod.is_sealed(train.y)
-            check(train.x0, kept, "C")
-            check(held_x, held, "C")
+            check(train.x0, kept)
+            check(held_x, held)
 
     def test_identity_and_serialization_unchanged(self):
         p = ShallowParams(w1=[[1.0, 0.5], [0.0, 2.0]], b1=[2.0, 3.0], w2=[[3.0, -1.0]], b2=[4.0])
@@ -579,7 +579,7 @@ class TestSharedKernel:
         assert res.rank_x0_preserved and res.rank_means_preserved
         assert res.min_cost_weighted == closed_form_min(delta01_dataset.y, res.delta2_rel_tr)
 
-    @pytest.mark.parametrize("loaded", [False, True], ids=["c-ordered", "json-loaded"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["synthesized", "json-loaded"])
     def test_exact_minimum_fields_are_the_kernels(self, tmp_path, loaded):
         """Each field equals the kernel it comes from bit for bit, on a
         synthesized X0 and on the row-major X0 of a dataset loaded from JSON."""

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shallowmin.errors import DimensionError, NotAProjector, RankDeficient
+from shallowmin.errors import DimensionError, RankDeficient
 from shallowmin.linalg import (
     as_matrix,
-    diagonalizing_rotation,
     numerical_rank,
     projector_pack,
     rank_with_margin,
@@ -133,39 +132,31 @@ class TestOrthoprojector:
 
 
 class TestDiagonalizingRotation:
+    """The rotation as projector_pack builds it, pack.r: its rows are the
+    columns of the means' full U, each signed so that its largest-magnitude
+    entry is positive."""
+
     def test_already_diagonal(self):
-        r = diagonalizing_rotation(np.diag([1.0, 0.0]), rank=1)
+        r = projector_pack([[1.0], [0.0]]).r
         assert np.allclose(r, np.eye(2), atol=1e-12)
 
     def test_identity_projector(self):
-        assert np.allclose(diagonalizing_rotation(np.eye(3), rank=3), np.eye(3))
+        assert np.allclose(projector_pack(np.eye(3)).r, np.eye(3))
 
     def test_half_projector(self):
-        # eigendecomposition by hand: eigenvectors (1,1)/sqrt2 and (1,-1)/sqrt2
-        p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        r = diagonalizing_rotation(p, rank=1)
+        # p = [[.5, .5], [.5, .5]] by hand: rows (1,1)/sqrt2 and +-(1,-1)/sqrt2
+        pack = projector_pack([[1.0], [1.0]])
+        r, p = pack.r, pack.p
         s = 1.0 / np.sqrt(2.0)
+        assert np.allclose(r[0], [s, s], atol=1e-12)
         assert np.allclose(np.abs(r), [[s, s], [s, s]], atol=1e-12)
         assert np.allclose(r @ r.T, np.eye(2), atol=1e-12)
         assert np.allclose(r @ p @ r.T, np.diag([1.0, 0.0]), atol=1e-12)
 
-    def test_not_a_projector(self):
-        with pytest.raises(NotAProjector):
-            diagonalizing_rotation(np.diag([0.5, 0.5]), rank=1)
-        with pytest.raises(NotAProjector):
-            diagonalizing_rotation(np.array([[1.0, 0.2], [0.0, 0.0]]), rank=1)
-
-    def test_wrong_rank_rejected(self):
-        with pytest.raises(NotAProjector):
-            diagonalizing_rotation(np.diag([1.0, 0.0]), rank=2)
-
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         a = random_full_rank(5, 2, rng)
-        p = projector_pack(a).p
-        r1 = diagonalizing_rotation(p, rank=2)
-        r2 = diagonalizing_rotation(p.copy(), rank=2)
-        assert np.array_equal(r1, r2)
+        assert np.array_equal(projector_pack(a).r, projector_pack(a.copy()).r)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -173,11 +164,13 @@ class TestDiagonalizingRotation:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 8))
         q = int(rng.integers(1, m + 1))
-        p = projector_pack(random_full_rank(m, q, rng)).p
-        r = diagonalizing_rotation(p, rank=q)
+        pack = projector_pack(random_full_rank(m, q, rng))
+        r, p = pack.r, pack.p
         assert np.max(np.abs(r.T @ r - np.eye(m))) < 1e-10
         target = np.diag([1.0] * q + [0.0] * (m - q))
         assert np.max(np.abs(r @ p @ r.T - target)) < 1e-9
+        rows = np.arange(m)
+        assert np.all(r[rows, np.argmax(np.abs(r), axis=1)] > 0)
 
 
 class TestNumericalRank:
@@ -220,5 +213,4 @@ def test_projector_pack_bundle():
     assert pack.pen.shape == (3, 6)
     assert np.max(np.abs(pack.pen @ a - np.eye(3))) < 1e-10
     assert np.max(np.abs(pack.p + pack.p_perp - np.eye(6))) < 1e-15
-    r = diagonalizing_rotation(pack.p, 3)
-    assert np.max(np.abs(r @ pack.p @ r.T - np.diag([1.0] * 3 + [0.0] * 3))) < 1e-9
+    assert np.max(np.abs(pack.r @ pack.p @ pack.r.T - np.diag([1.0] * 3 + [0.0] * 3))) < 1e-9

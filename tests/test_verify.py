@@ -135,20 +135,21 @@ def test_one_means_svd_per_dataset(means_svd_calls, suite, svds):
                                              ("degeneracy", 0), ("invariance", 0),
                                              ("truncation", 0)])
 def test_rotations_only_for_general_fits(rotation_calls, suite, rotations):
-    """The rotation is built by the general trainer, its one reader: bounds
-    fits at two margins, metric once, and no other suite builds one."""
+    """The rotation is read off the pack by the general trainer, its one
+    reader, with no eigendecomposition: bounds fits at two margins, metric
+    once, and no other suite fits one."""
     ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
     assert all(c.passed for c in run_suite(suite, ds, seed=1))
-    assert rotation_calls == {"diagonalizing_rotation": rotations}
+    assert rotation_calls == {"_fit_general": rotations, "eigh": 0}
 
 
 def test_rotations_of_the_trainers(rotation_calls):
     ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1)
     stats, pack = dataset_stats(ds)
     train_exact_meq(ds, stats)
-    assert rotation_calls == {"diagonalizing_rotation": 0}
+    assert rotation_calls == {"_fit_general": 0, "eigh": 0}
     train_general(ds, stats, pack)
-    assert rotation_calls == {"diagonalizing_rotation": 1}
+    assert rotation_calls == {"_fit_general": 1, "eigh": 0}
 
 
 def test_exact_min_suite_rejects_rectangular():
