@@ -232,9 +232,9 @@ def _fit_exact(pl: Pipeline) -> Fit:
                                   lambda hidden: hidden_mins.append(hidden.min()))
     if not min(hidden_mins) > 0.0:
         raise BetaTooSmall(f"beta1={beta1!r} leaves pre-activation at or below 0")
-    em, lam = exact.value, exact.lam
+    em, spec = exact.value, exact.spec
     eq_closed = check("exact.cost-eq-closed-form", rel(cw, em), 1e-9,
-                      f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{lam.min():.3e},{lam.max():.3e}]")
+                      f"cost_N={cw:.9e} closed={em:.9e} spec(D2)=[{spec[0]:.3e},{spec[-1]:.3e}]")
     if not eq_closed.passed:  # the weighted cost moves by up to sqrt(Q) x an output
         _cost_miss(pl, exact.w2, eq_closed.tolerance * (1.0 + em) / np.sqrt(ds.q),
                    f"constructed weighted cost {cw!r} != exact minimum {em!r}")

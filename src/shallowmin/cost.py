@@ -7,11 +7,13 @@ that forms neither the M x N hidden layer nor the Q x N residual. A full pass
 over sealed inputs (params arrays, X0 and Y all read-only) leaves its two
 costs in one module slot; a later cost query on the same params object and the
 same dataset object reads them. The general bound is read from the statistics.
-The M = Q closed form reads the data and its class means alone; its one
-kernel, exact_minimum, cross-checks it at runtime against the matrix-free data
-projector route. Only data_projector forms the N x N projector, for tests, and
-it refuses N > MAX_PROJECTOR_N. ExactMinimum keeps its route check, and
-bound_chain is the one form of the bound chain's check; verify prints both.
+The M = Q closed form reads the data and its class means alone. Its one Q x Q
+kernel, closed_form_min, solves with I + t^2 D2 (D2 the relative-deviation
+Gram) and forms no eigenbasis, inverse or data Gram; exact_minimum, its t = 1
+case, cross-checks it at runtime against the matrix-free data projector route.
+Only data_projector, the tests' N x N reference, forms the data Gram.
+ExactMinimum keeps its route check, and bound_chain is the one form of the
+bound chain's check; verify prints both.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .dataset import (
     ClassifiedDataset, DatasetStats, block_slices, column_chunks, deviations, is_sealed)
 from .errors import (
     ConsistencyError,
-    NotPositiveSemidefinite,
     SingularGram,
     SingularMeans,
     WrongRegime,
@@ -100,40 +101,39 @@ def cost_weighted(p: ShallowParams, ds: ClassifiedDataset) -> float:
     return costs(p, ds)[1]
 
 
-def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
-    """x N^-1 x^T, checked for invertibility."""
-    gram = (x * inv_n[None, :]) @ x.T
-    s = np.linalg.svd(gram, compute_uv=False)
+def _refuse_singular_gram(s: np.ndarray) -> None:
+    """Raise SingularGram if the singular values s (descending) of
+    X0 N^-1 X0^T fall under SV_TOLERANCE relative to the largest."""
     if s[0] == 0.0 or s[-1] <= SV_TOLERANCE * s[0]:
         raise SingularGram(
             f"X0 N^-1 X0^T is numerically singular "
             f"(singular values {s[-1]:.3e}..{s[0]:.3e})"
         )
+
+
+def _gram(x: np.ndarray, inv_n: np.ndarray) -> np.ndarray:
+    """x N^-1 x^T, checked for invertibility."""
+    gram = (x * inv_n[None, :]) @ x.T
+    _refuse_singular_gram(np.linalg.svd(gram, compute_uv=False))
     return gram
 
 
-def normal_w2(ds: ClassifiedDataset, gram: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Normal-equation output weights W2 = Y means^T gram^-1 for inputs x
-    (M x N, grouped like ds) of class means `means`, gram = _gram(x, N^-1).
-
-    Since Yext N^-1 x^T = Y means^T, W2 x = Yext P(x) with P(x) the data
-    projector N^-1 x^T (x N^-1 x^T)^-1 x.
-    """
-    return np.linalg.solve(gram, means @ ds.y.T).T
-
-
-def projector_action(ds: ClassifiedDataset, gram: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """N^-1 X0^T gram^-1 (X0 z): the data projector of ds applied to the
-    N x k block z, given gram = _gram(ds.x0, ds.inv_size_weights()) (as
-    ExactMinimum.gram keeps it). Forms no N x N matrix unless z is one."""
-    out = ds.x0.T @ np.linalg.solve(gram, ds.x0 @ z)
+def projector_action(ds: ClassifiedDataset, exact: ExactMinimum, z: np.ndarray) -> np.ndarray:
+    """N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 z, the data projector of ds applied to the
+    N x k block z, given exact = exact_minimum(ds, class means): three Q x Q
+    solves on X0 z, as the Gram is means (I + D2) means^T. Forms no N x N
+    matrix unless z is one."""
+    v = np.linalg.solve(exact.means, ds.x0 @ z)
+    v = np.linalg.solve(np.eye(ds.q) + exact.d2, v)
+    out = ds.x0.T @ np.linalg.solve(exact.means.T, v)
     out *= ds.inv_size_weights()[:, None]
     return out
 
 
 def data_projector(ds: ClassifiedDataset) -> np.ndarray:
     """The N x N data projector N^-1 X0^T (X0 N^-1 X0^T)^-1 X0 in the M = Q
-    regime, orthogonal with respect to the class-size inner product.
+    regime, orthogonal with respect to the class-size inner product, from the
+    explicit data Gram: the independent reference for projector_action.
 
     Refuses datasets with N > MAX_PROJECTOR_N before allocating anything;
     projector_action and exact_minimum's route never form an N x N matrix.
@@ -145,7 +145,9 @@ def data_projector(ds: ClassifiedDataset) -> np.ndarray:
             f"refusing to materialize a {ds.n} x {ds.n} projector "
             f"(MAX_PROJECTOR_N={MAX_PROJECTOR_N}); use projector_action"
         )
-    return projector_action(ds, _gram(ds.x0, ds.inv_size_weights()), np.eye(ds.n))
+    out = ds.x0.T @ np.linalg.solve(_gram(ds.x0, ds.inv_size_weights()), ds.x0)
+    out *= ds.inv_size_weights()[:, None]
+    return out
 
 
 def relative_gram(
@@ -174,20 +176,19 @@ def relative_deviations(
     return relative_gram(means, deviations(ds, means), ds.inv_size_weights())
 
 
-def _psd_eig(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a PSD-up-to-roundoff matrix, eigenvalues clamped at 0."""
-    w, v = np.linalg.eigh(d2)
-    require(check("psd-floor", -w.min(), 1e-12), NotPositiveSemidefinite,
-            f"relative deviation Gram has eigenvalue {w.min():.3e} < -1e-12")
-    return np.clip(w, 0.0, None), v
-
-
-def closed_form_min(y: np.ndarray, d2) -> float:
-    """||Y V diag(sqrt(l/(1+l)))||_F from the eigendecomposition (l, V) of a
-    relative deviation Gram d2, or from d2 = (l, V) as _psd_eig returns it:
-    the weighted-cost minimum over the tied output-layer family."""
-    w, v = d2 if isinstance(d2, tuple) else _psd_eig(d2)
-    return float(np.linalg.norm((y @ v) * np.sqrt(w / (1.0 + w))[None, :]))
+def closed_form_min(y: np.ndarray, s: np.ndarray,
+                    means: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """(value, X, W2) at S = t^2 D2, D2 a relative-deviation Gram: the one
+    kernel of the M = Q closed form. X = (I + S)^-1 Y^T is one solve, and
+    value^2 = tr(Y S (I + S)^-1 Y^T) = sum (Y S) o X^T is the weighted-cost
+    minimum over the tied output-layer family. Given the class means, W2 =
+    Y (I + S)^-1 means^-1 = (means^-T X)^T is one more solve (else None).
+    I + S has eigenvalues >= 1 up to rounding: no floor, no inverse."""
+    x = np.linalg.solve(np.eye(len(s)) + s, y.T)
+    # Rounding leaves value^2 below 0 only where it is 0 to working accuracy.
+    value = float(np.sqrt(max(float(np.sum((y @ s) * x.T)), 0.0)))
+    w2 = None if means is None else np.linalg.solve(means.T, x).T
+    return value, x, w2
 
 
 def _less_targets(resid: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
@@ -199,16 +200,16 @@ def _less_targets(resid: np.ndarray, ds: ClassifiedDataset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExactMinimum:
-    """The M = Q closed form of one dataset: relative deviations d1, their Gram
-    d2 and its one eigendecomposition (lam, vec), the checked Gram X0 N^-1 X0^T
-    and normal-equation output weights w2, the closed-form weighted minimum
-    value, the projector route of w2 and its route_check (exact.projector-route)."""
+    """The M = Q closed form of one dataset: its class means, relative
+    deviations d1, their Gram d2 and its spectrum spec (ascending, for
+    reporting), normal-equation output weights w2, the closed-form weighted
+    minimum value, the projector route of w2 and its route_check
+    (exact.projector-route)."""
 
+    means: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    lam: np.ndarray
-    vec: np.ndarray
-    gram: np.ndarray
+    spec: np.ndarray
     w2: np.ndarray
     value: float
     route: float
@@ -216,25 +217,28 @@ class ExactMinimum:
 
 
 def exact_minimum(ds: ClassifiedDataset, means: np.ndarray) -> ExactMinimum:
-    """ExactMinimum of ds and its class means from one relative_deviations pass,
-    one eigendecomposition of d2 and one _gram solve: the one M = Q kernel, for
-    any data and means.
+    """ExactMinimum of ds and its class means from one relative_deviations pass
+    and closed_form_min at t = 1, for any data and means. SingularGram is
+    decided on F = means cholesky(I + D2): X0 N^-1 X0^T = F F^T, so the Gram's
+    singular values are F's squared, and the Gram is never formed.
 
-    The value is ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition
-    (l, V) of d2. Algebraically it equals ||Yext Pperp|| in the weighted norm;
-    that route, the residual w2 X0 - Yext, is evaluated matrix-free at every N
-    and must agree to 1e-9 relative.
+    The value is algebraically ||Yext Pperp|| in the weighted norm; that
+    route, the residual w2 X0 - Yext, is evaluated matrix-free at every N and
+    must agree to 1e-9 relative.
     """
     d1, d2 = relative_deviations(ds, means)
-    lam, vec = eig = _psd_eig(d2)
-    value = closed_form_min(ds.y, eig)
-    gram = _gram(ds.x0, ds.inv_size_weights())
-    w2 = normal_w2(ds, gram, means)
+    try:
+        f = means @ np.linalg.cholesky(np.eye(ds.q) + d2)
+    except np.linalg.LinAlgError:  # D2's rounding exceeds 1: lambda_max(D2) ~ 1/eps
+        raise SingularGram("X0 N^-1 X0^T is numerically singular "
+                           "(I + D2 is not numerically positive definite)") from None
+    _refuse_singular_gram(np.linalg.svd(f, compute_uv=False) ** 2)
+    value, _, w2 = closed_form_min(ds.y, d2, means)
     route = weighted_norm(_less_targets(w2 @ ds.x0, ds), ds.class_sizes)
     route_check = require(
         check("exact.projector-route", rel(value, route), 1e-9, f"projector route={route:.9e}"),
         ConsistencyError, f"closed form {value!r} and projector route {route!r} disagree")
-    return ExactMinimum(d1, d2, lam, vec, gram, w2, value, route, route_check)
+    return ExactMinimum(means, d1, d2, np.linalg.eigvalsh(d2), w2, value, route, route_check)
 
 
 def exact_min_weighted(ds: ClassifiedDataset, stats: DatasetStats) -> float:

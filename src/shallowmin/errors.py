@@ -26,7 +26,8 @@ class SingularMeans(ShallowminError):
 
 
 class SingularGram(ShallowminError):
-    """The data Gram matrix X0 N^-1 X0^T is numerically singular."""
+    """The data Gram matrix X0 N^-1 X0^T is numerically singular; in the M = Q
+    closed form, decided on F = means cholesky(I + D2), with sigma(Gram) = sigma(F)^2."""
 
 
 class WrongRegime(ShallowminError):
@@ -43,10 +44,6 @@ class BetaTooSmall(ShallowminError):
 
 class BetaTooLarge(ShallowminError):
     """First-layer bias so large that the trainer's pass over the data overflows."""
-
-
-class NotPositiveSemidefinite(ShallowminError):
-    """A matrix that must be PSD has an eigenvalue below -1e-12."""
 
 
 class Diverged(ShallowminError):

@@ -114,12 +114,12 @@ def min_over_output_layer(w1: np.ndarray, b1: np.ndarray, ds: ClassifiedDataset)
     """Minimum of the weighted cost over the tied output-layer family at a
     fixed (w1, b1), via the truncated statistics.
 
-    The value is the truncated analogue of the exact M = Q minimum:
-    ||Y V diag(sqrt(l/(1+l))) V^T||_F from the eigendecomposition of the
-    truncated relative-deviation Gram. It is cross-checked against an explicit
-    least-squares solve over the output layer on the truncated data. If the
-    truncation is rank reducing the minimum is absent; if it preserves the rank
-    of class means that were already dependent, SingularMeans is raised.
+    The value is the truncated analogue of the exact M = Q minimum,
+    closed_form_min at the truncated relative-deviation Gram. It is
+    cross-checked against an explicit least-squares solve over the output
+    layer on the truncated data. If the truncation is rank reducing the
+    minimum is absent; if it preserves the rank of class means that were
+    already dependent, SingularMeans is raised.
     """
     return _min_over_output_layer(_truncation_pass(w1, b1, ds), b1, ds, _data_ranks(ds))
 
@@ -147,7 +147,7 @@ def _min_over_output_layer(passed: tuple, b1, ds: ClassifiedDataset, data_ranks)
             f"truncated class means have rank {rank_means_tau} < Q={ds.q}")
     d1_tr, d2_tr = relative_gram(means_tau, deviations(replace(ds, x0=tau), means_tau),
                                  ds.inv_size_weights())
-    value = closed_form_min(ds.y, d2_tr)
+    value = closed_form_min(ds.y, d2_tr)[0]
     result.min_cost_weighted = value
     result.delta_p_tr = float(np.max(np.linalg.norm(d1_tr, axis=0)))
     result.delta1_rel_tr = d1_tr

@@ -30,7 +30,8 @@ from .constructive import (
     tied_output_layer,
     w2_tilde,
 )
-from .cost import cost_weighted, exact_minimum, lstsq_min_weighted, projector_action, weighted_norm
+from .cost import (closed_form_min, cost_weighted, exact_minimum, lstsq_min_weighted,
+                   projector_action, weighted_norm)
 from .dataset import ClassifiedDataset, class_means, deviations
 from .errors import WrongRegime
 from .linalg import op_norm
@@ -124,22 +125,19 @@ def t_law(pl: Pipeline, t: float) -> tuple[float, float, np.ndarray, float, floa
     """(delta_p, value, W2*, |W2* - W2~|_op, deficit) of X0(t) = means + t dev,
     read off pl.minimum with no data pass (M = Q).
 
-    The class means stay and D2(t) = t^2 D2, so with (l, V) the
-    eigendecomposition of D2, s = t^2 l and w_i = |(Y V)[:, i]|^2:
-    delta_p(t) = t delta_p; W2* = Y V diag(1/(1+s)) V^T pen and
-    W2~ - W2* = Y V diag(s/(1+s)) V^T pen; value^2 = a = sum w s/(1+s) and
-    |Y D1(t)|^2 = b = sum w s, so the deficit 1 - value/|Y D1(t)| is
-    ((b - a)/b) / (1 + sqrt(a/b)), with b - a = sum w s^2/(1+s) summed as
-    such: nothing cancels at small t."""
-    exact, pen = pl.minimum, pl.pack.pen
-    s = t * t * exact.lam
-    yv = pl.ds.y @ exact.vec
-    w = np.sum(yv * yv, axis=0)
-    a, b, b_less_a = w @ (s / (1.0 + s)), w @ s, w @ (s * s / (1.0 + s))
-    w2 = (yv / (1.0 + s)) @ exact.vec.T @ pen
-    gap = op_norm((yv * (s / (1.0 + s))) @ exact.vec.T @ pen)
-    deficit = b_less_a / b / (1.0 + np.sqrt(a / b))
-    return t * pl.stats.delta_p, float(np.sqrt(a)), w2, gap, float(deficit)
+    The class means stay and D2(t) = S = t^2 D2: closed_form_min at S gives
+    the value and W2* from X = (I + S)^-1 Y^T, and delta_p(t) = t delta_p.
+    With a = value^2 and b = |Y D1(t)|^2 = tr(Y S Y^T), the deficit
+    1 - value/|Y D1(t)| is ((b - a)/b) / (1 + sqrt(a/b)); b - a = tr(Y S S X)
+    and W2~ - W2* = (means^-T S X)^T are products: nothing cancels at small t."""
+    exact, y = pl.minimum, pl.ds.y
+    s = t * t * exact.d2
+    value, x, w2 = closed_form_min(y, s, exact.means)
+    ys, sx = y @ s, s @ x
+    b, b_less_a = np.sum(ys * y), np.sum(ys * sx.T)
+    gap = op_norm(np.linalg.solve(exact.means.T, sx))
+    deficit = b_less_a / b / (1.0 + value / np.sqrt(b))
+    return t * pl.stats.delta_p, value, w2, gap, float(deficit)
 
 
 def quadratic_trend_checks(pl: Pipeline) -> list[Check]:
@@ -150,7 +148,7 @@ def quadratic_trend_checks(pl: Pipeline) -> list[Check]:
     class mean added to its block (as synthesize builds X0), and its record's
     value, delta_p and W2* must match the law's (exact.t-law-route)."""
     ds, means = pl.ds, pl.stats.means
-    lam_max = float(pl.minimum.lam.max())
+    lam_max = float(pl.minimum.spec[-1])
     k0 = trend_start(lam_max)
     ts = np.ldexp(1.0, -np.arange(k0, k0 + OCTAVES + 1))
     laws = [t_law(pl, t) for t in ts]
@@ -202,8 +200,8 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[Check]:
 
     The data projector is compared through its action P Z on a seeded N x 4
     probe block Z, a randomized identity test in the style of Freivalds, so
-    no N x N matrix is formed at any N; each probe reuses the Gram that its
-    dataset's minimum checked; each K X0 is solved from its data and class
+    no N x N matrix is formed at any N; each probe reads its dataset's
+    minimum (its class means and D2); each K X0 is solved from its data and class
     means alone. The probes come from their own generator; the sequence of K
     depends on the seed alone."""
     ds = pl.ds
@@ -214,7 +212,7 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[Check]:
     exact = pl.minimum
     probe_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = probe_rng.standard_normal((ds.n, 4))
-    pz = projector_action(ds, exact.gram, z)
+    pz = projector_action(ds, exact, z)
     pz_scale = 1.0 + float(np.max(np.abs(pz)))
     d1_scale = 1.0 + float(np.max(np.abs(exact.d1)))
     rng = np.random.default_rng(seed)
@@ -224,7 +222,7 @@ def suite_invariance(pl: Pipeline, seed: int = 0) -> list[Check]:
         k = random_gl(ds.q, rng)
         ds_k = replace(ds, x0=k @ ds.x0)
         exact_k = exact_minimum(ds_k, class_means(ds_k))
-        worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, exact_k.gram, z) - pz)))
+        worst_p = max(worst_p, float(np.max(np.abs(projector_action(ds_k, exact_k, z) - pz)))
                       / pz_scale)
         worst_d1 = max(worst_d1, float(np.max(np.abs(exact_k.d1 - exact.d1))) / d1_scale)
         worst_em = max(worst_em, rel(exact_k.value, exact.value))

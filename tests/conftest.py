@@ -103,8 +103,8 @@ def _count_calls(monkeypatch, *targets) -> dict:
 @pytest.fixture
 def exact_calls(monkeypatch):
     """Counts the calls of the M = Q closed form's pieces: relative-deviation
-    passes (relative_deviations), Gram solves (_gram, in exact_minimum and
-    data_projector) and closed-form values (closed_form_min)."""
+    passes (relative_deviations), explicit data Grams (_gram, formed only by
+    data_projector) and closed-form solves (closed_form_min)."""
     from shallowmin import cost
 
     return _count_calls(monkeypatch, (cost, ("relative_deviations", "_gram", "closed_form_min")))
@@ -166,3 +166,17 @@ def means_svd_calls(monkeypatch):
         if name.split(".")[0] == "shallowmin" and getattr(module, "_full_rank_svd", None) is original:
             monkeypatch.setattr(module, "_full_rank_svd", counting)
     return calls
+
+
+def near_duplicate_means(seed, gap, noise):
+    """M=Q=3, 20 per class, with the second class mean within gap of the
+    first: cond(means) grows like 1/gap, so the Gram X0 N^-1 X0^T nears the
+    SingularGram boundary."""
+    from shallowmin import dataset
+
+    rng = np.random.default_rng(seed)
+    means = rng.standard_normal((3, 3))
+    means[:, 1] = means[:, 0] + gap * rng.standard_normal(3)
+    x0 = np.concatenate([mean[:, None] + noise * rng.uniform(-1, 1, (3, 20)) for mean in means.T],
+                        axis=1)
+    return dataset._built(x0, (20, 20, 20), np.eye(3))

@@ -14,7 +14,7 @@ from shallowmin import (
     y_ext,
 )
 from shallowmin.constructive import w2_tilde
-from shallowmin.cost import _gram, normal_w2, weighted_norm
+from shallowmin.cost import _gram, exact_minimum, weighted_norm
 from shallowmin.dataset import deviations
 
 
@@ -56,7 +56,7 @@ def test_exact_w2_equals_gap_corrected_interpolant(square_ds):
     _, d2 = relative_deviations(ds, stats.means)
     correction = ds.y @ d2 @ np.linalg.solve(
         np.eye(ds.q) + d2, np.linalg.inv(stats.means))
-    w2 = normal_w2(ds, _gram(ds.x0, ds.inv_size_weights()), stats.means)
+    w2 = exact_minimum(ds, stats.means).w2
     assert np.allclose(w2, w2_tilde(ds, pack) - correction, atol=1e-11)
 
 

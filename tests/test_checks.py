@@ -1,7 +1,7 @@
 import pytest
 
 from shallowmin.checks import Check, check, require
-from shallowmin.errors import ConsistencyError, NotPositiveSemidefinite
+from shallowmin.errors import ConsistencyError, SingularGram
 
 
 def test_measured_at_the_tolerance_passes():
@@ -10,7 +10,7 @@ def test_measured_at_the_tolerance_passes():
     assert require(c, ConsistencyError, "not raised") is c
 
 
-@pytest.mark.parametrize("error", [ConsistencyError, NotPositiveSemidefinite])
+@pytest.mark.parametrize("error", [ConsistencyError, SingularGram])
 def test_nan_fails_and_raises_the_given_error(error):
     c = check("x.nan", float("nan"), 1.0)
     assert not c.passed

@@ -148,11 +148,11 @@ class TestTrainEval:
                                          command):
         """On M = Q data a command builds one record, whose one stats pass and
         one closed-form solve the fit, the provenance and the comparison
-        read: one relative-deviations pass, one Gram, one closed form."""
+        read: one relative-deviations pass and one closed form, no data Gram."""
         ds_path = tmp_path / "ds.json"
         run(["gen", "--m", 4, "--q", 4, "--sizes", "12,12,12,12", "--seed", 3, "--out", ds_path])
         assert run([*command, "--data", ds_path]) == 0
-        assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
+        assert exact_calls == {"relative_deviations": 1, "_gram": 0, "closed_form_min": 1}
         assert (pipeline_calls["compute_stats"], pipeline_calls["exact_minimum"]) == (1, 1)
 
     def test_eval_deterministic_bytes(self, tmp_path):

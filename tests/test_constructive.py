@@ -244,17 +244,23 @@ class TestTrainExactMeq:
 
     def test_one_gram_solve(self, exact_calls):
         """w2 and the target value come from one exact_minimum call: one
-        relative-deviations pass, one Gram solve, one closed form."""
+        relative-deviations pass and one closed form, which forms no data
+        Gram."""
         ds = synthesize(4, 4, [6, 5, 7, 6], noise=0.1, seed=3)
         stats, _ = dataset_stats(ds)
         train_exact_meq(ds, stats)
-        assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
+        assert exact_calls == {"relative_deviations": 1, "_gram": 0, "closed_form_min": 1}
 
     def test_projector_route_checks_the_trained_w2(self, monkeypatch):
         ds = synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2)
         stats, _ = dataset_stats(ds)
-        original = cost.normal_w2
-        monkeypatch.setattr(cost, "normal_w2", lambda *a: original(*a) * (1.0 + 1e-3))
+        original = cost.closed_form_min
+
+        def scaled_w2(*args):
+            value, x, w2 = original(*args)
+            return value, x, w2 * (1.0 + 1e-3)
+
+        monkeypatch.setattr(cost, "closed_form_min", scaled_w2)
         with pytest.raises(ConsistencyError, match="projector route"):
             train_exact_meq(ds, stats)
 
@@ -267,7 +273,12 @@ class TestTrainExactMeq:
         with pytest.raises(BetaTooSmall):
             train_exact_meq(ds, bypass)
         original = cost.closed_form_min
-        monkeypatch.setattr(cost, "closed_form_min", lambda y, d2: original(y, d2) + 1e-6)
+
+        def shifted(*args):
+            value, x, w2 = original(*args)
+            return value + 1e-6, x, w2
+
+        monkeypatch.setattr(cost, "closed_form_min", shifted)
         with pytest.raises(ConsistencyError, match="projector route"):
             train_exact_meq(ds, bypass)
 
@@ -330,7 +341,7 @@ class TestFit:
             assert "minimum" not in vars(pl)
             return
         exact = exact_minimum(ds, stats.means)
-        for name in ("d1", "d2", "gram", "w2"):
+        for name in ("means", "d1", "d2", "spec", "w2"):
             assert np.array_equal(getattr(pl.minimum, name), getattr(exact, name))
         assert (pl.minimum.value, pl.minimum.route) == (exact.value, exact.route)
 
@@ -375,7 +386,8 @@ class TestPipeline:
     def test_nan_closed_form_is_refused(self, monkeypatch):
         """A NaN closed form fails the projector-route check, so neither the
         minimum nor the M = Q fit is built on it."""
-        monkeypatch.setattr(cost, "closed_form_min", lambda y, d2: float("nan"))
+        original = cost.closed_form_min
+        monkeypatch.setattr(cost, "closed_form_min", lambda *a: (float("nan"), *original(*a)[1:]))
         pl = pipeline(synthesize(3, 3, [6, 6, 6], noise=0.1, seed=2))
         for read in (lambda: pl.minimum, lambda: pl.square):
             with pytest.raises(ConsistencyError, match="projector route"):

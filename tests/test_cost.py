@@ -31,19 +31,18 @@ from shallowmin.cost import (
     closed_form_min,
     exact_minimum,
     lstsq_min_weighted,
-    normal_w2,
     projector_action,
     weighted_norm,
 )
 from shallowmin.errors import ConsistencyError, SingularGram, WrongRegime
 from shallowmin.network import params_from_dict, params_to_dict
 from shallowmin.verify import random_gl
-from tests.conftest import weighted_lstsq_oracle
+from tests.conftest import near_duplicate_means, weighted_lstsq_oracle
 
 
-def gram(ds):
-    """The checked Gram X0 N^-1 X0^T of ds, as exact_minimum keeps it."""
-    return _gram(ds.x0, ds.inv_size_weights())
+def minimum(ds):
+    """The ExactMinimum of ds and its class means, as projector_action reads it."""
+    return exact_minimum(ds, dataset_mod.class_means(ds))
 
 
 def linear_params(w2_eff, beta=5.0):
@@ -350,7 +349,7 @@ class TestDataProjector:
         p = data_projector(ds)
         assert np.allclose(p, np.eye(2), atol=1e-12)
         z = probes(ds.n)
-        assert np.max(np.abs(projector_action(ds, gram(ds), z) - p @ z)) <= 1e-12
+        assert np.max(np.abs(projector_action(ds, minimum(ds), z) - p @ z)) <= 1e-12
 
     def test_delta01_projector_invariants(self, delta01_dataset):
         p = data_projector(delta01_dataset)
@@ -364,7 +363,8 @@ class TestDataProjector:
         expected = inv_n @ x0.T @ np.linalg.inv(x0 @ inv_n @ x0.T) @ x0
         assert np.allclose(p, expected, atol=1e-12)
         z = probes(delta01_dataset.n)
-        assert np.max(np.abs(projector_action(delta01_dataset, gram(delta01_dataset), z) - p @ z)) <= 1e-12
+        pz = projector_action(delta01_dataset, minimum(delta01_dataset), z)
+        assert np.max(np.abs(pz - p @ z)) <= 1e-12
 
     def test_gl_invariance(self, delta01_dataset):
         p = data_projector(delta01_dataset)
@@ -375,7 +375,7 @@ class TestDataProjector:
             p_k = data_projector(ds_k)
             assert np.max(np.abs(p_k - p)) < 1e-8
             z = probes(ds_k.n)
-            assert np.max(np.abs(projector_action(ds_k, gram(ds_k), z) - p_k @ z)) <= 1e-12
+            assert np.max(np.abs(projector_action(ds_k, minimum(ds_k), z) - p_k @ z)) <= 1e-12
 
     def test_probe_measure_detects_row_space_change(self):
         # A generic perturbation of X0 moves its row space, so the projector's
@@ -385,8 +385,8 @@ class TestDataProjector:
         rng = np.random.default_rng(3)
         ds_e = replace(ds, x0=ds.x0 + 1e-3 * rng.standard_normal(ds.x0.shape))
         z = probes(ds.n)
-        pz = projector_action(ds, gram(ds), z)
-        moved = np.max(np.abs(projector_action(ds_e, gram(ds_e), z) - pz))
+        pz = projector_action(ds, minimum(ds), z)
+        moved = np.max(np.abs(projector_action(ds_e, minimum(ds_e), z) - pz))
         assert moved / (1.0 + np.max(np.abs(pz))) > 1e-7
         p = data_projector(ds)
         assert np.max(np.abs(pz - p @ z)) <= 1e-12
@@ -431,7 +431,7 @@ class TestProjectorRoute:
     def test_normal_w2_reproduces_projected_targets(self, square):
         stats, _ = dataset_stats(square)
         p_script = data_projector(square)
-        w2 = normal_w2(square, gram(square), stats.means)
+        w2 = exact_minimum(square, stats.means).w2
         assert np.max(np.abs(w2 @ square.x0 - y_ext(square) @ p_script)) <= 1e-12
 
     def test_singular_gram(self):
@@ -441,13 +441,41 @@ class TestProjectorRoute:
         with pytest.raises(SingularGram):
             exact_minimum(ds, stats.means)
 
+    def test_singular_gram_boundary_is_the_data_grams(self):
+        """exact_minimum decides SingularGram on means cholesky(I + D2), never
+        forming the data Gram, and refuses exactly the near-duplicate means
+        whose explicit Gram the same rule refuses."""
+        refused = 0
+        for seed in range(40):
+            for gap in (1e-5, 1e-6, 1e-7):
+                for noise in (1e-3, 1e-4, 1e-5):
+                    ds = near_duplicate_means(seed, gap, noise)
+                    try:
+                        _gram(ds.x0, ds.inv_size_weights())
+                        reference = False
+                    except SingularGram:
+                        reference = True
+                    try:
+                        exact_minimum(ds, dataset_mod.class_means(ds))
+                        raised = False
+                    except SingularGram:
+                        raised = True
+                    assert raised == reference, (seed, gap, noise)
+                    refused += raised
+        assert 0 < refused < 360
+
     def test_cross_check_runs_above_projector_limit(self, monkeypatch):
         ds = synthesize(3, 3, [2000, 2000, 2000], noise=0.05, seed=0)
         assert ds.n > MAX_PROJECTOR_N
         stats, _ = dataset_stats(ds)
         exact_min_weighted(ds, stats)
         original = cost.closed_form_min
-        monkeypatch.setattr(cost, "closed_form_min", lambda y, d2: original(y, d2) + 1e-6)
+
+        def shifted(*args):
+            value, x, w2 = original(*args)
+            return value + 1e-6, x, w2
+
+        monkeypatch.setattr(cost, "closed_form_min", shifted)
         with pytest.raises(ConsistencyError, match="projector route"):
             exact_min_weighted(ds, stats)
 
@@ -571,13 +599,13 @@ class TestSharedKernel:
         ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
         stats, _ = dataset_stats(ds)
         _, d2 = relative_deviations(ds, stats.means)
-        assert exact_min_weighted(ds, stats) == closed_form_min(ds.y, d2)
+        assert exact_min_weighted(ds, stats) == closed_form_min(ds.y, d2)[0]
 
     def test_truncated_min_is_closed_form_of_truncated_gram(self, delta01_dataset):
         from shallowmin import min_over_output_layer
         res = min_over_output_layer(np.eye(2), np.array([-0.5, 0.0]), delta01_dataset)
         assert res.rank_x0_preserved and res.rank_means_preserved
-        assert res.min_cost_weighted == closed_form_min(delta01_dataset.y, res.delta2_rel_tr)
+        assert res.min_cost_weighted == closed_form_min(delta01_dataset.y, res.delta2_rel_tr)[0]
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["synthesized", "json-loaded"])
     def test_exact_minimum_fields_are_the_kernels(self, tmp_path, loaded):
@@ -592,15 +620,16 @@ class TestSharedKernel:
         exact = exact_minimum(ds, stats.means)
         d1, d2 = relative_deviations(ds, stats.means)
         assert np.array_equal(exact.d1, d1) and np.array_equal(exact.d2, d2)
-        assert np.array_equal(exact.gram, gram(ds))
-        assert np.array_equal(exact.w2, normal_w2(ds, gram(ds), stats.means))
-        assert exact.value == closed_form_min(ds.y, d2) == exact_min_weighted(ds, stats)
+        assert np.array_equal(exact.spec, np.linalg.eigvalsh(d2))
+        value, _, w2 = closed_form_min(ds.y, d2, stats.means)
+        assert np.array_equal(exact.w2, w2)
+        assert exact.value == value == exact_min_weighted(ds, stats)
 
     def test_evaluate_solves_once(self, exact_calls):
         ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)
         stats, pack = dataset_stats(ds)
         evaluate(linear_params(np.eye(3)), ds, stats, pack, include_matrices=True)
-        assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
+        assert exact_calls == {"relative_deviations": 1, "_gram": 0, "closed_form_min": 1}
 
     def test_evaluate_matrices_are_relative_deviations(self):
         ds = synthesize(3, 3, [7, 9, 8], noise=0.1, seed=21)

@@ -434,6 +434,7 @@ class TestCsvRows:
     @example(text='"\n1\n', header=True, m=1)  # a header record over two lines
     def test_same_result_as_the_row_walk(self, tmp_path, text, header, m):
         path = tmp_path / "in.csv"
+        path.unlink(missing_ok=True)  # a fresh file: truncating one can be slow
         path.write_bytes(text.encode())
 
         def name(k, line):

@@ -20,7 +20,6 @@ from shallowmin.constructive import tied_output_layer
 from shallowmin.errors import (
     BetaTooSmall,
     ConsistencyError,
-    NotPositiveSemidefinite,
     SingularMeans,
     SingularW1,
     WrongRegime,
@@ -267,7 +266,7 @@ class TestSuiteReusesSweep:
         def first_point_failed(passed, b1, ds, data_ranks):
             calls.append(1)
             if len(calls) == 1:
-                raise NotPositiveSemidefinite("injected")
+                raise SingularMeans("injected")
             return original(passed, b1, ds, data_ranks)
 
         monkeypatch.setattr(truncation, "_min_over_output_layer", first_point_failed)
@@ -335,7 +334,7 @@ class TestSuiteReusesSweep:
         def failing_rotations(w1, b1, ds, data_ranks):
             calls.append(1)
             if len(calls) in (8, 9):  # grid points 7 and 8: in-region rotations
-                raise NotPositiveSemidefinite("injected")
+                raise SingularMeans("injected")
             return original(w1, b1, ds, data_ranks)
 
         monkeypatch.setattr(truncation, "_min_over_output_layer", failing_rotations)

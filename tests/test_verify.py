@@ -15,9 +15,11 @@ from shallowmin.verify import (
     suite_degeneracy,
     suite_exact_min,
     suite_invariance,
+    suite_truncation,
     t_law,
     trend_start,
 )
+from tests.conftest import near_duplicate_means
 
 
 def test_all_suites_pass_on_square_dataset():
@@ -71,26 +73,26 @@ def test_exact_min_suite_prints_the_runtime_checks():
 
 def test_invariance_suite_solves_once_per_dataset(exact_calls):
     """One exact_minimum per dataset, the given one and its 20 images K X0:
-    one relative-deviations pass and one Gram each; the data-projector probe
-    reuses that call's Gram."""
+    one relative-deviations pass and one closed form each, and no data Gram;
+    the data-projector probe reads that call's means and D2."""
     ds = synthesize(8, 8, [12] * 8, noise=0.05, seed=1)
     checks = suite_invariance(pipeline(ds), seed=1)
     assert all(c.passed for c in checks)
-    assert exact_calls == {"relative_deviations": 21, "_gram": 21, "closed_form_min": 21}
+    assert exact_calls == {"relative_deviations": 21, "_gram": 0, "closed_form_min": 21}
 
 
 def test_exact_min_suite_solves_once_per_dataset(exact_calls):
     """The given dataset is solved once, by the M = Q fit whose ExactMinimum
     the suite reads, and the trend checks' one rebuilt octave once; the other
-    octaves are read off the t-law. Every solve is one relative-deviations
-    pass, one Gram solve and one closed form, which its projector route
-    cross-checks."""
+    octaves are read off the t-law, one closed form each. Every solve is
+    one relative-deviations pass and one closed form, which its projector
+    route cross-checks; none forms the data Gram."""
     ds = synthesize(4, 4, [10] * 4, noise=0.05, seed=3)
     checks = suite_exact_min(pipeline(ds))
     assert all(c.passed for c in checks)
     solves = 2
-    assert exact_calls == {"relative_deviations": solves, "_gram": solves,
-                           "closed_form_min": solves}
+    assert exact_calls == {"relative_deviations": solves, "_gram": 0,
+                           "closed_form_min": solves + OCTAVES + 1}
 
 
 @pytest.mark.parametrize("m, size, noise, seed, k0", [(8, 300, 0.05, 2, 5),
@@ -101,7 +103,7 @@ def test_t_law_matches_rebuilt_data_at_every_octave(m, size, noise, seed, k0):
     ds = synthesize(m, m, [size] * m, noise=noise, seed=seed)
     pl = pipeline(ds)
     means = np.repeat(pl.stats.means, ds.class_sizes, axis=1)
-    assert trend_start(float(pl.minimum.lam.max())) == k0
+    assert trend_start(float(pl.minimum.spec.max())) == k0
     for k in range(k0, k0 + OCTAVES + 1):
         t = 0.5 ** k
         delta_p, value, w2, _, _ = t_law(pl, t)
@@ -111,11 +113,36 @@ def test_t_law_matches_rebuilt_data_at_every_octave(m, size, noise, seed, k0):
         assert op_norm(data.minimum.w2 - w2) / (1.0 + op_norm(w2)) <= 1e-9
 
 
+def test_t_law_route_on_near_duplicate_means():
+    """cond(means) ~ 1e5: the t-law and the rebuilt octave solve with the
+    same Q x Q kernel, so their W2* agree (an eigenbasis W2* was 1.1e-7 off)."""
+    checks = {c.name: c for c in suite_exact_min(pipeline(near_duplicate_means(1, 1e-5, 1e-3)))}
+    assert checks["exact.t-law-route"].passed, checks["exact.t-law-route"]
+
+
+def test_gl_data_projector_on_near_duplicate_means():
+    """cond(means) ~ 1e7: the projector's action through means and I + D2
+    enters the condition number once (through the data Gram, 1.7e-7 > 1e-7)."""
+    checks = {c.name: c for c in suite_invariance(pipeline(near_duplicate_means(1, 1e-7, 1e-4)),
+                                                  seed=1)}
+    assert checks["invariance.gl-data-projector"].passed, checks["invariance.gl-data-projector"]
+
+
+def test_truncation_point_near_the_psd_floor_is_solved():
+    """Point 19 of this grid has lambda_max(D2) = 1.8e6 and a rounding
+    eigenvalue below -1e-12; the closed form through I + D2 needs no floor,
+    so no point errors."""
+    ds = synthesize(8, 8, [300] * 8, noise=0.05, seed=1183364968)
+    checks = suite_truncation(pipeline(ds), seed=1183364968)
+    assert all(c.passed for c in checks), checks
+    assert "errored" not in checks[0].detail, checks[0].detail
+
+
 def test_degeneracy_suite_solves_once(exact_calls):
     """The M = Q fit's solve, whose w2 every re-solve reuses."""
     ds = synthesize(3, 3, [10] * 3, noise=0.05, seed=3)
     assert all(c.passed for c in suite_degeneracy(pipeline(ds), seed=1))
-    assert exact_calls == {"relative_deviations": 1, "_gram": 1, "closed_form_min": 1}
+    assert exact_calls == {"relative_deviations": 1, "_gram": 0, "closed_form_min": 1}
 
 
 @pytest.mark.parametrize("suite,svds", [("metric", 1), ("exact-min", 2),

@@ -150,7 +150,8 @@ EDGE_COMMANDS = [
     "verify exact-min --m 3 --q 3 --noise 1e-10 --seed 1",
     "verify all --m 1 --q 1",
     "verify all --m 0 --q 0",
-    # A sweep point that raises NotPositiveSemidefinite (eigenvalue -3.2e-11).
+    # Sweep point 19 has lambda_max(D2) = 1.8e6 and an eigenvalue of -3.2e-11 by
+    # eigh; it errored under an absolute PSD floor and is now solved through I + D2.
     "gen --m 8 --q 8 --sizes " + ",".join(["300"] * 8) + " --seed 1183364968 --out npsd.json",
     "verify truncation --data npsd.json --seed 1183364968",
     "eval --m 3 --q 3 --params missing.json",
